@@ -215,13 +215,26 @@ def apply_extended(ch: KrausChannel, rho, shape: SystemShape) -> np.ndarray:
         raise ValueError(
             f"first factor {shape.factor_dims[0]} does not match channel din {ch.din}"
         )
-    rest = int(np.prod(shape.factor_dims[1:])) if len(shape.factor_dims) > 1 else 1
-    if rest == 1:
-        return ch.apply(rho)
-    eye = np.eye(rest)
-    return sum(
-        np.kron(k, eye) @ rho @ np.kron(dagger(k), eye) for k in ch.kraus_ops
-    )
+    return apply_at_factor(ch, rho, shape.factor_dims, 0)
+
+
+def apply_at_factor(ch: KrausChannel, rho: np.ndarray, dims, k: int) -> np.ndarray:
+    """Apply the channel to tensor factor k of a state with the given dims,
+    contracting each Kraus operator into that factor alone."""
+    dims = list(dims)
+    if dims[k] != ch.din:
+        raise ValueError("factor dimension does not match the channel input")
+    n = len(dims)
+    t = rho.reshape(*dims, *dims)
+    new_dims = dims.copy()
+    new_dims[k] = ch.dout
+    out = np.zeros((*new_dims, *new_dims), dtype=complex)
+    for kop in ch.kraus_ops:
+        a = np.moveaxis(np.tensordot(kop, t, axes=(1, k)), 0, k)
+        b = np.moveaxis(np.tensordot(a, kop.conj(), axes=(n + k, 1)), -1, n + k)
+        out += b
+    dim = int(np.prod(new_dims))
+    return out.reshape(dim, dim)
 
 
 @dataclass
@@ -520,6 +533,15 @@ def rotated_povm(base_plus, base_minus, unitaries) -> tuple[list, list, float]:
     return plus, minus, c
 
 
+def _members(params: dict, prefix: str, items: list, build) -> list[tuple[str, object]]:
+    """Build one member per parameter item, labelled from params["labels"]
+    or by prefix and index; a label count that differs is rejected."""
+    labels = params.get("labels") or [f"{prefix}{i}" for i in range(len(items))]
+    if len(labels) != len(items):
+        raise ConstraintViolation(f"{len(labels)} labels given for {len(items)} members")
+    return [(lab, build(x)) for lab, x in zip(labels, items)]
+
+
 def make_family(kind: str, params: dict) -> ChannelFamily:
     """Construct a validated channel family of the given kind.
 
@@ -527,7 +549,6 @@ def make_family(kind: str, params: dict) -> ChannelFamily:
     parameters fall outside the kind's admissible set. Every member of the
     returned family passes validate_cptp.
     """
-    members: list[tuple[str, KrausChannel]] = []
     stored: dict = {}
 
     if kind == "gp":
@@ -541,41 +562,35 @@ def make_family(kind: str, params: dict) -> ChannelFamily:
             if d == 2:
                 stored["xis"] = [gp_xi_from_theta(t) for t in thetas]
         stored["thetas"] = thetas
-        labels = params.get("labels") or [f"gp{i}" for i in range(len(thetas))]
-        members = [(lab, _gp_channel(d, t)) for lab, t in zip(labels, thetas)]
+        members = _members(params, "gp", thetas, lambda t: _gp_channel(d, t))
 
     elif kind == "damp":
         p = float(params["p"])
         xis = [float(x) for x in params["xis"]]
-        labels = params.get("labels") or [f"damp{i}" for i in range(len(xis))]
-        members = [(lab, _damp_channel(p, x)) for lab, x in zip(labels, xis)]
+        members = _members(params, "damp", xis, lambda x: _damp_channel(p, x))
         stored = {"p": p, "xis": xis}
 
     elif kind == "diag":
         d = int(params["d"])
         thetas = [np.asarray(t, dtype=complex).reshape(-1) for t in params["thetas"]]
-        labels = params.get("labels") or [f"diag{i}" for i in range(len(thetas))]
-        members = [(lab, _diag_channel(d, t)) for lab, t in zip(labels, thetas)]
+        members = _members(params, "diag", thetas, lambda t: _diag_channel(d, t))
         stored = {"thetas": thetas}
 
     elif kind == "cdep":
         d = int(params["d"])
         thetas = [float(t) for t in params["thetas"]]
-        labels = params.get("labels") or [f"cdep{i}" for i in range(len(thetas))]
-        members = [(lab, _cdep_channel(d, t)) for lab, t in zip(labels, thetas)]
+        members = _members(params, "cdep", thetas, lambda t: _cdep_channel(d, t))
         stored = {"thetas": thetas}
 
     elif kind == "ou":
         unitaries = params["unitaries"]
         weight_sets = params["weights"]
-        labels = params.get("labels") or [f"ou{i}" for i in range(len(weight_sets))]
-        members = [(lab, _ou_channel(unitaries, w)) for lab, w in zip(labels, weight_sets)]
+        members = _members(params, "ou", weight_sets, lambda w: _ou_channel(unitaries, w))
         stored = {"unitaries": [as_matrix(u) for u in unitaries]}
 
     elif kind == "qubit-phase":
         thetas = [(float(a), float(b)) for a, b in params["thetas"]]
-        labels = params.get("labels") or [f"phase{i}" for i in range(len(thetas))]
-        members = [(lab, _qubit_phase_channel(a, b)) for lab, (a, b) in zip(labels, thetas)]
+        members = _members(params, "phase", thetas, lambda ab: _qubit_phase_channel(*ab))
         stored = {"thetas": thetas}
 
     elif kind == "measurement":
@@ -596,12 +611,9 @@ def make_family(kind: str, params: dict) -> ChannelFamily:
             }
         else:
             povm_sets = params["povms"]
-            labels = params.get("labels") or [f"meas{i}" for i in range(len(povm_sets))]
-            povms = []
-            for lab, elems in zip(labels, povm_sets):
-                ch, povm = _measurement_member(elems)
-                members.append((lab, ch))
-                povms.append(povm)
+            built = _members(params, "meas", povm_sets, _measurement_member)
+            members = [(lab, ch) for lab, (ch, _) in built]
+            povms = [povm for _, (_, povm) in built]
             stored = {"structure": params.get("structure", "plain"), "povms": povms}
 
     elif kind == "unitary":
@@ -610,13 +622,11 @@ def make_family(kind: str, params: dict) -> ChannelFamily:
         for i, u in enumerate(unitaries):
             if max_abs(u @ dagger(u) - np.eye(d)) > 1e-9:
                 raise ConstraintViolation(f"unitary member {i} is not unitary")
-        labels = params.get("labels") or [f"u{i}" for i in range(len(unitaries))]
-        members = [(lab, KrausChannel([u], din=d, dout=d)) for lab, u in zip(labels, unitaries)]
+        members = _members(params, "u", unitaries, lambda u: KrausChannel([u], din=d, dout=d))
 
     elif kind == "custom":
         kraus_sets = params["kraus"]
-        labels = params.get("labels") or [f"ch{i}" for i in range(len(kraus_sets))]
-        members = [(lab, KrausChannel.from_ops(ops)) for lab, ops in zip(labels, kraus_sets)]
+        members = _members(params, "ch", kraus_sets, KrausChannel.from_ops)
 
     else:
         raise ConstraintViolation(f"unknown family kind {kind!r}")

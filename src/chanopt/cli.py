@@ -203,6 +203,13 @@ def parse_family(node):
     return make_family(kind, params)
 
 
+def _index(node, dim: int, where: str) -> int:
+    ok = isinstance(node, (int, float)) and not isinstance(node, bool) and 0 <= node < dim
+    if not ok or node != int(node):
+        raise SpecError(where, f"expected an integer in [0, {dim})")
+    return int(node)
+
+
 def parse_state(node, fam, where: str) -> PureState:
     if not isinstance(node, dict):
         raise SpecError(where, "expected an object")
@@ -214,11 +221,12 @@ def parse_state(node, fam, where: str) -> PureState:
         idx = _get(node, "indices", where)
         if not isinstance(idx, (list, tuple)) or not 1 <= len(idx) <= 2:
             raise SpecError(f"{where}.indices", "expected one or two indices")
-        if len(idx) == 1:
-            return PureState(basis_vector(d, int(idx[0])), SystemShape((d,)))
-        dr = int(node.get("ref_dim", d))
-        vec = np.kron(basis_vector(d, int(idx[0])), basis_vector(dr, int(idx[1])))
-        return PureState(vec, SystemShape((d, dr)))
+        dims = (d,) if len(idx) == 1 else (d, int(node.get("ref_dim", d)))
+        vec = np.ones(1)
+        for i, dim in enumerate(dims):
+            k = _index(idx[i], dim, f"{where}.indices[{i}]")
+            vec = np.kron(vec, basis_vector(dim, k))
+        return PureState(vec, SystemShape(dims))
     if kind == "amplitudes":
         values = _vector_from(_get(node, "values", where), f"{where}.values")
         dims = tuple(int(x) for x in _get(node, "dims", where))
@@ -227,8 +235,11 @@ def parse_state(node, fam, where: str) -> PureState:
 
 
 def _named_states(doc, fam) -> dict[str, PureState]:
+    nodes = doc.get("inputs") or {}
+    if not isinstance(nodes, dict):
+        raise SpecError("inputs", "expected an object mapping names to states")
     out = {}
-    for name, node in (doc.get("inputs") or {}).items():
+    for name, node in nodes.items():
         out[name] = parse_state(node, fam, f"inputs.{name}")
     return out
 
@@ -487,24 +498,19 @@ def _cmd_sweep(doc, fam, args, out_dir):
 
     labels = fam.labels()
     lines = ["input,member_plus,member_minus,s,norm,is_breakpoint"]
-    rows = 0
     for name in names:
         if name not in states:
             raise SpecError("analysis.inputs", f"unknown input {name!r}")
         outs = dict(zip(labels, _state_outputs(fam, states[name])))
         for la, lb in combinations(labels, 2):
-            curve = gap_curve(outs[la], outs[lb], grid=grid)
-            bp = set(np.round(curve.breakpoints, 15))
-            for s, nv in zip(curve.s_values, curve.norms):
-                flag = 1 if round(float(s), 15) in bp else 0
-                lines.append(f"{name},{la},{lb},{float(s)!r},{float(nv)!r},{flag}")
-                rows += 1
+            table = gap_curve(outs[la], outs[lb], grid=grid).to_csv().splitlines()[1:]
+            lines += [f"{name},{la},{lb},{row}" for row in table]
     _write(out_dir, "sweep-curves.csv", "\n".join(lines) + "\n")
     payload = {
         "command": "sweep",
         "inputs": list(names),
         "pairs": [list(p) for p in combinations(labels, 2)],
-        "rows": rows,
+        "rows": len(lines) - 1,
         "csv": "sweep-curves.csv",
     }
     _emit(out_dir, "sweep-report.json", payload)
@@ -540,8 +546,9 @@ def _cmd_ang(doc, args, out_dir):
     elif query == "parallel":
         xp = _real_list(_get(doc, "x_prime", "document"), "x_prime")
         n = int(ana.get("n", 50))
-        seed = args.seed if args.seed is not None else 0
-        shadow = ang_parallel_property(x, xp, n=n, tol=args.tol * 1e3, seed=seed)
+        if len(x) >= 4 and args.seed is None:
+            raise SpecError("flags", "--seed is required for sampling queries")
+        shadow = ang_parallel_property(x, xp, n=n, tol=args.tol * 1e3, seed=args.seed)
         payload["x_prime"] = xp
         payload["subset_holds"] = shadow.subset_holds
         if shadow.violating_sample is not None:

@@ -14,10 +14,9 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .channels import ChoiMatrix
-from .numerics import as_matrix, dagger, hermitian_eig, is_density, max_abs, trace_norm
+from .numerics import as_matrix, dagger, hermitian_eig, is_density, is_hermitian, max_abs, trace_norm
 
 COMMUTE_TOL = 1e-9
 
@@ -67,29 +66,66 @@ class SweepCurve:
         return buf.getvalue()
 
 
-def joint_eigenvalues(a, b, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """Paired eigenvalues of a commuting Hermitian pair.
+def joint_eigenbasis(a, b, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Common eigenbasis of a commuting Hermitian pair.
 
     Diagonalizes b, then rediagonalizes a inside each (near-)degenerate
-    eigenspace of b; valid only when [a, b] = 0 up to tolerance.
+    eigenspace of b; valid only when [a, b] = 0 up to tolerance. Returns the
+    basis vectors as columns and the eigenvalues of a and of b, paired by
+    column.
     """
     a = as_matrix(a)
     b = as_matrix(b)
     lam, v = hermitian_eig(b)
     scale = max(float(np.abs(lam).max()), 1.0)
-    ps, qs = [], []
+    blocks, ps = [], []
     i = 0
     while i < len(lam):
         j = i
         while j + 1 < len(lam) and lam[j + 1] - lam[j] <= tol * scale:
             j += 1
         cols = v[:, i : j + 1]
-        block = dagger(cols) @ a @ cols
-        mu = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
-        ps.extend(mu.tolist())
-        qs.extend(lam[i : j + 1].tolist())
+        mu, w = hermitian_eig(dagger(cols) @ a @ cols)
+        blocks.append(cols @ w)
+        ps.append(mu)
         i = j + 1
-    return np.array(ps), np.array(qs)
+    return np.hstack(blocks), np.concatenate(ps), lam
+
+
+def sweep_norms(a, b, s) -> np.ndarray:
+    """||a - s_k b||_1 for every s_k, from one stacked decomposition.
+
+    A Hermitian pair takes one stacked eigvalsh, any other pair one stacked
+    svd: the split trace_norm makes, decided once for the pair.
+    """
+    a = as_matrix(a)
+    b = as_matrix(b)
+    s = np.asarray(s, dtype=float).reshape(-1)
+    stack = a[None, :, :] - s[:, None, None] * b[None, :, :]
+    if is_hermitian(a) and is_hermitian(b):
+        herm = 0.5 * (stack + stack.conj().swapaxes(1, 2))
+        return np.abs(np.linalg.eigvalsh(herm)).sum(axis=1)
+    return np.linalg.svd(stack, compute_uv=False).sum(axis=1)
+
+
+def _breakpoints(a, b) -> tuple[bool, np.ndarray]:
+    """Whether the pair commutes, and if so the kinks of its curve (ratios
+    of joint eigenvalues); a noncommuting pair gets no kinks."""
+    if not commutes(a, b):
+        return False, np.array([])
+    _, p, q = joint_eigenbasis(a, b)
+    mask = q > 1e-12
+    bp = np.unique(p[mask] / q[mask])
+    return True, bp[bp >= 0]
+
+
+def _sweep_grid(grid) -> np.ndarray:
+    s = default_grid() if grid is None else np.asarray(grid, dtype=float).reshape(-1)
+    if len(s) == 0:
+        raise ValueError("empty s grid")
+    if s.min() < 0:
+        raise ValueError("s must be nonnegative")
+    return s
 
 
 def gap_curve(rho_plus, rho_minus, grid=None) -> SweepCurve:
@@ -107,24 +143,9 @@ def gap_curve(rho_plus, rho_minus, grid=None) -> SweepCurve:
     for name, m in (("rho_plus", rho_plus), ("rho_minus", rho_minus)):
         if not is_density(m, tol=1e-8):
             raise ValueError(f"{name} is not a density matrix")
-    s = default_grid() if grid is None else np.asarray(grid, dtype=float).reshape(-1)
-    if len(s) == 0:
-        raise ValueError("empty s grid")
-    if s.min() < 0:
-        raise ValueError("s must be nonnegative")
-
-    if commutes(rho_plus, rho_minus):
-        p, q = joint_eigenvalues(rho_plus, rho_minus)
-        mask = q > 1e-12
-        bp = np.unique(p[mask] / q[mask])
-        bp = bp[bp >= 0]
-        s = np.unique(np.concatenate([s, bp]))
-    else:
-        bp = np.array([])
-        s = np.unique(s)
-
-    norms = np.array([trace_norm(rho_plus - t * rho_minus) for t in s])
-    return SweepCurve(s_values=s, norms=norms, breakpoints=bp)
+    _, bp = _breakpoints(rho_plus, rho_minus)
+    s = np.unique(np.concatenate([_sweep_grid(grid), bp]))
+    return SweepCurve(s_values=s, norms=sweep_norms(rho_plus, rho_minus, s), breakpoints=bp)
 
 
 @dataclass
@@ -281,6 +302,8 @@ def cptp_feasible(sources, targets, max_iters: int = 5000, tol: float = 1e-7) ->
     a3 = a_cx.reshape(-1, n, n)
 
     def refine(w_seed):
+        from scipy.optimize import least_squares
+
         lam, v = np.linalg.eigh(0.5 * (w_seed + w_seed.conj().T))
         lam_c = np.clip(lam, 0.0, None)
         top = max(float(lam_c.max()), 1e-30)
@@ -375,12 +398,10 @@ def _validate_family(name: str, fam) -> list[np.ndarray]:
 
 
 def _pair_verdict(cand, chal, grid, tol, certify) -> ComparisonVerdict:
-    f = gap_curve(cand[0], cand[1], grid)
-    g = gap_curve(chal[0], chal[1], grid)
-    s_all = np.unique(np.concatenate([f.s_values, g.s_values]))
-    fv = np.array([trace_norm(cand[0] - s * cand[1]) for s in s_all])
-    gv = np.array([trace_norm(chal[0] - s * chal[1]) for s in s_all])
-    diff = fv - gv
+    cand_comm, cand_bp = _breakpoints(cand[0], cand[1])
+    chal_comm, chal_bp = _breakpoints(chal[0], chal[1])
+    s_all = np.unique(np.concatenate([grid, cand_bp, chal_bp]))
+    diff = sweep_norms(cand[0], cand[1], s_all) - sweep_norms(chal[0], chal[1], s_all)
     cand_beats = bool((diff > tol).any())
     chal_beats = bool((diff < -tol).any())
 
@@ -389,8 +410,6 @@ def _pair_verdict(cand, chal, grid, tol, certify) -> ComparisonVerdict:
         and max_abs(cand[0] - chal[0]) <= 1e-12
         and max_abs(cand[1] - chal[1]) <= 1e-12
     )
-    cand_comm = commutes(cand[0], cand[1])
-    chal_comm = commutes(chal[0], chal[1])
 
     if not cand_beats and not chal_beats:
         if identical:
@@ -453,6 +472,7 @@ def dominance_check(
     chal = _validate_family("challenger_outputs", challenger_outputs)
     if len(cand) != len(chal):
         raise ValueError("families must have matching member counts")
+    grid = _sweep_grid(grid)
 
     verdicts = []
     for i in range(len(cand)):

@@ -21,7 +21,7 @@ from .channels import (
     gp_xi_from_theta,
     weyl_ops,
 )
-from .comparison import default_grid
+from .comparison import commutes, default_grid, joint_eigenbasis
 from .numerics import as_matrix, dagger, hermitian_eig, max_abs, max_entangled
 
 
@@ -280,32 +280,6 @@ class MeasSeparableResult:
     detail: dict
 
 
-def _joint_basis(mp, mm, tol: float = 1e-9):
-    """Common eigenbasis of a commuting Hermitian pair with eigenvalue pairs."""
-    mp = as_matrix(mp)
-    mm = as_matrix(mm)
-    if max_abs(mp @ mm - mm @ mp) > tol:
-        raise ValueError("base elements do not commute")
-    lam, v = hermitian_eig(mm)
-    scale = max(float(np.abs(lam).max()), 1.0)
-    vecs, alphas, betas = [], [], []
-    i = 0
-    while i < len(lam):
-        j = i
-        while j + 1 < len(lam) and lam[j + 1] - lam[j] <= tol * scale:
-            j += 1
-        cols = v[:, i : j + 1]
-        block = dagger(cols) @ mp @ cols
-        mu, w = hermitian_eig(block)
-        sub = cols @ w
-        for t in range(j - i + 1):
-            vecs.append(sub[:, t])
-            alphas.append(float(mu[t]))
-            betas.append(float(lam[i + t]))
-        i = j + 1
-    return np.array(vecs).T, np.array(alphas), np.array(betas)
-
-
 def meas_separable_check(fam: ChannelFamily, psi_in, tol: float = 1e-8) -> MeasSeparableResult:
     """Whether the product input psi_in (x) psi_R ties the entangled input.
 
@@ -328,7 +302,9 @@ def meas_separable_check(fam: ChannelFamily, psi_in, tol: float = 1e-8) -> MeasS
         base_p = as_matrix(fam.params["m_plus"])
         base_m = as_matrix(fam.params["m_minus"])
         unitaries = fam.params["unitaries"]
-        vecs, alphas, betas = _joint_basis(base_p, base_m)
+        if not commutes(base_p, base_m):
+            raise ValueError("base elements do not commute")
+        vecs, alphas, betas = joint_eigenbasis(base_p, base_m)
         if betas.min() <= 1e-12:
             raise ValueError("ratio ordering needs strictly positive second weights")
         order = np.argsort(-alphas / betas, kind="stable")

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import schur
 
 from .channels import (
     ChannelFamily,
@@ -21,7 +20,7 @@ from .channels import (
     is_covariant,
     is_unital,
 )
-from .comparison import ComparisonVerdict, commutes, default_grid, gap_curve
+from .comparison import ComparisonVerdict, commutes, default_grid, sweep_norms
 from .numerics import (
     SystemShape,
     as_matrix,
@@ -31,7 +30,6 @@ from .numerics import (
     max_abs,
     max_entangled,
     partial_trace,
-    trace_norm,
 )
 
 
@@ -340,6 +338,8 @@ def pair_unitary_optimal_input(u_plus, u_minus) -> PairOptimum:
         if max_abs(u @ dagger(u) - np.eye(d)) > 1e-9:
             raise ValueError(f"{name} is not unitary")
 
+    from scipy.linalg import schur
+
     m = dagger(u_plus) @ u_minus
     t, z = schur(m, output="complex")
     phases = np.angle(np.diag(t))
@@ -432,14 +432,8 @@ def measurement_input_certify(
             outs = [
                 apply_extended(ch, psi.density(), shape) for _, ch in fam.members
             ]
-            bound_ok = True
-            for s in s_grid:
-                lhs = trace_norm(outs[0] - s * outs[1])
-                rhs = trace_norm(as_matrix(base_p) - s * as_matrix(base_m))
-                if abs(lhs - rhs) > 1e-7:
-                    bound_ok = False
-                    break
-            if bound_ok and commutes(outs[0], outs[1]):
+            gaps = sweep_norms(outs[0], outs[1], s_grid) - sweep_norms(base_p, base_m, s_grid)
+            if np.all(np.abs(gaps) <= 1e-7) and commutes(outs[0], outs[1]):
                 return ComparisonVerdict(
                     "dominates", method="sweep-sufficient-commuting"
                 )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelFamily, KrausChannel, apply_extended
+from .channels import ChannelFamily, KrausChannel, apply_at_factor, apply_extended
 from .comparison import bayes_binary_risk
 from .numerics import SystemShape, hermitian_eig, max_abs, max_entangled
 from .optimal_inputs import IrrepBlocks, PureState, group_correction_simulator
@@ -66,24 +66,6 @@ class AdaptivePlan:
             raise ValueError("menus must be nonempty")
 
 
-def _apply_member_at(ch: KrausChannel, rho: np.ndarray, dims, k: int) -> np.ndarray:
-    """Apply the channel to tensor factor k of a state with the given dims."""
-    dims = list(dims)
-    if dims[k] != ch.din:
-        raise ValueError("factor dimension does not match the channel input")
-    n = len(dims)
-    t = rho.reshape(*dims, *dims)
-    new_dims = dims.copy()
-    new_dims[k] = ch.dout
-    out = np.zeros((*new_dims, *new_dims), dtype=complex)
-    for kop in ch.kraus_ops:
-        a = np.moveaxis(np.tensordot(kop, t, axes=(1, k)), 0, k)
-        b = np.moveaxis(np.tensordot(a, kop.conj(), axes=(n + k, 1)), -1, n + k)
-        out += b
-    dim = int(np.prod(new_dims))
-    return out.reshape(dim, dim)
-
-
 def factor_permutation(dims, perm) -> np.ndarray:
     """Unitary reordering tensor factors: |i_0 .. i_{n-1}> -> permuted order."""
     dims = list(dims)
@@ -126,7 +108,7 @@ def repeated_output(member: KrausChannel, strat: Strategy) -> np.ndarray:
         rho = strat.input.density()
         cur = list(dims)
         for i in range(strat.n):
-            rho = _apply_member_at(member, rho, cur, 2 * i)
+            rho = apply_at_factor(member, rho, cur, 2 * i)
             cur[2 * i] = member.dout
         return rho
 
@@ -236,7 +218,7 @@ def _block_outputs(ch: KrausChannel, psi: PureState, d: int, n_block: int):
     rho = psi.density()
     cur = list(dims)
     for i in range(n_block):
-        rho = _apply_member_at(ch, rho, cur, step * i)
+        rho = apply_at_factor(ch, rho, cur, step * i)
         cur[step * i] = ch.dout
     return rho
 

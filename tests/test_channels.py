@@ -131,6 +131,21 @@ def test_gp_rejects_bad_weights():
         make_family("gp", {"d": 2, "xis": [[0.5, 0.5, 0.5]]})
 
 
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("gp", {"d": 2, "xis": [[0.1, 0, 0], [0.2, 0, 0], [0.3, 0, 0]]}),
+        ("damp", {"p": 1.0, "xis": [0.5, 0.0]}),
+    ],
+)
+def test_label_count_must_match_members(kind, params):
+    with pytest.raises(ConstraintViolation, match="labels"):
+        make_family(kind, dict(params, labels=["a"]))
+    n = len(params["xis"])
+    fam = make_family(kind, dict(params, labels=[f"m{i}" for i in range(n)]))
+    assert fam.labels() == [f"m{i}" for i in range(n)]
+
+
 def test_damp_family_unitality():
     fam = make_family("damp", {"p": 1.0, "xis": [0.0]})
     ch = fam.members[0][1]

@@ -68,6 +68,22 @@ def test_constraint_violation_is_validation_error(tmp_path):
     assert run(tmp_path, doc, "validate") == 3
 
 
+def test_inputs_as_list_is_parse_error(tmp_path, capsys):
+    doc = dict(GP_DOC, inputs=[{"kind": "phi_d"}], analysis={"inputs": ["a", "b"]})
+    assert run(tmp_path, doc, "compare") == 2
+    assert "at inputs:" in capsys.readouterr().err
+
+
+def test_basis_index_out_of_range_is_parse_error(tmp_path, capsys):
+    doc = dict(
+        GP_DOC,
+        inputs={"ent": {"kind": "phi_d"}, "ground": {"kind": "basis", "indices": [5]}},
+        analysis={"inputs": ["ent", "ground"]},
+    )
+    assert run(tmp_path, doc, "compare") == 2
+    assert "inputs.ground.indices" in capsys.readouterr().err
+
+
 def test_unreadable_spec_is_parse_error(tmp_path):
     assert main(["validate", "--spec", str(tmp_path / "nope.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -306,6 +322,15 @@ def test_ang_parallel(tmp_path):
     out = report(tmp_path, "ang-report.json")
     assert out["subset_holds"] is False
     assert len(out["violating_sample"]) == 3
+
+
+def test_ang_parallel_needs_seed_when_sampling(tmp_path, capsys):
+    doc = ang_doc("parallel", [1.0, 0.8, 0.6, 0.9], x_prime=[2.0, 1.6, 1.2, 1.8])
+    assert run(tmp_path, doc, "ang") == 2
+    assert "--seed" in capsys.readouterr().err
+    # three lengths use the exact triangle solutions and draw nothing
+    doc = ang_doc("parallel", [1.0, 0.9, 0.7], x_prime=[2.0, 1.8, 1.4])
+    assert run(tmp_path, doc, "ang") == 0
 
 
 def test_ang_unknown_query(tmp_path):

@@ -7,13 +7,16 @@ from chanopt.channels import apply_extended, make_family
 from chanopt.comparison import (
     alberti_uhlmann,
     bayes_binary_risk,
+    commutes,
     cptp_feasible,
     default_grid,
     dominance_check,
     gap_curve,
+    joint_eigenbasis,
+    sweep_norms,
 )
 from chanopt.numerics import SystemShape, max_abs, max_entangled, trace_norm
-from conftest import random_density, random_pure
+from conftest import haar_unitary, random_density, random_pure
 
 
 def phi_outputs(fam):
@@ -63,6 +66,27 @@ def test_curve_recomputation_invariant(rng):
     c = gap_curve(a, b)
     for s, nv in zip(c.s_values, c.norms):
         assert abs(nv - trace_norm(a - s * b)) < 1e-10
+
+
+def test_sweep_norms_match_trace_norm(rng):
+    s = np.array([0.0, 0.3, 1.0, 7.5])
+    a, b = random_density(rng, 3), random_density(rng, 3)
+    want = [trace_norm(a - t * b) for t in s]
+    assert max_abs(sweep_norms(a, b, s) - want) < 1e-12
+    # non-Hermitian operands take the singular-value path
+    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    want = [trace_norm(g - t * b) for t in s]
+    assert max_abs(sweep_norms(g, b, s) - want) < 1e-12
+
+
+def test_joint_eigenbasis_diagonalizes_both(rng):
+    u = haar_unitary(rng, 3)
+    a = u @ np.diag([0.5, 0.3, 0.2]) @ u.conj().T
+    b = u @ np.diag([0.25, 0.25, 0.5]) @ u.conj().T
+    vecs, p, q = joint_eigenbasis(a, b)
+    assert max_abs(vecs.conj().T @ vecs - np.eye(3)) < 1e-12
+    assert max_abs(a @ vecs - vecs * p) < 1e-12
+    assert max_abs(b @ vecs - vecs * q) < 1e-12
 
 
 def test_curve_convex_and_lipschitz(rng):
@@ -193,6 +217,58 @@ def test_multi_member_aggregation():
     assert dominance_check(cand, chal).relation == "equivalent"
     weaker = [ch.apply(bloch([0.5, 0, 0])) for _, ch in fam.members]
     assert dominance_check(cand, weaker).relation == "dominates"
+
+
+def reference_pair_verdict(cand, chal, tol=1e-9):
+    """Relation, witness_s, gap and method of one member pair with
+    certify=False, from a per-s trace_norm loop on the union of both
+    curves' grids."""
+    s_all = np.unique(np.concatenate([gap_curve(*cand).s_values, gap_curve(*chal).s_values]))
+    fv = np.array([trace_norm(cand[0] - s * cand[1]) for s in s_all])
+    gv = np.array([trace_norm(chal[0] - s * chal[1]) for s in s_all])
+    diff = fv - gv
+    cand_beats, chal_beats = (diff > tol).any(), (diff < -tol).any()
+    cand_comm, chal_comm = commutes(*cand), commutes(*chal)
+    k = int(np.argmax(-diff))
+    if not cand_beats and not chal_beats:
+        if cand_comm and chal_comm:
+            return "equivalent", None, None, "sweep-sufficient-commuting"
+        return "inconclusive", None, None, "sweep-necessary"
+    if cand_beats and chal_beats:
+        return "incomparable", s_all[k], -diff[k], "sweep-necessary"
+    if cand_beats:
+        if cand_comm:
+            return "dominates", None, None, "sweep-sufficient-commuting"
+        return "inconclusive", None, None, "sweep-necessary"
+    method = "sweep-sufficient-commuting" if chal_comm else "sweep-necessary"
+    return "dominated", s_all[k], -diff[k], method
+
+
+def commuting_qubit_pair(rng):
+    u = haar_unitary(rng, 2)
+    p, q = rng.uniform(size=2)
+    return [u @ np.diag([x, 1.0 - x]) @ u.conj().T for x in (p, q)]
+
+
+def test_dominance_matches_per_s_reference(rng):
+    cases = []
+    for d in (2, 3):
+        for _ in range(6):
+            cases.append(([random_density(rng, d) for _ in range(2)],
+                          [random_density(rng, d) for _ in range(2)]))
+    for _ in range(12):
+        cases.append((commuting_qubit_pair(rng), commuting_qubit_pair(rng)))
+    relations = set()
+    for cand, chal in cases:
+        relation, witness, gap, method = reference_pair_verdict(cand, chal)
+        v = dominance_check(cand, chal, certify=False)
+        relations.add(relation)
+        assert (v.relation, v.method, v.witness_s) == (relation, method, witness)
+        if gap is None:
+            assert v.gap is None
+        else:
+            assert abs(v.gap - gap) < 1e-12
+    assert {"incomparable", "dominated"} <= relations
 
 
 def test_dominance_rejects_non_density():
