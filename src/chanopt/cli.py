@@ -129,7 +129,13 @@ def parse_family(node):
     kind = _get(node, "kind", where)
     params: dict = {}
     if "labels" in node:
-        params["labels"] = list(node["labels"])
+        labels = node["labels"]
+        if not isinstance(labels, list):
+            raise SpecError(f"{where}.labels", "expected a list of strings")
+        for i, label in enumerate(labels):
+            if not isinstance(label, str):
+                raise SpecError(f"{where}.labels[{i}]", "expected a string")
+        params["labels"] = list(labels)
 
     if kind == "gp":
         params["d"] = int(_get(node, "d", where))

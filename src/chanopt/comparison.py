@@ -207,11 +207,29 @@ def bayes_binary_risk(rho_plus, rho_minus, prior: float) -> float:
 # CPTP feasibility
 
 
+@dataclass(frozen=True)
+class FarkasWitness:
+    """Dual certificate that no channel maps the sources onto the targets.
+
+    With Z = sum_k image_duals[k] (x) sources[k]^T + 1 (x) trace_dual and
+    value = sum_k tr(image_duals[k] targets[k]) + tr(trace_dual), every Choi
+    matrix W meeting the constraints has tr(Z W) = value, while W >= 0 and
+    tr W = d_in force tr(Z W) >= d_in lambda_min(Z). The witness separates
+    when value < d_in lambda_min(Z).
+    """
+
+    image_duals: list[np.ndarray]
+    trace_dual: np.ndarray
+
+
 @dataclass
 class FeasibilityResult:
     feasible: bool
     choi: ChoiMatrix | None
     residual: float
+    status: str  # "feasible", "infeasible" (with witness) or "unresolved"
+    iterations: int
+    witness: FarkasWitness | None = None
 
 
 def _constraint_system(sources, targets, di, do):
@@ -239,16 +257,29 @@ def _constraint_system(sources, targets, di, do):
     return np.array(rows), np.array(rhs)
 
 
+def _herm(m):
+    return 0.5 * (m + m.conj().T)
+
+
 def cptp_feasible(sources, targets, max_iters: int = 5000, tol: float = 1e-7) -> FeasibilityResult:
     """Search for a channel W with W(sources[k]) = targets[k] for all k.
 
     Alternating Dykstra projections between the PSD cone and the affine set
     {image constraints, unit partial trace}, plus a factored Gauss-Newton
     refinement (W = G G^dag keeps the cone exactly) to extract an exact
-    certificate from a stalled iterate. feasible=true always comes with a
-    verified Choi matrix (constraint violation and negative-eigenvalue mass
-    both <= tol); feasible=false means the residual stayed above tol within
-    the iteration budget and is a numerical verdict, not a proof.
+    certificate from a stalled iterate. The status is one of:
+
+    - "feasible": choi is a verified Choi matrix (constraint violation and
+      negative-eigenvalue mass both <= tol).
+    - "infeasible": witness is a FarkasWitness that no channel meets the
+      constraints, nor any Hermitian W within tol of them. It is built from
+      the gap between the PSD and the affine iterates, which converges to a
+      separating normal, and is checked at iterations 1, 2, 4, 8, ...
+    - "unresolved": neither was found within the iteration budget; this is
+      a numerical verdict, not a proof.
+
+    feasible is True exactly for "feasible"; iterations counts the Dykstra
+    steps taken.
 
     The refinement matters: when targets sit on a low-rank face of the cone,
     plain alternating projections approach the face tangentially and the
@@ -271,11 +302,15 @@ def cptp_feasible(sources, targets, max_iters: int = 5000, tol: float = 1e-7) ->
     n = do * di
     ncx = n * n
     a_cx, b_cx = _constraint_system(sources, targets, di, do)
+    m_cx = len(b_cx)
     # realified system: vec -> [Re, Im], matrix -> [[P,-Q],[Q,P]]
     p_re, q_im = a_cx.real, a_cx.imag
     a_re = np.block([[p_re, -q_im], [q_im, p_re]])
     b_re = np.concatenate([b_cx.real, b_cx.imag])
     a_pinv = np.linalg.pinv(a_re)
+    # witness pull-back only: a_re has singular values near round-off, and
+    # keeping them inflates the dual vector (and the margin) by ~1e14
+    dual_pinv_t = np.linalg.pinv(a_re, rcond=1e-10).T
 
     def proj_aff(x):
         return x - a_pinv @ (a_re @ x - b_re)
@@ -288,23 +323,51 @@ def cptp_feasible(sources, targets, max_iters: int = 5000, tol: float = 1e-7) ->
         return np.concatenate([flat.real, flat.imag])
 
     def proj_psd(x):
-        w = to_mat(x)
-        w = 0.5 * (w + w.conj().T)
+        w = _herm(to_mat(x))
         lam, v = np.linalg.eigh(w)
         w2 = (v * np.clip(lam, 0.0, None)) @ v.conj().T
         return to_vec(w2), w2
 
+    def affine_error(w):
+        return float(np.abs(a_cx @ w.reshape(-1) - b_cx).max())
+
     def violation(w):
-        err = np.abs(a_cx @ w.reshape(-1) - b_cx).max()
-        lam_min = np.linalg.eigvalsh(0.5 * (w + w.conj().T)).min()
-        return float(max(err, max(0.0, -lam_min)))
+        lam_min = np.linalg.eigvalsh(_herm(w)).min()
+        return max(affine_error(w), max(0.0, -float(lam_min)))
+
+    def witness(gap):
+        """A FarkasWitness from the realified gap y - z, or None.
+
+        For u pulled back from the gap, Z = herm(to_mat(a_re^T u)) has
+        tr(Z W) = <b, u> on every Hermitian W in the affine set. A Hermitian
+        W with constraint errors <= tol (complex modulus) and eigenvalues
+        >= -tol has positive mass <= d_in (1 + tol) + n tol and negative
+        mass <= n tol, which gives <b, u> >= d_in low - margin for it, with
+        low = min(lambda_min(Z), 0). A witness is returned only when <b, u>
+        lies below that bound, so it excludes every such W and every channel.
+        """
+        u = dual_pinv_t @ gap
+        z = _herm(to_mat(a_re.T @ u))
+        value = float(b_re @ u)
+        lam = np.linalg.eigvalsh(z)
+        low = min(float(lam[0]), 0.0)
+        z_norm = max(abs(float(lam[0])), abs(float(lam[-1])))
+        margin = max(tol, 1e-12) * (-low * (di + n) + n * z_norm + float(np.abs(u).sum()))
+        if value >= di * low - margin:
+            return None
+        # the same functional split by constraint block: Hermitian duals of
+        # the image constraints and of the partial-trace constraint
+        mu = u[:m_cx] + 1j * u[m_cx:]
+        k = do * do
+        ys = [_herm(mu[i * k : (i + 1) * k].reshape(do, do)) for i in range(len(sources))]
+        return FarkasWitness(ys, _herm(mu[len(sources) * k :].reshape(di, di)))
 
     a3 = a_cx.reshape(-1, n, n)
 
     def refine(w_seed):
         from scipy.optimize import least_squares
 
-        lam, v = np.linalg.eigh(0.5 * (w_seed + w_seed.conj().T))
+        lam, v = np.linalg.eigh(_herm(w_seed))
         lam_c = np.clip(lam, 0.0, None)
         top = max(float(lam_c.max()), 1e-30)
         r_est = max(1, int(np.sum(lam_c > 1e-3 * top)))
@@ -341,43 +404,50 @@ def cptp_feasible(sources, targets, max_iters: int = 5000, tol: float = 1e-7) ->
                 return w
         return None
 
+    def choi(w):
+        return ChoiMatrix(w, din=di, dout=do)
+
     mean_target = sum(targets) / len(targets)
     x = proj_aff(to_vec(np.kron(mean_target, np.eye(di))))
     p_corr = np.zeros_like(x)
     q_corr = np.zeros_like(x)
     best_v = np.inf
     best_w = to_mat(x)
-    disp = np.inf
-
-    def step(x, p_corr, q_corr):
-        y, w_psd = proj_psd(x + p_corr)
-        p_next = x + p_corr - y
-        z = proj_aff(y + q_corr)
-        q_next = y + q_corr - z
-        return z, p_next, q_next, w_psd
 
     phase1 = min(300, max(1, max_iters // 3))
     it = 0
     while it < max_iters:
-        x_new, p_corr, q_corr, w_psd = step(x, p_corr, q_corr)
-        disp = float(np.abs(x_new - x).max())
-        x = x_new
-        v = violation(w_psd)
+        y, w_psd = proj_psd(x + p_corr)
+        p_corr = x + p_corr - y
+        z = proj_aff(y + q_corr)
+        q_corr = y + q_corr - z
+        disp = float(np.abs(z - x).max())
+        x = z
+        # proj_psd has just clipped w_psd's spectrum at 0, so only the affine
+        # residual can exceed tol here; a returned certificate is re-checked
+        # in full by violation()
+        v = affine_error(w_psd)
         if v < best_v:
             best_v, best_w = v, w_psd
         it += 1
         if v <= tol:
-            return FeasibilityResult(True, ChoiMatrix(w_psd, din=di, dout=do), v)
+            v_full = violation(w_psd)
+            if v_full <= tol:
+                return FeasibilityResult(True, choi(w_psd), v_full, "feasible", it)
+        if it & (it - 1) == 0:
+            wit = witness(y - z)
+            if wit is not None:
+                return FeasibilityResult(False, choi(best_w), violation(best_w), "infeasible", it, wit)
         if it == phase1:
             w_ref = refine(best_w)
             if w_ref is not None:
-                return FeasibilityResult(
-                    True, ChoiMatrix(w_ref, din=di, dout=do), violation(w_ref)
-                )
+                return FeasibilityResult(True, choi(w_ref), violation(w_ref), "feasible", it)
         if disp < 1e-15:
             break
 
-    return FeasibilityResult(False, ChoiMatrix(best_w, din=di, dout=do), float(best_v))
+    wit = witness(y - z) if it else None
+    status = "unresolved" if wit is None else "infeasible"
+    return FeasibilityResult(False, choi(best_w), violation(best_w), status, it, wit)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,13 @@ def test_basis_index_out_of_range_is_parse_error(tmp_path, capsys):
     assert "inputs.ground.indices" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("labels", [5, "ab", ["a", 1]])
+def test_labels_must_be_list_of_strings(tmp_path, capsys, labels):
+    doc = {"family": {"kind": "damp", "p": 0.5, "xis": [0.0, 0.5], "labels": labels}}
+    assert run(tmp_path, doc, "validate") == 2
+    assert "family.labels" in capsys.readouterr().err
+
+
 def test_unreadable_spec_is_parse_error(tmp_path):
     assert main(["validate", "--spec", str(tmp_path / "nope.json")]) == 2
     bad = tmp_path / "bad.json"

@@ -370,6 +370,84 @@ def test_alberti_uhlmann_agrees_with_feasibility(rng):
     assert total > 0 and agree == total
 
 
+def pure_pair(rng, d, overlap):
+    """Two projectors onto random pure states with |<a|c>| = overlap."""
+    a, b = random_pure(rng, d), random_pure(rng, d)
+    b = b - np.vdot(a, b) * a
+    b /= np.linalg.norm(b)
+    c = overlap * a + np.sqrt(1.0 - overlap**2) * b
+    return [np.outer(a, a.conj()), np.outer(c, c.conj())]
+
+
+def random_kraus(rng, din, dout, rank):
+    """Kraus operators of a random channel: blocks of a random isometry
+    (rank is raised to the smallest that admits one)."""
+    rank = max(rank, -(-din // dout))
+    g = rng.normal(size=(rank * dout, din)) + 1j * rng.normal(size=(rank * dout, din))
+    q, _ = np.linalg.qr(g)
+    return [q[k * dout : (k + 1) * dout] for k in range(rank)]
+
+
+def witness_separates(witness, sources, targets):
+    """Farkas check from the sources and targets alone: every channel meeting
+    the constraints has tr(Z W) = value, yet W >= 0 with tr W = d_in forces
+    tr(Z W) >= d_in lambda_min(Z)."""
+    din, dout = sources[0].shape[0], targets[0].shape[0]
+    ys, x = witness.image_duals, witness.trace_dual
+    assert len(ys) == len(sources)
+    for m in (*ys, x):
+        assert max_abs(m - m.conj().T) <= 1e-12
+    z = sum(np.kron(y, rho.T) for y, rho in zip(ys, sources)) + np.kron(np.eye(dout), x)
+    value = sum(np.trace(y @ sig).real for y, sig in zip(ys, targets)) + np.trace(x).real
+    return value < din * np.linalg.eigvalsh(z).min()
+
+
+@pytest.mark.parametrize("din,dout", [(2, 2), (2, 3), (3, 2)])
+def test_infeasible_result_carries_checked_witness(rng, din, dout):
+    src, tgt = pure_pair(rng, din, 0.8), pure_pair(rng, dout, 0.3)
+    res = cptp_feasible(src, tgt)
+    assert not res.feasible and res.status == "infeasible"
+    assert res.iterations >= 1
+    assert witness_separates(res.witness, src, tgt)
+    assert cptp_feasible(src, tgt).iterations == res.iterations
+    # the reverse direction is feasible and carries no witness
+    back = cptp_feasible(tgt, src)
+    assert back.feasible and back.status == "feasible" and back.witness is None
+    assert back.residual <= 1e-7
+
+
+def test_feasibility_never_certifies_a_feasible_instance(rng):
+    instances = []
+    for ranks in ((1, 2), (2, 2, 1)):
+        fam = [random_density(rng, 2, rank) for rank in ranks]
+        instances.append((fam, [m.copy() for m in fam]))
+    for din, dout in ((2, 2), (2, 3), (3, 2)):
+        for rank in (1, 2, 3):
+            fam = [random_density(rng, din, r) for r in (1, din, 1)]
+            ks = random_kraus(rng, din, dout, rank)
+            instances.append((fam, [sum(k @ m @ k.conj().T for k in ks) for m in fam]))
+        for source, target in ((0.9, 0.95), (0.4, 0.41), (0.1, 0.8)):
+            instances.append((pure_pair(rng, din, source), pure_pair(rng, dout, target)))
+    for src, tgt in instances:
+        res = cptp_feasible(src, tgt)
+        assert res.status in {"feasible", "unresolved"}
+        assert res.feasible == (res.status == "feasible")
+        assert res.witness is None
+        if res.feasible:
+            assert res.residual <= 1e-7
+
+
+def test_near_miss_pair_is_never_feasible(rng):
+    src, tgt = pure_pair(rng, 2, 0.51), pure_pair(rng, 2, 0.5)
+    res = cptp_feasible(src, tgt)
+    assert not res.feasible
+    assert res.status in {"infeasible", "unresolved"}
+    if res.status == "infeasible":
+        assert witness_separates(res.witness, src, tgt)
+    else:
+        assert res.witness is None
+
+
 def test_default_grid_shape():
     g = default_grid()
     assert g[0] == 0.0
