@@ -14,11 +14,16 @@ Basis labels run 0..d-1 throughout.
 """
 from __future__ import annotations
 
+import math
+import numbers
+import sys
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from .numerics import (
+    DIM_GUARD,
     SystemShape,
     as_matrix,
     dagger,
@@ -33,6 +38,14 @@ DEFAULT_TOL = 1e-9
 
 class ConstraintViolation(ValueError):
     """A family constructor received parameters outside its admissible set."""
+
+
+class SpecError(ValueError):
+    """Structural problem in a spec, located by field path (``family.xis[1]``)."""
+
+    def __init__(self, where: str, message: str):
+        super().__init__(f"{where}: {message}")
+        self.where = where
 
 
 @dataclass
@@ -454,18 +467,9 @@ def _cdep_channel(d: int, theta: float) -> KrausChannel:
     return cdep_choi(d, theta).to_kraus()
 
 
-def _ou_channel(unitaries, weights) -> KrausChannel:
-    us = [as_matrix(u) for u in unitaries]
+def _ou_channel(us: list[np.ndarray], weights) -> KrausChannel:
+    """Mixture of d x d unitaries the caller has checked to be orthogonal."""
     d = us[0].shape[0]
-    for i, u in enumerate(us):
-        if u.shape != (d, d) or max_abs(u @ dagger(u) - np.eye(d)) > 1e-9:
-            raise ConstraintViolation(f"ou element {i} is not unitary")
-    for i in range(len(us)):
-        for j in range(i + 1, len(us)):
-            if abs(np.trace(dagger(us[j]) @ us[i])) > 1e-9:
-                raise ConstraintViolation(
-                    f"ou elements {i},{j} violate orthogonality tr(U_i U_j^dag) = 0"
-                )
     w = np.asarray(weights, dtype=float)
     if w.shape != (len(us),) or w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-9:
         raise ConstraintViolation("ou weights must be a probability vector over the unitaries")
@@ -533,104 +537,272 @@ def rotated_povm(base_plus, base_minus, unitaries) -> tuple[list, list, float]:
     return plus, minus, c
 
 
-def _members(params: dict, prefix: str, items: list, build) -> list[tuple[str, object]]:
-    """Build one member per parameter item, labelled from params["labels"]
-    or by prefix and index; a label count that differs is rejected."""
-    labels = params.get("labels") or [f"{prefix}{i}" for i in range(len(items))]
-    if len(labels) != len(items):
-        raise ConstraintViolation(f"{len(labels)} labels given for {len(items)} members")
-    return [(lab, build(x)) for lab, x in zip(labels, items)]
+# ---------------------------------------------------------------------------
+# Spec schema
+#
+# Each family kind has one builder below; it reads its fields by name through
+# a _Fields accessor and a typed reader. Readers take JSON values (complex
+# entries as [re, im] pairs) and numpy arrays alike, and raise SpecError
+# naming the full path of the offending field.
+
+_MISSING = object()
+
+
+class _Fields:
+    """Typed reads of one spec object's fields, located under a path."""
+
+    def __init__(self, node: dict, where: str):
+        self.node = node
+        self.where = where
+
+    def __contains__(self, key: str) -> bool:
+        return key in self.node
+
+    def __call__(self, key: str, read=None, default=_MISSING):
+        """node[key] passed through read(value, path); a missing key without
+        a default is a SpecError."""
+        path = f"{self.where}.{key}"
+        if key not in self.node:
+            if default is _MISSING:
+                raise SpecError(path, "missing required field")
+            return default
+        return self.node[key] if read is None else read(self.node[key], path)
+
+
+def _is_real(node) -> bool:
+    # abs() <= max also rejects NaN, infinities and ints too large for a float
+    return (
+        isinstance(node, numbers.Real)
+        and not isinstance(node, bool)
+        and abs(node) <= sys.float_info.max
+    )
+
+
+def _real_from(node, where: str) -> float:
+    if not _is_real(node):
+        raise SpecError(where, "expected a finite real number")
+    return float(node)
+
+
+def _int_from(node, where: str) -> int:
+    if not _is_real(node) or node != int(node):
+        raise SpecError(where, "expected an integer")
+    return int(node)
+
+
+def _str_from(node, where: str) -> str:
+    if not isinstance(node, str):
+        raise SpecError(where, "expected a string")
+    return node
+
+
+def _complex_from(node, where: str) -> complex:
+    if isinstance(node, numbers.Complex) and not isinstance(node, numbers.Real):
+        node = [node.real, node.imag]
+    if _is_real(node):
+        return complex(node)
+    if isinstance(node, (list, tuple)) and len(node) == 2 and all(map(_is_real, node)):
+        return complex(node[0], node[1])
+    raise SpecError(where, "expected a real number or an [re, im] pair")
+
+
+def _items(node, where: str) -> list:
+    if not (isinstance(node, (list, tuple)) or (isinstance(node, np.ndarray) and node.ndim)):
+        raise SpecError(where, "expected a list")
+    return list(node)
+
+
+def _list_of(read):
+    """Reader of a nonempty list whose items pass read(item, path[i])."""
+
+    def read_list(node, where: str) -> list:
+        items = _items(node, where)
+        if not items:
+            raise SpecError(where, "expected a nonempty list")
+        return [read(v, f"{where}[{i}]") for i, v in enumerate(items)]
+
+    return read_list
+
+
+def _real_list(node, where: str) -> list[float]:
+    """A list of finite reals, possibly empty."""
+    return [_real_from(v, f"{where}[{i}]") for i, v in enumerate(_items(node, where))]
+
+
+def _vector_from(node, where: str) -> np.ndarray:
+    return np.array(_list_of(_complex_from)(node, where))
+
+
+def _matrix_from(node, where: str) -> np.ndarray:
+    rows = _list_of(_vector_from)(node, where)
+    if len({len(r) for r in rows}) != 1:
+        raise SpecError(where, "rows have unequal lengths")
+    return np.array(rows)
+
+
+def _check_dims(where: str, *dims: int) -> None:
+    """Reject a dimension below 1, or a joint dimension above DIM_GUARD,
+    before anything of that size is allocated."""
+    if min(dims) < 1 or math.prod(dims) > DIM_GUARD:
+        raise ConstraintViolation(
+            f"{where}: dimensions {list(dims)} must be at least 1 with a "
+            f"product of at most {DIM_GUARD}"
+        )
+
+
+def _qudit_dim(node, where: str) -> int:
+    """d of a family of d -> d channels."""
+    d = _int_from(node, where)
+    _check_dims(where, d, d)
+    return d
+
+
+def _unitaries(node, where: str) -> list[np.ndarray]:
+    """A nonempty list of d x d unitaries sharing one d."""
+    us = _list_of(_matrix_from)(node, where)
+    d = us[0].shape[0]
+    for i, u in enumerate(us):
+        if u.shape != (d, d) or max_abs(u @ dagger(u) - np.eye(d)) > 1e-9:
+            raise ConstraintViolation(f"{where}[{i}] is not a {d}x{d} unitary")
+    return us
+
+
+def _real_pair(node, where: str) -> tuple[float, float]:
+    t = _real_list(node, where)
+    if len(t) != 2:
+        raise SpecError(where, "expected a pair of real numbers")
+    return t[0], t[1]
+
+
+def _labels_from(node, where: str) -> list[str]:
+    labels = _list_of(_str_from)(node, where)
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise SpecError(f"{where}[{i}]", f"duplicate label {label!r}")
+    return labels
+
+
+def _numbered(prefix: str, channels: list) -> list[tuple[str, KrausChannel]]:
+    return [(f"{prefix}{i}", ch) for i, ch in enumerate(channels)]
+
+
+def _gp(f: _Fields):
+    d = f("d", _qudit_dim)
+    stored: dict = {}
+    if d == 2 and "xis" in f:
+        stored["xis"] = [np.array(x) for x in f("xis", _list_of(_real_list))]
+        thetas = [gp_theta_from_xi(x) for x in stored["xis"]]
+    else:
+        thetas = [np.array(t, dtype=float) for t in f("thetas", _list_of(_real_list))]
+    members = _numbered("gp", [_gp_channel(d, t) for t in thetas])
+    if d == 2 and "xis" not in stored:
+        stored["xis"] = [gp_xi_from_theta(t) for t in thetas]
+    stored["thetas"] = thetas
+    return members, stored
+
+
+def _damp(f: _Fields):
+    p = f("p", _real_from)
+    xis = f("xis", _list_of(_real_from))
+    return _numbered("damp", [_damp_channel(p, x) for x in xis]), {"p": p, "xis": xis}
+
+
+def _diag(f: _Fields):
+    d = f("d", _qudit_dim)
+    thetas = f("thetas", _list_of(_vector_from))
+    return _numbered("diag", [_diag_channel(d, t) for t in thetas]), {"thetas": thetas}
+
+
+def _cdep(f: _Fields):
+    d = f("d", _qudit_dim)
+    thetas = f("thetas", _list_of(_real_from))
+    return _numbered("cdep", [_cdep_channel(d, t) for t in thetas]), {"thetas": thetas}
+
+
+def _ou(f: _Fields):
+    unitaries = f("unitaries", _unitaries)
+    for i, j in combinations(range(len(unitaries)), 2):
+        if abs(np.trace(dagger(unitaries[j]) @ unitaries[i])) > 1e-9:
+            raise ConstraintViolation(
+                f"ou elements {i},{j} violate orthogonality tr(U_i U_j^dag) = 0"
+            )
+    weights = f("weights", _list_of(_real_list))
+    members = _numbered("ou", [_ou_channel(unitaries, w) for w in weights])
+    return members, {"unitaries": unitaries}
+
+
+def _qubit_phase(f: _Fields):
+    thetas = f("thetas", _list_of(_real_pair))
+    members = _numbered("phase", [_qubit_phase_channel(*t) for t in thetas])
+    return members, {"thetas": thetas}
+
+
+def _measurement(f: _Fields):
+    """Plain form: one POVM per member. Rotated form (selected by
+    ``unitaries``, or by ``structure: "rotated"``): the members plus and
+    minus measure the rotated sets (1/c) U_i M_pm U_i^dag."""
+    structure = "rotated" if "unitaries" in f else f("structure", _str_from, "plain")
+    if structure != "rotated":
+        built = [_measurement_member(e) for e in f("povms", _list_of(_list_of(_matrix_from)))]
+        stored = {"structure": structure, "povms": [povm for _, povm in built]}
+        return _numbered("meas", [ch for ch, _ in built]), stored
+    unitaries = f("unitaries", _list_of(_matrix_from))
+    m_plus = f("m_plus", _matrix_from)
+    m_minus = f("m_minus", _matrix_from)
+    plus, minus, c = rotated_povm(m_plus, m_minus, unitaries)
+    (ch_p, povm_p), (ch_m, povm_m) = _measurement_member(plus), _measurement_member(minus)
+    stored = {
+        "structure": "rotated",
+        "unitaries": unitaries,
+        "m_plus": m_plus,
+        "m_minus": m_minus,
+        "c": c,
+        "povms": [povm_p, povm_m],
+    }
+    return [("plus", ch_p), ("minus", ch_m)], stored
+
+
+def _unitary(f: _Fields):
+    unitaries = f("unitaries", _unitaries)
+    return _numbered("u", [KrausChannel.from_ops([u]) for u in unitaries]), {}
+
+
+def _custom(f: _Fields):
+    kraus = f("kraus", _list_of(_list_of(_matrix_from)))
+    return _numbered("ch", [KrausChannel.from_ops(ops) for ops in kraus]), {}
+
+
+_BUILDERS = {
+    "gp": _gp,
+    "damp": _damp,
+    "diag": _diag,
+    "cdep": _cdep,
+    "ou": _ou,
+    "qubit-phase": _qubit_phase,
+    "measurement": _measurement,
+    "unitary": _unitary,
+    "custom": _custom,
+}
 
 
 def make_family(kind: str, params: dict) -> ChannelFamily:
     """Construct a validated channel family of the given kind.
 
-    Raises ConstraintViolation naming the violated constraint when the
-    parameters fall outside the kind's admissible set. Every member of the
+    ``params`` holds the kind's fields (see README), as JSON values or numpy
+    arrays, plus optional unique ``labels``, one per member. A missing or
+    mistyped field raises SpecError naming its path; parameters outside the
+    kind's admissible set raise ConstraintViolation. Every member of the
     returned family passes validate_cptp.
     """
-    stored: dict = {}
-
-    if kind == "gp":
-        d = int(params["d"])
-        if d == 2 and "xis" in params:
-            xis = [np.asarray(x, dtype=float) for x in params["xis"]]
-            thetas = [gp_theta_from_xi(x) for x in xis]
-            stored["xis"] = xis
-        else:
-            thetas = [np.asarray(t, dtype=float) for t in params["thetas"]]
-            if d == 2:
-                stored["xis"] = [gp_xi_from_theta(t) for t in thetas]
-        stored["thetas"] = thetas
-        members = _members(params, "gp", thetas, lambda t: _gp_channel(d, t))
-
-    elif kind == "damp":
-        p = float(params["p"])
-        xis = [float(x) for x in params["xis"]]
-        members = _members(params, "damp", xis, lambda x: _damp_channel(p, x))
-        stored = {"p": p, "xis": xis}
-
-    elif kind == "diag":
-        d = int(params["d"])
-        thetas = [np.asarray(t, dtype=complex).reshape(-1) for t in params["thetas"]]
-        members = _members(params, "diag", thetas, lambda t: _diag_channel(d, t))
-        stored = {"thetas": thetas}
-
-    elif kind == "cdep":
-        d = int(params["d"])
-        thetas = [float(t) for t in params["thetas"]]
-        members = _members(params, "cdep", thetas, lambda t: _cdep_channel(d, t))
-        stored = {"thetas": thetas}
-
-    elif kind == "ou":
-        unitaries = params["unitaries"]
-        weight_sets = params["weights"]
-        members = _members(params, "ou", weight_sets, lambda w: _ou_channel(unitaries, w))
-        stored = {"unitaries": [as_matrix(u) for u in unitaries]}
-
-    elif kind == "qubit-phase":
-        thetas = [(float(a), float(b)) for a, b in params["thetas"]]
-        members = _members(params, "phase", thetas, lambda ab: _qubit_phase_channel(*ab))
-        stored = {"thetas": thetas}
-
-    elif kind == "measurement":
-        if "unitaries" in params:
-            plus, minus, c = rotated_povm(
-                params["m_plus"], params["m_minus"], params["unitaries"]
-            )
-            ch_p, povm_p = _measurement_member(plus)
-            ch_m, povm_m = _measurement_member(minus)
-            members = [("plus", ch_p), ("minus", ch_m)]
-            stored = {
-                "structure": "rotated",
-                "unitaries": [as_matrix(u) for u in params["unitaries"]],
-                "m_plus": as_matrix(params["m_plus"]),
-                "m_minus": as_matrix(params["m_minus"]),
-                "c": c,
-                "povms": [povm_p, povm_m],
-            }
-        else:
-            povm_sets = params["povms"]
-            built = _members(params, "meas", povm_sets, _measurement_member)
-            members = [(lab, ch) for lab, (ch, _) in built]
-            povms = [povm for _, (_, povm) in built]
-            stored = {"structure": params.get("structure", "plain"), "povms": povms}
-
-    elif kind == "unitary":
-        unitaries = [as_matrix(u) for u in params["unitaries"]]
-        d = unitaries[0].shape[0]
-        for i, u in enumerate(unitaries):
-            if max_abs(u @ dagger(u) - np.eye(d)) > 1e-9:
-                raise ConstraintViolation(f"unitary member {i} is not unitary")
-        members = _members(params, "u", unitaries, lambda u: KrausChannel([u], din=d, dout=d))
-
-    elif kind == "custom":
-        kraus_sets = params["kraus"]
-        members = _members(params, "ch", kraus_sets, KrausChannel.from_ops)
-
-    else:
-        raise ConstraintViolation(f"unknown family kind {kind!r}")
-
+    if not isinstance(kind, str) or kind not in _BUILDERS:
+        raise SpecError("family.kind", f"unknown kind {kind!r}")
+    f = _Fields(params, "family")
+    labels = f("labels", _labels_from, None)
+    members, stored = _BUILDERS[kind](f)
+    if labels is not None:
+        if len(labels) != len(members):
+            raise ConstraintViolation(f"{len(labels)} labels given for {len(members)} members")
+        members = [(lab, ch) for lab, (_, ch) in zip(labels, members)]
     fam = ChannelFamily(members=members, kind=kind, params=stored)
     for label, ch in fam.members:
         report = validate_cptp(ch, DEFAULT_TOL * 10)

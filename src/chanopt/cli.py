@@ -17,6 +17,17 @@ import numpy as np
 
 from .channels import (
     ConstraintViolation,
+    SpecError,
+    _check_dims,
+    _Fields,
+    _int_from,
+    _list_of,
+    _matrix_from,
+    _real_from,
+    _real_list,
+    _real_pair,
+    _str_from,
+    _vector_from,
     apply_extended,
     is_covariant,
     make_family,
@@ -65,178 +76,43 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 
 
-class SpecError(Exception):
-    """Structural problem in the spec document, located by field path."""
-
-    def __init__(self, where: str, message: str):
-        super().__init__(f"{where}: {message}")
-        self.where = where
-
-
-_MISSING = object()
-
-
-def _get(node: dict, key: str, where: str, default=_MISSING):
-    if key in node:
-        return node[key]
-    if default is _MISSING:
-        raise SpecError(f"{where}.{key}", "missing required field")
-    return default
-
-
-def _complex_from(node, where: str) -> complex:
-    if isinstance(node, (int, float)):
-        return complex(node)
-    if (
-        isinstance(node, (list, tuple))
-        and len(node) == 2
-        and all(isinstance(v, (int, float)) for v in node)
-    ):
-        return complex(node[0], node[1])
-    raise SpecError(where, "expected a real number or an [re, im] pair")
-
-
-def _vector_from(node, where: str) -> np.ndarray:
-    if not isinstance(node, (list, tuple)) or not node:
-        raise SpecError(where, "expected a nonempty list")
-    return np.array([_complex_from(v, f"{where}[{i}]") for i, v in enumerate(node)])
-
-
-def _matrix_from(node, where: str) -> np.ndarray:
-    if not isinstance(node, (list, tuple)) or not node:
-        raise SpecError(where, "expected a nonempty list of rows")
-    rows = [_vector_from(r, f"{where}[{i}]") for i, r in enumerate(node)]
-    if len({len(r) for r in rows}) != 1:
-        raise SpecError(where, "rows have unequal lengths")
-    return np.array(rows)
-
-
-def _real_list(node, where: str) -> list[float]:
-    if not isinstance(node, (list, tuple)):
-        raise SpecError(where, "expected a list of numbers")
-    out = []
-    for i, v in enumerate(node):
-        if not isinstance(v, (int, float)):
-            raise SpecError(f"{where}[{i}]", "expected a real number")
-        out.append(float(v))
-    return out
-
-
 def parse_family(node):
-    where = "family"
     if not isinstance(node, dict):
-        raise SpecError(where, "expected an object")
-    kind = _get(node, "kind", where)
-    params: dict = {}
-    if "labels" in node:
-        labels = node["labels"]
-        if not isinstance(labels, list):
-            raise SpecError(f"{where}.labels", "expected a list of strings")
-        for i, label in enumerate(labels):
-            if not isinstance(label, str):
-                raise SpecError(f"{where}.labels[{i}]", "expected a string")
-        params["labels"] = list(labels)
-
-    if kind == "gp":
-        params["d"] = int(_get(node, "d", where))
-        if "xis" in node:
-            params["xis"] = [
-                _real_list(x, f"{where}.xis[{i}]") for i, x in enumerate(node["xis"])
-            ]
-        else:
-            params["thetas"] = [
-                _real_list(t, f"{where}.thetas[{i}]")
-                for i, t in enumerate(_get(node, "thetas", where))
-            ]
-    elif kind == "damp":
-        params["p"] = float(_get(node, "p", where))
-        params["xis"] = _real_list(_get(node, "xis", where), f"{where}.xis")
-    elif kind == "diag":
-        params["d"] = int(_get(node, "d", where))
-        params["thetas"] = [
-            _vector_from(t, f"{where}.thetas[{i}]")
-            for i, t in enumerate(_get(node, "thetas", where))
-        ]
-    elif kind == "cdep":
-        params["d"] = int(_get(node, "d", where))
-        params["thetas"] = _real_list(_get(node, "thetas", where), f"{where}.thetas")
-    elif kind == "ou":
-        params["unitaries"] = [
-            _matrix_from(u, f"{where}.unitaries[{i}]")
-            for i, u in enumerate(_get(node, "unitaries", where))
-        ]
-        params["weights"] = [
-            _real_list(w, f"{where}.weights[{i}]")
-            for i, w in enumerate(_get(node, "weights", where))
-        ]
-    elif kind == "qubit-phase":
-        params["thetas"] = [
-            _real_list(t, f"{where}.thetas[{i}]")
-            for i, t in enumerate(_get(node, "thetas", where))
-        ]
-    elif kind == "measurement":
-        if "unitaries" in node:
-            params["unitaries"] = [
-                _matrix_from(u, f"{where}.unitaries[{i}]")
-                for i, u in enumerate(node["unitaries"])
-            ]
-            params["m_plus"] = _matrix_from(_get(node, "m_plus", where), f"{where}.m_plus")
-            params["m_minus"] = _matrix_from(
-                _get(node, "m_minus", where), f"{where}.m_minus"
-            )
-        else:
-            params["povms"] = [
-                [
-                    _matrix_from(m, f"{where}.povms[{i}][{j}]")
-                    for j, m in enumerate(povm)
-                ]
-                for i, povm in enumerate(_get(node, "povms", where))
-            ]
-            if "structure" in node:
-                params["structure"] = str(node["structure"])
-    elif kind == "unitary":
-        params["unitaries"] = [
-            _matrix_from(u, f"{where}.unitaries[{i}]")
-            for i, u in enumerate(_get(node, "unitaries", where))
-        ]
-    elif kind == "custom":
-        params["kraus"] = [
-            [_matrix_from(k, f"{where}.kraus[{i}][{j}]") for j, k in enumerate(ops)]
-            for i, ops in enumerate(_get(node, "kraus", where))
-        ]
-    else:
-        raise SpecError(f"{where}.kind", f"unknown kind {kind!r}")
-    return make_family(kind, params)
+        raise SpecError("family", "expected an object")
+    return make_family(_Fields(node, "family")("kind"), node)
 
 
 def _index(node, dim: int, where: str) -> int:
-    ok = isinstance(node, (int, float)) and not isinstance(node, bool) and 0 <= node < dim
-    if not ok or node != int(node):
+    k = _int_from(node, where)
+    if not 0 <= k < dim:
         raise SpecError(where, f"expected an integer in [0, {dim})")
-    return int(node)
+    return k
 
 
 def parse_state(node, fam, where: str) -> PureState:
     if not isinstance(node, dict):
         raise SpecError(where, "expected an object")
-    kind = _get(node, "kind", where)
+    f = _Fields(node, where)
+    kind = f("kind")
     d = fam.din
     if kind == "phi_d":
         return PureState(max_entangled(d), SystemShape((d, d)))
     if kind == "basis":
-        idx = _get(node, "indices", where)
+        idx = f("indices")
         if not isinstance(idx, (list, tuple)) or not 1 <= len(idx) <= 2:
             raise SpecError(f"{where}.indices", "expected one or two indices")
-        dims = (d,) if len(idx) == 1 else (d, int(node.get("ref_dim", d)))
+        dims = (d,) if len(idx) == 1 else (d, f("ref_dim", _int_from, d))
+        _check_dims(f"{where}.ref_dim", *dims)
         vec = np.ones(1)
         for i, dim in enumerate(dims):
             k = _index(idx[i], dim, f"{where}.indices[{i}]")
             vec = np.kron(vec, basis_vector(dim, k))
         return PureState(vec, SystemShape(dims))
     if kind == "amplitudes":
-        values = _vector_from(_get(node, "values", where), f"{where}.values")
-        dims = tuple(int(x) for x in _get(node, "dims", where))
-        return PureState(values, SystemShape(dims))
+        values = f("values", _vector_from)
+        dims = f("dims", _list_of(_int_from))
+        _check_dims(f"{where}.dims", *dims)
+        return PureState(values, SystemShape(tuple(dims)))
     raise SpecError(f"{where}.kind", f"unknown state kind {kind!r}")
 
 
@@ -347,16 +223,16 @@ def _cmd_validate(doc, fam, args, out_dir):
     return EXIT_OK
 
 
-def _analysis(doc) -> dict:
+def _analysis(doc) -> _Fields:
     node = doc.get("analysis") or {}
     if not isinstance(node, dict):
         raise SpecError("analysis", "expected an object")
-    return node
+    return _Fields(node, "analysis")
 
 
 def _cmd_compare(doc, fam, args, out_dir):
     ana = _analysis(doc)
-    names = _get(ana, "inputs", "analysis")
+    names = ana("inputs", _list_of(_str_from))
     if len(names) != 2:
         raise SpecError("analysis.inputs", "compare needs exactly two input names")
     states = _named_states(doc, fam)
@@ -387,13 +263,13 @@ def _cmd_compare(doc, fam, args, out_dir):
 
 def _cmd_certify(doc, fam, args, out_dir):
     ana = _analysis(doc)
-    protocol = _get(ana, "protocol", "analysis")
+    protocol = ana("protocol")
     states = _named_states(doc, fam)
 
     if protocol == "group-correction":
-        group = _parse_group(_get(doc, "group", "document"), "group")
-        blocks = IrrepBlocks(tuple(_get(ana, "blocks", "analysis")))
-        target_name = _get(ana, "target", "analysis")
+        group = _parse_group(_Fields(doc, "document")("group"), "group")
+        blocks = IrrepBlocks(tuple(ana("blocks", _list_of(_int_from))))
+        target_name = ana("target", _str_from)
         if target_name not in states:
             raise SpecError("analysis.target", f"unknown input {target_name!r}")
         target = states[target_name].density()
@@ -409,8 +285,8 @@ def _cmd_certify(doc, fam, args, out_dir):
             "pass": bool(worst <= args.tol * 10),
         }
     elif protocol == "unital-qubit":
-        p = _real_list(_get(ana, "p", "analysis"), "analysis.p")
-        v = _matrix_from(_get(ana, "v", "analysis"), "analysis.v")
+        p = ana("p", _real_pair)
+        v = ana("v", _matrix_from)
         outputs = unital_qubit_protocol(fam, p, v)
         target = phi_pv(p, v)
         direct = dict(zip(fam.labels(), _state_outputs(fam, target)))
@@ -424,7 +300,7 @@ def _cmd_certify(doc, fam, args, out_dir):
             "pass": bool(worst <= args.tol * 10),
         }
     elif protocol == "measurement":
-        name = _get(ana, "input", "analysis")
+        name = ana("input", _str_from)
         if name not in states:
             raise SpecError("analysis.input", f"unknown input {name!r}")
         verdict = measurement_input_certify(fam, states[name], tol=args.tol * 10)
@@ -446,7 +322,7 @@ def _cmd_certify(doc, fam, args, out_dir):
 def _cmd_ent_advantage(doc, fam, args, out_dir):
     ana = _analysis(doc)
     if fam.kind == "measurement":
-        n_points = int(ana.get("bloch_points", 200))
+        n_points = ana("bloch_points", _int_from, 200)
         if fam.din != 2:
             raise SpecError(
                 "analysis", "measurement scan is implemented for qubit inputs"
@@ -494,12 +370,12 @@ def _cmd_ent_advantage(doc, fam, args, out_dir):
 def _cmd_sweep(doc, fam, args, out_dir):
     ana = _analysis(doc)
     states = _named_states(doc, fam)
-    names = ana.get("inputs") or list(states)
+    names = ana("inputs", _list_of(_str_from), None) or list(states)
     if not names:
         raise SpecError("analysis.inputs", "sweep needs at least one input")
-    points = int(ana.get("points", 200))
-    s_max = float(ana.get("s_max", 3.0))
-    extra = _real_list(ana.get("extra_s", []), "analysis.extra_s")
+    points = ana("points", _int_from, 200)
+    s_max = ana("s_max", _real_from, 3.0)
+    extra = ana("extra_s", _real_list, [])
     grid = np.unique(np.concatenate([np.linspace(0.0, s_max, points), extra]))
 
     labels = fam.labels()
@@ -525,8 +401,8 @@ def _cmd_sweep(doc, fam, args, out_dir):
 
 def _cmd_ang(doc, args, out_dir):
     ana = _analysis(doc)
-    query = _get(ana, "query", "analysis")
-    x = _real_list(_get(doc, "x", "document"), "x")
+    query = ana("query")
+    x = _real_list(_Fields(doc, "document")("x"), "x")
     payload: dict = {"command": "ang", "query": query, "x": x}
     if query == "nonempty":
         payload["nonempty"] = ang_nonempty(x)
@@ -543,15 +419,15 @@ def _cmd_ang(doc, args, out_dir):
     elif query == "sample":
         if args.seed is None:
             raise SpecError("flags", "--seed is required for sampling queries")
-        n = int(ana.get("n", 50))
+        n = ana("n", _int_from, 50)
         samples = ang_sample(x, n, args.seed)
         _write(out_dir, "ang-samples.csv", samples_to_csv(x, samples))
         payload["n"] = n
         payload["max_residual"] = max(closure_residual(x, s) for s in samples)
         payload["csv"] = "ang-samples.csv"
     elif query == "parallel":
-        xp = _real_list(_get(doc, "x_prime", "document"), "x_prime")
-        n = int(ana.get("n", 50))
+        xp = _real_list(_Fields(doc, "document")("x_prime"), "x_prime")
+        n = ana("n", _int_from, 50)
         if len(x) >= 4 and args.seed is None:
             raise SpecError("flags", "--seed is required for sampling queries")
         shadow = ang_parallel_property(x, xp, n=n, tol=args.tol * 1e3, seed=args.seed)
@@ -570,15 +446,16 @@ def _cmd_ang(doc, args, out_dir):
 def _parse_strategy(node, fam, states, where: str, args) -> Strategy:
     if not isinstance(node, dict):
         raise SpecError(where, "expected an object")
-    mode = _get(node, "mode", where)
-    n = int(_get(node, "n", where))
-    input_name = _get(node, "input", where)
+    f = _Fields(node, where)
+    mode = f("mode")
+    n = f("n", _int_from)
+    input_name = f("input", _str_from)
     if input_name not in states:
         raise SpecError(f"{where}.input", f"unknown input {input_name!r}")
     st = states[input_name]
     interleavers = ()
     if mode == "sequential" and n > 1:
-        spec = _get(node, "interleavers", where)
+        spec = f("interleavers")
         dims = st.shape.factor_dims
         if len(dims) != 2:
             raise SpecError(f"{where}.input", "sequential input needs two factors")
@@ -586,7 +463,8 @@ def _parse_strategy(node, fam, states, where: str, args) -> Strategy:
         if spec == "identity-rewire":
             interleavers = identity_rewire_interleavers(fam.din, dr, n)
         elif spec == "fresh-swap":
-            d_ref = int(_get(node, "ref_dim", where))
+            d_ref = f("ref_dim", _int_from)
+            _check_dims(f"{where}.ref_dim", fam.din, d_ref)
             interleavers = fresh_swap_interleavers(fam.din, d_ref, n)
         elif spec == "random-unitary":
             if args.seed is None:
@@ -599,15 +477,14 @@ def _parse_strategy(node, fam, states, where: str, args) -> Strategy:
 
 def _cmd_repeat(doc, fam, args, out_dir):
     ana = _analysis(doc)
-    analysis = _get(ana, "analysis", "analysis")
+    analysis = ana("analysis")
     states = _named_states(doc, fam)
 
     if analysis == "adaptive":
-        prior = float(ana.get("prior", 0.5))
-        blocks = [int(b) for b in _get(ana, "blocks", "analysis")]
-        menu_names = _get(ana, "menus", "analysis")
+        prior = ana("prior", _real_from, 0.5)
+        blocks = ana("blocks", _list_of(_int_from))
         menus = []
-        for i, menu in enumerate(menu_names):
+        for i, menu in enumerate(ana("menus", _list_of(_list_of(_str_from)))):
             entry = []
             for name in menu:
                 if name not in states:
@@ -624,11 +501,9 @@ def _cmd_repeat(doc, fam, args, out_dir):
             "improvement": risks["identical_risk"] - risks["adaptive_risk"],
         }
     elif analysis == "sequential-certificate":
-        group = _parse_group(_get(doc, "group", "document"), "group")
-        blocks = IrrepBlocks(tuple(_get(ana, "blocks", "analysis")))
-        strat = _parse_strategy(
-            _get(ana, "strategy", "analysis"), fam, states, "analysis.strategy", args
-        )
+        group = _parse_group(_Fields(doc, "document")("group"), "group")
+        blocks = IrrepBlocks(tuple(ana("blocks", _list_of(_int_from))))
+        strat = _parse_strategy(ana("strategy"), fam, states, "analysis.strategy", args)
         residuals = identical_matches_sequential(fam, group, blocks, strat)
         worst = max(residuals.values())
         payload = {
@@ -639,13 +514,11 @@ def _cmd_repeat(doc, fam, args, out_dir):
             "pass": bool(worst <= args.tol * 10),
         }
     elif analysis == "output":
-        member = _get(ana, "member", "analysis")
+        member = ana("member", _str_from)
         labels = fam.labels()
         if member not in labels:
             raise SpecError("analysis.member", f"unknown member {member!r}")
-        strat = _parse_strategy(
-            _get(ana, "strategy", "analysis"), fam, states, "analysis.strategy", args
-        )
+        strat = _parse_strategy(ana("strategy"), fam, states, "analysis.strategy", args)
         ch = dict(fam.members)[member]
         rho = repeated_output(ch, strat)
         lam, _ = hermitian_eig(rho)
@@ -716,7 +589,7 @@ def main(argv=None) -> int:
         doc = _load_document(args.spec)
         if args.command == "ang":
             return _cmd_ang(doc, args, out_dir)
-        fam = parse_family(_get(doc, "family", "document"))
+        fam = parse_family(_Fields(doc, "document")("family"))
         handler = {
             "validate": _cmd_validate,
             "compare": _cmd_compare,

@@ -13,6 +13,9 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-10
 
+# Largest joint dimension a spec field or a repetition strategy may ask for.
+DIM_GUARD = 4096
+
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 

@@ -1,51 +1,18 @@
 """Named demonstration families, one command away.
 
-Each preset builds a ready channel family and also serializes to a spec
-document for the command line, so the headline demonstrations (the damping
-counterexample, separable-sufficiency of qubit diagonal mixtures, and the
-entanglement-breaking families that still reward entangled inputs) need no
-hand-written input files.
+Each preset is one spec document for the command line, and
+:func:`preset_family` builds its family from that same document, so the
+headline demonstrations (the damping counterexample, separable-sufficiency
+of qubit diagonal mixtures, and the entanglement-breaking families that
+still reward entangled inputs) need no hand-written input files.
 """
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
 from .channels import ChannelFamily, make_family, weyl_ops
-
-
-def _damp_counterexample() -> ChannelFamily:
-    return make_family(
-        "damp", {"p": 1.0, "xis": [0.5, 0.0], "labels": ["xi-half", "xi-zero"]}
-    )
-
-
-# Trace preservation pins |theta| = 1/sqrt(2) at d=2; the sign picks between
-# the identity and the phase flip, and that pair is the whole real family.
-_DIAG_THETA = 2.0 ** -0.5
-
-
-def _diag_qubit() -> ChannelFamily:
-    return make_family(
-        "diag",
-        {
-            "d": 2,
-            "thetas": [[_DIAG_THETA], [-_DIAG_THETA]],
-            "labels": ["identity", "phase-flip"],
-        },
-    )
-
-
-def _eb_gp() -> ChannelFamily:
-    # both members entanglement breaking; weight ratios all distinct, so no
-    # product-balance condition can hold and entanglement still pays
-    return make_family(
-        "gp",
-        {
-            "d": 2,
-            "xis": [[0.35, 0.3, 0.15], [0.3, 0.25, 0.3]],
-            "labels": ["plus", "minus"],
-        },
-    )
 
 
 def eb_povm_elements(a: float = 1.0, b: float = 0.5):
@@ -62,116 +29,91 @@ def eb_povm_elements(a: float = 1.0, b: float = 0.5):
     return plus, minus
 
 
-def _eb_povm() -> ChannelFamily:
-    plus, minus = eb_povm_elements()
-    return make_family(
-        "measurement",
-        {"povms": [plus, minus], "labels": ["plus", "minus"], "structure": "ortho"},
-    )
-
-
-def _eb_weyl() -> ChannelFamily:
-    e1 = np.array([1.0, 2.0]) / np.sqrt(5.0)
-    e2 = np.array([2.0, -1.0]) / np.sqrt(5.0)
-    m_plus = 0.7 * np.outer(e1, e1) + 0.3 * np.outer(e2, e2)
-    m_minus = 0.2 * np.outer(e1, e1) + 0.8 * np.outer(e2, e2)
-    return make_family(
-        "measurement",
-        {"unitaries": weyl_ops(2), "m_plus": m_plus, "m_minus": m_minus},
-    )
-
-
-_BUILDERS = {
-    "damp-counterexample": _damp_counterexample,
-    "diag-qubit": _diag_qubit,
-    "eb-needs-ent-gp": _eb_gp,
-    "eb-needs-ent-povm": _eb_povm,
-    "eb-needs-ent-weyl": _eb_weyl,
-}
-
-
-def preset_names() -> list[str]:
-    return sorted(_BUILDERS)
-
-
-def preset_family(name: str) -> ChannelFamily:
-    try:
-        return _BUILDERS[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown preset {name!r}; available: {', '.join(preset_names())}"
-        ) from None
-
-
 def _pairs(matrix) -> list:
     m = np.asarray(matrix, dtype=complex)
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
+# Trace preservation pins |theta| = 1/sqrt(2) at d=2; the sign picks between
+# the identity and the phase flip, and that pair is the whole real family.
+_DIAG_THETA = 2.0 ** -0.5
+
+_EB_PLUS, _EB_MINUS = eb_povm_elements()
+_E1 = np.array([1.0, 2.0]) / np.sqrt(5.0)
+_E2 = np.array([2.0, -1.0]) / np.sqrt(5.0)
+
+_DOCUMENTS = {
+    "damp-counterexample": {
+        "family": {
+            "kind": "damp",
+            "p": 1.0,
+            "xis": [0.5, 0.0],
+            "labels": ["xi-half", "xi-zero"],
+        },
+        "inputs": {
+            "excited": {"kind": "basis", "indices": [1]},
+            "entangled": {"kind": "phi_d"},
+        },
+        "analysis": {
+            "command": "sweep",
+            "inputs": ["excited", "entangled"],
+            "points": 200,
+            "s_max": 3.0,
+            "extra_s": [0.5],
+        },
+    },
+    "diag-qubit": {
+        "family": {
+            "kind": "diag",
+            "d": 2,
+            "thetas": [[[_DIAG_THETA, 0.0]], [[-_DIAG_THETA, 0.0]]],
+            "labels": ["identity", "phase-flip"],
+        },
+        "analysis": {"command": "ent-advantage"},
+    },
+    # both members entanglement breaking; weight ratios all distinct, so no
+    # product-balance condition can hold and entanglement still pays
+    "eb-needs-ent-gp": {
+        "family": {
+            "kind": "gp",
+            "d": 2,
+            "xis": [[0.35, 0.3, 0.15], [0.3, 0.25, 0.3]],
+            "labels": ["plus", "minus"],
+        },
+        "analysis": {"command": "ent-advantage"},
+    },
+    "eb-needs-ent-povm": {
+        "family": {
+            "kind": "measurement",
+            "structure": "ortho",
+            "povms": [[_pairs(m) for m in _EB_PLUS], [_pairs(m) for m in _EB_MINUS]],
+            "labels": ["plus", "minus"],
+        },
+        "analysis": {"command": "ent-advantage", "bloch_points": 200},
+    },
+    "eb-needs-ent-weyl": {
+        "family": {
+            "kind": "measurement",
+            "unitaries": [_pairs(u) for u in weyl_ops(2)],
+            "m_plus": _pairs(0.7 * np.outer(_E1, _E1) + 0.3 * np.outer(_E2, _E2)),
+            "m_minus": _pairs(0.2 * np.outer(_E1, _E1) + 0.8 * np.outer(_E2, _E2)),
+        },
+        "analysis": {"command": "ent-advantage", "bloch_points": 200},
+    },
+}
+
+
+def preset_names() -> list[str]:
+    return sorted(_DOCUMENTS)
+
+
 def preset_document(name: str) -> dict:
-    """The CLI spec document equivalent to the preset."""
-    if name == "damp-counterexample":
-        return {
-            "family": {
-                "kind": "damp",
-                "p": 1.0,
-                "xis": [0.5, 0.0],
-                "labels": ["xi-half", "xi-zero"],
-            },
-            "inputs": {
-                "excited": {"kind": "basis", "indices": [1]},
-                "entangled": {"kind": "phi_d"},
-            },
-            "analysis": {
-                "command": "sweep",
-                "inputs": ["excited", "entangled"],
-                "points": 200,
-                "s_max": 3.0,
-                "extra_s": [0.5],
-            },
-        }
-    if name == "diag-qubit":
-        return {
-            "family": {
-                "kind": "diag",
-                "d": 2,
-                "thetas": [[[_DIAG_THETA, 0.0]], [[-_DIAG_THETA, 0.0]]],
-                "labels": ["identity", "phase-flip"],
-            },
-            "analysis": {"command": "ent-advantage"},
-        }
-    if name == "eb-needs-ent-gp":
-        return {
-            "family": {
-                "kind": "gp",
-                "d": 2,
-                "xis": [[0.35, 0.3, 0.15], [0.3, 0.25, 0.3]],
-                "labels": ["plus", "minus"],
-            },
-            "analysis": {"command": "ent-advantage"},
-        }
-    if name == "eb-needs-ent-povm":
-        plus, minus = eb_povm_elements()
-        return {
-            "family": {
-                "kind": "measurement",
-                "structure": "ortho",
-                "povms": [[_pairs(m) for m in plus], [_pairs(m) for m in minus]],
-                "labels": ["plus", "minus"],
-            },
-            "analysis": {"command": "ent-advantage", "bloch_points": 200},
-        }
-    if name == "eb-needs-ent-weyl":
-        fam = _eb_weyl()
-        return {
-            "family": {
-                "kind": "measurement",
-                "unitaries": [_pairs(u) for u in weyl_ops(2)],
-                "m_plus": _pairs(fam.params["m_plus"]),
-                "m_minus": _pairs(fam.params["m_minus"]),
-            },
-            "analysis": {"command": "ent-advantage", "bloch_points": 200},
-        }
-    raise KeyError(
-        f"unknown preset {name!r}; available: {', '.join(preset_names())}"
-    )
+    """The CLI spec document of the preset; a fresh copy on every call."""
+    if name not in _DOCUMENTS:
+        raise KeyError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
+    return copy.deepcopy(_DOCUMENTS[name])
+
+
+def preset_family(name: str) -> ChannelFamily:
+    family = preset_document(name)["family"]
+    return make_family(family["kind"], family)

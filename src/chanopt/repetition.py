@@ -19,10 +19,8 @@ import numpy as np
 
 from .channels import ChannelFamily, KrausChannel, apply_at_factor, apply_extended
 from .comparison import bayes_binary_risk
-from .numerics import SystemShape, hermitian_eig, max_abs, max_entangled
+from .numerics import DIM_GUARD, SystemShape, hermitian_eig, max_abs, max_entangled
 from .optimal_inputs import IrrepBlocks, PureState, group_correction_simulator
-
-DIM_GUARD = 4096
 
 
 @dataclass

@@ -1,7 +1,13 @@
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chanopt.channels import weyl_ops
 from chanopt.cli import main
@@ -461,3 +467,210 @@ def test_states_with_amplitudes_and_ref_dim(tmp_path):
         "analysis": {"command": "compare", "inputs": ["pair", "plus"]},
     }
     assert run(tmp_path, doc, "compare") == 0
+
+
+# ---------------------------------------------------------------------------
+# spec boundary: every malformed spec exits 2 naming the field (3 for values
+# out of range), never 1 with a traceback
+
+
+def family_doc(**family):
+    return {"family": family}
+
+
+DAMP = {"kind": "damp", "p": 0.5, "xis": [0.0, 0.5]}
+GP3 = {"kind": "gp", "d": 3, "thetas": [[1 / 9] * 9]}
+ROTATED = rotated_family_json()
+ONE_GP = {"kind": "gp", "d": 2, "xis": [[0.1, 0.2, 0.3]]}
+
+
+def with_analysis(family, analysis, inputs=None, **extra):
+    doc = {"family": family, "analysis": analysis, **extra}
+    if inputs is not None:
+        doc["inputs"] = inputs
+    return doc
+
+
+EB_INPUTS = {"e": {"kind": "phi_d"}, "b": {"kind": "basis", "indices": [0]}}
+AB_INPUTS = {"a": {"kind": "basis", "indices": [0]}, "b": {"kind": "basis", "indices": [1]}}
+OUTPUT_STRATEGY = {"mode": "sequential", "n": 2, "input": "e", "interleavers": "fresh-swap"}
+
+# (command, document, extra flags, exit code, field path)
+MALFORMED = {
+    "d-null": ("validate", family_doc(**dict(GP3, d=None)), (), 2, "family.d"),
+    "d-string": ("validate", family_doc(**dict(GP3, d="two")), (), 2, "family.d"),
+    "d-fraction": ("validate", family_doc(**dict(ONE_GP, d=2.7)), (), 2, "family.d"),
+    "d-bool": ("validate", family_doc(**dict(ONE_GP, d=True)), (), 2, "family.d"),
+    "d-negative": ("validate", family_doc(kind="cdep", d=-1, thetas=[0.1]), (), 3, "family.d"),
+    "d-above-guard-gp": ("validate", family_doc(**dict(GP3, d=65)), (), 3, "family.d"),
+    "d-above-guard-cdep": ("validate", family_doc(kind="cdep", d=200, thetas=[0.0]), (), 3, "family.d"),
+    "gp-d3-with-xis": ("validate", family_doc(kind="gp", d=3, xis=[[0.1, 0.2, 0.3]]), (), 2, "family.thetas"),
+    "gp-d2-short-theta": ("validate", family_doc(kind="gp", d=2, thetas=[[0]]), (), 3, "weights"),
+    "thetas-number": ("validate", family_doc(**dict(GP3, thetas=5)), (), 2, "family.thetas"),
+    "xi-entry-bool": ("validate", family_doc(**dict(ONE_GP, xis=[[0.1, True, 0.3]])), (), 2, "family.xis[0][1]"),
+    "xis-number": ("validate", family_doc(**dict(ONE_GP, xis=5)), (), 2, "family.xis"),
+    "p-string": ("validate", family_doc(**dict(DAMP, p="0.5")), (), 2, "family.p"),
+    "p-list": ("validate", family_doc(**dict(DAMP, p=[1])), (), 2, "family.p"),
+    "unitaries-empty": ("validate", family_doc(kind="unitary", unitaries=[]), (), 2, "family.unitaries"),
+    "kraus-empty-set": ("validate", family_doc(kind="custom", kraus=[[]]), (), 2, "family.kraus[0]"),
+    "kraus-set-number": ("validate", family_doc(kind="custom", kraus=[[mat_json(np.eye(2))], 7]), (), 2, "family.kraus[1]"),
+    "weights-number": ("validate", family_doc(kind="ou", unitaries=[mat_json(np.eye(2))], weights=3), (), 2, "family.weights"),
+    "phase-pair-short": ("validate", family_doc(kind="qubit-phase", thetas=[[0.1]]), (), 2, "family.thetas[0]"),
+    "labels-duplicate": ("validate", family_doc(**dict(DAMP, labels=["a", "a"])), (), 2, "family.labels[1]"),
+    "labels-empty": ("validate", family_doc(**dict(DAMP, labels=[])), (), 2, "family.labels"),
+    "rotated-label-count": ("validate", family_doc(**dict(ROTATED, labels=["a", "b", "c"])), (), 3, "labels"),
+    "rotated-without-unitaries": (
+        "validate",
+        family_doc(kind="measurement", structure="rotated", povms=[[mat_json(np.eye(2))]]),
+        (), 2, "family.unitaries",
+    ),
+    "sweep-s-max-list": ("sweep", with_analysis(DAMP, {"s_max": [1]}, EB_INPUTS), (), 2, "analysis.s_max"),
+    "sweep-points-string": ("sweep", with_analysis(DAMP, {"points": "x"}, EB_INPUTS), (), 2, "analysis.points"),
+    "sweep-inputs-string": ("sweep", with_analysis(DAMP, {"inputs": "eb"}, EB_INPUTS), (), 2, "analysis.inputs"),
+    "compare-input-list": ("compare", with_analysis(DAMP, {"inputs": [["e"], "b"]}, EB_INPUTS), (), 2, "analysis.inputs[0]"),
+    "bloch-points-string": ("ent-advantage", with_analysis(ROTATED, {"bloch_points": "many"}), (), 2, "analysis.bloch_points"),
+    "prior-null": (
+        "repeat",
+        with_analysis(ROTATED, {"analysis": "adaptive", "prior": None, "blocks": [1], "menus": [["a"]]}, AB_INPUTS),
+        (), 2, "analysis.prior",
+    ),
+    "menus-string": (
+        "repeat",
+        with_analysis(ROTATED, {"analysis": "adaptive", "blocks": [1, 1], "menus": "ab"}, AB_INPUTS),
+        (), 2, "analysis.menus",
+    ),
+    "blocks-fraction": (
+        "repeat",
+        with_analysis(ROTATED, {"analysis": "adaptive", "blocks": [1.5], "menus": [["a"]]}, AB_INPUTS),
+        (), 2, "analysis.blocks[0]",
+    ),
+    "certify-blocks-string": (
+        "certify",
+        with_analysis(ONE_GP, {"protocol": "group-correction", "blocks": "2", "target": "a"}, AB_INPUTS, group=weyl_group_json()),
+        (), 2, "analysis.blocks",
+    ),
+    "certify-p-single": (
+        "certify",
+        with_analysis(ONE_GP, {"protocol": "unital-qubit", "p": [1.0], "v": mat_json(np.eye(2))}),
+        (), 2, "analysis.p",
+    ),
+    "certify-input-list": (
+        "certify",
+        with_analysis(ROTATED, {"protocol": "measurement", "input": ["a"]}, AB_INPUTS),
+        (), 2, "analysis.input",
+    ),
+    "dims-number": (
+        "compare",
+        with_analysis(DAMP, {"inputs": ["a", "b"]}, {"a": {"kind": "amplitudes", "values": [1, 0], "dims": 2}, "b": {"kind": "phi_d"}}),
+        (), 2, "inputs.a.dims",
+    ),
+    "ref-dim-string": (
+        "compare",
+        with_analysis(DAMP, {"inputs": ["a", "b"]}, {"a": {"kind": "basis", "indices": [0, 1], "ref_dim": "3"}, "b": {"kind": "phi_d"}}),
+        (), 2, "inputs.a.ref_dim",
+    ),
+    "ref-dim-above-guard": (
+        "compare",
+        with_analysis(DAMP, {"inputs": ["a", "b"]}, {"a": {"kind": "basis", "indices": [0, 1], "ref_dim": 10**6}, "b": {"kind": "phi_d"}}),
+        (), 3, "inputs.a.ref_dim",
+    ),
+    "strategy-n-fraction": (
+        "repeat",
+        with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": dict(OUTPUT_STRATEGY, n=2.5, ref_dim=2)}, EB_INPUTS),
+        (), 2, "analysis.strategy.n",
+    ),
+    "strategy-ref-dim-above-guard": (
+        "repeat",
+        with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": dict(OUTPUT_STRATEGY, ref_dim=5000)}, EB_INPUTS),
+        (), 3, "analysis.strategy.ref_dim",
+    ),
+    "ang-n-string": ("ang", ang_doc("sample", [1.0, 0.8, 0.6, 0.9], analysis={"n": "5"}), ("--seed", "7"), 2, "analysis.n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_spec_names_field(tmp_path, capsys, case):
+    command, doc, flags, code, path = MALFORMED[case]
+    assert run(tmp_path, doc, command, *flags) == code
+    err = capsys.readouterr().err
+    assert path in err
+    if code == 2:
+        assert err.startswith(f"spec error at {path}:")
+
+
+# Each field gets either a value of roughly the right shape (so that some
+# examples get past the type checks into the constructors) or arbitrary
+# JSON. Integers stay small, so every dimension drawn is far under the
+# DIM_GUARD bound and each example builds in milliseconds.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats(allow_nan=False) | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+_REAL = st.sampled_from([0, 1, 0.0, 0.1, 0.25, 0.5, 1.0, -0.5, 2.7])
+_REALS = st.lists(_REAL, min_size=1, max_size=4)
+_ENTRY = st.sampled_from([0, 1, -1, 0.5, [0, 1], [0.5, -0.5]])
+_MATRIX = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=1, max_size=3)
+)
+_MATRICES = st.lists(_MATRIX, min_size=1, max_size=3)
+_SHAPED = {
+    "d": st.integers(0, 3) | _REAL,
+    "p": _REAL,
+    "xis": st.lists(_REALS, max_size=3) | _REALS,
+    "thetas": st.lists(_REALS, max_size=3) | _REALS,
+    "weights": st.lists(_REALS, max_size=3),
+    "unitaries": _MATRICES,
+    "m_plus": _MATRIX,
+    "m_minus": _MATRIX,
+    "povms": st.lists(_MATRICES, max_size=3),
+    "kraus": st.lists(_MATRICES, max_size=3),
+    "structure": st.sampled_from(["plain", "rotated", "ortho"]),
+    "labels": st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3),
+}
+# the fields each kind reads; "junk" is an unknown kind
+_KIND_FIELDS = {
+    "gp": ("d", "xis", "thetas"),
+    "damp": ("p", "xis"),
+    "diag": ("d", "thetas"),
+    "cdep": ("d", "thetas"),
+    "ou": ("unitaries", "weights"),
+    "qubit-phase": ("thetas",),
+    "measurement": ("povms", "structure", "unitaries", "m_plus", "m_minus"),
+    "unitary": ("unitaries",),
+    "custom": ("kraus",),
+    "junk": ("d",),
+}
+
+
+def _mostly(shaped, junk=_JSON):
+    """shaped four times in five, junk otherwise."""
+    return st.integers(0, 4).flatmap(lambda i: shaped if i else junk)
+
+
+def _family(kind):
+    fields = {k: _mostly(_SHAPED[k]) for k in _KIND_FIELDS[kind]}
+    labels = {"labels": _mostly(_SHAPED["labels"])}
+    return st.fixed_dictionaries({"kind": st.just(kind), **fields}, optional=labels) | (
+        st.fixed_dictionaries({"kind": st.just(kind)}, optional={**fields, **labels})
+    )
+
+
+_FAMILY = _mostly(
+    st.sampled_from(sorted(_KIND_FIELDS)).flatmap(_family),
+    junk=_JSON | st.fixed_dictionaries({"kind": _JSON}),
+)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(family=_FAMILY)
+def test_any_family_node_exits_cleanly(family):
+    with tempfile.TemporaryDirectory() as out:
+        spec = Path(out) / "spec.json"
+        spec.write_text(json.dumps({"family": family}))
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = main(["validate", "--spec", str(spec), "--out", out])
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert err.getvalue().startswith("spec error at family")
