@@ -50,7 +50,7 @@ from .geometry import (
     closure_residual,
     samples_to_csv,
 )
-from .numerics import SystemShape, basis_vector, hermitian_eig, max_abs, max_entangled
+from .numerics import DIM_GUARD, SystemShape, basis_vector, hermitian_eig, max_abs, max_entangled
 from .optimal_inputs import (
     IrrepBlocks,
     PureState,
@@ -136,6 +136,16 @@ def _state_outputs(fam, st: PureState) -> list[np.ndarray]:
     if len(dims) == 2 and dims[0] == fam.din:
         return [apply_extended(ch, rho, st.shape) for _, ch in fam.members]
     raise SpecError("inputs", "input must be bare or (channel x reference)")
+
+
+def _check_count(where: str, n: int, low: int, d: int) -> None:
+    """Reject a grid or sample count below low, or one whose n items of
+    d x d entries would outgrow a state at the joint-dimension guard
+    (n d^2 > DIM_GUARD^2), before anything of that size is allocated."""
+    if n < low or n * d * d > DIM_GUARD**2:
+        raise ConstraintViolation(
+            f"{where}: {n} is outside [{low}, {DIM_GUARD}^2 / {d}^2]"
+        )
 
 
 def _parse_group(node, where: str):
@@ -327,6 +337,7 @@ def _cmd_ent_advantage(doc, fam, args, out_dir):
             raise SpecError(
                 "analysis", "measurement scan is implemented for qubit inputs"
             )
+        _check_count("analysis.bloch_points", n_points, 1, fam.din)
         match_at = None
         for r in fibonacci_sphere(n_points):
             res = meas_separable_check(fam, bloch_state(r))
@@ -373,7 +384,13 @@ def _cmd_sweep(doc, fam, args, out_dir):
     names = ana("inputs", _list_of(_str_from), None) or list(states)
     if not names:
         raise SpecError("analysis.inputs", "sweep needs at least one input")
+    for name in names:
+        if name not in states:
+            raise SpecError("analysis.inputs", f"unknown input {name!r}")
     points = ana("points", _int_from, 200)
+    # extra_s may carry the whole grid, so zero points is allowed
+    d_out = max(fam.dout * states[name].shape.dim // fam.din for name in names)
+    _check_count("analysis.points", points, 0, d_out)
     s_max = ana("s_max", _real_from, 3.0)
     extra = ana("extra_s", _real_list, [])
     grid = np.unique(np.concatenate([np.linspace(0.0, s_max, points), extra]))
@@ -381,8 +398,6 @@ def _cmd_sweep(doc, fam, args, out_dir):
     labels = fam.labels()
     lines = ["input,member_plus,member_minus,s,norm,is_breakpoint"]
     for name in names:
-        if name not in states:
-            raise SpecError("analysis.inputs", f"unknown input {name!r}")
         outs = dict(zip(labels, _state_outputs(fam, states[name])))
         for la, lb in combinations(labels, 2):
             table = gap_curve(outs[la], outs[lb], grid=grid).to_csv().splitlines()[1:]
@@ -420,6 +435,7 @@ def _cmd_ang(doc, args, out_dir):
         if args.seed is None:
             raise SpecError("flags", "--seed is required for sampling queries")
         n = ana("n", _int_from, 50)
+        _check_count("analysis.n", n, 1, len(x))
         samples = ang_sample(x, n, args.seed)
         _write(out_dir, "ang-samples.csv", samples_to_csv(x, samples))
         payload["n"] = n
@@ -428,6 +444,7 @@ def _cmd_ang(doc, args, out_dir):
     elif query == "parallel":
         xp = _real_list(_Fields(doc, "document")("x_prime"), "x_prime")
         n = ana("n", _int_from, 50)
+        _check_count("analysis.n", n, 1, len(x))
         if len(x) >= 4 and args.seed is None:
             raise SpecError("flags", "--seed is required for sampling queries")
         shadow = ang_parallel_property(x, xp, n=n, tol=args.tol * 1e3, seed=args.seed)

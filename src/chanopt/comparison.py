@@ -16,7 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChoiMatrix
-from .numerics import as_matrix, dagger, hermitian_eig, is_density, is_hermitian, max_abs, trace_norm
+from .numerics import (
+    as_matrix,
+    dagger,
+    hermitian_eig,
+    is_density,
+    is_density_spectrum,
+    is_hermitian,
+    max_abs,
+    trace_norm,
+)
 
 COMMUTE_TOL = 1e-9
 
@@ -140,9 +149,7 @@ def gap_curve(rho_plus, rho_minus, grid=None) -> SweepCurve:
     rho_minus = as_matrix(rho_minus)
     if rho_plus.shape != rho_minus.shape:
         raise ValueError("state pair must share one dimension")
-    for name, m in (("rho_plus", rho_plus), ("rho_minus", rho_minus)):
-        if not is_density(m, tol=1e-8):
-            raise ValueError(f"{name} is not a density matrix")
+    _check_pair(rho_plus, rho_minus)
     _, bp = _breakpoints(rho_plus, rho_minus)
     s = np.unique(np.concatenate([_sweep_grid(grid), bp]))
     return SweepCurve(s_values=s, norms=sweep_norms(rho_plus, rho_minus, s), breakpoints=bp)
@@ -196,11 +203,26 @@ def bayes_binary_risk(rho_plus, rho_minus, prior: float) -> float:
         raise ValueError(f"prior must lie in [0,1], got {prior}")
     rho_plus = as_matrix(rho_plus)
     rho_minus = as_matrix(rho_minus)
-    for name, m in (("rho_plus", rho_plus), ("rho_minus", rho_minus)):
-        if not is_density(m, tol=1e-8):
+    _check_pair(rho_plus, rho_minus)
+    return _binary_risk(rho_plus, rho_minus, prior)
+
+
+def _check_pair(plus: np.ndarray, minus: np.ndarray) -> None:
+    """Raise unless both states are density matrices to within 1e-8. A state
+    is a square matrix, or the spectrum of a Hermitian one (the joint
+    eigenvalues of a commuting pair)."""
+    for name, m in (("rho_plus", plus), ("rho_minus", minus)):
+        valid = is_density_spectrum(m, 1e-8) if m.ndim == 1 else is_density(m, tol=1e-8)
+        if not valid:
             raise ValueError(f"{name} is not a density matrix")
-    risk = 0.5 * (1.0 - trace_norm(prior * rho_plus - (1.0 - prior) * rho_minus))
-    return max(risk, 0.0)
+
+
+def _binary_risk(plus: np.ndarray, minus: np.ndarray, prior: float) -> float:
+    """Bayes risk of states the caller has already checked: two density
+    matrices, or the paired joint eigenvalues of a commuting pair."""
+    gap = prior * plus - (1.0 - prior) * minus
+    norm = float(np.abs(gap).sum()) if gap.ndim == 1 else trace_norm(gap)
+    return max(0.5 * (1.0 - norm), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Dense complex linear algebra kernel for small operators.
+"""Dense complex linear algebra kernel.
 
 Everything downstream (channels, sweeps, protocols) runs on plain complex
-numpy arrays at dimensions well under a hundred, so this module favors
-clarity over asymptotics: dense storage, eigendecompositions wherever
-convenient, and explicit shape bookkeeping through :class:`SystemShape`.
+numpy arrays. Single operators are small, mostly under a hundred dimensions,
+so this module favors clarity over asymptotics: dense storage,
+eigendecompositions wherever convenient, and explicit shape bookkeeping
+through :class:`SystemShape`. Joint states of repeated uses reach
+DIM_GUARD dimensions; the code that builds them contracts one tensor factor
+at a time instead of forming operators on the joint space.
 """
 from __future__ import annotations
 
@@ -161,4 +164,10 @@ def is_density(m: np.ndarray, tol: float = 1e-9) -> bool:
     if abs(np.trace(m).real - 1.0) > tol:
         return False
     w, _ = hermitian_eig(m)
-    return bool(w.min() >= -tol)
+    return is_density_spectrum(w, tol)
+
+
+def is_density_spectrum(w: np.ndarray, tol: float = 1e-9) -> bool:
+    """Whether real eigenvalues w can be those of a density matrix: none
+    below -tol, and their sum within tol of 1."""
+    return bool(w.min() >= -tol and abs(w.sum() - 1.0) <= tol)

@@ -8,18 +8,36 @@ optimum identically reproduces any sequential strategy's final state; for
 binary measurement families, classically adaptive block inputs never beat
 identical repetition.
 
-Everything is assembled as dense matrices; a dimension guard keeps the
-joint spaces at desk scale.
+Channel uses are applied factor by factor with channels.apply_at_factor, so
+no operator on the joint space is ever formed; the joint states themselves
+are dense, and a dimension guard keeps them at desk scale. The adaptive
+analysis builds each block's output pair once, and the identical-repetition
+risk of a commuting pair comes from n-fold products of joint eigenvalues
+instead of dense Kronecker powers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .channels import ChannelFamily, KrausChannel, apply_at_factor, apply_extended
-from .comparison import bayes_binary_risk
-from .numerics import DIM_GUARD, SystemShape, hermitian_eig, max_abs, max_entangled
+from .comparison import (
+    _binary_risk,
+    _check_pair,
+    bayes_binary_risk,
+    commutes,
+    joint_eigenbasis,
+)
+from .numerics import (
+    DIM_GUARD,
+    SystemShape,
+    dagger,
+    hermitian_eig,
+    max_abs,
+    max_entangled,
+)
 from .optimal_inputs import IrrepBlocks, PureState, group_correction_simulator
 
 
@@ -48,7 +66,9 @@ class AdaptivePlan:
     """Blockwise classical adaptation: before each block the sender picks an
     input from that block's menu, conditioned on earlier outcomes. The
     intermediate measurement rule is fixed to the binary posterior-weighted
-    Helstrom projector; the final block gets the exact Bayes decision."""
+    Helstrom projector (where that operator has null eigenvalues, the better
+    of the two extreme tie resolutions); the final block gets the exact
+    Bayes decision."""
 
     block_sizes: tuple[int, ...]
     menus: tuple[tuple[PureState, ...], ...]
@@ -221,10 +241,54 @@ def _block_outputs(ch: KrausChannel, psi: PureState, d: int, n_block: int):
     return rho
 
 
-def _helstrom_projector(x: np.ndarray) -> np.ndarray:
+# Eigenvalues of the posterior-weighted Helstrom operator within this
+# fraction of the branch probability count as null (ties).
+_NULL_TOL = 1e-12
+
+
+def _helstrom_projectors(x: np.ndarray, mass: float) -> list[np.ndarray]:
+    """Helstrom projectors of x = post_p rho_p - post_m rho_m, where
+    mass = post_p + post_m: onto the eigenvectors with eigenvalue > 0, and
+    also onto those >= 0 when x has null eigenvalues. A null eigenvalue is a
+    tie that Helstrom's rule leaves open, so both extreme resolutions are
+    candidates, and which one is taken never hangs on the sign of
+    round-off."""
     lam, v = hermitian_eig(x)
-    keep = v[:, lam >= 0]
-    return keep @ keep.conj().T
+    tol = _NULL_TOL * mass
+    masks = [lam > tol]
+    if np.any(np.abs(lam) <= tol):
+        masks.append(lam >= -tol)
+    return [v[:, keep] @ v[:, keep].conj().T for keep in masks]
+
+
+def _checked_pair(ch_p: KrausChannel, ch_m: KrausChannel, psi: PureState, d: int, n_block: int):
+    pair = (_block_outputs(ch_p, psi, d, n_block), _block_outputs(ch_m, psi, d, n_block))
+    _check_pair(*pair)
+    return pair
+
+
+def _identical_risk(omega_p: np.ndarray, omega_m: np.ndarray, n: int, prior: float) -> float:
+    """Bayes risk of n identical copies of the pair (omega_p, omega_m).
+
+    A commuting pair has joint eigenvalues p, q, and the n copies have the
+    n-fold products of them, so the risk needs len(p)^n numbers instead of
+    dense len(p)^n x len(p)^n Kronecker powers. The eigenvalue route is taken
+    only when the joint eigenbasis V leaves V^dag omega V diagonal to within
+    1e-8 for both members: commutes() alone passes a pair whose
+    near-degenerate eigenvectors the other member still couples. Any other
+    pair takes the dense route.
+    """
+    if commutes(omega_p, omega_m):
+        v, p, q = joint_eigenbasis(omega_p, omega_m)
+        if all(
+            max_abs(dagger(v) @ omega @ v - np.diag(lam)) <= 1e-8
+            for omega, lam in ((omega_p, p), (omega_m, q))
+        ):
+            spectra = [reduce(np.multiply.outer, [lam] * n).reshape(-1) for lam in (p, q)]
+            _check_pair(*spectra)
+            return _binary_risk(*spectra, prior)
+    powers = [reduce(np.kron, [omega] * n) for omega in (omega_p, omega_m)]
+    return bayes_binary_risk(*powers, prior)
 
 
 def adaptive_vs_identical(
@@ -236,7 +300,8 @@ def adaptive_vs_identical(
     Intermediate blocks are measured with the posterior-weighted Helstrom
     projector and the outcome reweights the posterior; the last block
     contributes its exact Bayes risk. The menu minimization is exhaustive
-    per branch.
+    per branch. Each (block, menu entry) output pair is built and checked
+    once and shared by every branch.
     """
     if fam.kind != "measurement":
         raise ValueError("adaptation analysis expects a measurement family")
@@ -248,18 +313,22 @@ def adaptive_vs_identical(
     (_, ch_p), (_, ch_m) = fam.members
     n = sum(plan.block_sizes)
     _guard((ch_p.dout * d) ** n)
+    outputs = [
+        [_checked_pair(ch_p, ch_m, psi, d, n_block) for psi in menu]
+        for n_block, menu in zip(plan.block_sizes, plan.menus)
+    ]
+    last = len(outputs) - 1
 
     def best_risk(j: int, post_p: float, post_m: float) -> float:
-        n_block = plan.block_sizes[j]
         best = np.inf
-        for psi in plan.menus[j]:
-            rho_p = _block_outputs(ch_p, psi, d, n_block)
-            rho_m = _block_outputs(ch_m, psi, d, n_block)
-            if j == len(plan.block_sizes) - 1:
+        for rho_p, rho_m in outputs[j]:
+            if j == last:
                 total = post_p + post_m
-                risk = total * bayes_binary_risk(rho_p, rho_m, post_p / total)
-            else:
-                proj = _helstrom_projector(post_p * rho_p - post_m * rho_m)
+                risk = total * _binary_risk(rho_p, rho_m, post_p / total)
+                best = min(best, risk)
+                continue
+            x = post_p * rho_p - post_m * rho_m
+            for proj in _helstrom_projectors(x, post_p + post_m):
                 risk = 0.0
                 for eff in (proj, np.eye(proj.shape[0]) - proj):
                     a = post_p * float(np.trace(rho_p @ eff).real)
@@ -267,7 +336,7 @@ def adaptive_vs_identical(
                     if a + b <= 1e-15:
                         continue
                     risk += best_risk(j + 1, a, b)
-            best = min(best, risk)
+                best = min(best, risk)
         return best
 
     adaptive = best_risk(0, prior, 1.0 - prior)
@@ -276,10 +345,6 @@ def adaptive_vs_identical(
     shape = SystemShape((d, d))
     omega_p = apply_extended(ch_p, np.outer(phi, phi.conj()), shape)
     omega_m = apply_extended(ch_m, np.outer(phi, phi.conj()), shape)
-    joint_p, joint_m = omega_p, omega_m
-    for _ in range(n - 1):
-        joint_p = np.kron(joint_p, omega_p)
-        joint_m = np.kron(joint_m, omega_m)
-    identical = bayes_binary_risk(joint_p, joint_m, prior)
+    identical = _identical_risk(omega_p, omega_m, n, prior)
 
     return {"adaptive_risk": float(adaptive), "identical_risk": float(identical)}

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from chanopt import channels
 from chanopt.channels import (
     ChoiMatrix,
     ConstraintViolation,
     KrausChannel,
     Povm,
+    apply_at_factor,
     apply_extended,
     choi_of,
     gen_pauli,
@@ -89,6 +91,50 @@ def test_apply_extended_matches_kron(rng):
     )
     assert max_abs(got - want) < 1e-12
     assert abs(np.trace(got) - 1) < 1e-12
+
+
+def _kernel_channel(name, rng) -> KrausChannel:
+    if name == "gp-qubit":
+        return make_family("gp", {"d": 2, "xis": [[0.1, 0.2, 0.3]]}).channels()[0]
+    if name == "rotated-2to4":
+        fam = make_family(
+            "measurement",
+            {
+                "m_plus": np.diag([0.7, 0.3]),
+                "m_minus": np.diag([0.3, 0.7]),
+                "unitaries": weyl_ops(2),
+                "structure": "rotated",
+            },
+        )
+        assert (fam.din, fam.dout) == (2, 4)
+        return fam.channels()[0]
+    if name == "qutrit-full-rank":
+        return make_family("gp", {"d": 3, "thetas": [rng.dirichlet(np.ones(9))]}).channels()[0]
+    return KrausChannel.from_ops([haar_unitary(rng, 8)])
+
+
+# "rule" lets apply_at_factor choose its route (the superoperator for the
+# first three, the Kraus set for the rank-1 unitary); the other two force
+# one route for every channel through the cost constant the rule reads
+@pytest.mark.parametrize("route", ["rule", "superop", "kraus"])
+@pytest.mark.parametrize(
+    "name, factors",
+    [("gp-qubit", 4), ("rotated-2to4", 4), ("qutrit-full-rank", 4), ("unitary-8", 3)],
+)
+def test_apply_at_factor_matches_kron_reference(rng, monkeypatch, route, name, factors):
+    if route != "rule":
+        monkeypatch.setattr(channels, "_KRAUS_OP_COST", 10**9 if route == "superop" else 0)
+    ch = _kernel_channel(name, rng)
+    dim = ch.din**factors
+    rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    for k in range(factors):
+        left, right = np.eye(ch.din**k), np.eye(ch.din ** (factors - k - 1))
+        want = 0
+        for kop in ch.kraus_ops:
+            g = np.kron(np.kron(left, kop), right)
+            want = want + g @ rho @ dagger(g)
+        got = apply_at_factor(ch, rho, [ch.din] * factors, k)
+        assert max_abs(got - want) < 1e-12, k
 
 
 def test_gp_bell_weights_worked_example():

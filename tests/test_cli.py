@@ -526,9 +526,14 @@ MALFORMED = {
     ),
     "sweep-s-max-list": ("sweep", with_analysis(DAMP, {"s_max": [1]}, EB_INPUTS), (), 2, "analysis.s_max"),
     "sweep-points-string": ("sweep", with_analysis(DAMP, {"points": "x"}, EB_INPUTS), (), 2, "analysis.points"),
+    "sweep-points-huge": ("sweep", with_analysis(DAMP, {"points": 1e12}, EB_INPUTS), (), 3, "analysis.points"),
+    "sweep-points-above-guard": ("sweep", with_analysis(DAMP, {"points": 30000000}, EB_INPUTS), (), 3, "analysis.points"),
+    "sweep-points-negative": ("sweep", with_analysis(DAMP, {"points": -1}, EB_INPUTS), (), 3, "analysis.points"),
     "sweep-inputs-string": ("sweep", with_analysis(DAMP, {"inputs": "eb"}, EB_INPUTS), (), 2, "analysis.inputs"),
     "compare-input-list": ("compare", with_analysis(DAMP, {"inputs": [["e"], "b"]}, EB_INPUTS), (), 2, "analysis.inputs[0]"),
     "bloch-points-string": ("ent-advantage", with_analysis(ROTATED, {"bloch_points": "many"}), (), 2, "analysis.bloch_points"),
+    "bloch-points-huge": ("ent-advantage", with_analysis(ROTATED, {"bloch_points": 10**12}), (), 3, "analysis.bloch_points"),
+    "bloch-points-zero": ("ent-advantage", with_analysis(ROTATED, {"bloch_points": 0}), (), 3, "analysis.bloch_points"),
     "prior-null": (
         "repeat",
         with_analysis(ROTATED, {"analysis": "adaptive", "prior": None, "blocks": [1], "menus": [["a"]]}, AB_INPUTS),
@@ -585,6 +590,13 @@ MALFORMED = {
         (), 3, "analysis.strategy.ref_dim",
     ),
     "ang-n-string": ("ang", ang_doc("sample", [1.0, 0.8, 0.6, 0.9], analysis={"n": "5"}), ("--seed", "7"), 2, "analysis.n"),
+    "ang-n-huge": ("ang", ang_doc("sample", [1.0, 0.8, 0.6, 0.9], analysis={"n": 10**12}), ("--seed", "7"), 3, "analysis.n"),
+    "ang-n-zero": ("ang", ang_doc("sample", [1.0, 0.8, 0.6, 0.9], analysis={"n": 0}), ("--seed", "7"), 3, "analysis.n"),
+    "ang-parallel-n-huge": (
+        "ang",
+        ang_doc("parallel", [1.0, 0.8, 0.6, 0.9], x_prime=[1.0, 0.8, 0.6, 0.8], analysis={"n": 10**12}),
+        ("--seed", "7"), 3, "analysis.n",
+    ),
 }
 
 

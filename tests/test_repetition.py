@@ -1,7 +1,13 @@
+import itertools
+import time
+from functools import lru_cache, reduce
+
 import numpy as np
 import pytest
 
+from chanopt import repetition
 from chanopt.channels import apply_extended, make_family, weyl_ops
+from chanopt.comparison import bayes_binary_risk
 from chanopt.numerics import SystemShape, max_abs, max_entangled
 from chanopt.optimal_inputs import IrrepBlocks, PureState
 from chanopt.repetition import (
@@ -277,3 +283,148 @@ def test_adaptive_rejections():
     )
     with pytest.raises(ValueError):
         adaptive_vs_identical(tri, 0.5, plan)
+
+
+# ---------------------------------------------------------------------------
+# dense references for adaptive_vs_identical: every branch rebuilds its block
+# outputs from explicit Kronecker products and calls bayes_binary_risk
+
+
+def _dense_block_output(ch, psi, n_block):
+    """Sum over Kraus tuples of (K_1 (x) I (x) K_2 (x) I ...) rho (...)^dag."""
+    dims = psi.shape.factor_dims
+    step = len(dims) // n_block
+    rho = psi.density()
+    out = np.zeros((ch.dout ** n_block * rho.shape[0] // ch.din ** n_block,) * 2, dtype=complex)
+    for ops in itertools.product(ch.kraus_ops, repeat=n_block):
+        factors = [np.eye(dim) for dim in dims]
+        for i, kop in enumerate(ops):
+            factors[step * i] = kop
+        g = reduce(np.kron, factors)
+        out += g @ rho @ g.conj().T
+    return out
+
+
+def _dense_helstrom(x, mass):
+    """Projectors onto eigenvalues > 0 and, when x has null eigenvalues
+    (ties, within 1e-12 of the branch mass), onto those >= 0."""
+    lam, v = np.linalg.eigh(0.5 * (x + x.conj().T))
+    tol = 1e-12 * mass
+    masks = [lam > tol] + ([lam >= -tol] if np.any(np.abs(lam) <= tol) else [])
+    return [v[:, m] @ v[:, m].conj().T for m in masks]
+
+
+def _dense_adaptive(fam, prior, plan):
+    (_, ch_p), (_, ch_m) = fam.members
+    last = len(plan.block_sizes) - 1
+
+    def best(j, post_p, post_m):
+        risks = []
+        for psi in plan.menus[j]:
+            rho_p = _dense_block_output(ch_p, psi, plan.block_sizes[j])
+            rho_m = _dense_block_output(ch_m, psi, plan.block_sizes[j])
+            if j == last:
+                total = post_p + post_m
+                risks.append(total * bayes_binary_risk(rho_p, rho_m, post_p / total))
+                continue
+            for proj in _dense_helstrom(post_p * rho_p - post_m * rho_m, post_p + post_m):
+                risk = 0.0
+                for eff in (proj, np.eye(proj.shape[0]) - proj):
+                    a = post_p * np.trace(rho_p @ eff).real
+                    b = post_m * np.trace(rho_m @ eff).real
+                    if a + b > 1e-15:
+                        risk += best(j + 1, a, b)
+                risks.append(risk)
+        return min(risks)
+
+    return best(0, prior, 1.0 - prior)
+
+
+@lru_cache(maxsize=None)
+def _dense_identical(make, prior, n):
+    phi = np.outer(PHI2, PHI2.conj())
+    omegas = [apply_extended(ch, phi, SystemShape((2, 2))) for ch in make().channels()]
+    powers = [reduce(np.kron, [w] * n) for w in omegas]
+    return bayes_binary_risk(powers[0], powers[1], prior)
+
+
+def noncommuting_measurement():
+    p = np.diag([0.8, 0.2])
+    u = np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]])
+    q = u @ np.diag([0.9, 0.3]) @ u.T
+    return make_family(
+        "measurement",
+        {"povms": [[p, np.eye(2) - p], [q, np.eye(2) - q]], "labels": ["p", "q"]},
+    )
+
+
+def near_degenerate_measurement():
+    # the Bell outputs commute to within 1e-9, but the 1.5e-8 split in the
+    # second member's spectrum is wider than joint_eigenbasis groups, so the
+    # first member's 0.05 coupling inside that pair stays off its diagonal
+    p = np.array([[0.5, 0.05], [0.05, 0.4]])
+    q = np.diag([0.5, 0.5 + 3e-8])
+    return make_family(
+        "measurement",
+        {"povms": [[p, np.eye(2) - p], [q, np.eye(2) - q]], "labels": ["p", "q"]},
+    )
+
+
+@pytest.mark.parametrize("blocks", [(1,), (2,), (1, 1), (1, 2), (2, 1), (1, 1, 1)])
+@pytest.mark.parametrize(
+    "make", [rotated_measurement, noncommuting_measurement, near_degenerate_measurement]
+)
+def test_adaptive_and_identical_match_dense_reference(blocks, make):
+    fam = make()
+    two = PureState(np.kron(PHI2, PHI2), SystemShape((2, 2, 2, 2)))
+    bare = PureState(np.array([0.6, 0.0, 0.0, 0.8]), SystemShape((2, 2)))
+    menus = tuple(basis_menu() if b == 1 else (two, bare) for b in blocks)
+    plan = AdaptivePlan(blocks, menus)
+    for prior in (0.3, 0.55):
+        res = adaptive_vs_identical(fam, prior, plan)
+        assert abs(res["adaptive_risk"] - _dense_adaptive(fam, prior, plan)) < 1e-12
+        assert abs(res["identical_risk"] - _dense_identical(make, prior, sum(blocks))) < 1e-12
+
+
+def test_identical_risk_route_follows_joint_diagonalization(monkeypatch):
+    calls = []
+    real = repetition.bayes_binary_risk
+
+    def spy(a, b, prior):
+        calls.append(a.shape)
+        return real(a, b, prior)
+
+    monkeypatch.setattr(repetition, "bayes_binary_risk", spy)
+    plan = AdaptivePlan((1, 1), (basis_menu(), basis_menu()))
+    adaptive_vs_identical(rotated_measurement(), 0.5, plan)
+    assert calls == []  # commuting Bell outputs: joint eigenvalues
+    adaptive_vs_identical(noncommuting_measurement(), 0.5, plan)
+    assert calls == [(16, 16)]  # noncommuting: dense Kronecker powers
+    calls.clear()
+    adaptive_vs_identical(near_degenerate_measurement(), 0.5, plan)
+    assert calls == [(16, 16)]  # commutes() passes, the joint basis does not
+
+
+@pytest.mark.parametrize("blocks", [(1, 1), (1, 1, 1)])
+def test_adaptive_risk_of_complementary_family_ignores_roundoff(blocks):
+    # members {diag(x, 1-x), diag(1-x, x)} and {diag(1-x, x), diag(x, 1-x)}
+    # swap when the outcomes are relabelled, so priors 0.3 and 0.7 give one
+    # risk; the intermediate Helstrom operator has null eigenvalues here, and
+    # writing 1 - x as 0.3 or as 1 - 0.7 (one bit apart) must not decide
+    # which way the tie goes
+    plan = AdaptivePlan(blocks, (basis_menu(),) * len(blocks))
+    risks = []
+    for low_p, low_q in itertools.product((0.3, 1 - 0.7), repeat=2):
+        povm_p = [np.diag([0.7, low_p]), np.diag([low_p, 0.7])]
+        povm_q = [np.diag([low_q, 0.7]), np.diag([0.7, low_q])]
+        fam = make_family("measurement", {"povms": [povm_p, povm_q], "labels": ["p", "q"]})
+        risks += [adaptive_vs_identical(fam, prior, plan)["adaptive_risk"] for prior in (0.3, 0.7)]
+    assert max(risks) - min(risks) < 1e-12, risks
+
+
+def test_adaptive_four_single_use_blocks_is_fast():
+    plan = AdaptivePlan((1, 1, 1, 1), (basis_menu(),) * 4)
+    start = time.perf_counter()
+    res = adaptive_vs_identical(rotated_measurement(), 0.4, plan)
+    assert time.perf_counter() - start < 2.0
+    assert res["adaptive_risk"] >= res["identical_risk"] - 1e-9
