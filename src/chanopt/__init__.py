@@ -1,87 +1,42 @@
-"""Optimal input states for discriminating families of quantum channels."""
+"""Optimal input states for discriminating families of quantum channels.
 
-from .channels import (
-    ChannelFamily,
-    ChoiMatrix,
-    ConstraintViolation,
-    CptpReport,
-    KrausChannel,
-    Povm,
-    apply_extended,
-    cdep_choi,
-    choi_of,
-    gen_pauli,
-    gp_theta_from_xi,
-    gp_weights_from_channel,
-    gp_xi_from_theta,
-    is_covariant,
-    is_unital,
-    make_family,
-    measurement_channel,
-    rotated_povm,
-    validate_cptp,
-    weyl_ops,
-)
-from .comparison import (
-    ComparisonVerdict,
-    FeasibilityResult,
-    SweepCurve,
-    alberti_uhlmann,
-    bayes_binary_risk,
-    cptp_feasible,
-    default_grid,
-    dominance_check,
-    gap_curve,
-)
+The package namespace holds the library entry points: family construction,
+the sweep comparison and its feasibility certificate, one constructor or
+certifier per optimal-input result, the entanglement and adaptation
+analyses, and the phase-closure geometry. Helpers live in their modules
+(``chanopt.channels``, ``chanopt.numerics``, ...); the command line is
+``chanopt.cli``.
+"""
+
+from .channels import apply_extended, gen_pauli, make_family, weyl_ops
+from .comparison import cptp_feasible, dominance_check, gap_curve
 from .entanglement import (
     GpParams,
-    MeasSeparableResult,
-    SeparableVerdict,
-    SeparableWitness,
-    bloch_contraction,
     bloch_state,
     entanglement_breaking_gp,
-    family_gp_params,
     fibonacci_sphere,
     gp_entangled_output,
-    meas_separable_check,
     separable_suffices,
 )
-from .geometry import (
-    AngleVector,
-    ParallelShadow,
-    ang_nonempty,
-    ang_parallel_property,
-    ang_sample,
-    ang_solve_triangle,
-    closure_residual,
-    samples_to_csv,
-)
-from .numerics import SystemShape, partial_trace, partial_transpose, trace_norm
+from .geometry import ang_nonempty, ang_sample, closure_residual
+from .numerics import SystemShape, partial_transpose, trace_norm
 from .optimal_inputs import (
     IrrepBlocks,
-    PairOptimum,
     PureState,
-    Su2Cover,
     covariant_optimal_state,
-    group_correction_protocol,
     group_correction_simulator,
-    measurement_input_certify,
     pair_unitary_optimal_input,
     phi_pv,
     su2_cover_check,
     unital_qubit_protocol,
     universal_not_pair,
 )
-from .presets import preset_document, preset_family, preset_names
 from .repetition import (
     AdaptivePlan,
     Strategy,
     adaptive_vs_identical,
-    factor_permutation,
     fresh_swap_interleavers,
     identical_matches_sequential,
-    identity_rewire_interleavers,
     random_unitary_interleavers,
     repeated_output,
 )
@@ -90,81 +45,38 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptivePlan",
-    "AngleVector",
-    "ChannelFamily",
-    "ChoiMatrix",
-    "ComparisonVerdict",
-    "ConstraintViolation",
-    "CptpReport",
-    "FeasibilityResult",
     "GpParams",
     "IrrepBlocks",
-    "KrausChannel",
-    "MeasSeparableResult",
-    "PairOptimum",
-    "ParallelShadow",
-    "Povm",
     "PureState",
-    "SeparableVerdict",
-    "SeparableWitness",
     "Strategy",
-    "Su2Cover",
-    "SweepCurve",
     "SystemShape",
     "adaptive_vs_identical",
-    "alberti_uhlmann",
     "ang_nonempty",
-    "ang_parallel_property",
     "ang_sample",
-    "ang_solve_triangle",
     "apply_extended",
-    "bayes_binary_risk",
-    "bloch_contraction",
     "bloch_state",
-    "cdep_choi",
-    "choi_of",
     "closure_residual",
     "covariant_optimal_state",
     "cptp_feasible",
-    "default_grid",
     "dominance_check",
     "entanglement_breaking_gp",
-    "factor_permutation",
-    "family_gp_params",
     "fibonacci_sphere",
     "fresh_swap_interleavers",
     "gap_curve",
     "gen_pauli",
     "gp_entangled_output",
-    "gp_theta_from_xi",
-    "gp_weights_from_channel",
-    "gp_xi_from_theta",
-    "group_correction_protocol",
     "group_correction_simulator",
     "identical_matches_sequential",
-    "identity_rewire_interleavers",
-    "is_covariant",
-    "is_unital",
     "make_family",
-    "meas_separable_check",
-    "measurement_channel",
-    "measurement_input_certify",
     "pair_unitary_optimal_input",
-    "partial_trace",
     "partial_transpose",
     "phi_pv",
-    "preset_document",
-    "preset_family",
-    "preset_names",
     "random_unitary_interleavers",
     "repeated_output",
-    "rotated_povm",
-    "samples_to_csv",
     "separable_suffices",
     "su2_cover_check",
     "trace_norm",
     "unital_qubit_protocol",
     "universal_not_pair",
-    "validate_cptp",
     "weyl_ops",
 ]

@@ -1,9 +1,10 @@
 """Batch front end: spec documents in, JSON reports and CSV tables out.
 
 One JSON document names a channel family, its inputs, and an analysis; the
-command decides which report gets written. Reports are deterministic: keys
-sorted, floats at 12 significant digits, and any sampling takes its seed
-from a mandatory flag rather than the clock.
+command decides which report gets written. Each command maps the document
+to a report payload and its CSV tables, and main writes them. Reports are
+deterministic: keys sorted, floats at 12 significant digits, and any
+sampling takes its seed from a mandatory flag rather than the clock.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .channels import (
     make_family,
     validate_cptp,
 )
-from .comparison import dominance_check, gap_curve
+from .comparison import default_grid, dominance_check, gap_curve
 from .entanglement import (
     bloch_state,
     entanglement_breaking_gp,
@@ -50,7 +51,15 @@ from .geometry import (
     closure_residual,
     samples_to_csv,
 )
-from .numerics import DIM_GUARD, SystemShape, basis_vector, hermitian_eig, max_abs, max_entangled
+from .numerics import (
+    DIM_GUARD,
+    SystemShape,
+    basis_vector,
+    exceeds_dim_guard,
+    hermitian_eig,
+    max_abs,
+    max_entangled,
+)
 from .optimal_inputs import (
     IrrepBlocks,
     PureState,
@@ -126,16 +135,23 @@ def _named_states(doc, fam) -> dict[str, PureState]:
     return out
 
 
-def _state_outputs(fam, st: PureState) -> list[np.ndarray]:
+def _named(states: dict, name: str, where: str):
+    """states[name]; an unknown name is a spec error at where."""
+    if name not in states:
+        raise SpecError(where, f"unknown input {name!r}")
+    return states[name]
+
+
+def _state_outputs(fam, st: PureState, where: str) -> list[np.ndarray]:
     dims = st.shape.factor_dims
     rho = st.density()
     if len(dims) == 1:
         if dims[0] != fam.din:
-            raise SpecError("inputs", "bare input does not match the family input")
+            raise SpecError(where, "bare input does not match the family input")
         return [ch.apply(rho) for _, ch in fam.members]
     if len(dims) == 2 and dims[0] == fam.din:
         return [apply_extended(ch, rho, st.shape) for _, ch in fam.members]
-    raise SpecError("inputs", "input must be bare or (channel x reference)")
+    raise SpecError(where, "input must be bare or (channel x reference)")
 
 
 def _check_count(where: str, n: int, low: int, d: int) -> None:
@@ -148,20 +164,49 @@ def _check_count(where: str, n: int, low: int, d: int) -> None:
         )
 
 
-def _parse_group(node, where: str):
+def _check_uses(where: str, base: int, n: int) -> None:
+    """Reject n uses of a base-dimensional system whose joint dimension
+    base^n exceeds DIM_GUARD, before that power is formed."""
+    if exceeds_dim_guard(base, n):
+        raise ConstraintViolation(
+            f"{where}: joint dimension {base}^{n} exceeds the {DIM_GUARD} guard"
+        )
+
+
+def _group(doc, fam):
+    """The document's group: [U, V] pairs, U on the family input and V on its
+    output."""
+    node = _Fields(doc, "document")("group")
     if not isinstance(node, (list, tuple)) or not node:
-        raise SpecError(where, "expected a nonempty list of [U, V] pairs")
+        raise SpecError("group", "expected a nonempty list of [U, V] pairs")
     group = []
     for i, pair in enumerate(node):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise SpecError(f"{where}[{i}]", "expected an [U, V] pair")
-        group.append(
-            (
-                _matrix_from(pair[0], f"{where}[{i}][0]"),
-                _matrix_from(pair[1], f"{where}[{i}][1]"),
-            )
-        )
+            raise SpecError(f"group[{i}]", "expected an [U, V] pair")
+        elements = []
+        for j, d in enumerate((fam.din, fam.dout)):
+            m = _matrix_from(pair[j], f"group[{i}][{j}]")
+            if m.shape != (d, d):
+                raise SpecError(f"group[{i}][{j}]", f"expected a {d}x{d} matrix")
+            elements.append(m)
+        group.append(tuple(elements))
     return group
+
+
+def _analysis(doc) -> _Fields:
+    node = doc.get("analysis") or {}
+    if not isinstance(node, dict):
+        raise SpecError("analysis", "expected an object")
+    return _Fields(node, "analysis")
+
+
+def _certificate(residuals: dict, tol: float) -> dict:
+    worst = max(residuals.values())
+    return {"residuals": residuals, "max_residual": worst, "pass": bool(worst <= tol * 10)}
+
+
+def _verdict(v) -> dict:
+    return {"relation": v.relation, "witness_s": v.witness_s, "gap": v.gap, "method": v.method}
 
 
 # ---------------------------------------------------------------------------
@@ -190,24 +235,22 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(out_dir: Path, name: str, payload: dict) -> str:
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+def _emit(out_dir: Path, command: str, payload: dict, tables: dict[str, str]) -> None:
+    """Write the command's CSV tables and <command>-report.json under
+    out_dir, and echo the report to stdout."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(text)
+    for name, text in tables.items():
+        (out_dir / name).write_text(text)
+    text = json.dumps(_jsonable({"command": command, **payload}), sort_keys=True, indent=2) + "\n"
+    (out_dir / f"{command}-report.json").write_text(text)
     sys.stdout.write(text)
-    return text
-
-
-def _write(out_dir: Path, name: str, text: str):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(text)
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: (document, family, args) -> (report payload, CSV tables by name)
 
 
-def _cmd_validate(doc, fam, args, out_dir):
+def _cmd_validate(doc, fam, args):
     members = {}
     for label, ch in fam.members:
         rep = validate_cptp(ch, args.tol)
@@ -216,120 +259,58 @@ def _cmd_validate(doc, fam, args, out_dir):
             "cp": rep.cp,
             "min_choi_eig": rep.min_choi_eig,
         }
-    payload = {
-        "command": "validate",
-        "kind": fam.kind,
-        "din": fam.din,
-        "dout": fam.dout,
-        "members": members,
-    }
+    payload = {"kind": fam.kind, "din": fam.din, "dout": fam.dout, "members": members}
     if "group" in doc:
-        group = _parse_group(doc["group"], "group")
+        group = _group(doc, fam)
         payload["covariant"] = is_covariant(fam, group, args.tol * 10)
         payload["contravariant"] = is_covariant(
             fam, group, args.tol * 10, contravariant=True
         )
-    _emit(out_dir, "validate-report.json", payload)
-    return EXIT_OK
+    return payload, {}
 
 
-def _analysis(doc) -> _Fields:
-    node = doc.get("analysis") or {}
-    if not isinstance(node, dict):
-        raise SpecError("analysis", "expected an object")
-    return _Fields(node, "analysis")
-
-
-def _cmd_compare(doc, fam, args, out_dir):
+def _cmd_compare(doc, fam, args):
     ana = _analysis(doc)
     names = ana("inputs", _list_of(_str_from))
     if len(names) != 2:
         raise SpecError("analysis.inputs", "compare needs exactly two input names")
     states = _named_states(doc, fam)
-    for n in names:
-        if n not in states:
-            raise SpecError("analysis.inputs", f"unknown input {n!r}")
-    grid = None
-    if args.grid:
-        grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, args.grid)])
-    verdict = dominance_check(
-        _state_outputs(fam, states[names[0]]),
-        _state_outputs(fam, states[names[1]]),
-        grid=grid,
-        tol=args.tol,
-    )
-    payload = {
-        "command": "compare",
-        "candidate": names[0],
-        "challenger": names[1],
-        "relation": verdict.relation,
-        "witness_s": verdict.witness_s,
-        "gap": verdict.gap,
-        "method": verdict.method,
-    }
-    _emit(out_dir, "compare-report.json", payload)
-    return EXIT_OK
+    pair = [_named(states, n, "analysis.inputs") for n in names]
+    grid = default_grid(args.grid) if args.grid else None
+    outputs = [_state_outputs(fam, st, f"inputs.{n}") for n, st in zip(names, pair)]
+    verdict = dominance_check(*outputs, grid=grid, tol=args.tol)
+    return {"candidate": names[0], "challenger": names[1], **_verdict(verdict)}, {}
 
 
-def _cmd_certify(doc, fam, args, out_dir):
+def _cmd_certify(doc, fam, args):
     ana = _analysis(doc)
     protocol = ana("protocol")
     states = _named_states(doc, fam)
 
+    if protocol == "measurement":
+        name = ana("input", _str_from)
+        psi = _named(states, name, "analysis.input")
+        verdict = measurement_input_certify(fam, psi, tol=args.tol * 10)
+        return {"protocol": protocol, "input": name, **_verdict(verdict)}, {}
     if protocol == "group-correction":
-        group = _parse_group(_Fields(doc, "document")("group"), "group")
+        group = _group(doc, fam)
         blocks = IrrepBlocks(tuple(ana("blocks", _list_of(_int_from))))
         target_name = ana("target", _str_from)
-        if target_name not in states:
-            raise SpecError("analysis.target", f"unknown input {target_name!r}")
-        target = states[target_name].density()
-        simulated = group_correction_protocol(fam, group, blocks, target)
-        direct = dict(zip(fam.labels(), _state_outputs(fam, states[target_name])))
-        residuals = {lab: max_abs(simulated[lab] - direct[lab]) for lab in simulated}
-        worst = max(residuals.values())
-        payload = {
-            "command": "certify",
-            "protocol": protocol,
-            "residuals": residuals,
-            "max_residual": worst,
-            "pass": bool(worst <= args.tol * 10),
-        }
+        target = _named(states, target_name, "analysis.target")
+        simulated = group_correction_protocol(fam, group, blocks, target.density())
+        direct = _state_outputs(fam, target, f"inputs.{target_name}")
     elif protocol == "unital-qubit":
         p = ana("p", _real_pair)
         v = ana("v", _matrix_from)
-        outputs = unital_qubit_protocol(fam, p, v)
-        target = phi_pv(p, v)
-        direct = dict(zip(fam.labels(), _state_outputs(fam, target)))
-        residuals = {lab: max_abs(outputs[lab] - direct[lab]) for lab in outputs}
-        worst = max(residuals.values())
-        payload = {
-            "command": "certify",
-            "protocol": protocol,
-            "residuals": residuals,
-            "max_residual": worst,
-            "pass": bool(worst <= args.tol * 10),
-        }
-    elif protocol == "measurement":
-        name = ana("input", _str_from)
-        if name not in states:
-            raise SpecError("analysis.input", f"unknown input {name!r}")
-        verdict = measurement_input_certify(fam, states[name], tol=args.tol * 10)
-        payload = {
-            "command": "certify",
-            "protocol": protocol,
-            "input": name,
-            "relation": verdict.relation,
-            "witness_s": verdict.witness_s,
-            "gap": verdict.gap,
-            "method": verdict.method,
-        }
+        simulated = unital_qubit_protocol(fam, p, v)
+        direct = _state_outputs(fam, phi_pv(p, v), "analysis.v")
     else:
         raise SpecError("analysis.protocol", f"unknown protocol {protocol!r}")
-    _emit(out_dir, "certify-report.json", payload)
-    return EXIT_OK
+    residuals = {lab: max_abs(simulated[lab] - out) for lab, out in zip(fam.labels(), direct)}
+    return {"protocol": protocol, **_certificate(residuals, args.tol)}, {}
 
 
-def _cmd_ent_advantage(doc, fam, args, out_dir):
+def _cmd_ent_advantage(doc, fam, args):
     ana = _analysis(doc)
     if fam.kind == "measurement":
         n_points = ana("bloch_points", _int_from, 200)
@@ -340,33 +321,27 @@ def _cmd_ent_advantage(doc, fam, args, out_dir):
         _check_count("analysis.bloch_points", n_points, 1, fam.din)
         match_at = None
         for r in fibonacci_sphere(n_points):
-            res = meas_separable_check(fam, bloch_state(r))
-            if res.matches_phi:
+            if meas_separable_check(fam, bloch_state(r)).matches_phi:
                 match_at = [float(v) for v in r]
                 break
         payload = {
-            "command": "ent-advantage",
             "kind": "measurement",
             "any_separable_match": match_at is not None,
             "match_bloch": match_at,
             "checked_points": n_points,
         }
-        _emit(out_dir, "ent-advantage-report.json", payload)
-        return EXIT_OK
+        return payload, {}
 
     verdict = separable_suffices(fam)
     gp_params = family_gp_params(fam)
-    eb = {
-        lab: entanglement_breaking_gp(xi)
-        for lab, xi in zip(fam.labels(), gp_params)
-    }
     payload = {
-        "command": "ent-advantage",
         "kind": fam.kind,
         "suffices": verdict.suffices,
         "condition": verdict.condition,
         "axis": verdict.axis_name,
-        "entanglement_breaking": eb,
+        "entanglement_breaking": {
+            lab: entanglement_breaking_gp(xi) for lab, xi in zip(fam.labels(), gp_params)
+        },
     }
     if verdict.witness is not None:
         payload["witness"] = {
@@ -374,22 +349,19 @@ def _cmd_ent_advantage(doc, fam, args, out_dir):
             "s": verdict.witness.s,
             "gap": verdict.witness.gap,
         }
-    _emit(out_dir, "ent-advantage-report.json", payload)
-    return EXIT_OK
+    return payload, {}
 
 
-def _cmd_sweep(doc, fam, args, out_dir):
+def _cmd_sweep(doc, fam, args):
     ana = _analysis(doc)
     states = _named_states(doc, fam)
     names = ana("inputs", _list_of(_str_from), None) or list(states)
     if not names:
         raise SpecError("analysis.inputs", "sweep needs at least one input")
-    for name in names:
-        if name not in states:
-            raise SpecError("analysis.inputs", f"unknown input {name!r}")
+    chosen = [_named(states, name, "analysis.inputs") for name in names]
     points = ana("points", _int_from, 200)
     # extra_s may carry the whole grid, so zero points is allowed
-    d_out = max(fam.dout * states[name].shape.dim // fam.din for name in names)
+    d_out = max(fam.dout * st.shape.dim // fam.din for st in chosen)
     _check_count("analysis.points", points, 0, d_out)
     s_max = ana("s_max", _real_from, 3.0)
     extra = ana("extra_s", _real_list, [])
@@ -397,47 +369,41 @@ def _cmd_sweep(doc, fam, args, out_dir):
 
     labels = fam.labels()
     lines = ["input,member_plus,member_minus,s,norm,is_breakpoint"]
-    for name in names:
-        outs = dict(zip(labels, _state_outputs(fam, states[name])))
+    for name, st in zip(names, chosen):
+        outs = dict(zip(labels, _state_outputs(fam, st, f"inputs.{name}")))
         for la, lb in combinations(labels, 2):
             table = gap_curve(outs[la], outs[lb], grid=grid).to_csv().splitlines()[1:]
             lines += [f"{name},{la},{lb},{row}" for row in table]
-    _write(out_dir, "sweep-curves.csv", "\n".join(lines) + "\n")
     payload = {
-        "command": "sweep",
         "inputs": list(names),
         "pairs": [list(p) for p in combinations(labels, 2)],
         "rows": len(lines) - 1,
         "csv": "sweep-curves.csv",
     }
-    _emit(out_dir, "sweep-report.json", payload)
-    return EXIT_OK
+    return payload, {"sweep-curves.csv": "\n".join(lines) + "\n"}
 
 
-def _cmd_ang(doc, args, out_dir):
+def _cmd_ang(doc, fam, args):
     ana = _analysis(doc)
     query = ana("query")
     x = _real_list(_Fields(doc, "document")("x"), "x")
-    payload: dict = {"command": "ang", "query": query, "x": x}
+    payload: dict = {"query": query, "x": x}
+    tables = {}
     if query == "nonempty":
         payload["nonempty"] = ang_nonempty(x)
     elif query == "solve":
-        sols = ang_solve_triangle(x)
-        payload["solutions"] = [
-            [[w.real, w.imag] for w in s.omegas]
-            for s in sorted(sols, key=lambda s: tuple((w.real, w.imag) for w in s.omegas))
-        ]
-        payload["residuals"] = [
-            closure_residual(x, s)
-            for s in sorted(sols, key=lambda s: tuple((w.real, w.imag) for w in s.omegas))
-        ]
+        sols = sorted(
+            ang_solve_triangle(x), key=lambda s: tuple((w.real, w.imag) for w in s.omegas)
+        )
+        payload["solutions"] = [[[w.real, w.imag] for w in s.omegas] for s in sols]
+        payload["residuals"] = [closure_residual(x, s) for s in sols]
     elif query == "sample":
         if args.seed is None:
             raise SpecError("flags", "--seed is required for sampling queries")
         n = ana("n", _int_from, 50)
         _check_count("analysis.n", n, 1, len(x))
         samples = ang_sample(x, n, args.seed)
-        _write(out_dir, "ang-samples.csv", samples_to_csv(x, samples))
+        tables["ang-samples.csv"] = samples_to_csv(x, samples)
         payload["n"] = n
         payload["max_residual"] = max(closure_residual(x, s) for s in samples)
         payload["csv"] = "ang-samples.csv"
@@ -456,43 +422,48 @@ def _cmd_ang(doc, args, out_dir):
             ]
     else:
         raise SpecError("analysis.query", f"unknown query {query!r}")
-    _emit(out_dir, "ang-report.json", payload)
-    return EXIT_OK
+    return payload, tables
 
 
 def _parse_strategy(node, fam, states, where: str, args) -> Strategy:
+    """A strategy node; n is bounded before any state or interleaver of its
+    size is built."""
     if not isinstance(node, dict):
         raise SpecError(where, "expected an object")
     f = _Fields(node, where)
     mode = f("mode")
     n = f("n", _int_from)
-    input_name = f("input", _str_from)
-    if input_name not in states:
-        raise SpecError(f"{where}.input", f"unknown input {input_name!r}")
-    st = states[input_name]
+    st = _named(states, f("input", _str_from), f"{where}.input")
+    dims = st.shape.factor_dims
+    if mode == "identical" and len(dims) == 2:
+        _check_uses(f"{where}.n", fam.dout * dims[1], n)
     interleavers = ()
     if mode == "sequential" and n > 1:
         spec = f("interleavers")
-        dims = st.shape.factor_dims
         if len(dims) != 2:
             raise SpecError(f"{where}.input", "sequential input needs two factors")
         dr = dims[1]
         if spec == "identity-rewire":
+            _check_count(f"{where}.n", n, 1, fam.din * dr)
             interleavers = identity_rewire_interleavers(fam.din, dr, n)
         elif spec == "fresh-swap":
             d_ref = f("ref_dim", _int_from)
             _check_dims(f"{where}.ref_dim", fam.din, d_ref)
+            # each of the n - 1 interleavers permutes all n (input x ref) pairs
+            _check_uses(f"{where}.n", fam.din * d_ref, n)
+            _check_count(f"{where}.n", n, 1, (fam.din * d_ref) ** n)
             interleavers = fresh_swap_interleavers(fam.din, d_ref, n)
         elif spec == "random-unitary":
             if args.seed is None:
                 raise SpecError("flags", "--seed is required for random interleavers")
+            _check_count(f"{where}.n", n, 1, fam.din * dr)
             interleavers = random_unitary_interleavers(fam.din, dr, n, args.seed)
         else:
             raise SpecError(f"{where}.interleavers", f"unknown preset {spec!r}")
     return Strategy(mode=mode, n=n, input=st, interleavers=tuple(interleavers))
 
 
-def _cmd_repeat(doc, fam, args, out_dir):
+def _cmd_repeat(doc, fam, args):
     ana = _analysis(doc)
     analysis = ana("analysis")
     states = _named_states(doc, fam)
@@ -500,48 +471,30 @@ def _cmd_repeat(doc, fam, args, out_dir):
     if analysis == "adaptive":
         prior = ana("prior", _real_from, 0.5)
         blocks = ana("blocks", _list_of(_int_from))
-        menus = []
-        for i, menu in enumerate(ana("menus", _list_of(_list_of(_str_from)))):
-            entry = []
-            for name in menu:
-                if name not in states:
-                    raise SpecError(f"analysis.menus[{i}]", f"unknown input {name!r}")
-                entry.append(states[name])
-            menus.append(tuple(entry))
-        plan = AdaptivePlan(tuple(blocks), tuple(menus))
-        risks = adaptive_vs_identical(fam, prior, plan)
+        menus = [
+            tuple(_named(states, name, f"analysis.menus[{i}]") for name in menu)
+            for i, menu in enumerate(ana("menus", _list_of(_list_of(_str_from))))
+        ]
+        _check_uses("analysis.blocks", fam.dout * fam.din, sum(blocks))
+        risks = adaptive_vs_identical(fam, prior, AdaptivePlan(tuple(blocks), tuple(menus)))
         payload = {
-            "command": "repeat",
-            "analysis": analysis,
             "adaptive_risk": risks["adaptive_risk"],
             "identical_risk": risks["identical_risk"],
             "improvement": risks["identical_risk"] - risks["adaptive_risk"],
         }
     elif analysis == "sequential-certificate":
-        group = _parse_group(_Fields(doc, "document")("group"), "group")
+        group = _group(doc, fam)
         blocks = IrrepBlocks(tuple(ana("blocks", _list_of(_int_from))))
         strat = _parse_strategy(ana("strategy"), fam, states, "analysis.strategy", args)
-        residuals = identical_matches_sequential(fam, group, blocks, strat)
-        worst = max(residuals.values())
-        payload = {
-            "command": "repeat",
-            "analysis": analysis,
-            "residuals": residuals,
-            "max_residual": worst,
-            "pass": bool(worst <= args.tol * 10),
-        }
+        payload = _certificate(identical_matches_sequential(fam, group, blocks, strat), args.tol)
     elif analysis == "output":
         member = ana("member", _str_from)
-        labels = fam.labels()
-        if member not in labels:
+        if member not in fam.labels():
             raise SpecError("analysis.member", f"unknown member {member!r}")
         strat = _parse_strategy(ana("strategy"), fam, states, "analysis.strategy", args)
-        ch = dict(fam.members)[member]
-        rho = repeated_output(ch, strat)
+        rho = repeated_output(dict(fam.members)[member], strat)
         lam, _ = hermitian_eig(rho)
         payload = {
-            "command": "repeat",
-            "analysis": analysis,
             "member": member,
             "dim": int(rho.shape[0]),
             "trace": float(np.trace(rho).real),
@@ -550,8 +503,19 @@ def _cmd_repeat(doc, fam, args, out_dir):
         }
     else:
         raise SpecError("analysis.analysis", f"unknown analysis {analysis!r}")
-    _emit(out_dir, "repeat-report.json", payload)
-    return EXIT_OK
+    return {"analysis": analysis, **payload}, {}
+
+
+# argparse's choices, in this order
+_COMMANDS = {
+    "validate": _cmd_validate,
+    "compare": _cmd_compare,
+    "certify": _cmd_certify,
+    "ent-advantage": _cmd_ent_advantage,
+    "sweep": _cmd_sweep,
+    "ang": _cmd_ang,
+    "repeat": _cmd_repeat,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -582,46 +546,28 @@ def main(argv=None) -> int:
         prog="chanopt",
         description="Channel-family comparison and optimal-input analyses.",
     )
-    parser.add_argument(
-        "command",
-        choices=[
-            "validate",
-            "compare",
-            "certify",
-            "ent-advantage",
-            "sweep",
-            "ang",
-            "repeat",
-        ],
-    )
+    parser.add_argument("command", choices=list(_COMMANDS))
     parser.add_argument("--spec", required=True, help="spec JSON path or preset:<name>")
     parser.add_argument("--out", default=".", help="report directory")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--grid", type=int, default=None)
     parser.add_argument("--tol", type=float, default=1e-9)
     args = parser.parse_args(argv)
-    out_dir = Path(args.out)
 
     try:
         doc = _load_document(args.spec)
-        if args.command == "ang":
-            return _cmd_ang(doc, args, out_dir)
-        fam = parse_family(_Fields(doc, "document")("family"))
-        handler = {
-            "validate": _cmd_validate,
-            "compare": _cmd_compare,
-            "certify": _cmd_certify,
-            "ent-advantage": _cmd_ent_advantage,
-            "sweep": _cmd_sweep,
-            "repeat": _cmd_repeat,
-        }[args.command]
-        return handler(doc, fam, args, out_dir)
+        fam = None
+        if args.command != "ang":
+            fam = parse_family(_Fields(doc, "document")("family"))
+        payload, tables = _COMMANDS[args.command](doc, fam, args)
     except SpecError as exc:
         print(f"spec error at {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ConstraintViolation, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    _emit(Path(args.out), args.command, payload, tables)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -29,6 +29,9 @@ from .numerics import (
 
 COMMUTE_TOL = 1e-9
 
+# Dykstra iterations cptp_feasible may take before it reports "unresolved".
+CPTP_MAX_ITERS = 5000
+
 
 def commutes(a, b, tol: float = COMMUTE_TOL) -> bool:
     a = as_matrix(a)
@@ -36,9 +39,9 @@ def commutes(a, b, tol: float = COMMUTE_TOL) -> bool:
     return max_abs(a @ b - b @ a) <= tol
 
 
-def default_grid() -> np.ndarray:
-    """{0} plus 200 geometrically spaced points on [1e-3, 1e3]."""
-    return np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 200)])
+def default_grid(points: int = 200) -> np.ndarray:
+    """{0} plus points geometrically spaced points on [1e-3, 1e3]."""
+    return np.concatenate([[0.0], np.geomspace(1e-3, 1e3, points)])
 
 
 @dataclass
@@ -283,7 +286,7 @@ def _herm(m):
     return 0.5 * (m + m.conj().T)
 
 
-def cptp_feasible(sources, targets, max_iters: int = 5000, tol: float = 1e-7) -> FeasibilityResult:
+def cptp_feasible(sources, targets, tol: float = 1e-7) -> FeasibilityResult:
     """Search for a channel W with W(sources[k]) = targets[k] for all k.
 
     Alternating Dykstra projections between the PSD cone and the affine set
@@ -436,9 +439,9 @@ def cptp_feasible(sources, targets, max_iters: int = 5000, tol: float = 1e-7) ->
     best_v = np.inf
     best_w = to_mat(x)
 
-    phase1 = min(300, max(1, max_iters // 3))
+    phase1 = min(300, CPTP_MAX_ITERS // 3)
     it = 0
-    while it < max_iters:
+    while it < CPTP_MAX_ITERS:
         y, w_psd = proj_psd(x + p_corr)
         p_corr = x + p_corr - y
         z = proj_aff(y + q_corr)

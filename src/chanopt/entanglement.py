@@ -111,6 +111,9 @@ def product_balance_conditions(
 GP_AXES = {1: (1, 0, 0), 2: (0, 1, 0), 3: (0, 0, 1)}
 GP_AXIS_NAMES = {1: "x", 2: "y", 3: "z"}
 
+# Product inputs separable_suffices samples on the Bloch sphere for a witness.
+WITNESS_BLOCH_POINTS = 100
+
 
 @dataclass
 class SeparableWitness:
@@ -186,9 +189,7 @@ def _product_curve(ap: np.ndarray, am: np.ndarray, rs: np.ndarray, s: np.ndarray
     return np.maximum(np.abs(1.0 - s)[:, None], np.linalg.norm(diff, axis=2))
 
 
-def separable_suffices(
-    fam: ChannelFamily, grid=None, bloch_points: int = 100
-) -> SeparableVerdict:
+def separable_suffices(fam: ChannelFamily) -> SeparableVerdict:
     """Decide whether some product input ties the entangled benchmark.
 
     Requires a qubit Weyl-mixture family carrying its parameter vectors. Yes
@@ -224,8 +225,8 @@ def separable_suffices(
                 suffices=True, condition=condition, axis=GP_AXES[condition]
             )
 
-    s = default_grid() if grid is None else np.asarray(grid, dtype=float).reshape(-1)
-    rs = fibonacci_sphere(bloch_points)
+    s = default_grid()
+    rs = fibonacci_sphere(WITNESS_BLOCH_POINTS)
     thetas = [gp_theta_from_xi(p.xi) for p in params]
     contractions = [np.array(bloch_contraction(p)) for p in params]
 

@@ -19,6 +19,13 @@ HERMITICITY_TOL = 1e-10
 # Largest joint dimension a spec field or a repetition strategy may ask for.
 DIM_GUARD = 4096
 
+
+def exceeds_dim_guard(base: int, n: int) -> bool:
+    """Whether n factors of dimension base exceed DIM_GUARD jointly. No power
+    above the guard is formed, so n may be arbitrarily large."""
+    return base > 1 and n > 0 and (n >= DIM_GUARD.bit_length() or base**n > DIM_GUARD)
+
+
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 

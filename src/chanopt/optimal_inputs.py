@@ -74,18 +74,11 @@ def covariant_optimal_state(blocks: IrrepBlocks) -> PureState:
     """Normalized direct sum of block-wise maximally entangled states.
 
     Block weights sqrt(d_mu / d) flatten the marginal to 1/d; since the
-    direct sum only populates matched diagonal pairs, the assembled vector
-    coincides with the maximally entangled state of the full space.
+    direct sum only populates matched diagonal pairs, it is the maximally
+    entangled state of the full space.
     """
     d = blocks.total_dim
-    v = np.zeros(d * d, dtype=complex)
-    offset = 0
-    for dmu in blocks.block_dims:
-        w = np.sqrt(dmu / d)
-        for i in range(offset, offset + dmu):
-            v[i * d + i] = w / np.sqrt(dmu)
-        offset += dmu
-    return PureState(v, SystemShape((d, d)))
+    return PureState(max_entangled(d), SystemShape((d, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +373,7 @@ def _reduced_input(psi: PureState, din: int) -> np.ndarray:
 
 
 def measurement_input_certify(
-    fam: ChannelFamily, psi: PureState, tol: float = 1e-8, grid=None
+    fam: ChannelFamily, psi: PureState, tol: float = 1e-8
 ) -> ComparisonVerdict:
     """Certify psi as universally optimal for a two-member measurement family.
 
@@ -427,7 +420,7 @@ def measurement_input_certify(
             and abs(np.trace(base_m) - 1.0) <= tol
             and max_abs(rho - np.eye(din) / din) <= tol
         ):
-            s_grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
+            s_grid = default_grid()
             shape = SystemShape(tuple(psi.shape.factor_dims))
             outs = [
                 apply_extended(ch, psi.density(), shape) for _, ch in fam.members

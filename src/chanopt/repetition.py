@@ -34,6 +34,7 @@ from .numerics import (
     DIM_GUARD,
     SystemShape,
     dagger,
+    exceeds_dim_guard,
     hermitian_eig,
     max_abs,
     max_entangled,
@@ -94,8 +95,10 @@ def factor_permutation(dims, perm) -> np.ndarray:
     return p
 
 
-def _guard(dim: int):
-    if dim > DIM_GUARD:
+def _guard(base: int, n: int = 1):
+    """Reject a joint dimension base^n above DIM_GUARD."""
+    if exceeds_dim_guard(base, n):
+        dim = base if n == 1 else f"{base}^{n}"
         raise ValueError(f"joint dimension {dim} exceeds the {DIM_GUARD} guard")
 
 
@@ -107,7 +110,7 @@ def repeated_output(member: KrausChannel, strat: Strategy) -> np.ndarray:
         if len(dims) != 2 or dims[0] != member.din:
             raise ValueError("identical mode expects an input on channel x reference")
         dr = dims[1]
-        _guard((member.dout * dr) ** strat.n)
+        _guard(member.dout * dr, strat.n)
         omega = apply_extended(member, strat.input.density(), strat.input.shape)
         out = omega
         for _ in range(strat.n - 1):
@@ -123,12 +126,7 @@ def repeated_output(member: KrausChannel, strat: Strategy) -> np.ndarray:
         for i in range(strat.n):
             out_dims[2 * i] = member.dout
         _guard(int(np.prod(out_dims)))
-        rho = strat.input.density()
-        cur = list(dims)
-        for i in range(strat.n):
-            rho = apply_at_factor(member, rho, cur, 2 * i)
-            cur[2 * i] = member.dout
-        return rho
+        return _block_outputs(member, strat.input, member.din, strat.n)
 
     if len(dims) != 2 or dims[0] != member.din:
         raise ValueError("sequential mode expects an input on channel x reference")
@@ -223,6 +221,8 @@ def identical_matches_sequential(
 
 
 def _block_outputs(ch: KrausChannel, psi: PureState, d: int, n_block: int):
+    """ch applied to each of psi's n_block channel factors (dimension d):
+    all of its factors, or every other one when each use has a reference."""
     dims = psi.shape.factor_dims
     if len(dims) == n_block and all(dim == d for dim in dims):
         step = 1  # bare inputs, no reference factors
@@ -312,7 +312,7 @@ def adaptive_vs_identical(
     d = fam.din
     (_, ch_p), (_, ch_m) = fam.members
     n = sum(plan.block_sizes)
-    _guard((ch_p.dout * d) ** n)
+    _guard(ch_p.dout * d, n)
     outputs = [
         [_checked_pair(ch_p, ch_m, psi, d, n_block) for psi in menu]
         for n_block, menu in zip(plan.block_sizes, plan.menus)

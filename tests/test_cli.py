@@ -589,6 +589,63 @@ MALFORMED = {
         with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": dict(OUTPUT_STRATEGY, ref_dim=5000)}, EB_INPUTS),
         (), 3, "analysis.strategy.ref_dim",
     ),
+    "strategy-identical-n-huge": (
+        "repeat",
+        with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": {"mode": "identical", "n": 10**8, "input": "e"}}, EB_INPUTS),
+        (), 3, "analysis.strategy.n",
+    ),
+    "strategy-fresh-swap-n-huge": (
+        "repeat",
+        with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": dict(OUTPUT_STRATEGY, n=12, ref_dim=2)}, EB_INPUTS),
+        (), 3, "analysis.strategy.n",
+    ),
+    "strategy-fresh-swap-n-above-steps": (
+        "repeat",
+        with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": dict(OUTPUT_STRATEGY, n=11, ref_dim=1)}, EB_INPUTS),
+        (), 3, "analysis.strategy.n",
+    ),
+    "strategy-rewire-n-above-steps": (
+        "repeat",
+        with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": dict(OUTPUT_STRATEGY, n=3 * 10**6, interleavers="identity-rewire")}, EB_INPUTS),
+        (), 3, "analysis.strategy.n",
+    ),
+    "strategy-random-n-above-steps": (
+        "repeat",
+        with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": dict(OUTPUT_STRATEGY, n=3 * 10**6, interleavers="random-unitary")}, EB_INPUTS),
+        ("--seed", "7"), 3, "analysis.strategy.n",
+    ),
+    "blocks-huge": (
+        "repeat",
+        with_analysis(ROTATED, {"analysis": "adaptive", "blocks": [10**8, 1], "menus": [["a"], ["a"]]}, AB_INPUTS),
+        (), 3, "analysis.blocks",
+    ),
+    "group-u-shape": (
+        "validate",
+        with_analysis(ONE_GP, {}, group=[[mat_json(np.eye(3)), mat_json(np.eye(2))]]),
+        (), 2, "group[0][0]",
+    ),
+    "group-v-shape": (
+        "certify",
+        with_analysis(ONE_GP, {"protocol": "group-correction", "blocks": [2], "target": "a"}, AB_INPUTS,
+                      group=weyl_group_json() + [[mat_json(np.eye(2)), mat_json(np.eye(3))]]),
+        (), 2, "group[4][1]",
+    ),
+    "input-bare-dim": (
+        "compare",
+        with_analysis(DAMP, {"inputs": ["e", "a"]}, {"a": {"kind": "amplitudes", "values": [1, 0, 0], "dims": [3]}, "e": {"kind": "phi_d"}}),
+        (), 2, "inputs.a",
+    ),
+    "input-three-factors": (
+        "sweep",
+        with_analysis(DAMP, {"inputs": ["e", "a"]}, {"a": {"kind": "amplitudes", "values": [1, 0, 0, 0], "dims": [2, 2, 1]}, "e": {"kind": "phi_d"}}),
+        (), 2, "inputs.a",
+    ),
+    "certify-target-dim": (
+        "certify",
+        with_analysis(ONE_GP, {"protocol": "group-correction", "blocks": [2], "target": "a"},
+                      {"a": {"kind": "amplitudes", "values": [1, 0, 0, 0], "dims": [1, 4]}}, group=weyl_group_json()),
+        (), 2, "inputs.a",
+    ),
     "ang-n-string": ("ang", ang_doc("sample", [1.0, 0.8, 0.6, 0.9], analysis={"n": "5"}), ("--seed", "7"), 2, "analysis.n"),
     "ang-n-huge": ("ang", ang_doc("sample", [1.0, 0.8, 0.6, 0.9], analysis={"n": 10**12}), ("--seed", "7"), 3, "analysis.n"),
     "ang-n-zero": ("ang", ang_doc("sample", [1.0, 0.8, 0.6, 0.9], analysis={"n": 0}), ("--seed", "7"), 3, "analysis.n"),
@@ -686,3 +743,110 @@ def test_any_family_node_exits_cleanly(family):
     assert code in (0, 2, 3)
     if code == 2:
         assert err.getvalue().startswith("spec error at family")
+
+
+# Whole documents under every command: a family that mostly builds, named
+# inputs, the analysis fields that command reads, a group and angle lengths,
+# each well shaped 19 times in 20, so that most examples get past parsing
+# into the analyses. Counts stay small, so every example runs in
+# milliseconds.
+def _seldom_junk(shaped, junk=_JSON):
+    return st.integers(0, 19).flatmap(lambda i: shaped if i else junk)
+
+
+_NAME = _seldom_junk(st.sampled_from(["a", "b", "e"]), junk=st.just("zz") | _JSON)
+_STATE = _seldom_junk(
+    st.sampled_from([
+        {"kind": "phi_d"},
+        {"kind": "basis", "indices": [0]},
+        {"kind": "basis", "indices": [0, 1]},
+        {"kind": "basis", "indices": [1, 0], "ref_dim": 1},
+        {"kind": "basis", "indices": [0, 2], "ref_dim": 3},
+        {"kind": "amplitudes", "values": [1, 0], "dims": [2]},
+        {"kind": "amplitudes", "values": [0, 1, 0, 0], "dims": [2, 2]},
+        {"kind": "amplitudes", "values": [1, 0, 0, 0, 0, 0, 0, 0], "dims": [2, 2, 2]},
+    ]),
+    junk=_JSON | st.sampled_from([
+        {"kind": "basis", "indices": [2]},
+        {"kind": "amplitudes", "values": [1, 0, 0, 0], "dims": [2, 1, 2]},
+        {"kind": "amplitudes", "values": [1, 0, 0], "dims": [3]},
+    ]),
+)
+_NAMES = st.lists(_NAME, min_size=1, max_size=3)
+_SMALL = st.integers(-1, 4)
+_UNITARY = st.sampled_from([mat_json(u) for u in weyl_ops(2)] + [mat_json(np.eye(3))])
+
+
+def _object(**fields):
+    """An object with every field present, each seldom junk."""
+    return st.fixed_dictionaries({k: _seldom_junk(v) for k, v in fields.items()})
+
+
+_ANALYSIS = {
+    "validate": st.just({}),
+    "compare": _object(inputs=st.lists(_NAME, min_size=2, max_size=2)),
+    "certify": _object(
+        protocol=st.sampled_from(["group-correction", "unital-qubit", "measurement", "junk"]),
+        blocks=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+        target=_NAME,
+        input=_NAME,
+        p=st.sampled_from([[0.7, 0.3], [0.5, 0.5], [1.0, 0.0], [0.6, 0.6]]),
+        v=_UNITARY,
+    ),
+    "ent-advantage": _object(bloch_points=_SMALL),
+    "sweep": _object(inputs=_NAMES, points=_SMALL, s_max=_REAL, extra_s=_REALS),
+    "ang": _object(query=st.sampled_from(["nonempty", "solve", "sample", "parallel", "junk"]), n=_SMALL),
+    "repeat": _object(
+        analysis=st.sampled_from(["adaptive", "sequential-certificate", "output", "junk"]),
+        prior=_REAL,
+        blocks=_seldom_junk(
+            st.lists(st.integers(1, 2), min_size=1, max_size=2),
+            junk=st.lists(st.integers(-1, 2), min_size=1, max_size=3),
+        ),
+        menus=st.lists(_NAMES, min_size=1, max_size=2),
+        member=st.sampled_from(["gp0", "plus", "a", "zz"]),
+        strategy=_object(
+            mode=st.sampled_from(["identical", "parallel", "sequential", "junk"]),
+            n=_SMALL,
+            input=_NAME,
+            interleavers=st.sampled_from(["identity-rewire", "fresh-swap", "random-unitary", "junk"]),
+            ref_dim=_SMALL,
+        ),
+    ),
+}
+
+
+def _document(command):
+    return _object(
+        family=st.sampled_from([ONE_GP, GP_DOC["family"], DAMP, ROTATED, GP3]),
+        inputs=st.fixed_dictionaries({"a": _STATE, "b": _STATE, "e": _STATE}),
+        analysis=_ANALYSIS[command],
+        group=st.sampled_from([
+            weyl_group_json(),
+            weyl_group_json(),
+            [[mat_json(np.eye(2)), mat_json(np.eye(2))]],
+            [[mat_json(np.eye(3)), mat_json(np.eye(2))]],
+            [[mat_json(np.eye(2)), mat_json(np.eye(3))]],
+            [[mat_json(np.eye(2))]],
+        ]),
+        x=_REALS,
+        x_prime=_REALS,
+    )
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    case=st.sampled_from(sorted(_ANALYSIS)).flatmap(lambda c: st.tuples(st.just(c), _document(c))),
+    seed=st.sampled_from([(), ("--seed", "7")]),
+)
+def test_any_document_exits_cleanly(case, seed):
+    command, doc = case
+    with tempfile.TemporaryDirectory() as out:
+        spec = Path(out) / "spec.json"
+        spec.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = main([command, "--spec", str(spec), "--out", out, *seed])
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert err.getvalue().startswith("spec error at ")

@@ -1,0 +1,55 @@
+"""The package namespace the benchmark and the library example rely on."""
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import chanopt
+import chanopt.cli  # noqa: F401  (the benchmark reaches main as co.cli.main)
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _traced_modules() -> set[str]:
+    """Module names in bench/tracing.py's TRACED table, read without
+    importing the benchmark."""
+    tree = ast.parse((BENCH / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return {mod for mod, _ in ast.literal_eval(node.value)}
+    raise AssertionError("bench/tracing.py has no TRACED table")
+
+
+def test_import_loads_every_traced_module():
+    traced = _traced_modules()
+    assert len(traced) == 7
+    # a fresh interpreter: this one has already imported every module
+    code = "import sys, chanopt; print(' '.join(sorted(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(chanopt.__file__).parents[1])),
+    ).stdout.split()
+    assert {f"chanopt.{mod}" for mod in traced} <= set(out)
+
+
+def test_every_exported_name_resolves():
+    assert len(chanopt.__all__) == len(set(chanopt.__all__))
+    for name in chanopt.__all__:
+        assert getattr(chanopt, name) is not None, name
+
+
+def test_names_the_benchmark_calls_exist():
+    called = set()
+    for path in BENCH.glob("*.py"):
+        called |= set(re.findall(r"\bco\.(\w+)\(", path.read_text()))
+    assert len(called) >= 16
+    missing = [name for name in sorted(called) if not hasattr(chanopt, name)]
+    assert not missing
+    assert callable(chanopt.cli.main)
