@@ -28,9 +28,8 @@ from .numerics import (
     as_matrix,
     dagger,
     hermitian_eig,
-    is_hermitian,
     max_abs,
-    tensor,
+    max_entangled,
 )
 
 DEFAULT_TOL = 1e-9
@@ -148,7 +147,6 @@ class Povm:
     """Positive operator valued measure: PSD elements summing to the identity."""
 
     elements: list[np.ndarray]
-    labels: list[str] | None = None
 
     def __post_init__(self):
         self.elements = [as_matrix(e) for e in self.elements]
@@ -156,8 +154,6 @@ class Povm:
         for e in self.elements:
             if e.shape != (d, d):
                 raise ValueError("POVM elements must share a square dimension")
-        if self.labels is None:
-            self.labels = [str(i) for i in range(len(self.elements))]
 
     @property
     def dim(self) -> int:
@@ -435,8 +431,7 @@ def gp_weights_from_channel(ch: KrausChannel, tol: float = 1e-9) -> np.ndarray:
     if ch.dout != d:
         raise ConstraintViolation("weight recovery needs din == dout")
     w = choi_of(ch).matrix / d
-    phi = np.zeros(d * d, dtype=complex)
-    phi[:: d + 1] = 1.0 / np.sqrt(d)
+    phi = max_entangled(d)
     vecs = [np.kron(u, np.eye(d)) @ phi for u in weyl_ops(d)]
     weights = np.array([np.real(v.conj() @ w @ v) for v in vecs])
     recon = sum(t * np.outer(v, v.conj()) for t, v in zip(weights, vecs))

@@ -165,11 +165,11 @@ def _check_count(where: str, n: int, low: int, d: int) -> None:
 
 
 def _check_uses(where: str, base: int, n: int) -> None:
-    """Reject n uses of a base-dimensional system whose joint dimension
-    base^n exceeds DIM_GUARD, before that power is formed."""
+    """Reject n uses of a base-dimensional system when n or their joint
+    dimension base^n exceeds DIM_GUARD, before that power is formed."""
     if exceeds_dim_guard(base, n):
         raise ConstraintViolation(
-            f"{where}: joint dimension {base}^{n} exceeds the {DIM_GUARD} guard"
+            f"{where}: {n} uses of dimension {base} exceed the {DIM_GUARD} guard"
         )
 
 

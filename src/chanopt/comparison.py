@@ -178,28 +178,6 @@ class ComparisonVerdict:
             raise ValueError(f"{self.relation} requires a witness_s")
 
 
-def alberti_uhlmann(psi_plus, psi_minus, phi_plus, phi_minus, tol: float = 1e-9) -> bool:
-    """Whether a channel can map the pure pair (psi+, psi-) onto (phi+, phi-).
-
-    For pure pairs the exact criterion is an overlap increase:
-    |<psi+|psi->| <= |<phi+|phi->| + tol.
-    """
-    vecs = []
-    for name, v in (
-        ("psi_plus", psi_plus),
-        ("psi_minus", psi_minus),
-        ("phi_plus", phi_plus),
-        ("phi_minus", phi_minus),
-    ):
-        v = np.asarray(v, dtype=complex).reshape(-1)
-        if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-            raise ValueError(f"{name} is not unit norm")
-        vecs.append(v)
-    src = abs(np.vdot(vecs[0], vecs[1]))
-    dst = abs(np.vdot(vecs[2], vecs[3]))
-    return bool(src <= dst + tol)
-
-
 def bayes_binary_risk(rho_plus, rho_minus, prior: float) -> float:
     """Minimum Bayes risk for 0-1 loss over all binary measurements."""
     if not 0.0 <= prior <= 1.0:

@@ -53,17 +53,6 @@ class GpParams:
         return np.array([self.xi0, *self.xi])
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    r: tuple[float, float, float]
-
-    def __post_init__(self):
-        r = tuple(float(x) for x in self.r)
-        if np.linalg.norm(r) > 1 + 1e-10:
-            raise ValueError("Bloch vector must lie in the unit ball")
-        object.__setattr__(self, "r", r)
-
-
 def bloch_contraction(xi: GpParams) -> tuple[float, float, float]:
     """Diagonal Bloch action of the Weyl mixture: a_k = 1 - 2(sum of other xis)."""
     x1, x2, x3 = xi.xi
@@ -126,14 +115,16 @@ class SeparableWitness:
 class SeparableVerdict:
     suffices: bool
     condition: int | None = None
-    axis: tuple[int, int, int] | None = None
     witness: SeparableWitness | None = None
 
     @property
+    def axis(self) -> tuple[int, int, int] | None:
+        """Bloch axis the certifying condition names."""
+        return None if self.condition is None else GP_AXES[self.condition]
+
+    @property
     def axis_name(self) -> str | None:
-        if self.axis is None:
-            return None
-        return GP_AXIS_NAMES[{v: k for k, v in GP_AXES.items()}[self.axis]]
+        return None if self.condition is None else GP_AXIS_NAMES[self.condition]
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -214,16 +205,14 @@ def separable_suffices(fam: ChannelFamily) -> SeparableVerdict:
             if pair_idx:
                 break
         if pair_idx is None:
-            return SeparableVerdict(suffices=True, condition=1, axis=GP_AXES[1])
+            return SeparableVerdict(suffices=True, condition=1)
         conds = product_balance_conditions(params[pair_idx[0]], params[pair_idx[1]])
         for k, ok in enumerate(conds, start=1):
             if ok:
                 condition = k
                 break
         if condition is not None:
-            return SeparableVerdict(
-                suffices=True, condition=condition, axis=GP_AXES[condition]
-            )
+            return SeparableVerdict(suffices=True, condition=condition)
 
     s = default_grid()
     rs = fibonacci_sphere(WITNESS_BLOCH_POINTS)

@@ -30,35 +30,6 @@ class AngleVector:
         return AngleVector(tuple(w.conjugate() for w in self.omegas))
 
 
-@dataclass(frozen=True)
-class RChain:
-    """Moduli r_3..r_{d-1} of the trailing partial sums, the sampler's
-    coordinates on the solution set."""
-
-    r_values: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "r_values", tuple(float(r) for r in self.r_values))
-
-    def feasible_for(self, y) -> bool:
-        """Interval checks against a descending-sorted positive vector y."""
-        y = np.asarray(y, dtype=float)
-        d = len(y)
-        if len(self.r_values) != d - 3:
-            return False
-        r_next = y[d - 1]
-        # r_values run k = d-1 down to 3
-        for t, k in enumerate(range(d - 1, 2, -1)):
-            r_k = self.r_values[t]
-            if not (abs(r_next - y[k - 1]) - 1e-12 <= r_k <= r_next + y[k - 1] + 1e-12):
-                return False
-            head = y[0] - y[1 : k - 1].sum()
-            if not (head - 1e-12 <= r_k <= y[: k - 1].sum() + 1e-12):
-                return False
-            r_next = r_k
-        return True
-
-
 def closure_residual(x, av: AngleVector) -> float:
     x = np.asarray(x, dtype=float)
     om = np.asarray(av.omegas)

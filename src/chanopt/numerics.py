@@ -21,9 +21,13 @@ DIM_GUARD = 4096
 
 
 def exceeds_dim_guard(base: int, n: int) -> bool:
-    """Whether n factors of dimension base exceed DIM_GUARD jointly. No power
-    above the guard is formed, so n may be arbitrarily large."""
-    return base > 1 and n > 0 and (n >= DIM_GUARD.bit_length() or base**n > DIM_GUARD)
+    """Whether n factors of dimension base go past DIM_GUARD: more than
+    DIM_GUARD of them, whatever their dimension (each one still costs a
+    step), or a joint dimension base^n above it. No power above the guard is
+    formed, so n may be arbitrarily large."""
+    return n > DIM_GUARD or (
+        base > 1 and n > 0 and (n >= DIM_GUARD.bit_length() or base**n > DIM_GUARD)
+    )
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -65,11 +69,6 @@ def as_matrix(m) -> np.ndarray:
 
 def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:

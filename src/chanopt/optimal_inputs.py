@@ -2,9 +2,12 @@
 
 Three constructive routes are implemented: the group-covariant
 measure-and-correct protocol, the unital-qubit instrument protocol, and the
-eigenphase-hull minimizer for a pair of unitaries. Each protocol returns the
-states it assembles so that the caller can check the defining equality
-directly; the check is the certificate, the protocol never self-certifies.
+eigenphase-hull minimizer for a pair of unitaries. The measure-and-correct
+circuit is one channel shared by the whole family; both protocols apply
+their operators to one factor with channels.apply_at_factor. Each protocol
+returns the states it assembles so that the caller can check the defining
+equality directly; the check is the certificate, the protocol never
+self-certifies.
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ import numpy as np
 from .channels import (
     ChannelFamily,
     KrausChannel,
+    apply_at_factor,
     apply_extended,
     is_covariant,
     is_unital,
@@ -85,8 +89,14 @@ def covariant_optimal_state(blocks: IrrepBlocks) -> PureState:
 # Measure-and-correct protocols
 
 
-def _correction_setup(fam, group, blocks, tol):
-    """Shared validation for the measure-then-correct circuits."""
+def _correction_setup(fam, group, blocks, tol) -> KrausChannel:
+    """The measure-then-correct circuit shared by every member, as one channel
+    from (output (x) reference (x) input) to the output: per group element,
+    the reference and the target's input slot are projected onto the rotated
+    entangled state phi_g and the output is rotated back by V_g^dag (V_g^T
+    for a contravariant family), one Kraus operator
+    sqrt(d^2/|G|) (V_g^dag or V_g^T) (x) <phi_g| each. Trace preservation of
+    that set is the statement that the phi_g resolve the identity."""
     if blocks.total_dim != fam.din:
         raise ValueError("block dimensions do not sum to the family input dimension")
     if len(blocks.block_dims) != 1:
@@ -96,41 +106,23 @@ def _correction_setup(fam, group, blocks, tol):
         )
     d = fam.din
 
-    contravariant = False
-    if not is_covariant(fam, group, tol):
-        if is_covariant(fam, group, tol, contravariant=True):
-            contravariant = True
-        else:
-            raise ValueError("family is not covariant for the supplied group")
+    contravariant = not is_covariant(fam, group, tol)
+    if contravariant and not is_covariant(fam, group, tol, contravariant=True):
+        raise ValueError("family is not covariant for the supplied group")
 
     phi = max_entangled(d)
-    scale = d * d / len(group)
-    outcome_states = [np.kron(u.conj(), np.eye(d)) @ phi for u, _ in group]
-    resolution = scale * sum(np.outer(v, v.conj()) for v in outcome_states)
-    if max_abs(resolution - np.eye(d * d)) > 1e-8:
+    amp = np.sqrt(d * d / len(group))
+    ops = []
+    for u, v in group:
+        bra = (np.kron(u.conj(), np.eye(d)) @ phi).conj()[None, :]
+        ops.append(amp * np.kron(v.T if contravariant else dagger(v), bra))
+    correct = KrausChannel(ops, din=fam.dout * d * d, dout=fam.dout)
+    if max_abs(correct.kraus_sum() - np.eye(correct.din)) > 1e-8:
         raise ValueError(
             "group rotations of the entangled state do not resolve the "
             "identity; the group is not closed under the needed products"
         )
-    return scale, outcome_states, contravariant
-
-
-def _measure_correct(omega, target, group, outcome_states, scale, contravariant, d, do):
-    """One member's circuit: measure the reference half of omega jointly with
-    the target's channel slot, undo each outcome with its group correction."""
-    dr = target.shape[0] // d
-    joint = np.kron(omega, target)
-    eye_out = np.eye(do)
-    eye_r = np.eye(dr)
-    total = np.zeros((do * dr, do * dr), dtype=complex)
-    for (u, v), phi_g in zip(group, outcome_states):
-        bra = np.sqrt(scale) * phi_g.conj()[None, :]
-        kop = np.kron(eye_out, np.kron(bra, eye_r))
-        branch = kop @ joint @ dagger(kop)
-        corr = v.T if contravariant else dagger(v)
-        cmat = np.kron(corr, eye_r)
-        total += cmat @ branch @ dagger(cmat)
-    return total / np.trace(total).real
+    return correct
 
 
 def group_correction_simulator(
@@ -141,10 +133,11 @@ def group_correction_simulator(
 ):
     """Per-member callables mapping a target density matrix on the input
     space (times any reference) to the measure-then-correct simulation of
-    that member. Validation runs once; the callables are cheap."""
-    scale, outcome_states, contravariant = _correction_setup(fam, group, blocks, tol)
+    that member: the member's entangled-input output omega beside the target,
+    put through the shared correction channel with apply_at_factor.
+    Validation runs once; the callables are cheap."""
+    correct = _correction_setup(fam, group, blocks, tol)
     d = fam.din
-    do = fam.dout
     in_shape = SystemShape((d, d))
     psi_opt = covariant_optimal_state(blocks)
 
@@ -158,9 +151,8 @@ def group_correction_simulator(
                 raise ValueError(
                     "target dimension is not a multiple of the input dimension"
                 )
-            return _measure_correct(
-                omega, target, group, outcome_states, scale, contravariant, d, do
-            )
+            dims = (correct.din, target.shape[0] // d)
+            return apply_at_factor(correct, np.kron(omega, target), dims, 0)
 
         sims[label] = sim
     return sims
@@ -219,15 +211,15 @@ def phi_pv(p, v) -> PureState:
     return PureState(amps, SystemShape((2, 2)))
 
 
-def unital_qubit_protocol(
-    fam: ChannelFamily, p, v, return_branches: bool = False
-):
+def unital_qubit_protocol(fam: ChannelFamily, p, v) -> dict[str, np.ndarray]:
     """Instrument-and-flip protocol mapping Bell outputs to phi_{p,V} outputs.
 
-    Per member: rotate the reference by V^T, apply the two-outcome instrument
-    built from M = diag(p1, p2), keep the success branch, and repair the
-    failure branch with the universal-not on both factors (valid because
-    unital members commute with the double flip at the Bell output).
+    Per member: rotate the reference by V^T and apply the two-outcome
+    instrument built from M = diag(p1, p2), each branch one operator on the
+    reference factor applied with apply_at_factor; keep the success branch,
+    and repair the failure branch with the universal-not on both factors
+    (valid because unital members commute with the double flip at the Bell
+    output).
     """
     p1, p2 = float(p[0]), float(p[1])
     if p1 < -1e-12 or p2 < -1e-12 or abs(p1 + p2 - 1.0) > 1e-9:
@@ -244,25 +236,17 @@ def unital_qubit_protocol(
     phi2 = max_entangled(2)
     bell = np.outer(phi2, phi2.conj())
     shape = SystemShape((2, 2))
-    rot = np.kron(np.eye(2), v.T)
-    succ_op = np.kron(np.eye(2), np.diag([np.sqrt(p1), np.sqrt(p2)]))
-    fail_op = np.kron(np.eye(2), np.diag([np.sqrt(1.0 - p1), np.sqrt(1.0 - p2)]))
+    succ, fail = (
+        KrausChannel.from_ops([np.diag(np.sqrt(w)) @ v.T])
+        for w in ([p1, p2], [1.0 - p1, 1.0 - p2])
+    )
 
     outputs: dict[str, np.ndarray] = {}
-    branches: dict[str, dict] = {}
     for label, ch in fam.members:
         omega = apply_extended(ch, bell, shape)
-        rotated = rot @ omega @ dagger(rot)
-        succ = succ_op @ rotated @ dagger(succ_op)
-        fail = fail_op @ rotated @ dagger(fail_op)
-        outputs[label] = succ + universal_not_pair(fail)
-        branches[label] = {
-            "p_success": float(np.trace(succ).real),
-            "p_fail": float(np.trace(fail).real),
-            "fail_state": fail,
-        }
-    if return_branches:
-        return outputs, branches
+        outputs[label] = apply_at_factor(succ, omega, (2, 2), 1) + universal_not_pair(
+            apply_at_factor(fail, omega, (2, 2), 1)
+        )
     return outputs
 
 

@@ -9,11 +9,13 @@ binary measurement families, classically adaptive block inputs never beat
 identical repetition.
 
 Channel uses are applied factor by factor with channels.apply_at_factor, so
-no operator on the joint space is ever formed; the joint states themselves
-are dense, and a dimension guard keeps them at desk scale. The adaptive
-analysis builds each block's output pair once, and the identical-repetition
-risk of a commuting pair comes from n-fold products of joint eigenvalues
-instead of dense Kronecker powers.
+no operator on the joint space is ever formed; each measure-and-correct step
+of the sequential certificate is one correction channel, shared by every
+member and every step, applied the same way. The joint states themselves are
+dense, and a dimension guard keeps them at desk scale. The adaptive analysis
+builds each block's output pair once, and the identical-repetition risk of a
+commuting pair comes from n-fold products of joint eigenvalues instead of
+dense Kronecker powers.
 """
 from __future__ import annotations
 
@@ -96,10 +98,9 @@ def factor_permutation(dims, perm) -> np.ndarray:
 
 
 def _guard(base: int, n: int = 1):
-    """Reject a joint dimension base^n above DIM_GUARD."""
+    """Reject n uses of dimension base past DIM_GUARD (exceeds_dim_guard)."""
     if exceeds_dim_guard(base, n):
-        dim = base if n == 1 else f"{base}^{n}"
-        raise ValueError(f"joint dimension {dim} exceeds the {DIM_GUARD} guard")
+        raise ValueError(f"{n} uses of dimension {base} exceed the {DIM_GUARD} guard")
 
 
 def repeated_output(member: KrausChannel, strat: Strategy) -> np.ndarray:
@@ -197,9 +198,9 @@ def identical_matches_sequential(
 
     The simulation consumes one copy of the member's entangled-input output
     per step, reconstructs the step through the group measure-and-correct
-    circuit, and applies the same interleavers. Small residuals certify that
-    identical repetition of the entangled optimum loses nothing against this
-    sequential strategy.
+    channel (one for the whole family), and applies the same interleavers.
+    Small residuals certify that identical repetition of the entangled
+    optimum loses nothing against this sequential strategy.
     """
     if strat_seq.mode != "sequential":
         raise ValueError("certificate expects a sequential strategy")

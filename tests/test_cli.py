@@ -594,6 +594,15 @@ MALFORMED = {
         with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": {"mode": "identical", "n": 10**8, "input": "e"}}, EB_INPUTS),
         (), 3, "analysis.strategy.n",
     ),
+    "strategy-identical-n-trivial-joint-dim": (
+        "repeat",
+        with_analysis(
+            {"kind": "custom", "kraus": [[[[1, 0]], [[0, 1]]]], "labels": ["tr"]},
+            {"analysis": "output", "member": "tr", "strategy": {"mode": "identical", "n": 200000, "input": "a"}},
+            {"a": {"kind": "basis", "indices": [0, 0], "ref_dim": 1}},
+        ),
+        (), 3, "analysis.strategy.n",
+    ),
     "strategy-fresh-swap-n-huge": (
         "repeat",
         with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": dict(OUTPUT_STRATEGY, n=12, ref_dim=2)}, EB_INPUTS),

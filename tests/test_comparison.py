@@ -5,7 +5,6 @@ import pytest
 
 from chanopt.channels import apply_extended, make_family
 from chanopt.comparison import (
-    alberti_uhlmann,
     bayes_binary_risk,
     commutes,
     cptp_feasible,
@@ -279,20 +278,7 @@ def test_dominance_rejects_non_density():
 
 
 # ---------------------------------------------------------------------------
-# alberti_uhlmann / bayes_binary_risk
-
-
-def test_alberti_uhlmann_examples(rng):
-    e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    t = random_pure(rng, 2)
-    assert alberti_uhlmann(e0, e1, t, random_pure(rng, 2))
-    assert alberti_uhlmann(t, e0, t, e0)
-    a = np.array([1.0, 0.0])
-    b = np.array([0.8, 0.6])
-    c = np.array([0.3, np.sqrt(1 - 0.09)])
-    assert not alberti_uhlmann(a, b, a, c)
-    with pytest.raises(ValueError):
-        alberti_uhlmann(2 * e0, e1, e0, e1)
+# bayes_binary_risk
 
 
 def test_bayes_risk_orthogonal_and_identical(rng):
@@ -349,25 +335,6 @@ def test_feasible_choi_certificate_properties(rng):
 def test_feasible_dimension_mismatch(rng):
     with pytest.raises(ValueError):
         cptp_feasible([random_density(rng, 2)], [random_density(rng, 2), random_density(rng, 2)])
-
-
-def test_alberti_uhlmann_agrees_with_feasibility(rng):
-    agree = 0
-    total = 0
-    for _ in range(12):
-        a, b = random_pure(rng, 2), random_pure(rng, 2)
-        c, d = random_pure(rng, 2), random_pure(rng, 2)
-        if abs(abs(a.conj() @ b) - abs(c.conj() @ d)) < 1e-3:
-            continue
-        total += 1
-        au = alberti_uhlmann(a, b, c, d)
-        fe = cptp_feasible(
-            [np.outer(a, a.conj()), np.outer(b, b.conj())],
-            [np.outer(c, c.conj()), np.outer(d, d.conj())],
-        ).feasible
-        if au == fe:
-            agree += 1
-    assert total > 0 and agree == total
 
 
 def pure_pair(rng, d, overlap):

@@ -3,7 +3,6 @@ import pytest
 
 from chanopt.channels import make_family, weyl_ops
 from chanopt.entanglement import (
-    BlochVector,
     GpParams,
     bloch_contraction,
     bloch_state,
@@ -40,12 +39,6 @@ def test_gp_params_validation():
         GpParams((0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
         GpParams((0.1, 0.2))
-
-
-def test_bloch_vector_validation():
-    BlochVector((0.0, 0.0, 1.0))
-    with pytest.raises(ValueError):
-        BlochVector((1.0, 1.0, 0.0))
 
 
 def test_bloch_contraction_matches_channel(rng):

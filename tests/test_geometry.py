@@ -3,7 +3,7 @@ import pytest
 
 from chanopt.geometry import (
     AngleVector,
-    RChain,
+    _chain_intervals,
     ang_nonempty,
     ang_parallel_property,
     ang_sample,
@@ -36,10 +36,10 @@ def test_closure_residual_formula():
 def test_rchain_intervals():
     y = np.array([2.0, 1.5, 1.0, 0.5])
     # r_3 must sit between |y4 - y3| and y4 + y3, and reach past y1 - y2
-    assert RChain((1.0,)).feasible_for(y)
-    assert not RChain((3.0,)).feasible_for(y)
-    assert not RChain((0.1,)).feasible_for(y)
-    assert not RChain(()).feasible_for(y)
+    lo, hi = _chain_intervals(y, y[3], 3)
+    assert lo <= 1.0 <= hi
+    assert 3.0 > hi
+    assert 0.1 < lo
 
 
 # ---------------------------------------------------------------------------

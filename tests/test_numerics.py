@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chanopt.numerics import (
+    DIM_GUARD,
     SystemShape,
     basis_vector,
     dagger,
+    exceeds_dim_guard,
     hermitian_eig,
     is_density,
     is_hermitian,
@@ -15,7 +17,6 @@ from chanopt.numerics import (
     partial_trace,
     partial_transpose,
     projector,
-    tensor,
     trace_norm,
 )
 from conftest import (
@@ -53,10 +54,15 @@ def test_projector_and_hermitian_checks():
     assert not is_hermitian(np.array([[0, 1], [0, 0]]))
 
 
-def test_tensor_diagonal_product():
-    a = np.diag([1.0, -1.0])
-    out = tensor(a, a)
-    assert np.allclose(np.diag(out), [1, -1, -1, 1])
+def test_dim_guard_bounds_uses_whatever_the_base():
+    # trivial dimension: the count of uses alone is bounded
+    assert not exceeds_dim_guard(1, DIM_GUARD)
+    assert exceeds_dim_guard(1, DIM_GUARD + 1)
+    # 2^12 = DIM_GUARD sits on the bound
+    assert not exceeds_dim_guard(2, 12)
+    assert exceeds_dim_guard(2, 13)
+    assert exceeds_dim_guard(3, 10**12)
+    assert not exceeds_dim_guard(5, 0)
 
 
 def test_trace_norm_against_svd_oracle(rng):

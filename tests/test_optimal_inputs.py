@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from chanopt.channels import apply_extended, make_family, weyl_ops
+from chanopt.channels import KrausChannel, apply_extended, make_family, weyl_ops
 from chanopt.numerics import SystemShape, max_abs, max_entangled
 from chanopt.optimal_inputs import (
     IrrepBlocks,
+    _correction_setup,
     PureState,
     covariant_optimal_state,
     group_correction_protocol,
@@ -95,6 +96,26 @@ def test_simulator_reuse(rng):
             assert max_abs(sims[label](target) - ch.apply(target)) < 1e-9
 
 
+def test_correction_is_one_trace_preserving_channel():
+    fam = make_family("gp", {"d": 3, "thetas": [np.ones(9) / 9]})
+    correct = _correction_setup(fam, weyl_group(3), IrrepBlocks((3,)), 1e-8)
+    # output (x) reference (x) input -> output, one operator per group element
+    assert isinstance(correct, KrausChannel)
+    assert (correct.din, correct.dout) == (fam.dout * 9, fam.dout)
+    assert len(correct.kraus_ops) == 9
+    assert max_abs(correct.kraus_sum() - np.eye(correct.din)) < 1e-10
+
+
+def test_simulator_is_linear(rng):
+    fam = make_family("gp", {"d": 2, "xis": [[0.05, 0.1, 0.2], [0.3, 0.0, 0.1]]})
+    sims = group_correction_simulator(fam, weyl_group(2), IrrepBlocks((2,)))
+    a, b = random_density(rng, 4), random_density(rng, 4)
+    for label, _ in fam.members:
+        sim = sims[label]
+        assert max_abs(sim(0.3 * a + 1.7 * b) - (0.3 * sim(a) + 1.7 * sim(b))) < 1e-9
+        assert abs(np.trace(sim(2.0 * a)) - 2.0) < 1e-9
+
+
 def test_group_correction_rejections(rng):
     fam = make_family("gp", {"d": 2, "xis": [[0.1, 0.2, 0.3]]})
     grp = weyl_group(2)
@@ -107,6 +128,11 @@ def test_group_correction_rejections(rng):
         group_correction_protocol(damp, grp, IrrepBlocks((2,)), np.eye(2) / 2)
     with pytest.raises(ValueError):
         group_correction_protocol(fam, grp, IrrepBlocks((2,)), np.eye(2))
+    # covariant, but {phi, (Z (x) 1) phi} does not span the two-qubit space
+    z = np.diag([1.0, -1.0])
+    subgroup = [(np.eye(2), np.eye(2)), (z, z)]
+    with pytest.raises(ValueError, match="do not resolve the identity"):
+        group_correction_protocol(fam, subgroup, IrrepBlocks((2,)), np.eye(2) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -157,16 +183,6 @@ def test_unital_protocol_matches_direct_output(rng):
         want = member_outputs(fam, target, shape)
         for label in outs:
             assert max_abs(outs[label] - want[label]) < 1e-9
-
-
-def test_unital_protocol_branches_sum(rng):
-    fam = make_family("gp", {"d": 2, "xis": [[0.1, 0.2, 0.3]]})
-    p = [0.7, 0.3]
-    v = haar_unitary(rng, 2)
-    outs, branches = unital_qubit_protocol(fam, p, v, return_branches=True)
-    info = branches["gp0"]
-    assert abs(info["p_success"] + info["p_fail"] - np.trace(outs["gp0"]).real) < 1e-9
-    assert info["p_success"] > 0
 
 
 def test_unital_protocol_rejections(rng):

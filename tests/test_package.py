@@ -53,3 +53,27 @@ def test_names_the_benchmark_calls_exist():
     missing = [name for name in sorted(called) if not hasattr(chanopt, name)]
     assert not missing
     assert callable(chanopt.cli.main)
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_modules_use_every_name_they_import():
+    # __init__.py is exempt: its imports are its exports
+    src = Path(chanopt.__file__).parent
+    unused = {
+        path.name: names
+        for path in sorted(src.glob("*.py"))
+        if path.name != "__init__.py" and (names := _unused_imports(path.read_text()))
+    }
+    assert not unused

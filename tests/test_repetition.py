@@ -8,7 +8,7 @@ import pytest
 from chanopt import repetition
 from chanopt.channels import apply_extended, make_family, weyl_ops
 from chanopt.comparison import bayes_binary_risk
-from chanopt.numerics import SystemShape, max_abs, max_entangled
+from chanopt.numerics import DIM_GUARD, SystemShape, max_abs, max_entangled
 from chanopt.optimal_inputs import IrrepBlocks, PureState
 from chanopt.repetition import (
     AdaptivePlan,
@@ -133,6 +133,15 @@ def test_dimension_guard_trips():
     ch = qubit_fam().members[0][1]
     with pytest.raises(ValueError):
         repeated_output(ch, Strategy("identical", 7, bell_input()))
+
+
+def test_dimension_guard_bounds_uses_of_trivial_joint_dimension():
+    trace_out = make_family("custom", {"kraus": [[[[1, 0]], [[0, 1]]]], "labels": ["tr"]})
+    ch = trace_out.members[0][1]
+    e0 = PureState(np.array([1.0, 0.0]), SystemShape((2, 1)))
+    assert repeated_output(ch, Strategy("identical", 3, e0)).shape == (1, 1)
+    with pytest.raises(ValueError):
+        repeated_output(ch, Strategy("identical", DIM_GUARD + 1, e0))
 
 
 def test_repeated_output_layout_rejections():
