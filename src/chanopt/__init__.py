@@ -11,11 +11,9 @@ analyses, and the phase-closure geometry. Helpers live in their modules
 from .channels import apply_extended, gen_pauli, make_family, weyl_ops
 from .comparison import cptp_feasible, dominance_check, gap_curve
 from .entanglement import (
-    GpParams,
     bloch_state,
     entanglement_breaking_gp,
     fibonacci_sphere,
-    gp_entangled_output,
     separable_suffices,
 )
 from .geometry import ang_nonempty, ang_sample, closure_residual
@@ -45,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptivePlan",
-    "GpParams",
     "IrrepBlocks",
     "PureState",
     "Strategy",
@@ -64,7 +61,6 @@ __all__ = [
     "fresh_swap_interleavers",
     "gap_curve",
     "gen_pauli",
-    "gp_entangled_output",
     "group_correction_simulator",
     "identical_matches_sequential",
     "make_family",

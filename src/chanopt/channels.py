@@ -124,10 +124,10 @@ class ChoiMatrix:
         t = self.matrix.reshape(self.dout, self.din, self.dout, self.din)
         return np.trace(t, axis1=0, axis2=2)
 
-    def to_kraus(self, tol: float = 1e-12) -> KrausChannel:
+    def to_kraus(self) -> KrausChannel:
         """Kraus form from the eigendecomposition of the Choi matrix.
 
-        Eigenvalues below tol are treated as zero; negative eigenvalues beyond
+        Eigenvalues up to 1e-12 are treated as zero; negative eigenvalues beyond
         tolerance mean the map is not completely positive.
         """
         w, v = hermitian_eig(self.matrix)
@@ -135,7 +135,7 @@ class ChoiMatrix:
             raise ValueError(f"Choi matrix is not PSD (min eig {w.min():.3e})")
         ops = []
         for lam, col in zip(w, v.T):
-            if lam > tol:
+            if lam > 1e-12:
                 ops.append(np.sqrt(lam) * col.reshape(self.dout, self.din))
         if not ops:
             raise ValueError("Choi matrix has no positive eigenvalues")
@@ -159,13 +159,13 @@ class Povm:
     def dim(self) -> int:
         return self.elements[0].shape[0]
 
-    def validate(self, tol: float = DEFAULT_TOL) -> None:
+    def validate(self) -> None:
         total = sum(self.elements)
-        if max_abs(total - np.eye(self.dim)) > tol:
+        if max_abs(total - np.eye(self.dim)) > DEFAULT_TOL:
             raise ConstraintViolation("POVM completeness: elements do not sum to I")
         for i, e in enumerate(self.elements):
             w, _ = hermitian_eig(e)
-            if w.min() < -tol:
+            if w.min() < -DEFAULT_TOL:
                 raise ConstraintViolation(f"POVM element {i} is not PSD")
 
 
@@ -173,7 +173,7 @@ class Povm:
 class ChannelFamily:
     """Ordered, labeled channels sharing input and output spaces.
 
-    ``params`` carries kind-specific structure: the xi vectors of a qubit
+    ``params`` carries kind-specific structure: the Weyl weights theta of a
     generalized Pauli family, the rotation data of a rotated measurement
     family, and so on. Consumers that need structure (the entanglement
     module, the measurement certifiers) read it from here.
@@ -334,11 +334,11 @@ def weyl_ops(d: int) -> list[np.ndarray]:
     return [xs[j] @ zs[k] for j in range(d) for k in range(d)]
 
 
-def is_unital(ch: KrausChannel, tol: float = DEFAULT_TOL) -> bool:
+def is_unital(ch: KrausChannel) -> bool:
     if ch.din != ch.dout:
         raise ValueError("unitality is defined for equal input/output dimensions")
     out = sum(k @ dagger(k) for k in ch.kraus_ops)
-    return max_abs(out - np.eye(ch.dout)) <= tol
+    return max_abs(out - np.eye(ch.dout)) <= DEFAULT_TOL
 
 
 def is_covariant(
@@ -378,28 +378,22 @@ def is_covariant(
 # ---------------------------------------------------------------------------
 # Family constructors
 #
-# Parameter mapping for the qubit generalized Pauli family: with the Weyl
-# order [I, Z, X, XZ] the mixing weights are
-#   theta = (xi0, xi3, xi1, xi2),  xi0 = 1 - xi1 - xi2 - xi3,
-# i.e. xi1 weights X, xi2 weights XZ (= -iY), xi3 weights Z.
+# A generalized Pauli family is built from, and analysed by, its Weyl weights
+# theta in the order of weyl_ops, [I, Z, X, XZ] for qubits. A qubit spec may
+# give the weights xis = (xi1, xi2, xi3) of X, XZ (= -iY) and Z instead:
+#   theta = (1 - xi1 - xi2 - xi3, xi3, xi1, xi2).
 
 
 def gp_theta_from_xi(xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (3,):
         raise ConstraintViolation("gp d=2 takes a 3-component xi vector")
-    xi0 = 1.0 - xi.sum()
-    theta = np.array([xi0, xi[2], xi[0], xi[1]])
+    theta = np.array([1.0 - xi.sum(), xi[2], xi[0], xi[1]])
     if theta.min() < -1e-12 or theta.max() > 1 + 1e-12:
         raise ConstraintViolation(
             f"gp weights must lie in the probability simplex, got theta={theta}"
         )
     return np.clip(theta, 0.0, 1.0)
-
-
-def gp_xi_from_theta(theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    return np.array([theta[2], theta[3], theta[1]])
 
 
 def _gp_channel(d: int, theta) -> KrausChannel:
@@ -421,7 +415,7 @@ def _gp_channel(d: int, theta) -> KrausChannel:
     return KrausChannel(ops, din=d, dout=d)
 
 
-def gp_weights_from_channel(ch: KrausChannel, tol: float = 1e-9) -> np.ndarray:
+def gp_weights_from_channel(ch: KrausChannel) -> np.ndarray:
     """Recover Weyl mixing weights from a channel's Choi matrix.
 
     Works for any channel whose Choi state is diagonal in the basis
@@ -435,7 +429,7 @@ def gp_weights_from_channel(ch: KrausChannel, tol: float = 1e-9) -> np.ndarray:
     vecs = [np.kron(u, np.eye(d)) @ phi for u in weyl_ops(d)]
     weights = np.array([np.real(v.conj() @ w @ v) for v in vecs])
     recon = sum(t * np.outer(v, v.conj()) for t, v in zip(weights, vecs))
-    if max_abs(recon - w) > tol:
+    if max_abs(recon - w) > DEFAULT_TOL:
         raise ConstraintViolation("channel is not a Weyl mixture")
     return weights
 
@@ -736,8 +730,6 @@ def _gp(f: _Fields):
     else:
         thetas = [np.array(t, dtype=float) for t in f("thetas", _list_of(_real_list))]
     members = _numbered("gp", [_gp_channel(d, t) for t in thetas])
-    if d == 2 and "xis" not in stored:
-        stored["xis"] = [gp_xi_from_theta(t) for t in thetas]
     stored["thetas"] = thetas
     return members, stored
 

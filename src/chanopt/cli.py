@@ -333,14 +333,14 @@ def _cmd_ent_advantage(doc, fam, args):
         return payload, {}
 
     verdict = separable_suffices(fam)
-    gp_params = family_gp_params(fam)
     payload = {
         "kind": fam.kind,
         "suffices": verdict.suffices,
         "condition": verdict.condition,
         "axis": verdict.axis_name,
         "entanglement_breaking": {
-            lab: entanglement_breaking_gp(xi) for lab, xi in zip(fam.labels(), gp_params)
+            lab: entanglement_breaking_gp(theta)
+            for lab, theta in zip(fam.labels(), family_gp_params(fam))
         },
     }
     if verdict.witness is not None:

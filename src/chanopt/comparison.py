@@ -29,14 +29,17 @@ from .numerics import (
 
 COMMUTE_TOL = 1e-9
 
-# Dykstra iterations cptp_feasible may take before it reports "unresolved".
+# Dykstra iterations cptp_feasible may take before it reports "unresolved",
+# and the constraint violation and negative-eigenvalue mass a certificate may
+# carry.
 CPTP_MAX_ITERS = 5000
+CPTP_TOL = 1e-7
 
 
-def commutes(a, b, tol: float = COMMUTE_TOL) -> bool:
+def commutes(a, b) -> bool:
     a = as_matrix(a)
     b = as_matrix(b)
-    return max_abs(a @ b - b @ a) <= tol
+    return max_abs(a @ b - b @ a) <= COMMUTE_TOL
 
 
 def default_grid(points: int = 200) -> np.ndarray:
@@ -78,13 +81,13 @@ class SweepCurve:
         return buf.getvalue()
 
 
-def joint_eigenbasis(a, b, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def joint_eigenbasis(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Common eigenbasis of a commuting Hermitian pair.
 
     Diagonalizes b, then rediagonalizes a inside each (near-)degenerate
-    eigenspace of b; valid only when [a, b] = 0 up to tolerance. Returns the
-    basis vectors as columns and the eigenvalues of a and of b, paired by
-    column.
+    eigenspace of b, eigenvalues within 1e-8 of its scale; valid only when
+    [a, b] = 0 up to tolerance. Returns the basis vectors as columns and the
+    eigenvalues of a and of b, paired by column.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -94,7 +97,7 @@ def joint_eigenbasis(a, b, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray, n
     i = 0
     while i < len(lam):
         j = i
-        while j + 1 < len(lam) and lam[j + 1] - lam[j] <= tol * scale:
+        while j + 1 < len(lam) and lam[j + 1] - lam[j] <= 1e-8 * scale:
             j += 1
         cols = v[:, i : j + 1]
         mu, w = hermitian_eig(dagger(cols) @ a @ cols)
@@ -264,7 +267,7 @@ def _herm(m):
     return 0.5 * (m + m.conj().T)
 
 
-def cptp_feasible(sources, targets, tol: float = 1e-7) -> FeasibilityResult:
+def cptp_feasible(sources, targets) -> FeasibilityResult:
     """Search for a channel W with W(sources[k]) = targets[k] for all k.
 
     Alternating Dykstra projections between the PSD cone and the affine set
@@ -273,11 +276,11 @@ def cptp_feasible(sources, targets, tol: float = 1e-7) -> FeasibilityResult:
     certificate from a stalled iterate. The status is one of:
 
     - "feasible": choi is a verified Choi matrix (constraint violation and
-      negative-eigenvalue mass both <= tol).
+      negative-eigenvalue mass both <= CPTP_TOL).
     - "infeasible": witness is a FarkasWitness that no channel meets the
-      constraints, nor any Hermitian W within tol of them. It is built from
-      the gap between the PSD and the affine iterates, which converges to a
-      separating normal, and is checked at iterations 1, 2, 4, 8, ...
+      constraints, nor any Hermitian W within CPTP_TOL of them. It is built
+      from the gap between the PSD and the affine iterates, which converges
+      to a separating normal, and is checked at iterations 1, 2, 4, 8, ...
     - "unresolved": neither was found within the iteration budget; this is
       a numerical verdict, not a proof.
 
@@ -343,9 +346,9 @@ def cptp_feasible(sources, targets, tol: float = 1e-7) -> FeasibilityResult:
 
         For u pulled back from the gap, Z = herm(to_mat(a_re^T u)) has
         tr(Z W) = <b, u> on every Hermitian W in the affine set. A Hermitian
-        W with constraint errors <= tol (complex modulus) and eigenvalues
-        >= -tol has positive mass <= d_in (1 + tol) + n tol and negative
-        mass <= n tol, which gives <b, u> >= d_in low - margin for it, with
+        W with constraint errors <= t = CPTP_TOL (complex modulus) and
+        eigenvalues >= -t has positive mass <= d_in (1 + t) + n t and negative
+        mass <= n t, which gives <b, u> >= d_in low - margin for it, with
         low = min(lambda_min(Z), 0). A witness is returned only when <b, u>
         lies below that bound, so it excludes every such W and every channel.
         """
@@ -355,7 +358,7 @@ def cptp_feasible(sources, targets, tol: float = 1e-7) -> FeasibilityResult:
         lam = np.linalg.eigvalsh(z)
         low = min(float(lam[0]), 0.0)
         z_norm = max(abs(float(lam[0])), abs(float(lam[-1])))
-        margin = max(tol, 1e-12) * (-low * (di + n) + n * z_norm + float(np.abs(u).sum()))
+        margin = CPTP_TOL * (-low * (di + n) + n * z_norm + float(np.abs(u).sum()))
         if value >= di * low - margin:
             return None
         # the same functional split by constraint block: Hermitian duals of
@@ -403,7 +406,7 @@ def cptp_feasible(sources, targets, tol: float = 1e-7) -> FeasibilityResult:
                 continue
             gm = (sol.x[: n * r] + 1j * sol.x[n * r :]).reshape(n, r)
             w = gm @ gm.conj().T
-            if violation(w) <= tol:
+            if violation(w) <= CPTP_TOL:
                 return w
         return None
 
@@ -427,15 +430,15 @@ def cptp_feasible(sources, targets, tol: float = 1e-7) -> FeasibilityResult:
         disp = float(np.abs(z - x).max())
         x = z
         # proj_psd has just clipped w_psd's spectrum at 0, so only the affine
-        # residual can exceed tol here; a returned certificate is re-checked
+        # residual can exceed CPTP_TOL here; a returned certificate is re-checked
         # in full by violation()
         v = affine_error(w_psd)
         if v < best_v:
             best_v, best_w = v, w_psd
         it += 1
-        if v <= tol:
+        if v <= CPTP_TOL:
             v_full = violation(w_psd)
-            if v_full <= tol:
+            if v_full <= CPTP_TOL:
                 return FeasibilityResult(True, choi(w_psd), v_full, "feasible", it)
         if it & (it - 1) == 0:
             wit = witness(y - z)

@@ -1,11 +1,13 @@
 """When a separable input matches the entangled benchmark.
 
 For qubit Weyl-mixture families the answer is a closed-form test on the
-mixing parameters (collinearity plus one of three product-balance
-conditions, each naming the Bloch axis whose product input ties the
-maximally entangled state). For measurement families the test is structural.
-The entanglement-breaking check shows the two properties are independent:
-a family can break entanglement and still reward an entangled input.
+Weyl weights theta the member channels are built from, in the order
+[I, Z, X, XZ] of :func:`chanopt.channels.weyl_ops` (collinearity plus one of
+three product-balance conditions, each naming the Bloch axis whose product
+input ties the maximally entangled state). For measurement families the
+test is structural. The entanglement-breaking check shows the two
+properties are independent: a family can break entanglement and still
+reward an entangled input.
 """
 from __future__ import annotations
 
@@ -13,91 +15,66 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    ChannelFamily,
-    ConstraintViolation,
-    gp_theta_from_xi,
-    gp_weights_from_channel,
-    gp_xi_from_theta,
-    weyl_ops,
-)
+from .channels import ChannelFamily, ConstraintViolation, gp_weights_from_channel
 from .comparison import commutes, default_grid, joint_eigenbasis
-from .numerics import as_matrix, dagger, hermitian_eig, max_abs, max_entangled
+from .numerics import as_matrix, dagger, hermitian_eig, max_abs
+
+# Positions of the qubit Weyl weights theta.
+I, Z, X, XZ = range(4)
+
+# Relative second singular value below which weight points lie on a line.
+LINE_TOL = 1e-9
+# Absolute tolerance of each product-balance equation.
+BALANCE_TOL = 1e-10
+# Overlap and annihilation tolerance of the measurement-family checks.
+MEAS_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class GpParams:
-    """Weights (xi1, xi2, xi3) on X, XZ, Z; the identity gets the remainder."""
-
-    xi: tuple[float, float, float]
-
-    def __post_init__(self):
-        xi = tuple(float(x) for x in self.xi)
-        if len(xi) != 3:
-            raise ValueError("xi must have three components")
-        full = (self.xi0_of(xi),) + xi
-        if min(full) < -1e-12 or max(full) > 1 + 1e-12:
-            raise ValueError(f"all four weights must lie in [0,1], got {full}")
-        object.__setattr__(self, "xi", xi)
-
-    @staticmethod
-    def xi0_of(xi) -> float:
-        return 1.0 - sum(xi)
-
-    @property
-    def xi0(self) -> float:
-        return self.xi0_of(self.xi)
-
-    def as_four(self) -> np.ndarray:
-        """(xi0, xi1, xi2, xi3)."""
-        return np.array([self.xi0, *self.xi])
+def bloch_contraction(theta) -> tuple[float, float, float]:
+    """Diagonal Bloch action (a_x, a_y, a_z) of the Weyl mixture: each axis
+    shrinks by twice the weight of the two Paulis that flip it."""
+    t = theta
+    return (1 - 2 * t[XZ] - 2 * t[Z], 1 - 2 * t[X] - 2 * t[Z], 1 - 2 * t[X] - 2 * t[XZ])
 
 
-def bloch_contraction(xi: GpParams) -> tuple[float, float, float]:
-    """Diagonal Bloch action of the Weyl mixture: a_k = 1 - 2(sum of other xis)."""
-    x1, x2, x3 = xi.xi
-    return (1 - 2 * x2 - 2 * x3, 1 - 2 * x1 - 2 * x3, 1 - 2 * x1 - 2 * x2)
-
-
-def collinear(xis, tol: float = 1e-9) -> bool:
-    """Whether the parameter points lie on one straight line.
+def collinear(points) -> bool:
+    """Whether the points lie on one straight line.
 
     Scale-free test: second singular value of the centered point matrix
-    below tol times the largest.
+    below LINE_TOL times the largest.
     """
-    pts = np.array([np.asarray(x, dtype=float) for x in xis])
+    pts = np.array([np.asarray(x, dtype=float) for x in points])
     if len(pts) < 3:
         return True
     centered = pts - pts.mean(axis=0)
     sv = np.linalg.svd(centered, compute_uv=False)
     if sv[0] < 1e-15:
         return True
-    return bool(sv[1] <= tol * sv[0])
+    return bool(sv[1] <= LINE_TOL * sv[0])
 
 
-def product_balance_conditions(
-    xp: GpParams, xm: GpParams, tol: float = 1e-10
-) -> list[bool]:
-    """The three pairwise balance conditions; the k-th certifies Bloch axis k.
+# Per Bloch axis x, y, z: the Pauli k balanced against the identity, and the
+# pair (i, j) balanced against each other.
+_BALANCE = ((X, XZ, Z), (XZ, Z, X), (Z, X, XZ))
 
-    Condition k demands xi^k_+ xi^0_- = xi^k_- xi^0_+ together with the
-    matching cross product of the remaining two components.
+
+def product_balance_conditions(p, m) -> list[bool]:
+    """The three balance conditions on the Weyl weights p, m of a member
+    pair; the k-th certifies Bloch axis k.
+
+    Condition k demands theta^k_+ theta^I_- = theta^k_- theta^I_+ together
+    with the matching cross product of the remaining two Paulis.
     """
-    p = xp.as_four()
-    m = xm.as_four()
 
     def eq(a, b):
-        return abs(a - b) <= tol
+        return abs(a - b) <= BALANCE_TOL
 
-    pairs = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
-    out = []
-    for k in (1, 2, 3):
-        i, j = pairs[k]
-        out.append(eq(p[k] * m[0], m[k] * p[0]) and eq(p[i] * m[j], m[i] * p[j]))
-    return out
+    return [
+        eq(p[k] * m[I], m[k] * p[I]) and eq(p[i] * m[j], m[i] * p[j])
+        for k, i, j in _BALANCE
+    ]
 
 
-GP_AXES = {1: (1, 0, 0), 2: (0, 1, 0), 3: (0, 0, 1)}
 GP_AXIS_NAMES = {1: "x", 2: "y", 3: "z"}
 
 # Product inputs separable_suffices samples on the Bloch sphere for a witness.
@@ -118,12 +95,8 @@ class SeparableVerdict:
     witness: SeparableWitness | None = None
 
     @property
-    def axis(self) -> tuple[int, int, int] | None:
-        """Bloch axis the certifying condition names."""
-        return None if self.condition is None else GP_AXES[self.condition]
-
-    @property
     def axis_name(self) -> str | None:
+        """Bloch axis the certifying condition names."""
         return None if self.condition is None else GP_AXIS_NAMES[self.condition]
 
 
@@ -144,26 +117,25 @@ def bloch_state(r) -> np.ndarray:
     return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
 
 
-def family_gp_params(fam: ChannelFamily) -> list[GpParams]:
-    """Mixing weights per member, for any qubit family of Weyl mixtures.
+def family_gp_params(fam: ChannelFamily) -> list[np.ndarray]:
+    """Weyl weights theta per member, for any qubit family of Weyl mixtures.
 
-    Families built with explicit weights return them directly; others (damp
-    at p=1/2, qubit diag) get theirs recovered from the entangled input's
+    A ``gp`` family returns the weights it was built from; others (damp at
+    p=1/2, qubit diag) get theirs recovered from the entangled input's
     output, which is diagonal in the entangled-shift basis exactly when the
     member is a Weyl mixture.
     """
     if fam.din != 2 or fam.dout != 2:
         raise ValueError("weight extraction applies to qubit families")
-    if fam.kind == "gp" and fam.params.get("xis") is not None:
-        return [GpParams(tuple(x)) for x in fam.params["xis"]]
-    params = []
+    if fam.kind == "gp":
+        return list(fam.params["thetas"])
+    thetas = []
     for label, ch in fam.members:
         try:
-            theta = gp_weights_from_channel(ch)
+            thetas.append(gp_weights_from_channel(ch))
         except ConstraintViolation as exc:
             raise ValueError(f"member {label!r} is not a qubit Weyl mixture") from exc
-        params.append(GpParams(tuple(gp_xi_from_theta(theta))))
-    return params
+    return thetas
 
 
 def _entangled_curve(tp: np.ndarray, tm: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -183,30 +155,30 @@ def _product_curve(ap: np.ndarray, am: np.ndarray, rs: np.ndarray, s: np.ndarray
 def separable_suffices(fam: ChannelFamily) -> SeparableVerdict:
     """Decide whether some product input ties the entangled benchmark.
 
-    Requires a qubit Weyl-mixture family carrying its parameter vectors. Yes
-    needs the parameters collinear and one balance condition on a distinct
-    parameter pair; the first condition that holds names the certifying
-    axis. On failure the witness records a member pair, a sweep point s, and
-    the margin by which the entangled curve beats every sampled product
-    input there.
+    Requires a qubit Weyl-mixture family. Yes needs the Pauli weights
+    (theta_Z, theta_X, theta_XZ) collinear and one balance condition on a
+    distinct member pair; the first condition that holds names the
+    certifying axis. On failure the witness records a member pair, a sweep
+    point s, and the margin by which the entangled curve beats every sampled
+    product input there.
     """
-    params = family_gp_params(fam)
+    thetas = family_gp_params(fam)
     labels = fam.labels()
 
-    is_line = collinear([p.xi for p in params])
+    paulis = [t[1:] for t in thetas]
     condition = None
-    if is_line:
+    if collinear(paulis):
         pair_idx = None
-        for i in range(len(params)):
-            for j in range(i + 1, len(params)):
-                if max(abs(a - b) for a, b in zip(params[i].xi, params[j].xi)) > 1e-12:
+        for i in range(len(thetas)):
+            for j in range(i + 1, len(thetas)):
+                if np.abs(paulis[i] - paulis[j]).max() > 1e-12:
                     pair_idx = (i, j)
                     break
             if pair_idx:
                 break
         if pair_idx is None:
             return SeparableVerdict(suffices=True, condition=1)
-        conds = product_balance_conditions(params[pair_idx[0]], params[pair_idx[1]])
+        conds = product_balance_conditions(thetas[pair_idx[0]], thetas[pair_idx[1]])
         for k, ok in enumerate(conds, start=1):
             if ok:
                 condition = k
@@ -216,12 +188,11 @@ def separable_suffices(fam: ChannelFamily) -> SeparableVerdict:
 
     s = default_grid()
     rs = fibonacci_sphere(WITNESS_BLOCH_POINTS)
-    thetas = [gp_theta_from_xi(p.xi) for p in params]
-    contractions = [np.array(bloch_contraction(p)) for p in params]
+    contractions = [np.array(bloch_contraction(t)) for t in thetas]
 
     best = None
-    for i in range(len(params)):
-        for j in range(i + 1, len(params)):
+    for i in range(len(thetas)):
+        for j in range(i + 1, len(thetas)):
             ent = _entangled_curve(thetas[i], thetas[j], s)
             prod = _product_curve(contractions[i], contractions[j], rs, s)
             adv = ent - prod.max(axis=1)
@@ -238,26 +209,14 @@ def separable_suffices(fam: ChannelFamily) -> SeparableVerdict:
 # Entanglement breaking
 
 
-def entanglement_breaking_gp(xi) -> bool:
+def entanglement_breaking_gp(theta) -> bool:
     """Positivity of the partially transposed output of the entangled input,
-    in closed form on the mixing weights (non-strict inequalities)."""
-    if not isinstance(xi, GpParams):
-        xi = GpParams(tuple(float(v) for v in xi))
-    x0, x1, x2, x3 = xi.as_four()
+    in closed form on the Weyl weights (non-strict inequalities)."""
+    t = theta
     return bool(
-        x0 + x3 >= abs(x1 - x2) - 1e-12 and x1 + x2 >= abs(x0 - x3) - 1e-12
+        t[I] + t[Z] >= abs(t[X] - t[XZ]) - 1e-12
+        and t[X] + t[XZ] >= abs(t[I] - t[Z]) - 1e-12
     )
-
-
-def gp_entangled_output(xi: GpParams) -> np.ndarray:
-    """The normalized state (Lambda (x) 1)(Phi_2) of a Weyl mixture."""
-    theta = gp_theta_from_xi(xi.xi)
-    phi = max_entangled(2)
-    out = np.zeros((4, 4), dtype=complex)
-    for t, u in zip(theta, weyl_ops(2)):
-        v = np.kron(u, np.eye(2)) @ phi
-        out += t * np.outer(v, v.conj())
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +229,7 @@ class MeasSeparableResult:
     detail: dict
 
 
-def meas_separable_check(fam: ChannelFamily, psi_in, tol: float = 1e-8) -> MeasSeparableResult:
+def meas_separable_check(fam: ChannelFamily, psi_in) -> MeasSeparableResult:
     """Whether the product input psi_in (x) psi_R ties the entangled input.
 
     Orthogonal-complement families: every outcome must either annihilate
@@ -313,7 +272,7 @@ def meas_separable_check(fam: ChannelFamily, psi_in, tol: float = 1e-8) -> MeasS
             v = dagger(as_matrix(u)) @ psi
             overlaps = np.abs(vecs.conj().T @ v)
             j = int(np.argmax(overlaps))
-            if abs(overlaps[j] - 1.0) > tol:
+            if abs(overlaps[j] - 1.0) > MEAS_TOL:
                 return MeasSeparableResult(
                     False,
                     {"structure": "rotated", "reason": "rotated input leaves the eigenbasis", "failed_at": i},
@@ -350,9 +309,9 @@ def meas_separable_check(fam: ChannelFamily, psi_in, tol: float = 1e-8) -> MeasS
     proj = np.outer(psi, psi.conj())
     outcomes = []
     for i in range(len(mp)):
-        if float(np.linalg.norm(mp[i] @ psi)) <= tol:
+        if float(np.linalg.norm(mp[i] @ psi)) <= MEAS_TOL:
             outcomes.append("annihilates")
-        elif max_abs(mp[i] - np.trace(mp[i]) * proj) <= tol:
+        elif max_abs(mp[i] - np.trace(mp[i]) * proj) <= MEAS_TOL:
             outcomes.append("proportional")
         else:
             outcomes.append("neither")

@@ -158,11 +158,6 @@ def max_entangled(d: int) -> np.ndarray:
     return v
 
 
-def projector(vec) -> np.ndarray:
-    v = np.asarray(vec, dtype=complex).reshape(-1)
-    return np.outer(v, v.conj())
-
-
 def is_density(m: np.ndarray, tol: float = 1e-9) -> bool:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1] or not is_hermitian(m, tol):

@@ -89,7 +89,11 @@ def covariant_optimal_state(blocks: IrrepBlocks) -> PureState:
 # Measure-and-correct protocols
 
 
-def _correction_setup(fam, group, blocks, tol) -> KrausChannel:
+# Tolerance of the covariance check behind the measure-then-correct circuit.
+COVARIANCE_TOL = 1e-8
+
+
+def _correction_setup(fam, group, blocks) -> KrausChannel:
     """The measure-then-correct circuit shared by every member, as one channel
     from (output (x) reference (x) input) to the output: per group element,
     the reference and the target's input slot are projected onto the rotated
@@ -106,8 +110,8 @@ def _correction_setup(fam, group, blocks, tol) -> KrausChannel:
         )
     d = fam.din
 
-    contravariant = not is_covariant(fam, group, tol)
-    if contravariant and not is_covariant(fam, group, tol, contravariant=True):
+    contravariant = not is_covariant(fam, group, COVARIANCE_TOL)
+    if contravariant and not is_covariant(fam, group, COVARIANCE_TOL, contravariant=True):
         raise ValueError("family is not covariant for the supplied group")
 
     phi = max_entangled(d)
@@ -129,14 +133,13 @@ def group_correction_simulator(
     fam: ChannelFamily,
     group: list[tuple[np.ndarray, np.ndarray]],
     blocks: IrrepBlocks,
-    tol: float = 1e-8,
 ):
     """Per-member callables mapping a target density matrix on the input
     space (times any reference) to the measure-then-correct simulation of
     that member: the member's entangled-input output omega beside the target,
     put through the shared correction channel with apply_at_factor.
     Validation runs once; the callables are cheap."""
-    correct = _correction_setup(fam, group, blocks, tol)
+    correct = _correction_setup(fam, group, blocks)
     d = fam.din
     in_shape = SystemShape((d, d))
     psi_opt = covariant_optimal_state(blocks)
@@ -163,7 +166,6 @@ def group_correction_protocol(
     group: list[tuple[np.ndarray, np.ndarray]],
     blocks: IrrepBlocks,
     target_input,
-    tol: float = 1e-8,
 ) -> dict[str, np.ndarray]:
     """Simulate measure-then-correct over the group outcomes, per member.
 
@@ -181,21 +183,16 @@ def group_correction_protocol(
         raise ValueError("target dimension is not a multiple of the input dimension")
     if not is_density(target, tol=1e-8):
         raise ValueError("target_input is not a density matrix")
-    sims = group_correction_simulator(fam, group, blocks, tol)
+    sims = group_correction_simulator(fam, group, blocks)
     return {label: sim(target) for label, sim in sims.items()}
 
 
 _PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]])
 
 
-def universal_not(m) -> np.ndarray:
-    """Bloch inversion Y conj(m) Y^dag; positive and trace preserving, not CP."""
-    m = as_matrix(m)
-    return _PAULI_Y @ m.conj() @ dagger(_PAULI_Y)
-
-
 def universal_not_pair(m) -> np.ndarray:
-    """The Bloch inversion applied to both qubits of a two-qubit matrix."""
+    """The Bloch inversion (Y (x) Y) conj(m) (Y (x) Y)^dag of both qubits of
+    a two-qubit matrix; positive and trace preserving, not CP."""
     m = as_matrix(m)
     yy = np.kron(_PAULI_Y, _PAULI_Y)
     return yy @ m.conj() @ dagger(yy)

@@ -1,10 +1,10 @@
 """Named demonstration families, one command away.
 
-Each preset is one spec document for the command line, and
-:func:`preset_family` builds its family from that same document, so the
-headline demonstrations (the damping counterexample, separable-sufficiency
-of qubit diagonal mixtures, and the entanglement-breaking families that
-still reward entangled inputs) need no hand-written input files.
+Each preset is one spec document for the command line
+(``--spec preset:<name>``), so the headline demonstrations (the damping
+counterexample, separable-sufficiency of qubit diagonal mixtures, and the
+entanglement-breaking families that still reward entangled inputs) need no
+hand-written input files.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import copy
 
 import numpy as np
 
-from .channels import ChannelFamily, make_family, weyl_ops
+from .channels import weyl_ops
 
 
 def eb_povm_elements(a: float = 1.0, b: float = 0.5):
@@ -112,8 +112,3 @@ def preset_document(name: str) -> dict:
     if name not in _DOCUMENTS:
         raise KeyError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
     return copy.deepcopy(_DOCUMENTS[name])
-
-
-def preset_family(name: str) -> ChannelFamily:
-    family = preset_document(name)["family"]
-    return make_family(family["kind"], family)

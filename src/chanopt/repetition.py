@@ -191,7 +191,6 @@ def identical_matches_sequential(
     group: list[tuple[np.ndarray, np.ndarray]],
     blocks: IrrepBlocks,
     strat_seq: Strategy,
-    tol: float = 1e-8,
 ) -> dict[str, float]:
     """Residual between a sequential run and its identical-repetition
     simulation, per member.
@@ -207,7 +206,7 @@ def identical_matches_sequential(
     dims = strat_seq.input.shape.factor_dims
     if len(dims) != 2 or dims[0] != fam.din:
         raise ValueError("sequential input must live on channel x reference")
-    sims = group_correction_simulator(fam, group, blocks, tol)
+    sims = group_correction_simulator(fam, group, blocks)
 
     residuals: dict[str, float] = {}
     for label, ch in fam.members:

@@ -8,6 +8,9 @@ their bugs.
 import numpy as np
 import pytest
 
+from chanopt.channels import make_family
+from chanopt.presets import preset_document
+
 
 @pytest.fixture
 def rng():
@@ -24,6 +27,12 @@ def random_density(rng, d: int, rank: int | None = None) -> np.ndarray:
     g = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
     m = g @ g.conj().T
     return m / np.trace(m).real
+
+
+def preset_family(name: str):
+    """The family of a named preset, built from its spec document."""
+    family = preset_document(name)["family"]
+    return make_family(family["kind"], family)
 
 
 def haar_unitary(rng, d: int) -> np.ndarray:

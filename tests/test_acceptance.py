@@ -6,7 +6,6 @@ import numpy as np
 
 from chanopt import (
     AdaptivePlan,
-    GpParams,
     IrrepBlocks,
     PureState,
     SystemShape,
@@ -22,7 +21,6 @@ from chanopt import (
     fibonacci_sphere,
     gap_curve,
     gen_pauli,
-    gp_entangled_output,
     group_correction_simulator,
     make_family,
     partial_transpose,
@@ -157,7 +155,7 @@ def balanced_pair(rng, k):
             fam = make_family("gp", {"d": 2, "xis": xis})
         except ValueError:
             continue
-        conds = product_balance_conditions(GpParams(tuple(xis[0])), GpParams(tuple(xis[1])))
+        conds = product_balance_conditions(*fam.params["thetas"])
         if conds[k - 1]:
             return fam, xis
 
@@ -185,9 +183,9 @@ def test_criterion_04_collinear_balance(rng):
     while checked < 50:
         xi_a = tuple(rng.dirichlet(np.ones(4))[1:])
         xi_b = tuple(rng.dirichlet(np.ones(4))[1:])
-        if any(product_balance_conditions(GpParams(xi_a), GpParams(xi_b))):
-            continue
         fam = make_family("gp", {"d": 2, "xis": [list(xi_a), list(xi_b)]})
+        if any(product_balance_conditions(*fam.params["thetas"])):
+            continue
         verdict = separable_suffices(fam)
         assert not verdict.suffices and verdict.witness is not None
         w = verdict.witness
@@ -208,10 +206,11 @@ def test_criterion_05_eb_oracle_equivalence(rng):
     shape = SystemShape((2, 2))
     for _ in range(1000):
         xi = tuple(rng.dirichlet(np.ones(4))[1:])
-        state = gp_entangled_output(GpParams(xi))
+        fam = make_family("gp", {"d": 2, "xis": [list(xi)]})
+        state = apply_extended(fam.channels()[0], bell_density(), shape)
         swapped = partial_transpose(state, shape, on=1)
         oracle = bool(np.linalg.eigvalsh(swapped).min() >= -1e-10)
-        assert entanglement_breaking_gp(xi) == oracle
+        assert entanglement_breaking_gp(fam.params["thetas"][0]) == oracle
 
 
 def test_criterion_06_angle_geometry(rng):

@@ -13,7 +13,6 @@ from chanopt.channels import (
     gen_pauli,
     gp_theta_from_xi,
     gp_weights_from_channel,
-    gp_xi_from_theta,
     is_covariant,
     is_unital,
     make_family,
@@ -166,10 +165,11 @@ def test_gp_weights_recovered_from_channel(rng):
 
 
 def test_gp_xi_theta_round_trip():
+    # xis weight X, XZ, Z; theta is in the Weyl order [I, Z, X, XZ]
     xi = (0.1, 0.2, 0.3)
     theta = gp_theta_from_xi(xi)
     assert abs(theta.sum() - 1.0) < 1e-12
-    assert max_abs(gp_xi_from_theta(theta) - np.array(xi)) < 1e-12
+    assert max_abs(theta - np.array([1 - sum(xi), xi[2], xi[0], xi[1]])) < 1e-12
 
 
 def test_gp_rejects_bad_weights():

@@ -238,6 +238,51 @@ def test_ent_advantage_eb_gp_preset(tmp_path):
     assert out["witness"]["gap"] > 1e-3
 
 
+def ent_report(tmp_path, family):
+    assert run(tmp_path, {"family": family}, "ent-advantage") == 0
+    return report(tmp_path, "ent-advantage-report.json")
+
+
+def damp_half_xis(x):
+    """xis (weights of X, XZ, Z) of the damp member at p = 1/2, a Pauli channel."""
+    return [(1 - x) / 4, (1 - x) / 4, (1 - np.sqrt(x)) ** 2 / 4]
+
+
+@pytest.mark.parametrize(
+    "family, xis, suffices",
+    [
+        (
+            {"kind": "gp", "d": 2, "thetas": [[0.4, 0.3, 0.1, 0.2], [0.7, 0.1, 0.1, 0.1]]},
+            [[0.1, 0.2, 0.3], [0.1, 0.1, 0.1]],
+            False,
+        ),
+        (
+            {"kind": "gp", "d": 2, "thetas": [[0.7, 0.3, 0.0, 0.0], [0.55, 0.45, 0.0, 0.0]]},
+            [[0.0, 0.0, 0.3], [0.0, 0.0, 0.45]],
+            True,
+        ),
+        (
+            {"kind": "damp", "p": 0.5, "xis": [0.3, 0.8]},
+            [damp_half_xis(0.3), damp_half_xis(0.8)],
+            False,
+        ),
+    ],
+    ids=["gp-thetas-witness", "gp-thetas-suffices", "damp-half-recovered"],
+)
+def test_ent_advantage_weights_match_same_mixture_by_xis(tmp_path, family, xis, suffices):
+    labels = ["a", "b"]
+    got = ent_report(tmp_path, dict(family, labels=labels))
+    want = ent_report(tmp_path, {"kind": "gp", "d": 2, "xis": xis, "labels": labels})
+    assert got["suffices"] is want["suffices"] is suffices
+    for key in ("condition", "axis", "entanglement_breaking"):
+        assert got[key] == want[key]
+    assert ("witness" in got) is ("witness" in want) is not suffices
+    if not suffices:
+        for key in ("s", "pair"):
+            assert got["witness"][key] == want["witness"][key]
+        assert abs(got["witness"]["gap"] - want["witness"]["gap"]) <= 1e-12
+
+
 @pytest.mark.parametrize("name", ["eb-needs-ent-povm", "eb-needs-ent-weyl"])
 def test_ent_advantage_measurement_presets(tmp_path, name):
     assert main(

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from chanopt.channels import make_family, weyl_ops
+from chanopt.channels import apply_extended, make_family, weyl_ops
 from chanopt.entanglement import (
-    GpParams,
     bloch_contraction,
     bloch_state,
     collinear,
     entanglement_breaking_gp,
     family_gp_params,
     fibonacci_sphere,
-    gp_entangled_output,
     meas_separable_check,
     product_balance_conditions,
     separable_suffices,
@@ -27,25 +25,26 @@ def gp_fam(*xis):
     return make_family("gp", {"d": 2, "xis": [list(x) for x in xis]})
 
 
+def thetas(*xis):
+    """Weyl weights [I, Z, X, XZ] of the qubit gp members with these xis."""
+    return gp_fam(*xis).params["thetas"]
+
+
+def entangled_output(ch):
+    """The member's output on the maximally entangled two-qubit input."""
+    phi = max_entangled(2)
+    return apply_extended(ch, np.outer(phi, phi.conj()), SystemShape((2, 2)))
+
+
 # ---------------------------------------------------------------------------
-# parameter containers
-
-
-def test_gp_params_validation():
-    p = GpParams((0.1, 0.2, 0.3))
-    assert abs(p.xi0 - 0.4) < 1e-15
-    assert max_abs(p.as_four() - np.array([0.4, 0.1, 0.2, 0.3])) < 1e-15
-    with pytest.raises(ValueError):
-        GpParams((0.5, 0.5, 0.5))
-    with pytest.raises(ValueError):
-        GpParams((0.1, 0.2))
+# closed forms on the Weyl weights
 
 
 def test_bloch_contraction_matches_channel(rng):
     xi = rng.dirichlet(np.ones(4))[1:]
     fam = gp_fam(xi)
     ch = fam.members[0][1]
-    a = bloch_contraction(GpParams(tuple(xi)))
+    a = bloch_contraction(fam.params["thetas"][0])
     for axis, sigma, want in zip(range(3), (SX, SY, SZ), a):
         r = np.zeros(3)
         r[axis] = 1.0
@@ -66,12 +65,12 @@ def test_collinear():
 
 
 def test_balance_conditions_name_axes():
-    z_pair = (GpParams((0, 0, 0.3)), GpParams((0, 0, 0.45)))
+    z_pair = thetas((0, 0, 0.3), (0, 0, 0.45))
     assert product_balance_conditions(*z_pair)[0]
-    x_pair = (GpParams((0.1, 0, 0)), GpParams((0.3, 0, 0)))
+    x_pair = thetas((0.1, 0, 0), (0.3, 0, 0))
     conds = product_balance_conditions(*x_pair)
     assert not conds[0] and conds[1]
-    off = (GpParams((0.1, 0.2, 0.3)), GpParams((0.05, 0.1, 0.15)))
+    off = thetas((0.1, 0.2, 0.3), (0.05, 0.1, 0.15))
     assert product_balance_conditions(*off) == [False, False, False]
 
 
@@ -107,15 +106,19 @@ def test_bloch_state_directions(rng):
 def test_family_gp_params_passthrough():
     fam = gp_fam((0.1, 0.2, 0.3), (0, 0, 0.5))
     ps = family_gp_params(fam)
-    assert ps[0].xi == (0.1, 0.2, 0.3)
-    assert ps[1].xi == (0.0, 0.0, 0.5)
+    assert max_abs(ps[0] - np.array([0.4, 0.3, 0.1, 0.2])) < 1e-15
+    assert max_abs(ps[1] - np.array([0.5, 0.5, 0.0, 0.0])) < 1e-15
+    given = [[0.4, 0.3, 0.1, 0.2], [0.25, 0.25, 0.25, 0.25]]
+    by_theta = make_family("gp", {"d": 2, "thetas": given})
+    assert [t.tolist() for t in family_gp_params(by_theta)] == given
 
 
 def test_family_gp_params_recovers_weyl_mixtures():
     fam = make_family("damp", {"p": 0.5, "xis": [0.3]})
-    (p,) = family_gp_params(fam)
-    assert min(p.as_four()) > -1e-12
-    assert abs(sum(p.as_four()) - 1.0) < 1e-9
+    (theta,) = family_gp_params(fam)
+    assert theta.shape == (4,)
+    assert theta.min() > -1e-12
+    assert abs(theta.sum() - 1.0) < 1e-9
 
 
 def test_family_gp_params_rejects_non_mixture():
@@ -135,7 +138,6 @@ def test_z_dephasing_pair_certifies_x_axis():
     v = separable_suffices(gp_fam((0, 0, 0.3), (0, 0, 0.45)))
     assert v.suffices
     assert v.condition == 1
-    assert v.axis == (1, 0, 0)
     assert v.axis_name == "x"
 
 
@@ -173,7 +175,6 @@ def test_witness_gap_is_real(rng):
     shape = SystemShape((2, 2))
     phi = max_entangled(2)
     bell = np.outer(phi, phi.conj())
-    from chanopt.channels import apply_extended
     from chanopt.numerics import trace_norm
 
     chs = dict(fam.members)
@@ -196,18 +197,19 @@ def test_witness_gap_is_real(rng):
 
 
 def test_eb_examples():
-    assert entanglement_breaking_gp((0.5, 0.5, 0.0))
-    assert not entanglement_breaking_gp((0.0, 0.0, 0.0))
-    assert not entanglement_breaking_gp((0.0, 0.0, 1.0))
-    assert entanglement_breaking_gp(GpParams((0.25, 0.25, 0.25)))
+    # weights in the Weyl order [I, Z, X, XZ]
+    assert entanglement_breaking_gp((0.0, 0.0, 0.5, 0.5))
+    assert not entanglement_breaking_gp((1.0, 0.0, 0.0, 0.0))
+    assert not entanglement_breaking_gp((0.0, 1.0, 0.0, 0.0))
+    assert entanglement_breaking_gp((0.25, 0.25, 0.25, 0.25))
 
 
 def test_eb_matches_partial_transpose(rng):
     mism = 0
     for _ in range(150):
-        xi = rng.dirichlet(np.ones(4))[1:]
-        closed = entanglement_breaking_gp(tuple(xi))
-        out = gp_entangled_output(GpParams(tuple(xi)))
+        fam = gp_fam(rng.dirichlet(np.ones(4))[1:])
+        closed = entanglement_breaking_gp(fam.params["thetas"][0])
+        out = entangled_output(fam.channels()[0])
         pt = partial_transpose(out, SystemShape((2, 2)), on=1)
         oracle = np.linalg.eigvalsh(pt).min() >= -1e-10
         mism += closed != oracle
@@ -215,8 +217,14 @@ def test_eb_matches_partial_transpose(rng):
 
 
 def test_gp_entangled_output_is_bell_diagonal():
-    out = gp_entangled_output(GpParams((0.1, 0.2, 0.3)))
+    # the entangled curve reads the member's output on Phi as diagonal in
+    # the basis (W (x) 1)|Phi> with the Weyl weights as eigenvalues
+    fam = gp_fam((0.1, 0.2, 0.3))
+    theta = fam.params["thetas"][0]
+    out = entangled_output(fam.channels()[0])
     assert abs(np.trace(out) - 1.0) < 1e-12
+    vecs = np.array([np.kron(u, np.eye(2)) @ max_entangled(2) for u in weyl_ops(2)]).T
+    assert max_abs(vecs.conj().T @ out @ vecs - np.diag(theta)) < 1e-12
     eigs = np.sort(np.linalg.eigvalsh(out))
     assert max_abs(eigs - np.array([0.1, 0.2, 0.3, 0.4])) < 1e-12
 

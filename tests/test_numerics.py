@@ -16,7 +16,6 @@ from chanopt.numerics import (
     max_entangled,
     partial_trace,
     partial_transpose,
-    projector,
     trace_norm,
 )
 from conftest import (
@@ -48,7 +47,7 @@ def test_basis_and_entangled_vectors():
 
 def test_projector_and_hermitian_checks():
     v = np.array([1.0, 1j]) / np.sqrt(2)
-    p = projector(v)
+    p = np.outer(v, v.conj())
     assert is_hermitian(p)
     assert max_abs(p @ p - p) < 1e-12
     assert not is_hermitian(np.array([[0, 1], [0, 0]]))

@@ -15,7 +15,7 @@ from chanopt.optimal_inputs import (
     phi_pv,
     su2_cover_check,
     unital_qubit_protocol,
-    universal_not,
+    universal_not_pair,
 )
 from conftest import haar_unitary, random_density, random_pure
 
@@ -98,7 +98,7 @@ def test_simulator_reuse(rng):
 
 def test_correction_is_one_trace_preserving_channel():
     fam = make_family("gp", {"d": 3, "thetas": [np.ones(9) / 9]})
-    correct = _correction_setup(fam, weyl_group(3), IrrepBlocks((3,)), 1e-8)
+    correct = _correction_setup(fam, weyl_group(3), IrrepBlocks((3,)))
     # output (x) reference (x) input -> output, one operator per group element
     assert isinstance(correct, KrausChannel)
     assert (correct.din, correct.dout) == (fam.dout * 9, fam.dout)
@@ -154,15 +154,22 @@ def test_phi_pv_marginal(rng):
 
 
 def test_universal_not_inverts_bloch(rng):
-    rho = random_density(rng, 2)
-    flipped = universal_not(rho)
+    rho, sigma = random_density(rng, 2), random_density(rng, 2)
+
+    def flip(m):
+        # a qubit density matrix with Bloch vector r goes to the one with -r
+        return np.trace(m) * np.eye(2) - m
+
+    flipped = universal_not_pair(np.kron(rho, sigma))
+    assert max_abs(flipped - np.kron(flip(rho), flip(sigma))) < 1e-12
     assert abs(np.trace(flipped) - 1.0) < 1e-12
     assert np.linalg.eigvalsh(flipped).min() > -1e-12
     for pauli in (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1])):
-        got = np.trace(flipped @ pauli).real
-        want = -np.trace(rho @ pauli).real
-        assert abs(got - want) < 1e-12
-    assert max_abs(universal_not(flipped) - rho) < 1e-12
+        for m in (rho, sigma):
+            got = np.trace(flip(m) @ pauli).real
+            want = -np.trace(m @ pauli).real
+            assert abs(got - want) < 1e-12
+    assert max_abs(universal_not_pair(flipped) - np.kron(rho, sigma)) < 1e-12
 
 
 def random_unital_qubit(rng, n_terms=3):

@@ -77,3 +77,47 @@ def test_modules_use_every_name_they_import():
         if path.name != "__init__.py" and (names := _unused_imports(path.read_text()))
     }
     assert not unused
+
+
+
+_DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
+
+
+def _names_in(tree) -> set[str]:
+    """Names, attributes and imported names a syntax tree refers to."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {a.name for a in node.names}
+    return names
+
+
+def _unreferenced_definitions(src: Path) -> list[str]:
+    """Top-level functions and classes under src named nowhere but in their
+    own definition: not by a module under src, not as co.<name> in the
+    benchmark, not in chanopt.__all__. Docstrings and tests do not count."""
+    defined = {}
+    referenced = set(chanopt.__all__)
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            own = {top.name} if isinstance(top, _DEFINITIONS) else set()
+            defined.update({name: f"{path.stem}.{name}" for name in own})
+            referenced |= _names_in(top) - own
+    for path in BENCH.glob("*.py"):
+        # only co.<name>: the benchmark defines same-named helpers
+        referenced |= {
+            node.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "co"
+        }
+    return sorted(where for name, where in defined.items() if name not in referenced)
+
+
+def test_every_definition_is_reached():
+    assert not _unreferenced_definitions(Path(chanopt.__file__).parent)
