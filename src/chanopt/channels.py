@@ -200,9 +200,6 @@ class ChannelFamily:
     def dout(self) -> int:
         return self.members[0][1].dout
 
-    def __len__(self) -> int:
-        return len(self.members)
-
     def channels(self) -> list[KrausChannel]:
         return [ch for _, ch in self.members]
 
@@ -341,10 +338,15 @@ def is_unital(ch: KrausChannel) -> bool:
     return max_abs(out - np.eye(ch.dout)) <= DEFAULT_TOL
 
 
+# Largest Choi-matrix entry by which the two sides of the covariance
+# relation may differ.
+COVARIANCE_TOL = 1e-8
+
+
 def is_covariant(
     fam: ChannelFamily,
     group: list[tuple[np.ndarray, np.ndarray]],
-    tol: float = DEFAULT_TOL,
+    *,
     contravariant: bool = False,
 ) -> bool:
     """Check L(U_g rho U_g^dag) = V_g L(rho) V_g^dag for every member and g.
@@ -370,7 +372,7 @@ def is_covariant(
         for u, v in gs:
             pre = np.kron(eye_out, u.T) @ w @ np.kron(eye_out, u.conj())
             post = np.kron(v, eye_in) @ w @ np.kron(dagger(v), eye_in)
-            if max_abs(pre - post) > tol:
+            if max_abs(pre - post) > COVARIANCE_TOL:
                 return False
     return True
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from itertools import combinations
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from .channels import (
     make_family,
     validate_cptp,
 )
-from .comparison import default_grid, dominance_check, gap_curve
+from .comparison import _check_prior, default_grid, dominance_check, gap_curve
 from .entanglement import (
     bloch_state,
     entanglement_breaking_gp,
@@ -63,6 +64,8 @@ from .numerics import (
 from .optimal_inputs import (
     IrrepBlocks,
     PureState,
+    _probability_pair,
+    _qubit_unitary,
     group_correction_protocol,
     measurement_input_certify,
     phi_pv,
@@ -70,6 +73,7 @@ from .optimal_inputs import (
 )
 from .presets import preset_document
 from .repetition import (
+    STRATEGY_MODES,
     AdaptivePlan,
     Strategy,
     adaptive_vs_identical,
@@ -83,6 +87,9 @@ from .repetition import (
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
+
+# Largest residual a simulation certificate may carry and still pass.
+CERTIFICATE_TOL = 1e-8
 
 
 def parse_family(node):
@@ -154,6 +161,18 @@ def _state_outputs(fam, st: PureState, where: str) -> list[np.ndarray]:
     raise SpecError(where, "input must be bare or (channel x reference)")
 
 
+@contextmanager
+def _at(where: str):
+    """Report a ValueError raised inside as a constraint violation of the
+    spec field where; a SpecError keeps its own location."""
+    try:
+        yield
+    except SpecError:
+        raise
+    except ValueError as exc:
+        raise ConstraintViolation(f"{where}: {exc}") from exc
+
+
 def _check_count(where: str, n: int, low: int, d: int) -> None:
     """Reject a grid or sample count below low, or one whose n items of
     d x d entries would outgrow a state at the joint-dimension guard
@@ -200,9 +219,18 @@ def _analysis(doc) -> _Fields:
     return _Fields(node, "analysis")
 
 
-def _certificate(residuals: dict, tol: float) -> dict:
+def _single_block(ana: _Fields, fam) -> IrrepBlocks:
+    """analysis.blocks, which the measure-and-correct protocol needs to be
+    one invariant block spanning the family input."""
+    with _at("analysis.blocks"):
+        blocks = IrrepBlocks(tuple(ana("blocks", _list_of(_int_from))))
+        blocks.check_single(fam.din)
+    return blocks
+
+
+def _certificate(residuals: dict) -> dict:
     worst = max(residuals.values())
-    return {"residuals": residuals, "max_residual": worst, "pass": bool(worst <= tol * 10)}
+    return {"residuals": residuals, "max_residual": worst, "pass": bool(worst <= CERTIFICATE_TOL)}
 
 
 def _verdict(v) -> dict:
@@ -253,7 +281,7 @@ def _emit(out_dir: Path, command: str, payload: dict, tables: dict[str, str]) ->
 def _cmd_validate(doc, fam, args):
     members = {}
     for label, ch in fam.members:
-        rep = validate_cptp(ch, args.tol)
+        rep = validate_cptp(ch)
         members[label] = {
             "trace_preserving": rep.trace_preserving,
             "cp": rep.cp,
@@ -262,10 +290,8 @@ def _cmd_validate(doc, fam, args):
     payload = {"kind": fam.kind, "din": fam.din, "dout": fam.dout, "members": members}
     if "group" in doc:
         group = _group(doc, fam)
-        payload["covariant"] = is_covariant(fam, group, args.tol * 10)
-        payload["contravariant"] = is_covariant(
-            fam, group, args.tol * 10, contravariant=True
-        )
+        payload["covariant"] = is_covariant(fam, group)
+        payload["contravariant"] = is_covariant(fam, group, contravariant=True)
     return payload, {}
 
 
@@ -278,7 +304,7 @@ def _cmd_compare(doc, fam, args):
     pair = [_named(states, n, "analysis.inputs") for n in names]
     grid = default_grid(args.grid) if args.grid else None
     outputs = [_state_outputs(fam, st, f"inputs.{n}") for n, st in zip(names, pair)]
-    verdict = dominance_check(*outputs, grid=grid, tol=args.tol)
+    verdict = dominance_check(*outputs, grid=grid)
     return {"candidate": names[0], "challenger": names[1], **_verdict(verdict)}, {}
 
 
@@ -290,24 +316,26 @@ def _cmd_certify(doc, fam, args):
     if protocol == "measurement":
         name = ana("input", _str_from)
         psi = _named(states, name, "analysis.input")
-        verdict = measurement_input_certify(fam, psi, tol=args.tol * 10)
+        verdict = measurement_input_certify(fam, psi)
         return {"protocol": protocol, "input": name, **_verdict(verdict)}, {}
     if protocol == "group-correction":
         group = _group(doc, fam)
-        blocks = IrrepBlocks(tuple(ana("blocks", _list_of(_int_from))))
+        blocks = _single_block(ana, fam)
         target_name = ana("target", _str_from)
         target = _named(states, target_name, "analysis.target")
         simulated = group_correction_protocol(fam, group, blocks, target.density())
         direct = _state_outputs(fam, target, f"inputs.{target_name}")
     elif protocol == "unital-qubit":
-        p = ana("p", _real_pair)
-        v = ana("v", _matrix_from)
+        with _at("analysis.p"):
+            p = _probability_pair(ana("p", _real_pair))
+        with _at("analysis.v"):
+            v = _qubit_unitary(ana("v", _matrix_from))
         simulated = unital_qubit_protocol(fam, p, v)
         direct = _state_outputs(fam, phi_pv(p, v), "analysis.v")
     else:
         raise SpecError("analysis.protocol", f"unknown protocol {protocol!r}")
     residuals = {lab: max_abs(simulated[lab] - out) for lab, out in zip(fam.labels(), direct)}
-    return {"protocol": protocol, **_certificate(residuals, args.tol)}, {}
+    return {"protocol": protocol, **_certificate(residuals)}, {}
 
 
 def _cmd_ent_advantage(doc, fam, args):
@@ -413,7 +441,7 @@ def _cmd_ang(doc, fam, args):
         _check_count("analysis.n", n, 1, len(x))
         if len(x) >= 4 and args.seed is None:
             raise SpecError("flags", "--seed is required for sampling queries")
-        shadow = ang_parallel_property(x, xp, n=n, tol=args.tol * 1e3, seed=args.seed)
+        shadow = ang_parallel_property(x, xp, n=n, seed=args.seed)
         payload["x_prime"] = xp
         payload["subset_holds"] = shadow.subset_holds
         if shadow.violating_sample is not None:
@@ -432,6 +460,8 @@ def _parse_strategy(node, fam, states, where: str, args) -> Strategy:
         raise SpecError(where, "expected an object")
     f = _Fields(node, where)
     mode = f("mode")
+    if mode not in STRATEGY_MODES:
+        raise SpecError(f"{where}.mode", f"unknown mode {mode!r}")
     n = f("n", _int_from)
     st = _named(states, f("input", _str_from), f"{where}.input")
     dims = st.shape.factor_dims
@@ -460,7 +490,9 @@ def _parse_strategy(node, fam, states, where: str, args) -> Strategy:
             interleavers = random_unitary_interleavers(fam.din, dr, n, args.seed)
         else:
             raise SpecError(f"{where}.interleavers", f"unknown preset {spec!r}")
-    return Strategy(mode=mode, n=n, input=st, interleavers=tuple(interleavers))
+    # the mode is known and the interleavers match n: only n can be rejected
+    with _at(f"{where}.n"):
+        return Strategy(mode=mode, n=n, input=st, interleavers=tuple(interleavers))
 
 
 def _cmd_repeat(doc, fam, args):
@@ -475,8 +507,16 @@ def _cmd_repeat(doc, fam, args):
             tuple(_named(states, name, f"analysis.menus[{i}]") for name in menu)
             for i, menu in enumerate(ana("menus", _list_of(_list_of(_str_from))))
         ]
+        with _at("analysis.prior"):
+            _check_prior(prior)
+        for i, size in enumerate(blocks):
+            if size < 1:
+                raise ConstraintViolation(f"analysis.blocks[{i}]: a block needs at least one use")
         _check_uses("analysis.blocks", fam.dout * fam.din, sum(blocks))
-        risks = adaptive_vs_identical(fam, prior, AdaptivePlan(tuple(blocks), tuple(menus)))
+        # the blocks are positive and each menu nonempty: only the menu count can be rejected
+        with _at("analysis.menus"):
+            plan = AdaptivePlan(tuple(blocks), tuple(menus))
+        risks = adaptive_vs_identical(fam, prior, plan)
         payload = {
             "adaptive_risk": risks["adaptive_risk"],
             "identical_risk": risks["identical_risk"],
@@ -484,9 +524,9 @@ def _cmd_repeat(doc, fam, args):
         }
     elif analysis == "sequential-certificate":
         group = _group(doc, fam)
-        blocks = IrrepBlocks(tuple(ana("blocks", _list_of(_int_from))))
+        blocks = _single_block(ana, fam)
         strat = _parse_strategy(ana("strategy"), fam, states, "analysis.strategy", args)
-        payload = _certificate(identical_matches_sequential(fam, group, blocks, strat), args.tol)
+        payload = _certificate(identical_matches_sequential(fam, group, blocks, strat))
     elif analysis == "output":
         member = ana("member", _str_from)
         if member not in fam.labels():
@@ -551,7 +591,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="report directory")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--grid", type=int, default=None)
-    parser.add_argument("--tol", type=float, default=1e-9)
     args = parser.parse_args(argv)
 
     try:
@@ -563,7 +602,7 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"spec error at {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ConstraintViolation, ValueError) as exc:
+    except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     _emit(Path(args.out), args.command, payload, tables)

@@ -183,20 +183,24 @@ class ComparisonVerdict:
 
 def bayes_binary_risk(rho_plus, rho_minus, prior: float) -> float:
     """Minimum Bayes risk for 0-1 loss over all binary measurements."""
-    if not 0.0 <= prior <= 1.0:
-        raise ValueError(f"prior must lie in [0,1], got {prior}")
+    _check_prior(prior)
     rho_plus = as_matrix(rho_plus)
     rho_minus = as_matrix(rho_minus)
     _check_pair(rho_plus, rho_minus)
     return _binary_risk(rho_plus, rho_minus, prior)
 
 
+def _check_prior(prior: float) -> None:
+    if not 0.0 <= prior <= 1.0:
+        raise ValueError(f"prior must lie in [0,1], got {prior}")
+
+
 def _check_pair(plus: np.ndarray, minus: np.ndarray) -> None:
-    """Raise unless both states are density matrices to within 1e-8. A state
-    is a square matrix, or the spectrum of a Hermitian one (the joint
-    eigenvalues of a commuting pair)."""
+    """Raise unless both states are density matrices. A state is a square
+    matrix, or the spectrum of a Hermitian one (the joint eigenvalues of a
+    commuting pair)."""
     for name, m in (("rho_plus", plus), ("rho_minus", minus)):
-        valid = is_density_spectrum(m, 1e-8) if m.ndim == 1 else is_density(m, tol=1e-8)
+        valid = is_density_spectrum(m) if m.ndim == 1 else is_density(m)
         if not valid:
             raise ValueError(f"{name} is not a density matrix")
 
@@ -468,18 +472,22 @@ def _validate_family(name: str, fam) -> list[np.ndarray]:
     for m in mats:
         if m.shape != (d, d):
             raise ValueError(f"{name} members must share one dimension")
-        if not is_density(m, tol=1e-8):
+        if not is_density(m):
             raise ValueError(f"{name} contains a non-density matrix")
     return mats
 
 
-def _pair_verdict(cand, chal, grid, tol, certify) -> ComparisonVerdict:
+# Sweep-norm difference beyond which one pair beats the other at an s.
+SWEEP_TOL = 1e-9
+
+
+def _pair_verdict(cand, chal, grid, certify) -> ComparisonVerdict:
     cand_comm, cand_bp = _breakpoints(cand[0], cand[1])
     chal_comm, chal_bp = _breakpoints(chal[0], chal[1])
     s_all = np.unique(np.concatenate([grid, cand_bp, chal_bp]))
     diff = sweep_norms(cand[0], cand[1], s_all) - sweep_norms(chal[0], chal[1], s_all)
-    cand_beats = bool((diff > tol).any())
-    chal_beats = bool((diff < -tol).any())
+    cand_beats = bool((diff > SWEEP_TOL).any())
+    chal_beats = bool((diff < -SWEEP_TOL).any())
 
     identical = (
         cand[0].shape == chal[0].shape
@@ -534,7 +542,6 @@ def dominance_check(
     candidate_outputs,
     challenger_outputs,
     grid=None,
-    tol: float = 1e-9,
     certify: bool = True,
 ) -> ComparisonVerdict:
     """Compare two output families member-pair by member-pair.
@@ -554,7 +561,7 @@ def dominance_check(
     for i in range(len(cand)):
         for j in range(i + 1, len(cand)):
             verdicts.append(
-                _pair_verdict((cand[i], cand[j]), (chal[i], chal[j]), grid, tol, certify)
+                _pair_verdict((cand[i], cand[j]), (chal[i], chal[j]), grid, certify)
             )
 
     rels = {v.relation for v in verdicts}

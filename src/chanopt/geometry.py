@@ -148,7 +148,11 @@ class ParallelShadow:
     violating_sample: AngleVector | None = None
 
 
-def ang_parallel_property(x, x_prime, n: int = 50, tol: float = 1e-6, seed=0) -> ParallelShadow:
+# Closure residual beyond which a sample leaves the solution set of x'.
+PARALLEL_TOL = 1e-6
+
+
+def ang_parallel_property(x, x_prime, n: int = 50, seed=0) -> ParallelShadow:
     """Falsifiable shadow of the proportionality statement: when x' is not a
     multiple of x, sampled closures of x should leak out of the solution set
     of x'. Tests membership of each sample; d=3 uses the exact solutions."""
@@ -163,7 +167,7 @@ def ang_parallel_property(x, x_prime, n: int = 50, tol: float = 1e-6, seed=0) ->
     else:
         samples = ang_sample(x, n, seed)
     for av in samples:
-        if closure_residual(xp, av) > tol:
+        if closure_residual(xp, av) > PARALLEL_TOL:
             return ParallelShadow(False, av)
     return ParallelShadow(True, None)
 

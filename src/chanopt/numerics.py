@@ -158,17 +158,22 @@ def max_entangled(d: int) -> np.ndarray:
     return v
 
 
-def is_density(m: np.ndarray, tol: float = 1e-9) -> bool:
+# Hermiticity, trace and eigenvalue slack of a state that counts as a
+# density matrix.
+DENSITY_TOL = 1e-8
+
+
+def is_density(m: np.ndarray) -> bool:
     m = as_matrix(m)
-    if m.shape[0] != m.shape[1] or not is_hermitian(m, tol):
+    if m.shape[0] != m.shape[1] or not is_hermitian(m, DENSITY_TOL):
         return False
-    if abs(np.trace(m).real - 1.0) > tol:
+    if abs(np.trace(m).real - 1.0) > DENSITY_TOL:
         return False
     w, _ = hermitian_eig(m)
-    return is_density_spectrum(w, tol)
+    return is_density_spectrum(w)
 
 
-def is_density_spectrum(w: np.ndarray, tol: float = 1e-9) -> bool:
+def is_density_spectrum(w: np.ndarray) -> bool:
     """Whether real eigenvalues w can be those of a density matrix: none
-    below -tol, and their sum within tol of 1."""
-    return bool(w.min() >= -tol and abs(w.sum() - 1.0) <= tol)
+    below -DENSITY_TOL, and their sum within DENSITY_TOL of 1."""
+    return bool(w.min() >= -DENSITY_TOL and abs(w.sum() - 1.0) <= DENSITY_TOL)

@@ -53,6 +53,17 @@ class IrrepBlocks:
     def total_dim(self) -> int:
         return sum(self.block_dims)
 
+    def check_single(self, d: int) -> None:
+        """Raise unless this is one block spanning all d input dimensions, the
+        only layout the measure-and-correct protocol supports."""
+        if self.total_dim != d:
+            raise ValueError("block dimensions do not sum to the family input dimension")
+        if len(self.block_dims) != 1:
+            raise ValueError(
+                "protocol supports a single invariant block; multi-block groups do "
+                "not give a complete outcome set on the reference system"
+            )
+
 
 @dataclass
 class PureState:
@@ -89,10 +100,6 @@ def covariant_optimal_state(blocks: IrrepBlocks) -> PureState:
 # Measure-and-correct protocols
 
 
-# Tolerance of the covariance check behind the measure-then-correct circuit.
-COVARIANCE_TOL = 1e-8
-
-
 def _correction_setup(fam, group, blocks) -> KrausChannel:
     """The measure-then-correct circuit shared by every member, as one channel
     from (output (x) reference (x) input) to the output: per group element,
@@ -101,17 +108,11 @@ def _correction_setup(fam, group, blocks) -> KrausChannel:
     for a contravariant family), one Kraus operator
     sqrt(d^2/|G|) (V_g^dag or V_g^T) (x) <phi_g| each. Trace preservation of
     that set is the statement that the phi_g resolve the identity."""
-    if blocks.total_dim != fam.din:
-        raise ValueError("block dimensions do not sum to the family input dimension")
-    if len(blocks.block_dims) != 1:
-        raise ValueError(
-            "protocol supports a single invariant block; multi-block groups do "
-            "not give a complete outcome set on the reference system"
-        )
+    blocks.check_single(fam.din)
     d = fam.din
 
-    contravariant = not is_covariant(fam, group, COVARIANCE_TOL)
-    if contravariant and not is_covariant(fam, group, COVARIANCE_TOL, contravariant=True):
+    contravariant = not is_covariant(fam, group)
+    if contravariant and not is_covariant(fam, group, contravariant=True):
         raise ValueError("family is not covariant for the supplied group")
 
     phi = max_entangled(d)
@@ -181,7 +182,7 @@ def group_correction_protocol(
     target = as_matrix(target_input)
     if target.shape[0] % fam.din:
         raise ValueError("target dimension is not a multiple of the input dimension")
-    if not is_density(target, tol=1e-8):
+    if not is_density(target):
         raise ValueError("target_input is not a density matrix")
     sims = group_correction_simulator(fam, group, blocks)
     return {label: sim(target) for label, sim in sims.items()}
@@ -208,6 +209,20 @@ def phi_pv(p, v) -> PureState:
     return PureState(amps, SystemShape((2, 2)))
 
 
+def _probability_pair(p) -> tuple[float, float]:
+    p1, p2 = float(p[0]), float(p[1])
+    if p1 < -1e-12 or p2 < -1e-12 or abs(p1 + p2 - 1.0) > 1e-9:
+        raise ValueError("p must be a probability pair")
+    return p1, p2
+
+
+def _qubit_unitary(v) -> np.ndarray:
+    v = as_matrix(v)
+    if v.shape != (2, 2) or max_abs(v @ dagger(v) - np.eye(2)) > 1e-9:
+        raise ValueError("V must be a 2x2 unitary")
+    return v
+
+
 def unital_qubit_protocol(fam: ChannelFamily, p, v) -> dict[str, np.ndarray]:
     """Instrument-and-flip protocol mapping Bell outputs to phi_{p,V} outputs.
 
@@ -218,12 +233,8 @@ def unital_qubit_protocol(fam: ChannelFamily, p, v) -> dict[str, np.ndarray]:
     (valid because unital members commute with the double flip at the Bell
     output).
     """
-    p1, p2 = float(p[0]), float(p[1])
-    if p1 < -1e-12 or p2 < -1e-12 or abs(p1 + p2 - 1.0) > 1e-9:
-        raise ValueError("p must be a probability pair")
-    v = as_matrix(v)
-    if v.shape != (2, 2) or max_abs(v @ dagger(v) - np.eye(2)) > 1e-9:
-        raise ValueError("V must be a 2x2 unitary")
+    p1, p2 = _probability_pair(p)
+    v = _qubit_unitary(v)
     if fam.din != 2 or fam.dout != 2:
         raise ValueError("protocol is specific to qubit channels")
     for label, ch in fam.members:
@@ -353,9 +364,12 @@ def _reduced_input(psi: PureState, din: int) -> np.ndarray:
     return psi.reduced(0)
 
 
-def measurement_input_certify(
-    fam: ChannelFamily, psi: PureState, tol: float = 1e-8
-) -> ComparisonVerdict:
+# Slack of the equalities behind each measurement-family route: vanishing
+# cross terms, unit traces and the input marginal.
+MEASUREMENT_TOL = 1e-8
+
+
+def measurement_input_certify(fam: ChannelFamily, psi: PureState) -> ComparisonVerdict:
     """Certify psi as universally optimal for a two-member measurement family.
 
     Three structured routes, tried in order; anything else is inconclusive.
@@ -386,7 +400,7 @@ def measurement_input_certify(
     if len(mp) == len(mm):
         sq = _sqrtm_psd(rho)
         ok = all(
-            max_abs(sq @ mp[i].T @ rho @ mm[i].T @ sq) <= tol
+            max_abs(sq @ mp[i].T @ rho @ mm[i].T @ sq) <= MEASUREMENT_TOL
             for i in range(len(mp))
         )
         if ok:
@@ -397,9 +411,9 @@ def measurement_input_certify(
         base_m = fam.params["m_minus"]
         if (
             commutes(base_p, base_m)
-            and abs(np.trace(base_p) - 1.0) <= tol
-            and abs(np.trace(base_m) - 1.0) <= tol
-            and max_abs(rho - np.eye(din) / din) <= tol
+            and abs(np.trace(base_p) - 1.0) <= MEASUREMENT_TOL
+            and abs(np.trace(base_m) - 1.0) <= MEASUREMENT_TOL
+            and max_abs(rho - np.eye(din) / din) <= MEASUREMENT_TOL
         ):
             s_grid = default_grid()
             shape = SystemShape(tuple(psi.shape.factor_dims))
@@ -428,7 +442,7 @@ def measurement_input_certify(
             chain = np.abs(2 * a[k] - 1) >= np.abs(2 * a - 1).max() - 1e-12
             target = np.zeros((din, din))
             target[k, k] = 1.0
-            if strictly_largest and chain and max_abs(rho - target) <= tol:
+            if strictly_largest and chain and max_abs(rho - target) <= MEASUREMENT_TOL:
                 return ComparisonVerdict(
                     "dominates", method="sweep-sufficient-commuting"
                 )

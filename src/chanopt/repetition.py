@@ -28,6 +28,7 @@ from .channels import ChannelFamily, KrausChannel, apply_at_factor, apply_extend
 from .comparison import (
     _binary_risk,
     _check_pair,
+    _check_prior,
     bayes_binary_risk,
     commutes,
     joint_eigenbasis,
@@ -44,6 +45,9 @@ from .numerics import (
 from .optimal_inputs import IrrepBlocks, PureState, group_correction_simulator
 
 
+STRATEGY_MODES = ("identical", "parallel", "sequential")
+
+
 @dataclass
 class Strategy:
     mode: str
@@ -52,7 +56,7 @@ class Strategy:
     interleavers: tuple[KrausChannel, ...] = ()
 
     def __post_init__(self):
-        if self.mode not in ("identical", "parallel", "sequential"):
+        if self.mode not in STRATEGY_MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
@@ -307,8 +311,7 @@ def adaptive_vs_identical(
         raise ValueError("adaptation analysis expects a measurement family")
     if len(fam.members) != 2:
         raise ValueError("binary family required")
-    if not 0.0 <= prior <= 1.0:
-        raise ValueError("prior must lie in [0,1]")
+    _check_prior(prior)
     d = fam.din
     (_, ch_p), (_, ch_m) = fam.members
     n = sum(plan.block_sizes)

@@ -708,6 +708,63 @@ MALFORMED = {
         ang_doc("parallel", [1.0, 0.8, 0.6, 0.9], x_prime=[1.0, 0.8, 0.6, 0.8], analysis={"n": 10**12}),
         ("--seed", "7"), 3, "analysis.n",
     ),
+    "strategy-n-zero": (
+        "repeat",
+        with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": {"mode": "identical", "n": 0, "input": "e"}}, EB_INPUTS),
+        (), 3, "analysis.strategy.n",
+    ),
+    "strategy-mode-unknown": (
+        "repeat",
+        with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": {"mode": "junk", "n": 1, "input": "e"}}, EB_INPUTS),
+        (), 2, "analysis.strategy.mode",
+    ),
+    "menus-fewer-than-blocks": (
+        "repeat",
+        with_analysis(ROTATED, {"analysis": "adaptive", "blocks": [1, 1], "menus": [["a"]]}, AB_INPUTS),
+        (), 3, "analysis.menus",
+    ),
+    "blocks-zero": (
+        "repeat",
+        with_analysis(ROTATED, {"analysis": "adaptive", "blocks": [1, 0], "menus": [["a"], ["a"]]}, AB_INPUTS),
+        (), 3, "analysis.blocks[1]",
+    ),
+    "prior-above-one": (
+        "repeat",
+        with_analysis(ROTATED, {"analysis": "adaptive", "prior": 1.5, "blocks": [1], "menus": [["a"]]}, AB_INPUTS),
+        (), 3, "analysis.prior",
+    ),
+    "certify-p-not-probability": (
+        "certify",
+        with_analysis(ONE_GP, {"protocol": "unital-qubit", "p": [0.7, 0.7], "v": mat_json(np.eye(2))}),
+        (), 3, "analysis.p",
+    ),
+    "certify-v-not-unitary": (
+        "certify",
+        with_analysis(ONE_GP, {"protocol": "unital-qubit", "p": [0.5, 0.5], "v": mat_json(2 * np.eye(2))}),
+        (), 3, "analysis.v",
+    ),
+    "certify-blocks-sum": (
+        "certify",
+        with_analysis(ONE_GP, {"protocol": "group-correction", "blocks": [3], "target": "a"}, AB_INPUTS, group=weyl_group_json()),
+        (), 3, "analysis.blocks",
+    ),
+    "certify-blocks-several": (
+        "certify",
+        with_analysis(ONE_GP, {"protocol": "group-correction", "blocks": [1, 1], "target": "a"}, AB_INPUTS, group=weyl_group_json()),
+        (), 3, "analysis.blocks",
+    ),
+    "sequential-blocks-sum": (
+        "repeat",
+        with_analysis(ONE_GP, {"analysis": "sequential-certificate", "blocks": [3], "strategy": dict(OUTPUT_STRATEGY, interleavers="identity-rewire")},
+                      EB_INPUTS, group=weyl_group_json()),
+        (), 3, "analysis.blocks",
+    ),
+    "sequential-blocks-several": (
+        "repeat",
+        with_analysis(ONE_GP, {"analysis": "sequential-certificate", "blocks": [1, 1], "strategy": dict(OUTPUT_STRATEGY, interleavers="identity-rewire")},
+                      EB_INPUTS, group=weyl_group_json()),
+        (), 3, "analysis.blocks",
+    ),
 }
 
 
@@ -719,6 +776,40 @@ def test_malformed_spec_names_field(tmp_path, capsys, case):
     assert path in err
     if code == 2:
         assert err.startswith(f"spec error at {path}:")
+
+
+# ---------------------------------------------------------------------------
+# fixed tolerances: nothing loosens a threshold from the command line
+
+
+def test_tol_flag_is_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--spec", "preset:damp-counterexample", "--out", str(tmp_path), "--tol", "0.3"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_damp_counterexample_stays_incomparable(tmp_path):
+    assert main(["compare", "--spec", "preset:damp-counterexample", "--out", str(tmp_path)]) == 0
+    out = report(tmp_path, "compare-report.json")
+    assert out["relation"] == "incomparable"
+    assert abs(out["witness_s"] - 0.5) < 1e-9
+
+
+# damping towards |0> (p = 1) breaks covariance under X; at p = 1/2 it would not
+@pytest.mark.parametrize(
+    "family,accepted", [(dict(DAMP, p=1.0), False), (ONE_GP, True)], ids=["damp", "gp"]
+)
+def test_validate_covariance_agrees_with_certify(tmp_path, family, accepted):
+    """validate's covariance flags say whether certify's group correction
+    accepts the group: both read the same check at the same tolerance."""
+    doc = with_analysis(
+        family, {"protocol": "group-correction", "blocks": [2], "target": "a"}, AB_INPUTS, group=weyl_group_json()
+    )
+    assert run(tmp_path, doc, "validate") == 0
+    flags = report(tmp_path, "validate-report.json")
+    assert (flags["covariant"] or flags["contravariant"]) is accepted
+    assert run(tmp_path, doc, "certify") == (0 if accepted else 3)
 
 
 # Each field gets either a value of roughly the right shape (so that some

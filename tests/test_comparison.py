@@ -270,6 +270,39 @@ def test_dominance_matches_per_s_reference(rng):
     assert {"incomparable", "dominated"} <= relations
 
 
+def test_commuting_verdicts_hold_off_the_grid(rng):
+    """A commuting "dominates" or "equivalent" holds at every s >= 0, not
+    only on the grid it was decided on: diagonal qutrit pairs against their
+    images under random 2-Kraus channels (dominated by construction) and
+    against images of perturbed pairs (either way), checked on [0, 50] and a
+    geometric tail to 1e6 by a per-s trace_norm loop (the diagonal curve in
+    closed form). Rounding in a norm grows with s, hence the tolerance
+    1e-9 max(1, s)."""
+    s = np.concatenate([np.linspace(0.0, 50.0, 5000), np.geomspace(50.0, 1e6, 200)[1:]])
+    relations = {"image": [], "perturbed": []}
+    for case in range(6):
+        p, q = rng.dirichlet(np.ones(3), size=2)
+        kind = "image" if case < 3 else "perturbed"
+        src = (p, q) if kind == "image" else [0.5 * (x + y) for x, y in zip((p, q), rng.dirichlet(np.ones(3), size=2))]
+        ks = random_kraus(rng, 3, 3, 2)
+        cand = [np.diag(p), np.diag(q)]
+        chal = [sum(k @ np.diag(x) @ k.conj().T for k in ks) for x in src]
+        chal_curve = np.array([trace_norm(chal[0] - t * chal[1]) for t in s])
+        rel_diff = (np.abs(p - s[:, None] * q).sum(axis=1) - chal_curve) / np.maximum(1.0, s)
+        for grid in ([0.0], [0.0, 1.0], None):
+            v = dominance_check(cand, chal, grid=grid, certify=False)
+            relations[kind].append(v.relation)
+            if v.method != "sweep-sufficient-commuting":
+                continue
+            if v.relation in ("dominates", "equivalent"):
+                assert rel_diff.min() >= -1e-9
+            if v.relation == "equivalent":
+                assert rel_diff.max() <= 1e-9
+    assert set(relations["image"]) == {"dominates"}
+    assert "dominates" in relations["perturbed"]
+    assert set(relations["perturbed"]) - {"dominates"}
+
+
 def test_dominance_rejects_non_density():
     with pytest.raises(ValueError):
         dominance_check([np.eye(2), np.eye(2) / 2], [np.eye(2) / 2, np.eye(2) / 2])
