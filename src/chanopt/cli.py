@@ -290,8 +290,9 @@ def _cmd_validate(doc, fam, args):
     payload = {"kind": fam.kind, "din": fam.din, "dout": fam.dout, "members": members}
     if "group" in doc:
         group = _group(doc, fam)
-        payload["covariant"] = is_covariant(fam, group)
-        payload["contravariant"] = is_covariant(fam, group, contravariant=True)
+        with _at("group"):
+            payload["covariant"] = is_covariant(fam, group)
+            payload["contravariant"] = is_covariant(fam, group, contravariant=True)
     return payload, {}
 
 
@@ -316,21 +317,28 @@ def _cmd_certify(doc, fam, args):
     if protocol == "measurement":
         name = ana("input", _str_from)
         psi = _named(states, name, "analysis.input")
-        verdict = measurement_input_certify(fam, psi)
+        if psi.shape.factor_dims[0] != fam.din:
+            raise ConstraintViolation(f"inputs.{name}: first factor is not the family input")
+        # the input fits the family: only the family can be rejected
+        with _at("family"):
+            verdict = measurement_input_certify(fam, psi)
         return {"protocol": protocol, "input": name, **_verdict(verdict)}, {}
     if protocol == "group-correction":
         group = _group(doc, fam)
         blocks = _single_block(ana, fam)
         target_name = ana("target", _str_from)
         target = _named(states, target_name, "analysis.target")
-        simulated = group_correction_protocol(fam, group, blocks, target.density())
         direct = _state_outputs(fam, target, f"inputs.{target_name}")
+        # blocks and target are checked: only the group can be rejected
+        with _at("group"):
+            simulated = group_correction_protocol(fam, group, blocks, target.density())
     elif protocol == "unital-qubit":
         with _at("analysis.p"):
             p = _probability_pair(ana("p", _real_pair))
         with _at("analysis.v"):
             v = _qubit_unitary(ana("v", _matrix_from))
-        simulated = unital_qubit_protocol(fam, p, v)
+        with _at("family"):
+            simulated = unital_qubit_protocol(fam, p, v)
         direct = _state_outputs(fam, phi_pv(p, v), "analysis.v")
     else:
         raise SpecError("analysis.protocol", f"unknown protocol {protocol!r}")
@@ -467,11 +475,11 @@ def _parse_strategy(node, fam, states, where: str, args) -> Strategy:
     dims = st.shape.factor_dims
     if mode == "identical" and len(dims) == 2:
         _check_uses(f"{where}.n", fam.dout * dims[1], n)
+    if mode == "sequential" and (len(dims) != 2 or dims[0] != fam.din):
+        raise SpecError(f"{where}.input", "sequential input needs (channel x reference) factors")
     interleavers = ()
     if mode == "sequential" and n > 1:
         spec = f("interleavers")
-        if len(dims) != 2:
-            raise SpecError(f"{where}.input", "sequential input needs two factors")
         dr = dims[1]
         if spec == "identity-rewire":
             _check_count(f"{where}.n", n, 1, fam.din * dr)
@@ -501,6 +509,8 @@ def _cmd_repeat(doc, fam, args):
     states = _named_states(doc, fam)
 
     if analysis == "adaptive":
+        if fam.kind != "measurement":
+            raise ConstraintViolation("family: adaptation analysis expects a measurement family")
         prior = ana("prior", _real_from, 0.5)
         blocks = ana("blocks", _list_of(_int_from))
         menus = [
@@ -526,7 +536,13 @@ def _cmd_repeat(doc, fam, args):
         group = _group(doc, fam)
         blocks = _single_block(ana, fam)
         strat = _parse_strategy(ana("strategy"), fam, states, "analysis.strategy", args)
-        payload = _certificate(identical_matches_sequential(fam, group, blocks, strat))
+        if strat.mode != "sequential":
+            raise ConstraintViolation(
+                "analysis.strategy.mode: certificate expects a sequential strategy"
+            )
+        # blocks and strategy are checked: only the group can be rejected
+        with _at("group"):
+            payload = _certificate(identical_matches_sequential(fam, group, blocks, strat))
     elif analysis == "output":
         member = ana("member", _str_from)
         if member not in fam.labels():

@@ -1,12 +1,13 @@
-"""Trace-norm comparison of binary state families.
+"""Trace-norm comparison of state families, one member pair at a time.
 
-The central object is the sweep curve s -> ||rho_plus - s rho_minus||_1.
-Weak domination of one curve by another over all s >= 0 is necessary for the
-"always at least as informative" ordering of the output families; it is also
-sufficient when the dominating pair commutes, and in general a channel mapping
-one family onto the other certifies the ordering directly. dominance_check
-wires the three routes together and never claims more than the route used can
-support.
+The central object is the sweep curve s -> ||rho_plus - s rho_minus||_1 of a
+pair of states. For each pair of members, weak domination of one curve by
+another over all s >= 0 is necessary for the "always at least as
+informative" ordering of the two output pairs; it is also sufficient when
+the dominating pair commutes, and in general a channel mapping one pair onto
+the other (cptp_feasible) certifies the ordering directly. dominance_check
+runs the three routes on every member pair, merges the pair verdicts, and
+never claims more than the routes used can support.
 """
 from __future__ import annotations
 
@@ -29,11 +30,14 @@ from .numerics import (
 
 COMMUTE_TOL = 1e-9
 
-# Dykstra iterations cptp_feasible may take before it reports "unresolved",
-# and the constraint violation and negative-eigenvalue mass a certificate may
-# carry.
-CPTP_MAX_ITERS = 5000
+# Interior-point iterations cptp_feasible may take before it reports
+# "unresolved"; a Farkas witness excludes every W whose constraint violation
+# and most negative eigenvalue are within CPTP_TOL.
+CPTP_MAX_ITERS = 50
 CPTP_TOL = 1e-7
+# Violation at which the solver stops with a channel: stopping at CPTP_TOL
+# leaves Choi eigenvalues down to about -4e-8 on boundary instances.
+CPTP_STOP_TOL = 1e-9
 
 
 def commutes(a, b) -> bool:
@@ -242,59 +246,56 @@ class FeasibilityResult:
     witness: FarkasWitness | None = None
 
 
-def _constraint_system(sources, targets, di, do):
-    """Rows of the affine system A vec(W) = b.
-
-    Image constraints: tr_in[W (1 (x) rho^T)][a,b] = sum_ij rho[i,j] W[a di + i, b di + j]
-    = sigma[a,b]. Trace constraints pin tr_out W = 1.
-    """
-    n = do * di
-    rows, rhs = [], []
-    for rho, sig in zip(sources, targets):
-        for a in range(do):
-            for b in range(do):
-                row = np.zeros((n, n), dtype=complex)
-                row[a * di : (a + 1) * di, b * di : (b + 1) * di] = rho
-                rows.append(row.reshape(-1))
-                rhs.append(sig[a, b])
-    for i in range(di):
-        for j in range(di):
-            row = np.zeros((n, n), dtype=complex)
-            for a in range(do):
-                row[a * di + i, a * di + j] = 1.0
-            rows.append(row.reshape(-1))
-            rhs.append(1.0 if i == j else 0.0)
-    return np.array(rows), np.array(rhs)
-
-
 def _herm(m):
     return 0.5 * (m + m.conj().T)
+
+
+def _hermitian_basis(d: int) -> np.ndarray:
+    """An orthonormal basis of the d x d Hermitian matrices, shape (d^2, d, d)."""
+    basis = np.zeros((d, d, d, d), dtype=complex)
+    for a in range(d):
+        basis[a, a, a, a] = 1.0
+        for b in range(a + 1, d):
+            basis[a, b, a, b] = basis[a, b, b, a] = np.sqrt(0.5)
+            basis[b, a, a, b] = -1j * np.sqrt(0.5)
+            basis[b, a, b, a] = 1j * np.sqrt(0.5)
+    return basis.reshape(d * d, d, d)
+
+
+def _max_step(m_chol_inv, dm) -> float:
+    """Largest t keeping m + t dm PSD (inf if every t >= 0 does), from the
+    inverse Cholesky factor of m."""
+    lam = float(np.linalg.eigvalsh(_herm(m_chol_inv @ dm @ m_chol_inv.conj().T))[0])
+    return -1.0 / lam if lam < 0 else np.inf
 
 
 def cptp_feasible(sources, targets) -> FeasibilityResult:
     """Search for a channel W with W(sources[k]) = targets[k] for all k.
 
-    Alternating Dykstra projections between the PSD cone and the affine set
-    {image constraints, unit partial trace}, plus a factored Gauss-Newton
-    refinement (W = G G^dag keeps the cone exactly) to extract an exact
-    certificate from a stalled iterate. The status is one of:
+    The Choi matrix is written W = V - mu 1 with V >= 0; trace preservation
+    fixes mu = (tr V - d_in) / (d_in d_out), which leaves the standard-form
+    semidefinite program min tr V subject to A'(V) = b', V >= 0 (A' the
+    constraints on the traceless parts). A channel exists iff its optimum is
+    at most d_in, and both it and its dual max b'.y s.t. 1 - A'*(y) >= 0 are
+    strictly feasible. Dependent constraint rows are dropped once by an SVD;
+    an inconsistent system is refuted by its least-squares residual (a
+    linear Farkas certificate). One infeasible-start primal-dual
+    interior-point method (HKM direction, Mehrotra predictor-corrector) then
+    closes the gap from both sides. The status is one of:
 
-    - "feasible": choi is a verified Choi matrix (constraint violation and
-      negative-eigenvalue mass both <= CPTP_TOL).
+    - "feasible": choi is a verified Choi matrix, its constraint violation
+      and most negative eigenvalue both within CPTP_STOP_TOL.
     - "infeasible": witness is a FarkasWitness that no channel meets the
-      constraints, nor any Hermitian W within CPTP_TOL of them. It is built
-      from the gap between the PSD and the affine iterates, which converges
-      to a separating normal, and is checked at iterations 1, 2, 4, 8, ...
-    - "unresolved": neither was found within the iteration budget; this is
-      a numerical verdict, not a proof.
+      constraints, nor any Hermitian W within CPTP_TOL of them. It is the
+      negated dual point, taken once b'.y > d_in, and returned only after
+      that margin check.
+    - "unresolved": neither was found within CPTP_MAX_ITERS iterations, or
+      before round-off pushed an iterate off the cone; this is a numerical
+      verdict, not a proof.
 
-    feasible is True exactly for "feasible"; iterations counts the Dykstra
-    steps taken.
-
-    The refinement matters: when targets sit on a low-rank face of the cone,
-    plain alternating projections approach the face tangentially and the
-    violation decays like 1/k, which no practical iteration cap separates
-    from a near-miss infeasible instance.
+    feasible is True exactly for "feasible"; iterations counts the
+    interior-point steps taken, and residual is the violation of choi, the
+    last iterate.
     """
     sources = [as_matrix(m) for m in sources]
     targets = [as_matrix(m) for m in targets]
@@ -310,154 +311,118 @@ def cptp_feasible(sources, targets) -> FeasibilityResult:
             raise ValueError("targets must share one dimension")
 
     n = do * di
-    ncx = n * n
-    a_cx, b_cx = _constraint_system(sources, targets, di, do)
-    m_cx = len(b_cx)
-    # realified system: vec -> [Re, Im], matrix -> [[P,-Q],[Q,P]]
-    p_re, q_im = a_cx.real, a_cx.imag
-    a_re = np.block([[p_re, -q_im], [q_im, p_re]])
-    b_re = np.concatenate([b_cx.real, b_cx.imag])
-    a_pinv = np.linalg.pinv(a_re)
-    # witness pull-back only: a_re has singular values near round-off, and
-    # keeping them inflates the dual vector (and the margin) by ~1e14
-    dual_pinv_t = np.linalg.pinv(a_re, rcond=1e-10).T
+    src, tgt = np.array(sources), np.array(targets)
+    e_out, e_in = _hermitian_basis(do), _hermitian_basis(di)
+    # constraint p is tr(A_p W) = b_p: the image constraints E (x) rho^T with
+    # tr(E sigma), then the partial-trace constraints 1 (x) F with tr F
+    a = np.concatenate([
+        np.einsum("pab,kji->kpaibj", e_out, src).reshape(-1, n, n),
+        np.einsum("ab,pij->paibj", np.eye(do), e_in).reshape(-1, n, n),
+    ])
+    b = np.concatenate([
+        np.einsum("pab,kba->kp", e_out, tgt).real.reshape(-1),
+        np.trace(e_in, axis1=1, axis2=2).real,
+    ])
+    tr_a = np.trace(a, axis1=1, axis2=2).real
+    a_flat = (a - (tr_a / n)[:, None, None] * np.eye(n)).reshape(len(b), -1)
+    b_red = b - di * tr_a / n
+    u, sv, vt = np.linalg.svd(
+        np.concatenate([a_flat.real, a_flat.imag], axis=1), full_matrices=False
+    )
+    r = int(np.sum(sv > 1e-10 * sv[0]))
+    # the r independent rows are orthonormal; a dual y on them is lift @ y on
+    # the original constraints
+    lift = u[:, :r] / sv[:r]
+    ops = vt[:r, : n * n] + 1j * vt[:r, n * n :]
+    rhs = lift.T @ b_red
 
-    def proj_aff(x):
-        return x - a_pinv @ (a_re @ x - b_re)
+    def op(m):
+        """Re tr(A_p m) for every independent row p."""
+        return (ops @ m.T.reshape(-1)).real
 
-    def to_mat(x):
-        return (x[:ncx] + 1j * x[ncx:]).reshape(n, n)
-
-    def to_vec(w):
-        flat = w.reshape(-1)
-        return np.concatenate([flat.real, flat.imag])
-
-    def proj_psd(x):
-        w = _herm(to_mat(x))
-        lam, v = np.linalg.eigh(w)
-        w2 = (v * np.clip(lam, 0.0, None)) @ v.conj().T
-        return to_vec(w2), w2
-
-    def affine_error(w):
-        return float(np.abs(a_cx @ w.reshape(-1) - b_cx).max())
+    def adj(y):
+        return (y @ ops).reshape(n, n)
 
     def violation(w):
-        lam_min = np.linalg.eigvalsh(_herm(w)).min()
-        return max(affine_error(w), max(0.0, -float(lam_min)))
+        w4 = w.reshape(do, di, do, di)
+        image = np.einsum("aibj,kij->kab", w4, src) - tgt
+        trace = np.einsum("aiaj->ij", w4) - np.eye(di)
+        lam_min = float(np.linalg.eigvalsh(_herm(w))[0])
+        return max(float(np.abs(image).max()), float(np.abs(trace).max()), -lam_min)
 
-    def witness(gap):
-        """A FarkasWitness from the realified gap y - z, or None.
+    def witness(y):
+        """The FarkasWitness -y on the original constraints, or None.
 
-        For u pulled back from the gap, Z = herm(to_mat(a_re^T u)) has
-        tr(Z W) = <b, u> on every Hermitian W in the affine set. A Hermitian
-        W with constraint errors <= t = CPTP_TOL (complex modulus) and
-        eigenvalues >= -t has positive mass <= d_in (1 + t) + n t and negative
-        mass <= n t, which gives <b, u> >= d_in low - margin for it, with
-        low = min(lambda_min(Z), 0). A witness is returned only when <b, u>
-        lies below that bound, so it excludes every such W and every channel.
+        Z = -sum_p y_p A_p has tr(Z W) = value = -b.y on every W meeting the
+        constraints. A Hermitian W with constraint errors <= t = CPTP_TOL
+        and eigenvalues >= -t has tr(Z W) <= value + t l1 (l1 the entrywise
+        mass of the duals), negative mass <= n t and positive mass within
+        [d_in (1 - t), d_in (1 + t) + n t], so
+        tr(Z W) >= d_in lam - t (|lam| (d_in + n) + n |Z|) with
+        lam = lambda_min(Z). A witness is returned only when value lies
+        below that bound by t l1, so it excludes every such W and every
+        channel.
         """
-        u = dual_pinv_t @ gap
-        z = _herm(to_mat(a_re.T @ u))
-        value = float(b_re @ u)
-        lam = np.linalg.eigvalsh(z)
-        low = min(float(lam[0]), 0.0)
+        k = len(sources) * do * do
+        ys = list(np.tensordot(-y[:k].reshape(len(sources), -1), e_out, 1))
+        trace_dual = np.tensordot(-y[k:], e_in, 1)
+        lam = np.linalg.eigvalsh(-np.tensordot(y, a, 1))
         z_norm = max(abs(float(lam[0])), abs(float(lam[-1])))
-        margin = CPTP_TOL * (-low * (di + n) + n * z_norm + float(np.abs(u).sum()))
-        if value >= di * low - margin:
+        l1 = sum(float(np.abs(m).sum()) for m in (*ys, trace_dual))
+        margin = CPTP_TOL * (abs(float(lam[0])) * (di + n) + n * z_norm + l1)
+        if -float(b @ y) >= di * float(lam[0]) - margin:
             return None
-        # the same functional split by constraint block: Hermitian duals of
-        # the image constraints and of the partial-trace constraint
-        mu = u[:m_cx] + 1j * u[m_cx:]
-        k = do * do
-        ys = [_herm(mu[i * k : (i + 1) * k].reshape(do, do)) for i in range(len(sources))]
-        return FarkasWitness(ys, _herm(mu[len(sources) * k :].reshape(di, di)))
+        return FarkasWitness(ys, trace_dual)
 
-    a3 = a_cx.reshape(-1, n, n)
+    def result(w, status, it, wit=None):
+        choi = ChoiMatrix(w, din=di, dout=do)
+        return FeasibilityResult(status == "feasible", choi, violation(w), status, it, wit)
 
-    def refine(w_seed):
-        from scipy.optimize import least_squares
+    eye = np.eye(n, dtype=complex)
+    w = di / n * eye  # the completely depolarizing channel, which x = 1 gives
+    # the part of b' outside the range of A' refutes an inconsistent system
+    wit = witness(b_red - u[:, :r] @ (u[:, :r].T @ b_red))
+    if wit is not None:
+        return result(w, "infeasible", 0, wit)
 
-        lam, v = np.linalg.eigh(_herm(w_seed))
-        lam_c = np.clip(lam, 0.0, None)
-        top = max(float(lam_c.max()), 1e-30)
-        r_est = max(1, int(np.sum(lam_c > 1e-3 * top)))
-        for r in list(range(r_est, n + 1)) + list(range(1, r_est)):
-            g0_m = v[:, -r:] * np.sqrt(np.clip(lam[-r:], 1e-12, None))
-            g0 = np.concatenate([g0_m.real.reshape(-1), g0_m.imag.reshape(-1)])
+    # the dual slack S = 1 - A'*(y) is kept exact, so the dual stays feasible
+    x, s, y = eye, eye, np.zeros(r)
+    for it in range(1, CPTP_MAX_ITERS + 1):
+        try:
+            lx = np.linalg.inv(np.linalg.cholesky(x))
+            ls = np.linalg.inv(np.linalg.cholesky(s))
+        except np.linalg.LinAlgError:  # round-off has pushed an iterate off the cone
+            return result(w, "unresolved", it - 1)
+        s_inv = ls.conj().T @ ls
+        rp = rhs - op(x)
+        g = x @ ops.reshape(r, n, n) @ s_inv
+        schur = (ops @ g.transpose(0, 2, 1).reshape(r, n * n).T).real
+        comp = float(np.trace(x @ s).real) / n
 
-            def resid(g, r=r):
-                gm = (g[: n * r] + 1j * g[n * r :]).reshape(n, r)
-                err = a_cx @ (gm @ gm.conj().T).reshape(-1) - b_cx
-                return np.concatenate([err.real, err.imag])
+        def direction(rc):
+            # A(dX) = rp, A*(dy) + dS = 0, X dS + dX S = rc, dX symmetrized
+            # (HKM); lstsq, as the Schur matrix nears singular at the optimum
+            dy = np.linalg.lstsq(schur, rp - op(rc @ s_inv), rcond=None)[0]
+            ds = -adj(dy)
+            return _herm((rc - x @ ds) @ s_inv), dy, ds
 
-            def jac(g, r=r):
-                gm = (g[: n * r] + 1j * g[n * r :]).reshape(n, r)
-                t1 = np.einsum("mij,jk->mik", a3, gm.conj())
-                t2 = np.einsum("mpi,pk->mik", a3, gm)
-                jc = np.concatenate(
-                    [(t1 + t2).reshape(-1, n * r), (1j * (t1 - t2)).reshape(-1, n * r)],
-                    axis=1,
-                )
-                return np.concatenate([jc.real, jc.imag], axis=0)
+        dx, dy, ds = direction(-x @ s)
+        tp, td = min(1.0, _max_step(lx, dx)), min(1.0, _max_step(ls, ds))
+        comp_aff = float(np.trace((x + tp * dx) @ (s + td * ds)).real) / n
+        sigma = min(1.0, comp_aff / comp) ** 3
+        dx, dy, ds = direction(sigma * comp * eye - x @ s - dx @ ds)
+        tp, td = min(1.0, 0.98 * _max_step(lx, dx)), min(1.0, 0.98 * _max_step(ls, ds))
+        x, y = x + tp * dx, y + td * dy
+        s = _herm(eye - adj(y))
 
-            method = "lm" if 2 * len(b_cx) >= 2 * n * r else "trf"
-            try:
-                sol = least_squares(
-                    resid, g0, jac=jac, method=method, max_nfev=1200,
-                    xtol=3e-16, ftol=3e-16, gtol=3e-16,
-                )
-            except Exception:
-                continue
-            gm = (sol.x[: n * r] + 1j * sol.x[n * r :]).reshape(n, r)
-            w = gm @ gm.conj().T
-            if violation(w) <= CPTP_TOL:
-                return w
-        return None
-
-    def choi(w):
-        return ChoiMatrix(w, din=di, dout=do)
-
-    mean_target = sum(targets) / len(targets)
-    x = proj_aff(to_vec(np.kron(mean_target, np.eye(di))))
-    p_corr = np.zeros_like(x)
-    q_corr = np.zeros_like(x)
-    best_v = np.inf
-    best_w = to_mat(x)
-
-    phase1 = min(300, CPTP_MAX_ITERS // 3)
-    it = 0
-    while it < CPTP_MAX_ITERS:
-        y, w_psd = proj_psd(x + p_corr)
-        p_corr = x + p_corr - y
-        z = proj_aff(y + q_corr)
-        q_corr = y + q_corr - z
-        disp = float(np.abs(z - x).max())
-        x = z
-        # proj_psd has just clipped w_psd's spectrum at 0, so only the affine
-        # residual can exceed CPTP_TOL here; a returned certificate is re-checked
-        # in full by violation()
-        v = affine_error(w_psd)
-        if v < best_v:
-            best_v, best_w = v, w_psd
-        it += 1
-        if v <= CPTP_TOL:
-            v_full = violation(w_psd)
-            if v_full <= CPTP_TOL:
-                return FeasibilityResult(True, choi(w_psd), v_full, "feasible", it)
-        if it & (it - 1) == 0:
-            wit = witness(y - z)
+        w = x - (float(np.trace(x).real) - di) / n * eye
+        if violation(w) <= CPTP_STOP_TOL:
+            return result(w, "feasible", it)
+        if rhs @ y > di:
+            wit = witness(lift @ y)
             if wit is not None:
-                return FeasibilityResult(False, choi(best_w), violation(best_w), "infeasible", it, wit)
-        if it == phase1:
-            w_ref = refine(best_w)
-            if w_ref is not None:
-                return FeasibilityResult(True, choi(w_ref), violation(w_ref), "feasible", it)
-        if disp < 1e-15:
-            break
-
-    wit = witness(y - z) if it else None
-    status = "unresolved" if wit is None else "infeasible"
-    return FeasibilityResult(False, choi(best_w), violation(best_w), status, it, wit)
+                return result(w, "infeasible", it, wit)
+    return result(w, "unresolved", CPTP_MAX_ITERS)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +444,16 @@ def _validate_family(name: str, fam) -> list[np.ndarray]:
 
 # Sweep-norm difference beyond which one pair beats the other at an s.
 SWEEP_TOL = 1e-9
+# Largest Choi dimension d_in d_out a pair verdict sends to cptp_feasible.
+CERTIFY_MAX_CHOI = 16
+
+
+def _channel_maps(sources, targets) -> bool:
+    """Whether cptp_feasible certifies a channel mapping the source pair onto
+    the target pair; pairs above CERTIFY_MAX_CHOI are not tried."""
+    if sources[0].shape[0] * targets[0].shape[0] > CERTIFY_MAX_CHOI:
+        return False
+    return cptp_feasible(list(sources), list(targets)).feasible
 
 
 def _pair_verdict(cand, chal, grid, certify) -> ComparisonVerdict:
@@ -515,10 +490,8 @@ def _pair_verdict(cand, chal, grid, certify) -> ComparisonVerdict:
     if cand_beats:
         if cand_comm:
             return ComparisonVerdict("dominates", method="sweep-sufficient-commuting")
-        if certify and cand[0].shape[0] * chal[0].shape[0] <= 16:
-            res = cptp_feasible(list(cand), list(chal))
-            if res.feasible:
-                return ComparisonVerdict("dominates", method="randomization-certificate")
+        if certify and _channel_maps(cand, chal):
+            return ComparisonVerdict("dominates", method="randomization-certificate")
         return ComparisonVerdict("inconclusive", method="sweep-necessary")
 
     # challenger strictly beats somewhere and is never beaten: the candidate
@@ -529,12 +502,10 @@ def _pair_verdict(cand, chal, grid, certify) -> ComparisonVerdict:
     gap = float(-diff[k])
     if chal_comm:
         method = "sweep-sufficient-commuting"
+    elif certify and _channel_maps(chal, cand):
+        method = "randomization-certificate"
     else:
         method = "sweep-necessary"
-        if certify and cand[0].shape[0] * chal[0].shape[0] <= 16:
-            res = cptp_feasible(list(chal), list(cand))
-            if res.feasible:
-                method = "randomization-certificate"
     return ComparisonVerdict("dominated", witness_s=witness, gap=gap, method=method)
 
 

@@ -778,6 +778,53 @@ def test_malformed_spec_names_field(tmp_path, capsys, case):
         assert err.startswith(f"spec error at {path}:")
 
 
+# a family, group or strategy that the analysis cannot take: the library's
+# error names the field at fault. (command, document, field path)
+MISMATCHED = {
+    "group-not-unitary": (
+        "validate", dict(family_doc(**ONE_GP), group=[[mat_json(2 * np.eye(2)), mat_json(np.eye(2))]]), "group",
+    ),
+    "group-not-covariant": (
+        "certify",
+        with_analysis(dict(DAMP, p=1.0), {"protocol": "group-correction", "blocks": [2], "target": "a"}, AB_INPUTS,
+                      group=weyl_group_json()),
+        "group",
+    ),
+    "sequential-group-not-covariant": (
+        "repeat",
+        with_analysis(dict(DAMP, p=1.0), {"analysis": "sequential-certificate", "blocks": [2],
+                                          "strategy": dict(OUTPUT_STRATEGY, interleavers="identity-rewire")},
+                      EB_INPUTS, group=weyl_group_json()),
+        "group",
+    ),
+    "sequential-certificate-identical-strategy": (
+        "repeat",
+        with_analysis(ONE_GP, {"analysis": "sequential-certificate", "blocks": [2],
+                               "strategy": {"mode": "identical", "n": 1, "input": "e"}},
+                      EB_INPUTS, group=weyl_group_json()),
+        "analysis.strategy.mode",
+    ),
+    "adaptive-not-measurement": (
+        "repeat", with_analysis(ONE_GP, {"analysis": "adaptive", "blocks": [1], "menus": [["a"]]}, AB_INPUTS), "family",
+    ),
+    "certify-measurement-not-measurement": (
+        "certify", with_analysis(ONE_GP, {"protocol": "measurement", "input": "a"}, AB_INPUTS), "family",
+    ),
+    "certify-unital-not-unital": (
+        "certify",
+        with_analysis(dict(DAMP, p=1.0), {"protocol": "unital-qubit", "p": [0.5, 0.5], "v": mat_json(np.eye(2))}),
+        "family",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISMATCHED))
+def test_mismatch_names_field(tmp_path, capsys, case):
+    command, doc, path = MISMATCHED[case]
+    assert run(tmp_path, doc, command) == 3
+    assert capsys.readouterr().err.startswith(f"validation error: {path}: ")
+
+
 # ---------------------------------------------------------------------------
 # fixed tolerances: nothing loosens a threshold from the command line
 

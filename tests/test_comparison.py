@@ -1,9 +1,10 @@
 import io
+import time
 
 import numpy as np
 import pytest
 
-from chanopt.channels import apply_extended, make_family
+from chanopt.channels import KrausChannel, apply_extended, make_family, weyl_ops
 from chanopt.comparison import (
     bayes_binary_risk,
     commutes,
@@ -446,6 +447,65 @@ def test_near_miss_pair_is_never_feasible(rng):
         assert witness_separates(res.witness, src, tgt)
     else:
         assert res.witness is None
+
+
+def conjugated_weyl_pair(rng):
+    """Two qubit Weyl mixtures, each followed by its own unitary: phi_d
+    against a random (2,2) input, a Choi dimension of 16 (the pair-verdict
+    cap)."""
+    chans = []
+    for _ in range(2):
+        u, weights = haar_unitary(rng, 2), rng.dirichlet(np.ones(4))
+        chans.append(KrausChannel.from_ops([np.sqrt(p) * u @ w for p, w in zip(weights, weyl_ops(2))]))
+    shape = SystemShape((2, 2))
+    phi, psi = max_entangled(2), random_pure(rng, 4)
+    src, tgt = ([apply_extended(ch, np.outer(v, v.conj()), shape) for ch in chans] for v in (phi, psi))
+    return [(src, tgt)]
+
+
+def qutrit_identity(rng):
+    """The identity map on one pure and one full-rank qutrit state."""
+    fam = [random_density(rng, 3, 1), random_density(rng, 3)]
+    return [(fam, [m.copy() for m in fam])]
+
+
+def near_miss_qutrit_to_qubit(rng):
+    """60 pure pairs, 3 -> 2, whose source overlap exceeds the target's by
+    1e-3 to 1e-1: no channel exists, by a small margin."""
+    instances = []
+    for _ in range(60):
+        target = rng.uniform(0.05, 0.85)
+        source = target + 10 ** rng.uniform(-3, -1)
+        instances.append((pure_pair(rng, 3, source), pure_pair(rng, 2, target)))
+    return instances
+
+
+# instances that once took seconds to minutes or ended unresolved, the
+# statuses each must end in, and the seconds all of them may take together
+SLOW_INSTANCES = {
+    "two-qubit-pair": (conjugated_weyl_pair, {"feasible", "infeasible"}, 2.0),
+    "qutrit-identity": (qutrit_identity, {"feasible"}, 1.0),
+    "near-miss-3-to-2": (near_miss_qutrit_to_qubit, {"infeasible"}, 3.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SLOW_INSTANCES))
+def test_feasibility_resolves_within_time_bound(rng, case):
+    build, statuses, seconds = SLOW_INSTANCES[case]
+    instances = build(rng)
+    start = time.perf_counter()
+    results = [cptp_feasible(src, tgt) for src, tgt in instances]
+    assert time.perf_counter() - start < seconds
+    for (src, tgt), res in zip(instances, results):
+        assert res.status in statuses
+        if res.feasible:
+            w = res.choi
+            assert np.linalg.eigvalsh(w.matrix).min() >= -1e-8
+            assert max_abs(w.trace_out_output() - np.eye(src[0].shape[0])) <= 1e-7
+            for rho, sigma in zip(src, tgt):
+                assert max_abs(w.apply(rho) - sigma) <= 1e-7
+        else:
+            assert witness_separates(res.witness, src, tgt)
 
 
 def test_default_grid_shape():
