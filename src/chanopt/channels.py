@@ -398,13 +398,14 @@ def gp_theta_from_xi(xi) -> np.ndarray:
     return np.clip(theta, 0.0, 1.0)
 
 
-def _gp_channel(d: int, theta) -> KrausChannel:
+def _gp_channel(d: int, theta, where: str) -> KrausChannel:
+    """The Weyl mixture with weights theta, read from the spec field where."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (d * d,):
-        raise ConstraintViolation(f"gp d={d} needs {d*d} weights, got {theta.shape}")
+        raise ConstraintViolation(f"{where}: gp d={d} needs {d*d} weights, got {theta.shape}")
     if theta.min() < -1e-12 or abs(theta.sum() - 1.0) > 1e-9:
         raise ConstraintViolation(
-            "gp weights must be nonnegative and sum to 1 "
+            f"{where}: gp weights must be nonnegative and sum to 1 "
             f"(min {theta.min():.3e}, sum {theta.sum():.12f})"
         )
     ops = [
@@ -727,11 +728,14 @@ def _gp(f: _Fields):
     d = f("d", _qudit_dim)
     stored: dict = {}
     if d == 2 and "xis" in f:
+        key = "xis"
         stored["xis"] = [np.array(x) for x in f("xis", _list_of(_real_list))]
         thetas = [gp_theta_from_xi(x) for x in stored["xis"]]
     else:
+        key = "thetas"
         thetas = [np.array(t, dtype=float) for t in f("thetas", _list_of(_real_list))]
-    members = _numbered("gp", [_gp_channel(d, t) for t in thetas])
+    channels = [_gp_channel(d, t, f"{f.where}.{key}[{i}]") for i, t in enumerate(thetas)]
+    members = _numbered("gp", channels)
     stored["thetas"] = thetas
     return members, stored
 
@@ -836,7 +840,9 @@ def make_family(kind: str, params: dict) -> ChannelFamily:
     members, stored = _BUILDERS[kind](f)
     if labels is not None:
         if len(labels) != len(members):
-            raise ConstraintViolation(f"{len(labels)} labels given for {len(members)} members")
+            raise ConstraintViolation(
+                f"{f.where}.labels: {len(labels)} labels given for {len(members)} members"
+            )
         members = [(lab, ch) for lab, (_, ch) in zip(labels, members)]
     fam = ChannelFamily(members=members, kind=kind, params=stored)
     for label, ch in fam.members:

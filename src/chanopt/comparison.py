@@ -8,6 +8,11 @@ the dominating pair commutes, and in general a channel mapping one pair onto
 the other (cptp_feasible) certifies the ordering directly. dominance_check
 runs the three routes on every member pair, merges the pair verdicts, and
 never claims more than the routes used can support.
+
+A commuting pair's curve is sum_i |p_i - s q_i| over its joint eigenvalues;
+it is read that way whenever the joint eigenbasis is accurate enough to
+prove the closed form within SWEEP_TOL / 10 (_sweep_operands). Every other
+pair is swept by one stacked eigendecomposition (or SVD) over the grid.
 """
 from __future__ import annotations
 
@@ -29,6 +34,8 @@ from .numerics import (
 )
 
 COMMUTE_TOL = 1e-9
+# Sweep-norm difference beyond which one pair beats the other at an s.
+SWEEP_TOL = 1e-9
 
 # Interior-point iterations cptp_feasible may take before it reports
 # "unresolved"; a Farkas witness excludes every W whose constraint violation
@@ -56,7 +63,8 @@ class SweepCurve:
     """Samples of s -> ||rho_plus - s rho_minus||_1.
 
     breakpoints lists the kinks (ratios of joint eigenvalues); it is exact for
-    commuting pairs and empty otherwise, in which case the curve is a convex
+    commuting pairs, whose norms are then sum_i |p_i - s q_i| over the joint
+    eigenvalues, and empty otherwise, in which case the curve is a convex
     grid sample rather than a piecewise-linear description.
     """
 
@@ -112,14 +120,20 @@ def joint_eigenbasis(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def sweep_norms(a, b, s) -> np.ndarray:
-    """||a - s_k b||_1 for every s_k, from one stacked decomposition.
+    """||a - s_k b||_1 for every s_k.
 
-    A Hermitian pair takes one stacked eigvalsh, any other pair one stacked
-    svd: the split trace_norm makes, decided once for the pair.
+    a and b are either a pair of square matrices or the paired joint
+    eigenvalues (p, q) of a commuting Hermitian pair. The spectrum takes the
+    closed form sum_i |p_i - s_k q_i|; a Hermitian pair takes one stacked
+    eigvalsh, any other pair one stacked svd: the split trace_norm makes,
+    decided once for the pair.
     """
+    s = np.asarray(s, dtype=float).reshape(-1)
+    if np.ndim(a) == 1:
+        p, q = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return np.abs(p - s[:, None] * q).sum(axis=1)
     a = as_matrix(a)
     b = as_matrix(b)
-    s = np.asarray(s, dtype=float).reshape(-1)
     stack = a[None, :, :] - s[:, None, None] * b[None, :, :]
     if is_hermitian(a) and is_hermitian(b):
         herm = 0.5 * (stack + stack.conj().swapaxes(1, 2))
@@ -127,19 +141,51 @@ def sweep_norms(a, b, s) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False).sum(axis=1)
 
 
-def _breakpoints(a, b) -> tuple[bool, np.ndarray]:
-    """Whether the pair commutes, and if so the kinks of its curve (ratios
-    of joint eigenvalues); a noncommuting pair gets no kinks."""
+def _joint_spectrum(a, b) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """The paired joint eigenvalues (p, q) of a commuting pair, with the
+    residual r = max |V^dag m V - diag(lambda_m)| over both members m to
+    which the joint basis V diagonalizes them; None for a noncommuting
+    pair."""
     if not commutes(a, b):
-        return False, np.array([])
-    _, p, q = joint_eigenbasis(a, b)
+        return None
+    v, p, q = joint_eigenbasis(a, b)
+    vh = dagger(v)
+    r = max(max_abs(vh @ m @ v - np.diag(lam)) for m, lam in ((a, p), (b, q)))
+    return p, q, r
+
+
+def _breakpoints(spectrum) -> np.ndarray:
+    """Kinks of a commuting pair's curve (ratios of joint eigenvalues); a
+    noncommuting pair (spectrum None) gets none."""
+    if spectrum is None:
+        return np.array([])
+    p, q, _ = spectrum
     mask = q > 1e-12
     bp = np.unique(p[mask] / q[mask])
-    return True, bp[bp >= 0]
+    return bp[bp >= 0]
+
+
+def _sweep_operands(pair, spectrum, s) -> tuple:
+    """What sweep_norms takes for the pair on the grid s: its joint spectrum
+    (p, q) when the residual r meets d^2 (1 + max s) r <= SWEEP_TOL / 10, the
+    pair itself otherwise. V^dag (a - s b) V = diag(p - s q) + E_a - s E_b
+    with unitary V and max |E_ij| <= r, and ||E||_1 <= d^2 max |E_ij|, so by
+    the triangle inequality sum_i |p_i - s q_i| is within d^2 (1 + s) r of
+    ||a - s b||_1: within SWEEP_TOL / 10 at every s of the grid."""
+    if spectrum is not None:
+        p, q, r = spectrum
+        if len(p) ** 2 * (1.0 + s.max()) * r <= SWEEP_TOL / 10:
+            return p, q
+    return pair
+
+
+# read-only, so that no caller can change the grid every other call shares
+_DEFAULT_GRID = default_grid()
+_DEFAULT_GRID.setflags(write=False)
 
 
 def _sweep_grid(grid) -> np.ndarray:
-    s = default_grid() if grid is None else np.asarray(grid, dtype=float).reshape(-1)
+    s = _DEFAULT_GRID if grid is None else np.asarray(grid, dtype=float).reshape(-1)
     if len(s) == 0:
         raise ValueError("empty s grid")
     if s.min() < 0:
@@ -152,17 +198,20 @@ def gap_curve(rho_plus, rho_minus, grid=None) -> SweepCurve:
 
     Commuting pairs get their exact kink locations merged into the grid and
     reported as breakpoints; between consecutive breakpoints the curve is
-    linear. Noncommuting pairs are sampled on the grid alone (the curve is
-    still convex, which bounds it between samples).
+    linear, and the norms come from the joint eigenvalues whenever
+    _sweep_operands admits them. Noncommuting pairs are sampled on the grid
+    alone (the curve is still convex, which bounds it between samples).
     """
     rho_plus = as_matrix(rho_plus)
     rho_minus = as_matrix(rho_minus)
     if rho_plus.shape != rho_minus.shape:
         raise ValueError("state pair must share one dimension")
     _check_pair(rho_plus, rho_minus)
-    _, bp = _breakpoints(rho_plus, rho_minus)
+    spectrum = _joint_spectrum(rho_plus, rho_minus)
+    bp = _breakpoints(spectrum)
     s = np.unique(np.concatenate([_sweep_grid(grid), bp]))
-    return SweepCurve(s_values=s, norms=sweep_norms(rho_plus, rho_minus, s), breakpoints=bp)
+    norms = sweep_norms(*_sweep_operands((rho_plus, rho_minus), spectrum, s), s)
+    return SweepCurve(s_values=s, norms=norms, breakpoints=bp)
 
 
 @dataclass
@@ -442,8 +491,6 @@ def _validate_family(name: str, fam) -> list[np.ndarray]:
     return mats
 
 
-# Sweep-norm difference beyond which one pair beats the other at an s.
-SWEEP_TOL = 1e-9
 # Largest Choi dimension d_in d_out a pair verdict sends to cptp_feasible.
 CERTIFY_MAX_CHOI = 16
 
@@ -457,10 +504,12 @@ def _channel_maps(sources, targets) -> bool:
 
 
 def _pair_verdict(cand, chal, grid, certify) -> ComparisonVerdict:
-    cand_comm, cand_bp = _breakpoints(cand[0], cand[1])
-    chal_comm, chal_bp = _breakpoints(chal[0], chal[1])
-    s_all = np.unique(np.concatenate([grid, cand_bp, chal_bp]))
-    diff = sweep_norms(cand[0], cand[1], s_all) - sweep_norms(chal[0], chal[1], s_all)
+    cand_spec, chal_spec = _joint_spectrum(*cand), _joint_spectrum(*chal)
+    cand_comm, chal_comm = cand_spec is not None, chal_spec is not None
+    s_all = np.unique(np.concatenate([grid, _breakpoints(cand_spec), _breakpoints(chal_spec)]))
+    cand_norms = sweep_norms(*_sweep_operands(cand, cand_spec, s_all), s_all)
+    chal_norms = sweep_norms(*_sweep_operands(chal, chal_spec, s_all), s_all)
+    diff = cand_norms - chal_norms
     cand_beats = bool((diff > SWEEP_TOL).any())
     chal_beats = bool((diff < -SWEEP_TOL).any())
 

@@ -169,8 +169,7 @@ def is_density(m: np.ndarray) -> bool:
         return False
     if abs(np.trace(m).real - 1.0) > DENSITY_TOL:
         return False
-    w, _ = hermitian_eig(m)
-    return is_density_spectrum(w)
+    return is_density_spectrum(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))
 
 
 def is_density_spectrum(w: np.ndarray) -> bool:

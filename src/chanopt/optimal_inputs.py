@@ -24,7 +24,14 @@ from .channels import (
     is_covariant,
     is_unital,
 )
-from .comparison import ComparisonVerdict, commutes, default_grid, sweep_norms
+from .comparison import (
+    ComparisonVerdict,
+    _joint_spectrum,
+    _sweep_operands,
+    commutes,
+    default_grid,
+    sweep_norms,
+)
 from .numerics import (
     SystemShape,
     as_matrix,
@@ -409,8 +416,9 @@ def measurement_input_certify(fam: ChannelFamily, psi: PureState) -> ComparisonV
     if fam.params.get("structure") == "rotated":
         base_p = fam.params["m_plus"]
         base_m = fam.params["m_minus"]
+        base_spec = _joint_spectrum(base_p, base_m)
         if (
-            commutes(base_p, base_m)
+            base_spec is not None
             and abs(np.trace(base_p) - 1.0) <= MEASUREMENT_TOL
             and abs(np.trace(base_m) - 1.0) <= MEASUREMENT_TOL
             and max_abs(rho - np.eye(din) / din) <= MEASUREMENT_TOL
@@ -420,7 +428,8 @@ def measurement_input_certify(fam: ChannelFamily, psi: PureState) -> ComparisonV
             outs = [
                 apply_extended(ch, psi.density(), shape) for _, ch in fam.members
             ]
-            gaps = sweep_norms(outs[0], outs[1], s_grid) - sweep_norms(base_p, base_m, s_grid)
+            base_ops = _sweep_operands((base_p, base_m), base_spec, s_grid)
+            gaps = sweep_norms(outs[0], outs[1], s_grid) - sweep_norms(*base_ops, s_grid)
             if np.all(np.abs(gaps) <= 1e-7) and commutes(outs[0], outs[1]):
                 return ComparisonVerdict(
                     "dominates", method="sweep-sufficient-commuting"

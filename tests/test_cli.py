@@ -550,7 +550,7 @@ MALFORMED = {
     "d-above-guard-gp": ("validate", family_doc(**dict(GP3, d=65)), (), 3, "family.d"),
     "d-above-guard-cdep": ("validate", family_doc(kind="cdep", d=200, thetas=[0.0]), (), 3, "family.d"),
     "gp-d3-with-xis": ("validate", family_doc(kind="gp", d=3, xis=[[0.1, 0.2, 0.3]]), (), 2, "family.thetas"),
-    "gp-d2-short-theta": ("validate", family_doc(kind="gp", d=2, thetas=[[0]]), (), 3, "weights"),
+    "gp-d2-short-theta": ("validate", family_doc(kind="gp", d=2, thetas=[[0]]), (), 3, "family.thetas[0]"),
     "thetas-number": ("validate", family_doc(**dict(GP3, thetas=5)), (), 2, "family.thetas"),
     "xi-entry-bool": ("validate", family_doc(**dict(ONE_GP, xis=[[0.1, True, 0.3]])), (), 2, "family.xis[0][1]"),
     "xis-number": ("validate", family_doc(**dict(ONE_GP, xis=5)), (), 2, "family.xis"),
@@ -563,7 +563,7 @@ MALFORMED = {
     "phase-pair-short": ("validate", family_doc(kind="qubit-phase", thetas=[[0.1]]), (), 2, "family.thetas[0]"),
     "labels-duplicate": ("validate", family_doc(**dict(DAMP, labels=["a", "a"])), (), 2, "family.labels[1]"),
     "labels-empty": ("validate", family_doc(**dict(DAMP, labels=[])), (), 2, "family.labels"),
-    "rotated-label-count": ("validate", family_doc(**dict(ROTATED, labels=["a", "b", "c"])), (), 3, "labels"),
+    "rotated-label-count": ("validate", family_doc(**dict(ROTATED, labels=["a", "b", "c"])), (), 3, "family.labels"),
     "rotated-without-unitaries": (
         "validate",
         family_doc(kind="measurement", structure="rotated", povms=[[mat_json(np.eye(2))]]),
@@ -773,9 +773,10 @@ def test_malformed_spec_names_field(tmp_path, capsys, case):
     command, doc, flags, code, path = MALFORMED[case]
     assert run(tmp_path, doc, command, *flags) == code
     err = capsys.readouterr().err
-    assert path in err
     if code == 2:
         assert err.startswith(f"spec error at {path}:")
+    else:
+        assert err.startswith(f"validation error: {path}: ")
 
 
 # a family, group or strategy that the analysis cannot take: the library's

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from chanopt import comparison
 from chanopt.channels import KrausChannel, apply_extended, make_family, weyl_ops
 from chanopt.comparison import (
     bayes_binary_risk,
@@ -302,6 +303,79 @@ def test_commuting_verdicts_hold_off_the_grid(rng):
     assert set(relations["image"]) == {"dominates"}
     assert "dominates" in relations["perturbed"]
     assert set(relations["perturbed"]) - {"dominates"}
+
+
+def sweep_routes(monkeypatch) -> list[str]:
+    """Record, per sweep_norms call inside comparison, whether it was given
+    a joint spectrum or the matrices themselves."""
+    routes = []
+    kernel = comparison.sweep_norms
+
+    def spy(a, b, s):
+        routes.append("spectrum" if np.ndim(a) == 1 else "matrices")
+        return kernel(a, b, s)
+
+    monkeypatch.setattr(comparison, "sweep_norms", spy)
+    return routes
+
+
+# joint eigenvalues (p, q) of commuting pairs: generic, degenerate (in one
+# member or in both on one subspace) and rank-deficient (disjoint supports,
+# pure members)
+COMMUTING_SPECTRA = [
+    ([0.7, 0.3], [0.2, 0.8]),
+    ([0.5, 0.5], [0.9, 0.1]),
+    ([1.0, 0.0], [0.4, 0.6]),
+    ([1.0, 0.0], [0.0, 1.0]),
+    ([0.5, 0.3, 0.2], [0.1, 0.3, 0.6]),
+    ([0.25, 0.25, 0.5], [0.4, 0.4, 0.2]),
+    ([0.6, 0.4, 0.0], [0.0, 0.3, 0.7]),
+    ([0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]),
+    ([0.25, 0.25, 0.25, 0.25], [0.1, 0.2, 0.3, 0.4]),
+    ([0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]),
+    ([0.5, 0.5, 0.0, 0.0], [0.5, 0.0, 0.5, 0.0]),
+]
+
+
+def test_commuting_curve_reads_joint_eigenvalues(rng, monkeypatch):
+    """gap_curve of a commuting pair at d = 2, 3, 4, each in a Haar frame,
+    takes its norms from the joint eigenvalues, and they equal a per-s
+    trace_norm within 1e-12 (1 + s)."""
+    routes = sweep_routes(monkeypatch)
+    for p, q in COMMUTING_SPECTRA:
+        for _ in range(3):
+            u = haar_unitary(rng, len(p))
+            a, b = (u @ np.diag(x) @ u.conj().T for x in (p, q))
+            c = gap_curve(a, b)
+            want = np.array([trace_norm(a - t * b) for t in c.s_values])
+            assert np.all(np.abs(c.norms - want) <= 1e-12 * (1.0 + c.s_values))
+    assert routes == ["spectrum"] * (3 * len(COMMUTING_SPECTRA))
+
+
+def test_commuting_pair_off_the_guard_takes_the_stacked_route(rng, monkeypatch):
+    """b has two eigenvalues 1e-7 apart, too far apart to share a block of
+    joint_eigenbasis, and a couples their eigenvectors at 1e-10: the pair
+    commutes within COMMUTE_TOL, but the joint basis leaves a residual of
+    1e-10 in a, so the closed form is not proven to SWEEP_TOL / 10 and both
+    gap_curve and the pair verdict sweep the matrices."""
+    a = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    a[0, 1] = a[1, 0] = 1e-10
+    b = np.diag([0.3, 0.3 + 1e-7, 0.4 - 1e-7])
+    assert commutes(a, b)
+    routes = sweep_routes(monkeypatch)
+    c = gap_curve(a, b)
+    assert routes == ["matrices"]
+    want = np.array([trace_norm(a - t * b) for t in c.s_values])
+    assert np.all(np.abs(c.norms - want) <= 1e-12 * (1.0 + c.s_values))
+
+    chal = [random_density(rng, 3) for _ in range(2)]
+    for cand, other in (([a, b], chal), (chal, [a, b])):
+        relation, witness, gap, method = reference_pair_verdict(cand, other)
+        del routes[:]
+        v = dominance_check(cand, other, certify=False)
+        assert routes == ["matrices", "matrices"]
+        assert (v.relation, v.method, v.witness_s) == (relation, method, witness)
+        assert gap is None if v.gap is None else abs(v.gap - gap) < 1e-12
 
 
 def test_dominance_rejects_non_density():

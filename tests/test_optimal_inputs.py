@@ -290,6 +290,30 @@ def test_certify_rotated_commuting_pair():
     assert v.relation == "dominates"
 
 
+@pytest.mark.parametrize("m_plus,m_minus", [
+    ([0.7, 0.3], [0.2, 0.8]),
+    ([0.5, 0.5], [0.9, 0.1]),
+    ([0.6, 0.3, 0.1], [0.1, 0.3, 0.6]),
+])
+def test_certify_rotated_mixed_base_pair(m_plus, m_minus):
+    """Mixed base elements fail the product test that orthogonal projectors
+    pass, so the verdict comes from the rotated branch's sweep against the
+    base pair's curve (read from its joint eigenvalues)."""
+    d = len(m_plus)
+    fam = make_family(
+        "measurement",
+        {
+            "m_plus": np.diag(m_plus),
+            "m_minus": np.diag(m_minus),
+            "unitaries": weyl_ops(d),
+            "structure": "rotated",
+        },
+    )
+    psi = PureState(max_entangled(d), SystemShape((d, d)))
+    v = measurement_input_certify(fam, psi)
+    assert (v.relation, v.method) == ("dominates", "sweep-sufficient-commuting")
+
+
 def complementary_family(a):
     d = len(a)
     m = np.diag(np.asarray(a, dtype=float))
