@@ -10,12 +10,7 @@ analyses, and the phase-closure geometry. Helpers live in their modules
 
 from .channels import apply_extended, gen_pauli, make_family, weyl_ops
 from .comparison import cptp_feasible, dominance_check, gap_curve
-from .entanglement import (
-    bloch_state,
-    entanglement_breaking_gp,
-    fibonacci_sphere,
-    separable_suffices,
-)
+from .entanglement import entanglement_breaking_gp, separable_suffices
 from .geometry import ang_nonempty, ang_sample, closure_residual
 from .numerics import SystemShape, partial_transpose, trace_norm
 from .optimal_inputs import (
@@ -51,13 +46,11 @@ __all__ = [
     "ang_nonempty",
     "ang_sample",
     "apply_extended",
-    "bloch_state",
     "closure_residual",
     "covariant_optimal_state",
     "cptp_feasible",
     "dominance_check",
     "entanglement_breaking_gp",
-    "fibonacci_sphere",
     "fresh_swap_interleavers",
     "gap_curve",
     "gen_pauli",

@@ -386,14 +386,16 @@ def is_covariant(
 #   theta = (1 - xi1 - xi2 - xi3, xi3, xi1, xi2).
 
 
-def gp_theta_from_xi(xi) -> np.ndarray:
+def gp_theta_from_xi(xi, where: str) -> np.ndarray:
+    """The Weyl weights theta of the qubit weights xi read from the spec
+    field where."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (3,):
-        raise ConstraintViolation("gp d=2 takes a 3-component xi vector")
+        raise ConstraintViolation(f"{where}: gp d=2 takes a 3-component xi vector")
     theta = np.array([1.0 - xi.sum(), xi[2], xi[0], xi[1]])
     if theta.min() < -1e-12 or theta.max() > 1 + 1e-12:
         raise ConstraintViolation(
-            f"gp weights must lie in the probability simplex, got theta={theta}"
+            f"{where}: gp weights must lie in the probability simplex, got theta={theta}"
         )
     return np.clip(theta, 0.0, 1.0)
 
@@ -730,7 +732,9 @@ def _gp(f: _Fields):
     if d == 2 and "xis" in f:
         key = "xis"
         stored["xis"] = [np.array(x) for x in f("xis", _list_of(_real_list))]
-        thetas = [gp_theta_from_xi(x) for x in stored["xis"]]
+        thetas = [
+            gp_theta_from_xi(x, f"{f.where}.xis[{i}]") for i, x in enumerate(stored["xis"])
+        ]
     else:
         key = "thetas"
         thetas = [np.array(t, dtype=float) for t in f("thetas", _list_of(_real_list))]

@@ -37,11 +37,10 @@ from .channels import (
 )
 from .comparison import _check_prior, default_grid, dominance_check, gap_curve
 from .entanglement import (
-    bloch_state,
     entanglement_breaking_gp,
     family_gp_params,
-    fibonacci_sphere,
     meas_separable_check,
+    product_candidates,
     separable_suffices,
 )
 from .geometry import (
@@ -347,36 +346,30 @@ def _cmd_certify(doc, fam, args):
 
 
 def _cmd_ent_advantage(doc, fam, args):
-    ana = _analysis(doc)
-    if fam.kind == "measurement":
-        n_points = ana("bloch_points", _int_from, 200)
-        if fam.din != 2:
-            raise SpecError(
-                "analysis", "measurement scan is implemented for qubit inputs"
+    _analysis(doc)  # reads no field, but a non-object analysis is still malformed
+    # the family parsed: only its structure can rule the analysis out
+    with _at("family"):
+        if fam.kind == "measurement":
+            candidates = product_candidates(fam)
+            match = next(
+                (psi for psi in candidates if meas_separable_check(fam, psi).matches_phi), None
             )
-        _check_count("analysis.bloch_points", n_points, 1, fam.din)
-        match_at = None
-        for r in fibonacci_sphere(n_points):
-            if meas_separable_check(fam, bloch_state(r)).matches_phi:
-                match_at = [float(v) for v in r]
-                break
-        payload = {
-            "kind": "measurement",
-            "any_separable_match": match_at is not None,
-            "match_bloch": match_at,
-            "checked_points": n_points,
-        }
-        return payload, {}
-
-    verdict = separable_suffices(fam)
+            payload = {
+                "kind": "measurement",
+                "any_separable_match": match is not None,
+                "match_state": match,
+                "candidates": len(candidates),
+            }
+            return payload, {}
+        verdict = separable_suffices(fam)
+        thetas = family_gp_params(fam)
     payload = {
         "kind": fam.kind,
         "suffices": verdict.suffices,
         "condition": verdict.condition,
         "axis": verdict.axis_name,
         "entanglement_breaking": {
-            lab: entanglement_breaking_gp(theta)
-            for lab, theta in zip(fam.labels(), family_gp_params(fam))
+            lab: entanglement_breaking_gp(theta) for lab, theta in zip(fam.labels(), thetas)
         },
     }
     if verdict.witness is not None:

@@ -4,19 +4,25 @@ For qubit Weyl-mixture families the answer is a closed-form test on the
 Weyl weights theta the member channels are built from, in the order
 [I, Z, X, XZ] of :func:`chanopt.channels.weyl_ops` (collinearity plus one of
 three product-balance conditions, each naming the Bloch axis whose product
-input ties the maximally entangled state). For measurement families the
-test is structural. The entanglement-breaking check shows the two
-properties are independent: a family can break entanglement and still
-reward an entangled input.
+input ties the maximally entangled state). When no condition holds, the
+witness compares the entangled curve with the exact maximum over all
+product inputs, which a Bloch axis attains, at one member pair and one s
+(there is none when the advantage shows only across several s). For
+measurement families the test is structural, and only a finite list of
+inputs can pass it (product_candidates), so checking that list decides the
+question at any dimension. The entanglement-breaking check shows the two properties are
+independent: a family can break entanglement and still reward an entangled
+input.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .channels import ChannelFamily, ConstraintViolation, gp_weights_from_channel
-from .comparison import commutes, default_grid, joint_eigenbasis
+from .comparison import commutes, default_grid, joint_eigenbasis, sweep_norms
 from .numerics import as_matrix, dagger, hermitian_eig, max_abs
 
 # Positions of the qubit Weyl weights theta.
@@ -28,6 +34,8 @@ LINE_TOL = 1e-9
 BALANCE_TOL = 1e-10
 # Overlap and annihilation tolerance of the measurement-family checks.
 MEAS_TOL = 1e-8
+# Smallest margin reported as a witness against every product input.
+WITNESS_TOL = 1e-9
 
 
 def bloch_contraction(theta) -> tuple[float, float, float]:
@@ -77,9 +85,6 @@ def product_balance_conditions(p, m) -> list[bool]:
 
 GP_AXIS_NAMES = {1: "x", 2: "y", 3: "z"}
 
-# Product inputs separable_suffices samples on the Bloch sphere for a witness.
-WITNESS_BLOCH_POINTS = 100
-
 
 @dataclass
 class SeparableWitness:
@@ -98,23 +103,6 @@ class SeparableVerdict:
     def axis_name(self) -> str | None:
         """Bloch axis the certifying condition names."""
         return None if self.condition is None else GP_AXIS_NAMES[self.condition]
-
-
-def fibonacci_sphere(n: int) -> np.ndarray:
-    """Deterministic n-point covering of the unit sphere."""
-    k = np.arange(n)
-    z = 1.0 - (2 * k + 1.0) / n
-    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    golden = np.pi * (3.0 - np.sqrt(5.0))
-    return np.stack([r * np.cos(golden * k), r * np.sin(golden * k), z], axis=1)
-
-
-def bloch_state(r) -> np.ndarray:
-    """Qubit state vector with the given Bloch direction (unit r)."""
-    x, y, z = (float(v) for v in r)
-    theta = np.arccos(np.clip(z, -1.0, 1.0))
-    phi = np.arctan2(y, x)
-    return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
 
 
 def family_gp_params(fam: ChannelFamily) -> list[np.ndarray]:
@@ -138,20 +126,6 @@ def family_gp_params(fam: ChannelFamily) -> list[np.ndarray]:
     return thetas
 
 
-def _entangled_curve(tp: np.ndarray, tm: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """||out+ - s out-||_1 for the entangled input; outputs are diagonal in
-    the shared entangled-shift basis with the mixing weights as eigenvalues."""
-    return np.abs(tp[None, :] - s[:, None] * tm[None, :]).sum(axis=1)
-
-
-def _product_curve(ap: np.ndarray, am: np.ndarray, rs: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Curves of all Bloch inputs rs (rows) at all s; qubit pair in closed form."""
-    rp = rs * ap[None, :]
-    rm = rs * am[None, :]
-    diff = rp[None, :, :] - s[:, None, None] * rm[None, :, :]
-    return np.maximum(np.abs(1.0 - s)[:, None], np.linalg.norm(diff, axis=2))
-
-
 def separable_suffices(fam: ChannelFamily) -> SeparableVerdict:
     """Decide whether some product input ties the entangled benchmark.
 
@@ -159,8 +133,10 @@ def separable_suffices(fam: ChannelFamily) -> SeparableVerdict:
     (theta_Z, theta_X, theta_XZ) collinear and one balance condition on a
     distinct member pair; the first condition that holds names the
     certifying axis. On failure the witness records a member pair, a sweep
-    point s, and the margin by which the entangled curve beats every sampled
-    product input there.
+    point s, and the margin by which the entangled curve beats every product
+    input there. The witness is None when no single pair and s give a
+    margin above WITNESS_TOL: an advantage that shows only across several s
+    (one axis ties below s = 1, another above) has no pointwise witness.
     """
     thetas = family_gp_params(fam)
     labels = fam.labels()
@@ -187,22 +163,22 @@ def separable_suffices(fam: ChannelFamily) -> SeparableVerdict:
             return SeparableVerdict(suffices=True, condition=condition)
 
     s = default_grid()
-    rs = fibonacci_sphere(WITNESS_BLOCH_POINTS)
     contractions = [np.array(bloch_contraction(t)) for t in thetas]
 
     best = None
-    for i in range(len(thetas)):
-        for j in range(i + 1, len(thetas)):
-            ent = _entangled_curve(thetas[i], thetas[j], s)
-            prod = _product_curve(contractions[i], contractions[j], rs, s)
-            adv = ent - prod.max(axis=1)
-            k = int(np.argmax(adv))
-            cand = SeparableWitness(
-                pair=(labels[i], labels[j]), s=float(s[k]), gap=float(adv[k])
-            )
-            if best is None or cand.gap > best.gap:
-                best = cand
-    return SeparableVerdict(suffices=False, witness=best)
+    for i, j in combinations(range(len(thetas)), 2):
+        # the entangled outputs are diagonal in one basis, with the weights
+        # as eigenvalues; a product input with Bloch vector r has
+        # ||out+ - s out-||_1 = max(|1 - s|, |(a+ - s a-) o r|), largest on
+        # the axis k of the largest |a+_k - s a-_k|
+        ent = sweep_norms(thetas[i], thetas[j], s)
+        axes = np.abs(contractions[i] - s[:, None] * contractions[j])
+        adv = ent - np.maximum(np.abs(1.0 - s), axes.max(axis=1))
+        k = int(np.argmax(adv))
+        cand = SeparableWitness(pair=(labels[i], labels[j]), s=float(s[k]), gap=float(adv[k]))
+        if best is None or cand.gap > best.gap:
+            best = cand
+    return SeparableVerdict(suffices=False, witness=best if best.gap > WITNESS_TOL else None)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +205,38 @@ class MeasSeparableResult:
     detail: dict
 
 
+def _rotated_eigenbasis(fam: ChannelFamily) -> np.ndarray:
+    """Joint eigenvectors (columns) of a rotated family's base pair, by
+    strictly decreasing weight ratio m_plus / m_minus."""
+    base_p = as_matrix(fam.params["m_plus"])
+    base_m = as_matrix(fam.params["m_minus"])
+    if not commutes(base_p, base_m):
+        raise ValueError("base elements do not commute")
+    vecs, alphas, betas = joint_eigenbasis(base_p, base_m)
+    if betas.min() <= 1e-12:
+        raise ValueError("ratio ordering needs strictly positive second weights")
+    order = np.argsort(-alphas / betas, kind="stable")
+    if (np.diff((alphas / betas)[order]) > -1e-12).any():
+        raise ValueError("ratio ordering needs strictly decreasing weight ratios")
+    return vecs[:, order]
+
+
+def product_candidates(fam: ChannelFamily) -> list[np.ndarray]:
+    """Every input psi for which psi (x) psi_R can tie the entangled input of
+    a measurement family; meas_separable_check rejects any other.
+
+    Rotated families: U_0^dag psi must be a base eigenvector v_j up to
+    phase, so psi is one of the U_0 v_j, which are unique since the weight
+    ratios are distinct. Orthogonal-complement families: each unit-rank
+    outcome M_i annihilates psi or is proportional to its projector, and
+    the M_i sum to the identity, so psi spans the range of some M_i.
+    """
+    if fam.params.get("structure") == "rotated":
+        u0 = as_matrix(fam.params["unitaries"][0])
+        return list((u0 @ _rotated_eigenbasis(fam)).T)
+    return [hermitian_eig(m)[1][:, -1] for m in fam.params["povms"][0].elements]
+
+
 def meas_separable_check(fam: ChannelFamily, psi_in) -> MeasSeparableResult:
     """Whether the product input psi_in (x) psi_R ties the entangled input.
 
@@ -248,20 +256,8 @@ def meas_separable_check(fam: ChannelFamily, psi_in) -> MeasSeparableResult:
         raise ValueError("psi_in must live on the family input space")
 
     if fam.params.get("structure") == "rotated":
-        base_p = as_matrix(fam.params["m_plus"])
-        base_m = as_matrix(fam.params["m_minus"])
         unitaries = fam.params["unitaries"]
-        if not commutes(base_p, base_m):
-            raise ValueError("base elements do not commute")
-        vecs, alphas, betas = joint_eigenbasis(base_p, base_m)
-        if betas.min() <= 1e-12:
-            raise ValueError("ratio ordering needs strictly positive second weights")
-        order = np.argsort(-alphas / betas, kind="stable")
-        ratios = (alphas / betas)[order]
-        if (np.diff(ratios) > -1e-12).any():
-            raise ValueError("ratio ordering needs strictly decreasing weight ratios")
-        vecs = vecs[:, order]
-
+        vecs = _rotated_eigenbasis(fam)
         m = len(unitaries)
         if m % d:
             return MeasSeparableResult(False, {"structure": "rotated", "reason": "outcome count not a multiple of the dimension"})

@@ -89,7 +89,7 @@ _DOCUMENTS = {
             "povms": [[_pairs(m) for m in _EB_PLUS], [_pairs(m) for m in _EB_MINUS]],
             "labels": ["plus", "minus"],
         },
-        "analysis": {"command": "ent-advantage", "bloch_points": 200},
+        "analysis": {"command": "ent-advantage"},
     },
     "eb-needs-ent-weyl": {
         "family": {
@@ -98,7 +98,7 @@ _DOCUMENTS = {
             "m_plus": _pairs(0.7 * np.outer(_E1, _E1) + 0.3 * np.outer(_E2, _E2)),
             "m_minus": _pairs(0.2 * np.outer(_E1, _E1) + 0.8 * np.outer(_E2, _E2)),
         },
-        "analysis": {"command": "ent-advantage", "bloch_points": 200},
+        "analysis": {"command": "ent-advantage"},
     },
 }
 

@@ -29,14 +29,12 @@ from .comparison import (
     _binary_risk,
     _check_pair,
     _check_prior,
+    _joint_spectrum,
     bayes_binary_risk,
-    commutes,
-    joint_eigenbasis,
 )
 from .numerics import (
     DIM_GUARD,
     SystemShape,
-    dagger,
     exceeds_dim_guard,
     hermitian_eig,
     max_abs,
@@ -278,19 +276,15 @@ def _identical_risk(omega_p: np.ndarray, omega_m: np.ndarray, n: int, prior: flo
     n-fold products of them, so the risk needs len(p)^n numbers instead of
     dense len(p)^n x len(p)^n Kronecker powers. The eigenvalue route is taken
     only when the joint eigenbasis V leaves V^dag omega V diagonal to within
-    1e-8 for both members: commutes() alone passes a pair whose
-    near-degenerate eigenvectors the other member still couples. Any other
-    pair takes the dense route.
+    1e-8 for both members (the residual _joint_spectrum returns): commutes()
+    alone passes a pair whose near-degenerate eigenvectors the other member
+    still couples. Any other pair takes the dense route.
     """
-    if commutes(omega_p, omega_m):
-        v, p, q = joint_eigenbasis(omega_p, omega_m)
-        if all(
-            max_abs(dagger(v) @ omega @ v - np.diag(lam)) <= 1e-8
-            for omega, lam in ((omega_p, p), (omega_m, q))
-        ):
-            spectra = [reduce(np.multiply.outer, [lam] * n).reshape(-1) for lam in (p, q)]
-            _check_pair(*spectra)
-            return _binary_risk(*spectra, prior)
+    spectrum = _joint_spectrum(omega_p, omega_m)
+    if spectrum is not None and spectrum[2] <= 1e-8:
+        spectra = [reduce(np.multiply.outer, [lam] * n).reshape(-1) for lam in spectrum[:2]]
+        _check_pair(*spectra)
+        return _binary_risk(*spectra, prior)
     powers = [reduce(np.kron, [omega] * n) for omega in (omega_p, omega_m)]
     return bayes_binary_risk(*powers, prior)
 

@@ -35,6 +35,23 @@ def preset_family(name: str):
     return make_family(family["kind"], family)
 
 
+def fibonacci_sphere(n: int) -> np.ndarray:
+    """Deterministic n-point covering of the unit sphere."""
+    k = np.arange(n)
+    z = 1.0 - (2 * k + 1.0) / n
+    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+    golden = np.pi * (3.0 - np.sqrt(5.0))
+    return np.stack([r * np.cos(golden * k), r * np.sin(golden * k), z], axis=1)
+
+
+def bloch_state(r) -> np.ndarray:
+    """Qubit state vector with the given Bloch direction (unit r)."""
+    x, y, z = (float(v) for v in r)
+    theta = np.arccos(np.clip(z, -1.0, 1.0))
+    phi = np.arctan2(y, x)
+    return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+
+
 def haar_unitary(rng, d: int) -> np.ndarray:
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(g)

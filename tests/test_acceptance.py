@@ -13,12 +13,10 @@ from chanopt import (
     ang_nonempty,
     ang_sample,
     apply_extended,
-    bloch_state,
     closure_residual,
     cptp_feasible,
     dominance_check,
     entanglement_breaking_gp,
-    fibonacci_sphere,
     gap_curve,
     gen_pauli,
     group_correction_simulator,
@@ -33,7 +31,7 @@ from chanopt import (
 )
 from chanopt.entanglement import product_balance_conditions
 from chanopt.numerics import max_entangled
-from conftest import ang_grid_search, haar_unitary, random_pure
+from conftest import ang_grid_search, bloch_state, fibonacci_sphere, haar_unitary, random_pure
 
 TWO_QUBITS = SystemShape((2, 2))
 

@@ -167,7 +167,7 @@ def test_gp_weights_recovered_from_channel(rng):
 def test_gp_xi_theta_round_trip():
     # xis weight X, XZ, Z; theta is in the Weyl order [I, Z, X, XZ]
     xi = (0.1, 0.2, 0.3)
-    theta = gp_theta_from_xi(xi)
+    theta = gp_theta_from_xi(xi, "xis[0]")
     assert abs(theta.sum() - 1.0) < 1e-12
     assert max_abs(theta - np.array([1 - sum(xi), xi[2], xi[0], xi[1]])) < 1e-12
 

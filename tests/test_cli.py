@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chanopt.channels import weyl_ops
+from chanopt.channels import make_family, weyl_ops
 from chanopt.cli import main
+from chanopt.entanglement import product_candidates
+from chanopt.numerics import max_abs
 
 SQRT_HALF = float(np.sqrt(0.5))
 
@@ -243,6 +245,13 @@ def ent_report(tmp_path, family):
     return report(tmp_path, "ent-advantage-report.json")
 
 
+def test_ent_advantage_omits_a_zero_margin_witness(tmp_path):
+    # one axis ties the entangled curve below s = 1, another above
+    out = ent_report(tmp_path, {"kind": "gp", "d": 2, "xis": [[0, 0.1, 0], [0, 0, 0.1]]})
+    assert out["suffices"] is False
+    assert "witness" not in out
+
+
 def damp_half_xis(x):
     """xis (weights of X, XZ, Z) of the damp member at p = 1/2, a Pauli channel."""
     return [(1 - x) / 4, (1 - x) / 4, (1 - np.sqrt(x)) ** 2 / 4]
@@ -290,7 +299,38 @@ def test_ent_advantage_measurement_presets(tmp_path, name):
     ) == 0
     out = report(tmp_path, "ent-advantage-report.json")
     assert out["any_separable_match"] is False
-    assert out["checked_points"] == 200
+    assert out["match_state"] is None
+    assert out["candidates"] == {"eb-needs-ent-povm": 3, "eb-needs-ent-weyl": 2}[name]
+
+
+def rotated_family_json():
+    return {
+        "kind": "measurement",
+        "m_plus": mat_json(np.diag([0.7, 0.3])),
+        "m_minus": mat_json(np.diag([0.3, 0.7])),
+        "unitaries": [mat_json(u) for u in weyl_ops(2)],
+    }
+
+
+def qutrit_rotated_family_json():
+    return {
+        "kind": "measurement",
+        "m_plus": mat_json(np.diag([0.5, 0.3, 0.2])),
+        "m_minus": mat_json(np.diag([0.2, 0.3, 0.5])),
+        "unitaries": [mat_json(u) for u in weyl_ops(3)],
+    }
+
+
+@pytest.mark.parametrize(
+    "family", [rotated_family_json(), qutrit_rotated_family_json()], ids=["d2", "d3"]
+)
+def test_ent_advantage_rotated_family_matches_a_candidate(tmp_path, family):
+    out = ent_report(tmp_path, family)
+    fam = make_family("measurement", family)
+    assert out["any_separable_match"] is True
+    assert out["candidates"] == fam.din
+    got = np.array([complex(*z) for z in out["match_state"]])
+    assert any(max_abs(got - psi) <= 1e-11 for psi in product_candidates(fam))
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +437,6 @@ def test_ang_unknown_query(tmp_path):
 
 # ---------------------------------------------------------------------------
 # repeat
-
-
-def rotated_family_json():
-    return {
-        "kind": "measurement",
-        "m_plus": mat_json(np.diag([0.7, 0.3])),
-        "m_minus": mat_json(np.diag([0.3, 0.7])),
-        "unitaries": [mat_json(u) for u in weyl_ops(2)],
-    }
 
 
 def test_repeat_adaptive(tmp_path):
@@ -576,9 +607,19 @@ MALFORMED = {
     "sweep-points-negative": ("sweep", with_analysis(DAMP, {"points": -1}, EB_INPUTS), (), 3, "analysis.points"),
     "sweep-inputs-string": ("sweep", with_analysis(DAMP, {"inputs": "eb"}, EB_INPUTS), (), 2, "analysis.inputs"),
     "compare-input-list": ("compare", with_analysis(DAMP, {"inputs": [["e"], "b"]}, EB_INPUTS), (), 2, "analysis.inputs[0]"),
-    "bloch-points-string": ("ent-advantage", with_analysis(ROTATED, {"bloch_points": "many"}), (), 2, "analysis.bloch_points"),
-    "bloch-points-huge": ("ent-advantage", with_analysis(ROTATED, {"bloch_points": 10**12}), (), 3, "analysis.bloch_points"),
-    "bloch-points-zero": ("ent-advantage", with_analysis(ROTATED, {"bloch_points": 0}), (), 3, "analysis.bloch_points"),
+    "xis-short": ("validate", family_doc(**dict(ONE_GP, xis=[[0.1]])), (), 3, "family.xis[0]"),
+    "xis-off-simplex": ("validate", family_doc(**dict(ONE_GP, xis=[[0.6, 0.6, 0.0]])), (), 3, "family.xis[0]"),
+    "ent-plain-not-complement": (
+        "ent-advantage",
+        family_doc(kind="measurement", povms=[[mat_json(np.diag([1, 0])), mat_json(np.diag([0, 1]))]] * 2),
+        (), 3, "family",
+    ),
+    "ent-rotated-base-not-commuting": (
+        "ent-advantage",
+        family_doc(**dict(ROTATED, m_minus=mat_json([[0.5, 0.2], [0.2, 0.5]]))),
+        (), 3, "family",
+    ),
+    "ent-damp-not-weyl-mixture": ("ent-advantage", family_doc(**dict(DAMP, p=1.0)), (), 3, "family"),
     "prior-null": (
         "repeat",
         with_analysis(ROTATED, {"analysis": "adaptive", "prior": None, "blocks": [1], "menus": [["a"]]}, AB_INPUTS),
@@ -986,7 +1027,7 @@ _ANALYSIS = {
         p=st.sampled_from([[0.7, 0.3], [0.5, 0.5], [1.0, 0.0], [0.6, 0.6]]),
         v=_UNITARY,
     ),
-    "ent-advantage": _object(bloch_points=_SMALL),
+    "ent-advantage": st.just({}),
     "sweep": _object(inputs=_NAMES, points=_SMALL, s_max=_REAL, extra_s=_REALS),
     "ang": _object(query=st.sampled_from(["nonempty", "solve", "sample", "parallel", "junk"]), n=_SMALL),
     "repeat": _object(

@@ -4,17 +4,16 @@ import pytest
 from chanopt.channels import apply_extended, make_family, weyl_ops
 from chanopt.entanglement import (
     bloch_contraction,
-    bloch_state,
     collinear,
     entanglement_breaking_gp,
     family_gp_params,
-    fibonacci_sphere,
     meas_separable_check,
     product_balance_conditions,
+    product_candidates,
     separable_suffices,
 )
 from chanopt.numerics import SystemShape, max_abs, max_entangled, partial_transpose
-from conftest import partial_transpose_oracle
+from conftest import bloch_state, fibonacci_sphere, haar_unitary, partial_transpose_oracle
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SY = np.array([[0.0, -1j], [1j, 0.0]])
@@ -75,7 +74,7 @@ def test_balance_conditions_name_axes():
 
 
 # ---------------------------------------------------------------------------
-# Bloch sampling helpers
+# Bloch sampling oracles (tests/conftest.py)
 
 
 def test_fibonacci_sphere_covering():
@@ -161,12 +160,6 @@ def test_collinear_without_balance_gets_witness():
     assert v.witness.pair == ("gp0", "gp1")
 
 
-def test_non_collinear_triple_gets_witness():
-    v = separable_suffices(gp_fam((0.1, 0, 0), (0, 0.1, 0), (0, 0, 0.1)))
-    assert not v.suffices
-    assert v.witness.gap > 1e-6
-
-
 def test_witness_gap_is_real(rng):
     # the reported gap must survive an independent recomputation
     fam = gp_fam((0.1, 0.2, 0.3), (0.05, 0.1, 0.15))
@@ -190,6 +183,75 @@ def test_witness_gap_is_real(rng):
             - w.s * np.kron(chs[w.pair[1]].apply(rho), rho)
         )
         assert ent >= prod + w.gap - 1e-9
+
+
+def bloch_densities(rs) -> np.ndarray:
+    psis = np.array([bloch_state(r) for r in rs])
+    return np.einsum("ni,nj->nij", psis, psis.conj())
+
+
+def product_curve_oracle(fam, pair, s, rhos) -> np.ndarray:
+    """||out+ - s out-||_1 of the pair's outputs on each input state in
+    rhos, from the Kraus operators."""
+    chs = dict(fam.members)
+
+    def outputs(ch):
+        ks = np.array(ch.kraus_ops)
+        return np.einsum("kij,njl,kml->nim", ks, rhos, ks.conj(), optimize=True)
+
+    diff = outputs(chs[pair[0]]) - s * outputs(chs[pair[1]])
+    return np.abs(np.linalg.eigvalsh(diff)).sum(axis=1)
+
+
+AXES = bloch_densities([sign * np.eye(3)[k] for k in range(3) for sign in (1.0, -1.0)])
+
+
+def test_witness_gap_is_exact_over_product_inputs(rng):
+    # the closed-form product maximum bounds a dense sphere scan from above,
+    # and some Bloch axis attains it
+    sphere = bloch_densities(fibonacci_sphere(4000))
+    checked = 0
+    while checked < 20:
+        fam = gp_fam(*(rng.dirichlet(np.ones(4))[1:] for _ in range(2)))
+        if any(product_balance_conditions(*fam.params["thetas"])):
+            continue
+        w = separable_suffices(fam).witness
+        chs = dict(fam.members)
+        ent = np.abs(np.linalg.eigvalsh(
+            entangled_output(chs[w.pair[0]]) - w.s * entangled_output(chs[w.pair[1]])
+        )).sum()
+        scan = product_curve_oracle(fam, w.pair, w.s, sphere).max()
+        on_axes = product_curve_oracle(fam, w.pair, w.s, AXES).max()
+        assert ent - w.gap >= scan - 1e-12
+        assert abs(ent - w.gap - on_axes) <= 1e-12
+        checked += 1
+
+
+@pytest.mark.parametrize(
+    "xis",
+    [[(0.1, 0, 0), (0, 0.1, 0), (0, 0, 0.1)], [(0, 0.1, 0), (0, 0, 0.1)]],
+    ids=["non-collinear-triple", "unbalanced-pair"],
+)
+def test_advantage_across_several_s_has_no_pointwise_witness(xis):
+    # no product input ties the entangled curve at every s, yet at each s of
+    # each pair some Bloch axis does (on gp0, gp1: x below s = 1, y above),
+    # so no single pair and s carry a positive margin to report
+    fam = gp_fam(*xis)
+    v = separable_suffices(fam)
+    assert not v.suffices
+    assert v.witness is None
+    chs = dict(fam.members)
+    s = (0.5, 2.0)
+    ent = np.array([
+        np.abs(np.linalg.eigvalsh(
+            entangled_output(chs["gp0"]) - si * entangled_output(chs["gp1"])
+        )).sum()
+        for si in s
+    ])
+    prod = np.array([product_curve_oracle(fam, ("gp0", "gp1"), si, AXES) for si in s])
+    # an axis ties at each s, and every axis loses at one of them
+    assert np.abs(prod.max(axis=1) - ent).max() <= 1e-12
+    assert (ent[:, None] - prod).max(axis=0).min() > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +303,9 @@ def test_partial_transpose_oracle_agrees(rng):
 # measurement families
 
 
-def ortho_family(d=2):
-    basis = np.eye(d)
-    mp = [np.outer(basis[:, i], basis[:, i]) for i in range(d)]
+def ortho_family(d=2, basis=None):
+    basis = np.eye(d) if basis is None else basis
+    mp = [np.outer(basis[:, i], basis[:, i].conj()) for i in range(d)]
     mm = [(np.trace(m) * np.eye(d) - m) / max(d - 1, 1) for m in mp]
     return make_family("measurement", {"povms": [mp, mm], "labels": ["p", "m"]})
 
@@ -290,6 +352,38 @@ def test_meas_rotated_off_basis_fails():
     res = meas_separable_check(fam, np.array([1.0, 1.0]) / np.sqrt(2))
     assert not res.matches_phi
     assert res.detail["reason"] == "rotated input leaves the eigenbasis"
+
+
+def rotated_family(d):
+    ratios = np.linspace(0.2, 0.8, d)
+    return make_family(
+        "measurement",
+        {
+            "m_plus": np.diag(ratios / ratios.sum()),
+            "m_minus": np.diag(ratios[::-1] / ratios.sum()),
+            "unitaries": weyl_ops(d),
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        rotated_family(2),
+        rotated_family(3),
+        ortho_family(2),
+        ortho_family(3, haar_unitary(np.random.default_rng(5), 3)),
+    ],
+    ids=["rotated-d2", "rotated-d3", "ortho-d2", "ortho-d3-frame"],
+)
+def test_product_candidates_are_the_only_matches(rng, fam):
+    candidates = product_candidates(fam)
+    assert len(candidates) == fam.din
+    for psi in candidates:
+        assert meas_separable_check(fam, psi).matches_phi
+    for _ in range(30):
+        psi = rng.normal(size=fam.din) + 1j * rng.normal(size=fam.din)
+        assert not meas_separable_check(fam, psi / np.linalg.norm(psi)).matches_phi
 
 
 def test_meas_check_rejections():

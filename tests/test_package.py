@@ -1,5 +1,6 @@
 """The package namespace the benchmark and the library example rely on."""
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -12,20 +13,20 @@ import chanopt.cli  # noqa: F401  (the benchmark reaches main as co.cli.main)
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _traced_modules() -> set[str]:
-    """Module names in bench/tracing.py's TRACED table, read without
-    importing the benchmark."""
+def _traced() -> tuple[tuple[str, str], ...]:
+    """The (module, function) pairs of bench/tracing.py's TRACED table, read
+    without importing the benchmark."""
     tree = ast.parse((BENCH / "tracing.py").read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
         ):
-            return {mod for mod, _ in ast.literal_eval(node.value)}
+            return ast.literal_eval(node.value)
     raise AssertionError("bench/tracing.py has no TRACED table")
 
 
 def test_import_loads_every_traced_module():
-    traced = _traced_modules()
+    traced = {mod for mod, _ in _traced()}
     assert len(traced) == 7
     # a fresh interpreter: this one has already imported every module
     code = "import sys, chanopt; print(' '.join(sorted(sys.modules)))"
@@ -37,6 +38,16 @@ def test_import_loads_every_traced_module():
         env=dict(os.environ, PYTHONPATH=str(Path(chanopt.__file__).parents[1])),
     ).stdout.split()
     assert {f"chanopt.{mod}" for mod in traced} <= set(out)
+
+
+def test_every_traced_function_resolves():
+    # the tracer looks each one up with getattr on chanopt.<module>
+    missing = [
+        f"{mod}.{fn}"
+        for mod, fn in _traced()
+        if not callable(getattr(importlib.import_module(f"chanopt.{mod}"), fn, None))
+    ]
+    assert not missing
 
 
 def test_every_exported_name_resolves():

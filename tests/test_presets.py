@@ -4,15 +4,13 @@ import pytest
 from chanopt.channels import choi_of, validate_cptp
 from chanopt.cli import parse_family
 from chanopt.entanglement import (
-    bloch_state,
     entanglement_breaking_gp,
-    fibonacci_sphere,
     meas_separable_check,
     separable_suffices,
 )
 from chanopt.numerics import max_abs
 from chanopt.presets import eb_povm_elements, preset_document, preset_names
-from conftest import preset_family
+from conftest import bloch_state, fibonacci_sphere, preset_family
 
 ALL = [
     "damp-counterexample",
