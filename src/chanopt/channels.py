@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -56,7 +57,18 @@ class SpecError(ValueError):
 
     def __init__(self, where: str, message: str):
         super().__init__(f"{where}: {message}")
-        self.where = where
+
+
+@contextmanager
+def _at(where: str):
+    """Report a ValueError raised inside as a constraint violation of the
+    spec field where; a SpecError keeps its own location."""
+    try:
+        yield
+    except SpecError:
+        raise
+    except ValueError as exc:
+        raise ConstraintViolation(f"{where}: {exc}") from exc
 
 
 @dataclass
@@ -171,7 +183,8 @@ class Povm:
 
 @dataclass
 class ChannelFamily:
-    """Ordered, labeled channels sharing input and output spaces.
+    """Ordered, labeled channels sharing input and output spaces, as
+    make_family builds and checks them.
 
     ``params`` carries kind-specific structure: the Weyl weights theta of a
     generalized Pauli family, the rotation data of a rotated measurement
@@ -182,15 +195,6 @@ class ChannelFamily:
     members: list[tuple[str, KrausChannel]]
     kind: str = "custom"
     params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("a family needs at least one member")
-        din = self.members[0][1].din
-        dout = self.members[0][1].dout
-        for label, ch in self.members:
-            if ch.din != din or ch.dout != dout:
-                raise ValueError(f"member {label!r} has mismatched dimensions")
 
     @property
     def din(self) -> int:
@@ -386,28 +390,27 @@ def is_covariant(
 #   theta = (1 - xi1 - xi2 - xi3, xi3, xi1, xi2).
 
 
-def gp_theta_from_xi(xi, where: str) -> np.ndarray:
-    """The Weyl weights theta of the qubit weights xi read from the spec
-    field where."""
+def gp_theta_from_xi(xi) -> np.ndarray:
+    """The Weyl weights theta of the qubit weights xi."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (3,):
-        raise ConstraintViolation(f"{where}: gp d=2 takes a 3-component xi vector")
+        raise ConstraintViolation("gp d=2 takes a 3-component xi vector")
     theta = np.array([1.0 - xi.sum(), xi[2], xi[0], xi[1]])
     if theta.min() < -1e-12 or theta.max() > 1 + 1e-12:
         raise ConstraintViolation(
-            f"{where}: gp weights must lie in the probability simplex, got theta={theta}"
+            f"gp weights must lie in the probability simplex, got theta={theta}"
         )
     return np.clip(theta, 0.0, 1.0)
 
 
-def _gp_channel(d: int, theta, where: str) -> KrausChannel:
-    """The Weyl mixture with weights theta, read from the spec field where."""
+def _gp_channel(d: int, theta) -> KrausChannel:
+    """The Weyl mixture with weights theta."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (d * d,):
-        raise ConstraintViolation(f"{where}: gp d={d} needs {d*d} weights, got {theta.shape}")
+        raise ConstraintViolation(f"gp d={d} needs {d*d} weights, got {theta.shape}")
     if theta.min() < -1e-12 or abs(theta.sum() - 1.0) > 1e-9:
         raise ConstraintViolation(
-            f"{where}: gp weights must be nonnegative and sum to 1 "
+            "gp weights must be nonnegative and sum to 1 "
             f"(min {theta.min():.3e}, sum {theta.sum():.12f})"
         )
     ops = [
@@ -440,8 +443,8 @@ def gp_weights_from_channel(ch: KrausChannel) -> np.ndarray:
 
 
 def _damp_channel(p: float, xi: float) -> KrausChannel:
-    if not 0.0 <= p <= 1.0 or not 0.0 <= xi <= 1.0:
-        raise ConstraintViolation(f"damp needs p, xi in [0,1], got p={p}, xi={xi}")
+    if not 0.0 <= xi <= 1.0:
+        raise ConstraintViolation(f"damp needs xi in [0,1], got {xi}")
     sp, sq = np.sqrt(p), np.sqrt(1.0 - p)
     ops = [
         sp * np.diag([1.0, np.sqrt(xi)]),
@@ -549,24 +552,19 @@ def measurement_channel(povm: Povm) -> KrausChannel:
     return KrausChannel(ops, din=d, dout=m)
 
 
-def _measurement_member(povm_elems) -> tuple[KrausChannel, Povm]:
-    povm = Povm([as_matrix(e) for e in povm_elems])
-    return measurement_channel(povm), povm
-
-
 def rotated_povm(base_plus, base_minus, unitaries) -> tuple[list, list, float]:
     """Build the rotated measurement pair M_pm(i) = (1/c) U_i M_pm U_i^dag.
 
-    Requires sum_i U_i A U_i^dag = c tr(A) 1 (checked on random A), which
-    fixes c = sum_i tr(M)/d per element and makes each rotated set a POVM.
+    Requires sum_i U_i A U_i^dag = c tr(A) 1 for all A, which fixes
+    c = len(unitaries)/d and makes each rotated set a POVM: exactly
+    sum_i U_i (x) conj(U_i) = c vec(1) vec(1)^T, checked entry by entry as
+    its realignment sum_i vec(U_i) vec(U_i)^dag = c 1 (rank d^2 at least).
     """
     us = [as_matrix(u) for u in unitaries]
     d = us[0].shape[0]
-    rng = np.random.default_rng(20240814)
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    total = sum(u @ a @ dagger(u) for u in us)
     c = len(us) / d
-    if max_abs(total - c * np.trace(a) * np.eye(d)) > 1e-8:
+    flat = np.reshape(us, (len(us), d * d))
+    if len(us) < d * d or max_abs(flat.T @ flat.conj() - c * np.eye(d * d)) > 1e-8:
         raise ConstraintViolation(
             "rotation set does not satisfy sum_i U A U^dag = c tr(A) 1"
         )
@@ -680,6 +678,18 @@ def _matrix_from(node, where: str) -> np.ndarray:
     return np.array(rows)
 
 
+def _square(d: int):
+    """Reader of a d x d matrix."""
+
+    def read_square(node, where: str) -> np.ndarray:
+        m = _matrix_from(node, where)
+        if m.shape != (d, d):
+            raise SpecError(where, f"expected a {d}x{d} matrix")
+        return m
+
+    return read_square
+
+
 def _check_dims(where: str, *dims: int) -> None:
     """Reject a dimension below 1, or a joint dimension above DIM_GUARD,
     before anything of that size is allocated."""
@@ -703,7 +713,7 @@ def _unitaries(node, where: str) -> list[np.ndarray]:
     d = us[0].shape[0]
     for i, u in enumerate(us):
         if u.shape != (d, d) or max_abs(u @ dagger(u) - np.eye(d)) > 1e-9:
-            raise ConstraintViolation(f"{where}[{i}] is not a {d}x{d} unitary")
+            raise ConstraintViolation(f"{where}[{i}]: not a {d}x{d} unitary")
     return us
 
 
@@ -722,44 +732,53 @@ def _labels_from(node, where: str) -> list[str]:
     return labels
 
 
-def _numbered(prefix: str, channels: list) -> list[tuple[str, KrausChannel]]:
-    return [(f"{prefix}{i}", ch) for i, ch in enumerate(channels)]
+def _each(where: str, items, build) -> list:
+    """build(item) for each item of the list field at where; a ValueError
+    that building item i raises names the path where[i]."""
+    built = []
+    for i, item in enumerate(items):
+        with _at(f"{where}[{i}]"):
+            built.append(build(item))
+    return built
+
+
+def _numbered(prefix: str, f: _Fields, key: str, items, build) -> list[tuple]:
+    """Members (prefix0, path, channel), (prefix1, ...): build(item) for
+    each item of the list field key, with that item's path."""
+    where = f"{f.where}.{key}"
+    channels = _each(where, items, build)
+    return [(f"{prefix}{i}", f"{where}[{i}]", ch) for i, ch in enumerate(channels)]
 
 
 def _gp(f: _Fields):
     d = f("d", _qudit_dim)
-    stored: dict = {}
     if d == 2 and "xis" in f:
         key = "xis"
-        stored["xis"] = [np.array(x) for x in f("xis", _list_of(_real_list))]
-        thetas = [
-            gp_theta_from_xi(x, f"{f.where}.xis[{i}]") for i, x in enumerate(stored["xis"])
-        ]
+        thetas = _each(f"{f.where}.xis", f("xis", _list_of(_real_list)), gp_theta_from_xi)
     else:
         key = "thetas"
         thetas = [np.array(t, dtype=float) for t in f("thetas", _list_of(_real_list))]
-    channels = [_gp_channel(d, t, f"{f.where}.{key}[{i}]") for i, t in enumerate(thetas)]
-    members = _numbered("gp", channels)
-    stored["thetas"] = thetas
-    return members, stored
+    return _numbered("gp", f, key, thetas, lambda t: _gp_channel(d, t)), {"thetas": thetas}
 
 
 def _damp(f: _Fields):
     p = f("p", _real_from)
+    if not 0.0 <= p <= 1.0:
+        raise ConstraintViolation(f"{f.where}.p: damp needs p in [0,1], got {p}")
     xis = f("xis", _list_of(_real_from))
-    return _numbered("damp", [_damp_channel(p, x) for x in xis]), {"p": p, "xis": xis}
+    return _numbered("damp", f, "xis", xis, lambda xi: _damp_channel(p, xi)), {"p": p, "xis": xis}
 
 
 def _diag(f: _Fields):
     d = f("d", _qudit_dim)
     thetas = f("thetas", _list_of(_vector_from))
-    return _numbered("diag", [_diag_channel(d, t) for t in thetas]), {"thetas": thetas}
+    return _numbered("diag", f, "thetas", thetas, lambda t: _diag_channel(d, t)), {"thetas": thetas}
 
 
 def _cdep(f: _Fields):
     d = f("d", _qudit_dim)
     thetas = f("thetas", _list_of(_real_from))
-    return _numbered("cdep", [_cdep_channel(d, t) for t in thetas]), {"thetas": thetas}
+    return _numbered("cdep", f, "thetas", thetas, lambda t: _cdep_channel(d, t)), {"thetas": thetas}
 
 
 def _ou(f: _Fields):
@@ -767,16 +786,16 @@ def _ou(f: _Fields):
     for i, j in combinations(range(len(unitaries)), 2):
         if abs(np.trace(dagger(unitaries[j]) @ unitaries[i])) > 1e-9:
             raise ConstraintViolation(
-                f"ou elements {i},{j} violate orthogonality tr(U_i U_j^dag) = 0"
+                f"{f.where}.unitaries: ou elements {i},{j} are not orthogonal, tr(U_i U_j^dag) != 0"
             )
     weights = f("weights", _list_of(_real_list))
-    members = _numbered("ou", [_ou_channel(unitaries, w) for w in weights])
+    members = _numbered("ou", f, "weights", weights, lambda w: _ou_channel(unitaries, w))
     return members, {"unitaries": unitaries}
 
 
 def _qubit_phase(f: _Fields):
     thetas = f("thetas", _list_of(_real_pair))
-    members = _numbered("phase", [_qubit_phase_channel(*t) for t in thetas])
+    members = _numbered("phase", f, "thetas", thetas, lambda t: _qubit_phase_channel(*t))
     return members, {"thetas": thetas}
 
 
@@ -786,33 +805,40 @@ def _measurement(f: _Fields):
     minus measure the rotated sets (1/c) U_i M_pm U_i^dag."""
     structure = "rotated" if "unitaries" in f else f("structure", _str_from, "plain")
     if structure != "rotated":
-        built = [_measurement_member(e) for e in f("povms", _list_of(_list_of(_matrix_from)))]
-        stored = {"structure": structure, "povms": [povm for _, povm in built]}
-        return _numbered("meas", [ch for ch, _ in built]), stored
-    unitaries = f("unitaries", _list_of(_matrix_from))
-    m_plus = f("m_plus", _matrix_from)
-    m_minus = f("m_minus", _matrix_from)
-    plus, minus, c = rotated_povm(m_plus, m_minus, unitaries)
-    (ch_p, povm_p), (ch_m, povm_m) = _measurement_member(plus), _measurement_member(minus)
+        povms = _each(f"{f.where}.povms", f("povms", _list_of(_list_of(_matrix_from))), Povm)
+        members = _numbered("meas", f, "povms", povms, measurement_channel)
+        return members, {"structure": structure, "povms": povms}
+    unitaries = f("unitaries", _unitaries)
+    square = _square(len(unitaries[0]))
+    m_plus = f("m_plus", square)
+    m_minus = f("m_minus", square)
+    with _at(f"{f.where}.unitaries"):
+        plus, minus, c = rotated_povm(m_plus, m_minus, unitaries)
+    povms = [Povm(plus), Povm(minus)]
+    members = []
+    for label, povm in zip(("plus", "minus"), povms):
+        path = f"{f.where}.m_{label}"
+        with _at(path):
+            members.append((label, path, measurement_channel(povm)))
     stored = {
         "structure": "rotated",
         "unitaries": unitaries,
         "m_plus": m_plus,
         "m_minus": m_minus,
         "c": c,
-        "povms": [povm_p, povm_m],
+        "povms": povms,
     }
-    return [("plus", ch_p), ("minus", ch_m)], stored
+    return members, stored
 
 
 def _unitary(f: _Fields):
     unitaries = f("unitaries", _unitaries)
-    return _numbered("u", [KrausChannel.from_ops([u]) for u in unitaries]), {}
+    return _numbered("u", f, "unitaries", unitaries, lambda u: KrausChannel.from_ops([u])), {}
 
 
 def _custom(f: _Fields):
     kraus = f("kraus", _list_of(_list_of(_matrix_from)))
-    return _numbered("ch", [KrausChannel.from_ops(ops) for ops in kraus]), {}
+    return _numbered("ch", f, "kraus", kraus, KrausChannel.from_ops), {}
 
 
 _BUILDERS = {
@@ -834,7 +860,8 @@ def make_family(kind: str, params: dict) -> ChannelFamily:
     ``params`` holds the kind's fields (see README), as JSON values or numpy
     arrays, plus optional unique ``labels``, one per member. A missing or
     mistyped field raises SpecError naming its path; parameters outside the
-    kind's admissible set raise ConstraintViolation. Every member of the
+    kind's admissible set raise ConstraintViolation. Both name the field,
+    down to the list item a member was built from. Every member of the
     returned family passes validate_cptp.
     """
     if not isinstance(kind, str) or kind not in _BUILDERS:
@@ -847,13 +874,15 @@ def make_family(kind: str, params: dict) -> ChannelFamily:
             raise ConstraintViolation(
                 f"{f.where}.labels: {len(labels)} labels given for {len(members)} members"
             )
-        members = [(lab, ch) for lab, (_, ch) in zip(labels, members)]
-    fam = ChannelFamily(members=members, kind=kind, params=stored)
-    for label, ch in fam.members:
+        members = [(lab, path, ch) for lab, (_, path, ch) in zip(labels, members)]
+    first = members[0][2]
+    for label, path, ch in members:
+        if (ch.din, ch.dout) != (first.din, first.dout):
+            raise ConstraintViolation(f"{path}: member {label!r} has mismatched dimensions")
         report = validate_cptp(ch, DEFAULT_TOL * 10)
         if not report.valid:
             raise ConstraintViolation(
-                f"member {label!r} failed CPTP validation "
+                f"{path}: member {label!r} failed CPTP validation "
                 f"(tp={report.trace_preserving}, min Choi eig={report.min_choi_eig:.3e})"
             )
-    return fam
+    return ChannelFamily(members=[(lab, ch) for lab, _, ch in members], kind=kind, params=stored)

@@ -2,7 +2,8 @@
 
 One JSON document names a channel family, its inputs, and an analysis; the
 command decides which report gets written. Each command maps the document
-to a report payload and its CSV tables, and main writes them. Reports are
+to a report payload and its CSV tables, and main writes them; this module
+is the only one that turns results into report text. Reports are
 deterministic: keys sorted, floats at 12 significant digits, and any
 sampling takes its seed from a mandatory flag rather than the clock.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
 from itertools import combinations
 from pathlib import Path
 
@@ -20,6 +20,7 @@ import numpy as np
 from .channels import (
     ConstraintViolation,
     SpecError,
+    _at,
     _check_dims,
     _Fields,
     _int_from,
@@ -28,6 +29,7 @@ from .channels import (
     _real_from,
     _real_list,
     _real_pair,
+    _square,
     _str_from,
     _vector_from,
     apply_extended,
@@ -49,7 +51,6 @@ from .geometry import (
     ang_sample,
     ang_solve_triangle,
     closure_residual,
-    samples_to_csv,
 )
 from .numerics import (
     DIM_GUARD,
@@ -75,6 +76,7 @@ from .repetition import (
     STRATEGY_MODES,
     AdaptivePlan,
     Strategy,
+    _menu_step,
     adaptive_vs_identical,
     fresh_swap_interleavers,
     identical_matches_sequential,
@@ -160,18 +162,6 @@ def _state_outputs(fam, st: PureState, where: str) -> list[np.ndarray]:
     raise SpecError(where, "input must be bare or (channel x reference)")
 
 
-@contextmanager
-def _at(where: str):
-    """Report a ValueError raised inside as a constraint violation of the
-    spec field where; a SpecError keeps its own location."""
-    try:
-        yield
-    except SpecError:
-        raise
-    except ValueError as exc:
-        raise ConstraintViolation(f"{where}: {exc}") from exc
-
-
 def _check_count(where: str, n: int, low: int, d: int) -> None:
     """Reject a grid or sample count below low, or one whose n items of
     d x d entries would outgrow a state at the joint-dimension guard
@@ -201,13 +191,8 @@ def _group(doc, fam):
     for i, pair in enumerate(node):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise SpecError(f"group[{i}]", "expected an [U, V] pair")
-        elements = []
-        for j, d in enumerate((fam.din, fam.dout)):
-            m = _matrix_from(pair[j], f"group[{i}][{j}]")
-            if m.shape != (d, d):
-                raise SpecError(f"group[{i}][{j}]", f"expected a {d}x{d} matrix")
-            elements.append(m)
-        group.append(tuple(elements))
+        dims = (fam.din, fam.dout)
+        group.append(tuple(_square(d)(pair[j], f"group[{i}][{j}]") for j, d in enumerate(dims)))
     return group
 
 
@@ -260,6 +245,28 @@ def _jsonable(obj):
     if isinstance(obj, (complex, np.complexfloating)):
         return [_sig12(obj.real), _sig12(obj.imag)]
     return obj
+
+
+def _sweep_csv(curves) -> str:
+    """sweep-curves.csv from (input, member_plus, member_minus, SweepCurve)
+    rows; is_breakpoint is 1 where s is a breakpoint to 15 places."""
+    lines = ["input,member_plus,member_minus,s,norm,is_breakpoint"]
+    for name, la, lb, curve in curves:
+        bp = set(np.round(curve.breakpoints, 15))
+        for s, nv in zip(curve.s_values.tolist(), curve.norms.tolist()):
+            flag = 1 if round(s, 15) in bp else 0
+            lines.append(f"{name},{la},{lb},{s!r},{nv!r},{flag}")
+    return "\n".join(lines) + "\n"
+
+
+def _samples_csv(samples: np.ndarray, residuals: np.ndarray) -> str:
+    """ang-samples.csv from an (n, d-1) array of closures and their residuals."""
+    omegas = "".join(f",re_omega{i},im_omega{i}" for i in range(1, samples.shape[1] + 1))
+    lines = [f"index{omegas},residual"]
+    # a complex row viewed as floats is re w1, im w1, re w2, ...
+    for idx, (cells, res) in enumerate(zip(samples.view(float).tolist(), residuals.tolist())):
+        lines.append(",".join([str(idx), *map(repr, cells), repr(res)]))
+    return "\n".join(lines) + "\n"
 
 
 def _emit(out_dir: Path, command: str, payload: dict, tables: dict[str, str]) -> None:
@@ -397,19 +404,18 @@ def _cmd_sweep(doc, fam, args):
     grid = np.unique(np.concatenate([np.linspace(0.0, s_max, points), extra]))
 
     labels = fam.labels()
-    lines = ["input,member_plus,member_minus,s,norm,is_breakpoint"]
+    curves = []
     for name, st in zip(names, chosen):
         outs = dict(zip(labels, _state_outputs(fam, st, f"inputs.{name}")))
         for la, lb in combinations(labels, 2):
-            table = gap_curve(outs[la], outs[lb], grid=grid).to_csv().splitlines()[1:]
-            lines += [f"{name},{la},{lb},{row}" for row in table]
+            curves.append((name, la, lb, gap_curve(outs[la], outs[lb], grid=grid)))
     payload = {
         "inputs": list(names),
         "pairs": [list(p) for p in combinations(labels, 2)],
-        "rows": len(lines) - 1,
+        "rows": sum(len(curve.s_values) for *_, curve in curves),
         "csv": "sweep-curves.csv",
     }
-    return payload, {"sweep-curves.csv": "\n".join(lines) + "\n"}
+    return payload, {"sweep-curves.csv": _sweep_csv(curves)}
 
 
 def _cmd_ang(doc, fam, args):
@@ -421,20 +427,19 @@ def _cmd_ang(doc, fam, args):
     if query == "nonempty":
         payload["nonempty"] = ang_nonempty(x)
     elif query == "solve":
-        sols = sorted(
-            ang_solve_triangle(x), key=lambda s: tuple((w.real, w.imag) for w in s.omegas)
-        )
-        payload["solutions"] = [[[w.real, w.imag] for w in s.omegas] for s in sols]
-        payload["residuals"] = [closure_residual(x, s) for s in sols]
+        sols = ang_solve_triangle(x)
+        payload["solutions"] = sols
+        payload["residuals"] = closure_residual(x, sols)
     elif query == "sample":
         if args.seed is None:
             raise SpecError("flags", "--seed is required for sampling queries")
         n = ana("n", _int_from, 50)
         _check_count("analysis.n", n, 1, len(x))
         samples = ang_sample(x, n, args.seed)
-        tables["ang-samples.csv"] = samples_to_csv(x, samples)
+        residuals = closure_residual(x, samples)
+        tables["ang-samples.csv"] = _samples_csv(samples, residuals)
         payload["n"] = n
-        payload["max_residual"] = max(closure_residual(x, s) for s in samples)
+        payload["max_residual"] = residuals.max()
         payload["csv"] = "ang-samples.csv"
     elif query == "parallel":
         xp = _real_list(_Fields(doc, "document")("x_prime"), "x_prime")
@@ -446,9 +451,7 @@ def _cmd_ang(doc, fam, args):
         payload["x_prime"] = xp
         payload["subset_holds"] = shadow.subset_holds
         if shadow.violating_sample is not None:
-            payload["violating_sample"] = [
-                [w.real, w.imag] for w in shadow.violating_sample.omegas
-            ]
+            payload["violating_sample"] = shadow.violating_sample
     else:
         raise SpecError("analysis.query", f"unknown query {query!r}")
     return payload, tables
@@ -502,8 +505,6 @@ def _cmd_repeat(doc, fam, args):
     states = _named_states(doc, fam)
 
     if analysis == "adaptive":
-        if fam.kind != "measurement":
-            raise ConstraintViolation("family: adaptation analysis expects a measurement family")
         prior = ana("prior", _real_from, 0.5)
         blocks = ana("blocks", _list_of(_int_from))
         menus = [
@@ -519,7 +520,13 @@ def _cmd_repeat(doc, fam, args):
         # the blocks are positive and each menu nonempty: only the menu count can be rejected
         with _at("analysis.menus"):
             plan = AdaptivePlan(tuple(blocks), tuple(menus))
-        risks = adaptive_vs_identical(fam, prior, plan)
+        for i, (size, menu) in enumerate(zip(plan.block_sizes, plan.menus)):
+            with _at(f"analysis.menus[{i}]"):
+                for psi in menu:
+                    _menu_step(psi, fam.din, size)
+        # prior, blocks and menus are checked: only the family can be rejected
+        with _at("family"):
+            risks = adaptive_vs_identical(fam, prior, plan)
         payload = {
             "adaptive_risk": risks["adaptive_risk"],
             "identical_risk": risks["identical_risk"],
@@ -541,7 +548,9 @@ def _cmd_repeat(doc, fam, args):
         if member not in fam.labels():
             raise SpecError("analysis.member", f"unknown member {member!r}")
         strat = _parse_strategy(ana("strategy"), fam, states, "analysis.strategy", args)
-        rho = repeated_output(dict(fam.members)[member], strat)
+        # the mode, n and interleavers are checked: only the input can be rejected
+        with _at("analysis.strategy.input"):
+            rho = repeated_output(dict(fam.members)[member], strat)
         lam, _ = hermitian_eig(rho)
         payload = {
             "member": member,

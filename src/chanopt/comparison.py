@@ -16,7 +16,6 @@ pair is swept by one stacked eigendecomposition (or SVD) over the grid.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,37 +59,18 @@ def default_grid(points: int = 200) -> np.ndarray:
 
 @dataclass
 class SweepCurve:
-    """Samples of s -> ||rho_plus - s rho_minus||_1.
+    """Samples of s -> ||rho_plus - s rho_minus||_1: norms[i] at s_values[i].
 
     breakpoints lists the kinks (ratios of joint eigenvalues); it is exact for
     commuting pairs, whose norms are then sum_i |p_i - s q_i| over the joint
     eigenvalues, and empty otherwise, in which case the curve is a convex
-    grid sample rather than a piecewise-linear description.
+    grid sample rather than a piecewise-linear description. The CLI writes
+    these arrays out as rows of its sweep table.
     """
 
     s_values: np.ndarray
     norms: np.ndarray
     breakpoints: np.ndarray
-
-    def __post_init__(self):
-        self.s_values = np.asarray(self.s_values, dtype=float)
-        self.norms = np.asarray(self.norms, dtype=float)
-        self.breakpoints = np.asarray(self.breakpoints, dtype=float)
-        if self.s_values.shape != self.norms.shape:
-            raise ValueError("s_values and norms must have matching lengths")
-        if len(self.s_values) and (np.diff(self.s_values) < 0).any():
-            raise ValueError("s_values must be sorted")
-        if len(self.s_values) and self.s_values[0] < 0:
-            raise ValueError("s must be nonnegative")
-
-    def to_csv(self) -> str:
-        bp = set(np.round(self.breakpoints, 15))
-        buf = io.StringIO()
-        buf.write("s,norm,is_breakpoint\n")
-        for s, nv in zip(self.s_values, self.norms):
-            flag = 1 if round(float(s), 15) in bp else 0
-            buf.write(f"{float(s)!r},{float(nv)!r},{flag}\n")
-        return buf.getvalue()
 
 
 def joint_eigenbasis(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

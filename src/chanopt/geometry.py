@@ -4,7 +4,8 @@ Ang(x) is the set of phase vectors (w_1..w_{d-1}) of unit modulus with
 x_1 w_1 + ... + x_{d-1} w_{d-1} + x_d = 0: the closed polygons with the
 given side lengths. Nonemptiness is the polygon inequality, d=3 is the
 triangle case solved exactly, and d >= 4 is sampled through the chain of
-partial-sum moduli, which parametrizes the solution set.
+partial-sum moduli, which parametrizes the solution set. A closure is a
+complex array of its d-1 phases, and k closures a (k, d-1) array.
 """
 from __future__ import annotations
 
@@ -13,41 +14,29 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class AngleVector:
-    omegas: tuple[complex, ...]
-
-    def __post_init__(self):
-        om = tuple(complex(w) for w in self.omegas)
-        if any(abs(abs(w) - 1.0) > 1e-10 for w in om):
-            raise ValueError("entries must have unit modulus")
-        object.__setattr__(self, "omegas", om)
-
-    def __len__(self):
-        return len(self.omegas)
-
-    def conjugate(self) -> "AngleVector":
-        return AngleVector(tuple(w.conjugate() for w in self.omegas))
-
-
-def closure_residual(x, av: AngleVector) -> float:
+def closure_residual(x, omegas):
+    """|x_1 w_1 + ... + x_{d-1} w_{d-1} + x_d| of one closure, or of each row
+    of a stack of them. hypot(re, im) rounds like abs() of one complex
+    number; np.abs of a complex array can differ from it in the last bit."""
     x = np.asarray(x, dtype=float)
-    om = np.asarray(av.omegas)
-    return float(abs((x[:-1] * om).sum() + x[-1]))
+    z = (x[:-1] * np.asarray(omegas)).sum(-1) + x[-1]
+    return np.hypot(z.real, z.imag)
 
 
 def _sorted_desc(x):
-    x = np.asarray(x, dtype=float).reshape(-1)
     order = np.argsort(-x, kind="stable")
     return x[order], order
 
 
-def _restore_order(om_sorted, order, d) -> AngleVector:
-    # om_sorted covers sorted positions 1..d-1; sorted position d carries 1.
-    full = np.empty(d, dtype=complex)
-    full[order] = np.concatenate([om_sorted, [1.0]])
-    full = full / full[d - 1]
-    return AngleVector(tuple(full[: d - 1]))
+def _restore_order(om_sorted, order) -> np.ndarray:
+    """Closures in the input order from rows of phases at sorted positions
+    1..d-1 (sorted position d carries 1), each checked to be unit modulus."""
+    full = np.ones((len(om_sorted), len(order)), dtype=complex)
+    full[:, order[:-1]] = om_sorted
+    om = full[:, :-1] / full[:, -1:]
+    if (np.abs(np.abs(om) - 1.0) > 1e-10).any():
+        raise ValueError("entries must have unit modulus")
+    return om
 
 
 def ang_nonempty(x) -> bool:
@@ -61,9 +50,10 @@ def ang_nonempty(x) -> bool:
     return bool(y[0] <= y[1:].sum())
 
 
-def ang_solve_triangle(x) -> set[AngleVector]:
-    """All closures of three lengths: empty, one degenerate flat solution,
-    or a conjugate pair from the law of cosines."""
+def ang_solve_triangle(x) -> np.ndarray:
+    """All closures of three lengths as a (k, 2) array: no row, one
+    degenerate flat solution, or a conjugate pair from the law of cosines,
+    rows in lexicographic order of (re, im) of each entry."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if len(x) != 3:
         raise ValueError("expected exactly three lengths")
@@ -73,15 +63,16 @@ def ang_solve_triangle(x) -> set[AngleVector]:
     slack = y[1] + y[2] - y[0]
     scale = max(y[0], 1.0)
     if slack < -1e-12 * scale:
-        return set()
+        return np.empty((0, 2), dtype=complex)
     if slack <= 1e-12 * scale:
-        return {_restore_order(np.array([-1.0, 1.0]), order, 3)}
+        return _restore_order(np.array([[-1.0, 1.0]]), order)
     c = (y[1] ** 2 - y[0] ** 2 - y[2] ** 2) / (2 * y[0] * y[2])
     w1 = np.exp(1j * np.arccos(np.clip(c, -1.0, 1.0)))
     w2 = -(y[0] * w1 + y[2]) / y[1]
     w2 /= abs(w2)
-    sol = _restore_order(np.array([w1, w2]), order, 3)
-    return {sol, sol.conjugate()}
+    sol = _restore_order(np.array([[w1, w2]]), order)[0]
+    # sorted rows; one when the solution is its own conjugate
+    return np.unique([sol, sol.conj()], axis=0)
 
 
 def _chain_intervals(y, r_next, k):
@@ -90,8 +81,9 @@ def _chain_intervals(y, r_next, k):
     return lo, hi
 
 
-def ang_sample(x, n: int, seed) -> list[AngleVector]:
-    """Draw n closures of d >= 4 lengths, uniform over chain coordinates.
+def ang_sample(x, n: int, seed) -> np.ndarray:
+    """Draw n closures of d >= 4 lengths, uniform over chain coordinates, as
+    an (n, d-1) array.
 
     Walks k = d-1 down to 3 drawing the partial-sum modulus r_k inside the
     intersection of its two feasibility intervals (open interior, shrunk by
@@ -111,9 +103,8 @@ def ang_sample(x, n: int, seed) -> list[AngleVector]:
         )
     rng = np.random.default_rng(seed)
 
-    out = []
-    for _ in range(n):
-        om = np.zeros(d - 1, dtype=complex)
+    om_sorted = np.zeros((n, d - 1), dtype=complex)
+    for om in om_sorted:
         z = complex(y[d - 1])
         r_next = y[d - 1]
         for k in range(d - 1, 2, -1):
@@ -135,17 +126,17 @@ def ang_sample(x, n: int, seed) -> list[AngleVector]:
         om[0] = np.exp(1j * theta)
         om[1] = -(y[0] * om[0] + z) / y[1]
         om[1] /= abs(om[1])
-        av = _restore_order(om, order, d)
-        if closure_residual(x, av) > 1e-9:
-            raise RuntimeError("sample failed the closure check")
-        out.append(av)
+    out = _restore_order(om_sorted, order)
+    if (closure_residual(x, out) > 1e-9).any():
+        raise RuntimeError("sample failed the closure check")
     return out
 
 
 @dataclass
 class ParallelShadow:
     subset_holds: bool
-    violating_sample: AngleVector | None = None
+    # the first sampled closure of x that is not one of x', as a row
+    violating_sample: np.ndarray | None = None
 
 
 # Closure residual beyond which a sample leaves the solution set of x'.
@@ -155,34 +146,17 @@ PARALLEL_TOL = 1e-6
 def ang_parallel_property(x, x_prime, n: int = 50, seed=0) -> ParallelShadow:
     """Falsifiable shadow of the proportionality statement: when x' is not a
     multiple of x, sampled closures of x should leak out of the solution set
-    of x'. Tests membership of each sample; d=3 uses the exact solutions."""
+    of x'. Tests membership of each sample; d=3 uses the exact solutions,
+    in the order ang_solve_triangle gives them."""
     x = np.asarray(x, dtype=float).reshape(-1)
     xp = np.asarray(x_prime, dtype=float).reshape(-1)
     if len(x) != len(xp) or len(x) < 3:
         raise ValueError("vectors must share a length of at least three")
     if len(x) == 3:
-        samples = list(ang_solve_triangle(x))
-        if not samples:
+        samples = ang_solve_triangle(x)
+        if not len(samples):
             raise ValueError("no closures exist for x")
     else:
         samples = ang_sample(x, n, seed)
-    for av in samples:
-        if closure_residual(xp, av) > PARALLEL_TOL:
-            return ParallelShadow(False, av)
-    return ParallelShadow(True, None)
-
-
-def samples_to_csv(x, samples: list[AngleVector]) -> str:
-    d = len(np.asarray(x).reshape(-1))
-    head = ["index"]
-    for i in range(1, d):
-        head += [f"re_omega{i}", f"im_omega{i}"]
-    head.append("residual")
-    lines = [",".join(head)]
-    for idx, av in enumerate(samples):
-        row = [str(idx)]
-        for w in av.omegas:
-            row += [repr(float(w.real)), repr(float(w.imag))]
-        row.append(repr(closure_residual(x, av)))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    leaks = samples[closure_residual(xp, samples) > PARALLEL_TOL]
+    return ParallelShadow(not len(leaks), leaks[0] if len(leaks) else None)

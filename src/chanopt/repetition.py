@@ -222,21 +222,23 @@ def identical_matches_sequential(
     return residuals
 
 
+def _menu_step(psi: PureState, d: int, n_block: int) -> int:
+    """Stride between a menu state's n_block channel factors (dimension d):
+    1 when they are all its factors, 2 when each has a reference after it."""
+    dims = psi.shape.factor_dims
+    if len(dims) == n_block and all(dim == d for dim in dims):
+        return 1
+    if len(dims) == 2 * n_block and all(dims[2 * i] == d for i in range(n_block)):
+        return 2
+    raise ValueError("menu state needs one channel factor (optionally with a reference) per use")
+
+
 def _block_outputs(ch: KrausChannel, psi: PureState, d: int, n_block: int):
     """ch applied to each of psi's n_block channel factors (dimension d):
     all of its factors, or every other one when each use has a reference."""
-    dims = psi.shape.factor_dims
-    if len(dims) == n_block and all(dim == d for dim in dims):
-        step = 1  # bare inputs, no reference factors
-    elif len(dims) == 2 * n_block and all(dims[2 * i] == d for i in range(n_block)):
-        step = 2
-    else:
-        raise ValueError(
-            "menu state must carry one channel factor (optionally with a "
-            "reference) per use"
-        )
+    step = _menu_step(psi, d, n_block)
     rho = psi.density()
-    cur = list(dims)
+    cur = list(psi.shape.factor_dims)
     for i in range(n_block):
         rho = apply_at_factor(ch, rho, cur, step * i)
         cur[step * i] = ch.dout

@@ -239,7 +239,7 @@ def test_criterion_06_angle_geometry(rng):
     best_distinct = 0
     for av in ang_sample(sym, 20, seed=5):
         assert closure_residual(sym, av) <= 1e-9
-        rounded = {(round(z.real, 6), round(z.imag, 6)) for z in av.omegas}
+        rounded = {(round(z.real, 6), round(z.imag, 6)) for z in av}
         best_distinct = max(best_distinct, len(rounded))
     assert best_distinct >= 3
 

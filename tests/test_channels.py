@@ -167,7 +167,7 @@ def test_gp_weights_recovered_from_channel(rng):
 def test_gp_xi_theta_round_trip():
     # xis weight X, XZ, Z; theta is in the Weyl order [I, Z, X, XZ]
     xi = (0.1, 0.2, 0.3)
-    theta = gp_theta_from_xi(xi, "xis[0]")
+    theta = gp_theta_from_xi(xi)
     assert abs(theta.sum() - 1.0) < 1e-12
     assert max_abs(theta - np.array([1 - sum(xi), xi[2], xi[0], xi[1]])) < 1e-12
 
@@ -303,12 +303,19 @@ def test_rotated_povm_twirl_constant():
     assert max_abs(sum(minus) - np.eye(2)) < 1e-9
 
 
-def test_rotated_povm_rejects_non_averaging_set():
-    # a singleton never satisfies the twirl condition for generic M
+@pytest.mark.parametrize(
+    "us",
+    [[np.eye(2)], [np.eye(2), gen_pauli(2)[0]], [np.eye(2), gen_pauli(2)[0]] * 2],
+    ids=["identity", "flip-pair", "flip-pair-twice"],
+)
+def test_rotated_povm_rejects_non_averaging_set(us):
+    # none of these sets twirls every A to c tr(A) 1, though I and X twirl
+    # every diagonal A correctly; the last has the d^2 elements a twirl needs
     e1 = np.array([1.0, 2.0]) / np.sqrt(5)
     mp = 0.7 * np.outer(e1, e1) + 0.3 * (np.eye(2) - np.outer(e1, e1))
     with pytest.raises(ConstraintViolation):
-        rotated_povm(mp, mp, [np.eye(2)])
+        rotated_povm(mp, mp, us)
+
 
 
 def test_make_family_measurement_kinds():
@@ -346,15 +353,8 @@ def test_make_family_rejects_unknown_kind():
 
 
 def test_family_member_dimensions_must_match():
-    from chanopt.channels import ChannelFamily
-
-    with pytest.raises(ValueError):
-        ChannelFamily(
-            members=[
-                ("a", KrausChannel([np.eye(2)], din=2, dout=2)),
-                ("b", KrausChannel([np.eye(3)], din=3, dout=3)),
-            ]
-        )
+    with pytest.raises(ConstraintViolation, match=r"family\.kraus\[1\]: member 'b'"):
+        make_family("custom", {"kraus": [[np.eye(2)], [np.eye(3)]], "labels": ["a", "b"]})
 
 
 def test_choi_matrix_validates_dimensions():

@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chanopt.channels import make_family, weyl_ops
-from chanopt.cli import main
+from chanopt.cli import _samples_csv, _sweep_csv, main
+from chanopt.comparison import gap_curve
 from chanopt.entanglement import product_candidates
+from chanopt.geometry import ang_sample, ang_solve_triangle, closure_residual
 from chanopt.numerics import max_abs
 
 SQRT_HALF = float(np.sqrt(0.5))
@@ -359,6 +361,22 @@ def test_sweep_damp_preset(tmp_path):
     assert abs(by_key[("excited", 0.0)][0] - 1.0) < 1e-12
 
 
+def test_curve_csv_round_trip():
+    a, b = np.diag([0.7, 0.3]), np.diag([0.4, 0.6])
+    c = gap_curve(a, b, grid=[0.0, 0.5, 1.0])
+    lines = _sweep_csv([("in", "p", "m", c)]).strip().splitlines()
+    assert lines[0] == "input,member_plus,member_minus,s,norm,is_breakpoint"
+    assert len(lines) == len(c.s_values) + 1
+    body = [ln.split(",") for ln in lines[1:]]
+    for (name, la, lb, s_str, n_str, flag), s, nv in zip(body, c.s_values, c.norms):
+        assert (name, la, lb) == ("in", "p", "m")
+        assert float(s_str) == s
+        assert float(n_str) == nv
+        assert int(flag) == int(any(abs(s - bp) < 1e-15 for bp in c.breakpoints))
+    # both breakpoints are flagged: 0.3 / 0.6 on the grid, 0.7 / 0.4 merged into it
+    assert sum(int(row[-1]) for row in body) == 2
+
+
 def test_sweep_rejects_unknown_input(tmp_path):
     doc = damp_doc()
     doc["analysis"] = {"inputs": ["nope"]}
@@ -420,6 +438,48 @@ def test_ang_parallel(tmp_path):
     out = report(tmp_path, "ang-report.json")
     assert out["subset_holds"] is False
     assert len(out["violating_sample"]) == 3
+
+
+def test_samples_csv_shape():
+    x = [1.0, 0.8, 0.6, 0.9]
+    samples = ang_sample(x, 4, seed=2)
+    lines = _samples_csv(samples, closure_residual(x, samples)).strip().splitlines()
+    assert lines[0] == "index,re_omega1,im_omega1,re_omega2,im_omega2,re_omega3,im_omega3,residual"
+    assert len(lines) == 5
+    cells = lines[1].split(",")
+    assert cells[0] == "0"
+    w1 = complex(float(cells[1]), float(cells[2]))
+    assert w1 == samples[0, 0]
+    assert float(cells[-1]) <= 1e-9
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
+def test_ang_sample_residuals_round_like_one_closure(tmp_path, d):
+    # each residual cell is the complex abs() of that one row's closure sum,
+    # to the last bit: a stacked np.abs rounds some rows differently
+    x = np.linspace(1.0, 0.4, d).tolist()
+    doc = ang_doc("sample", x, analysis={"n": 300})
+    assert run(tmp_path, doc, "ang", "--seed", str(d)) == 0
+    lines = (tmp_path / "ang-samples.csv").read_text().splitlines()[1:]
+    assert len(lines) == 300
+    for line in lines:
+        cells = line.split(",")
+        parts = [float(c) for c in cells[1:-1]]
+        row = np.array([complex(re, im) for re, im in zip(parts[::2], parts[1::2])])
+        z = (np.array(x[:-1]) * row).sum() + x[-1]
+        assert cells[-1] == repr(abs(complex(z)))
+
+
+@pytest.mark.parametrize("x", [[1.0, 0.8, 0.6], [1.2, 0.7, 0.9]])
+def test_ang_parallel_triangle_reports_first_violating_row(tmp_path, x):
+    # both conjugate solutions leave the set of a real x', so the first row
+    # in solve order is the one reported
+    doc = ang_doc("parallel", x, x_prime=[x[0], x[1], 1.5 * x[2]])
+    assert run(tmp_path, doc, "ang") == 0
+    out = report(tmp_path, "ang-report.json")
+    assert out["subset_holds"] is False
+    first = ang_solve_triangle(x)[0]
+    assert out["violating_sample"] == [[float(f"{v:.12g}") for v in (w.real, w.imag)] for w in first]
 
 
 def test_ang_parallel_needs_seed_when_sampling(tmp_path, capsys):
@@ -599,6 +659,56 @@ MALFORMED = {
         "validate",
         family_doc(kind="measurement", structure="rotated", povms=[[mat_json(np.eye(2))]]),
         (), 2, "family.unitaries",
+    ),
+    "diag-not-trace-preserving": (
+        "validate", family_doc(kind="diag", d=2, thetas=[[SQRT_HALF], [0.5]]), (), 3, "family.thetas[1]",
+    ),
+    "cdep-out-of-range": ("validate", family_doc(kind="cdep", d=2, thetas=[0.1, 0.5]), (), 3, "family.thetas[1]"),
+    "damp-p-out-of-range": ("validate", family_doc(**dict(DAMP, p=1.5)), (), 3, "family.p"),
+    "damp-xi-out-of-range": ("validate", family_doc(**dict(DAMP, xis=[0.0, 1.5])), (), 3, "family.xis[1]"),
+    "phase-norm": ("validate", family_doc(kind="qubit-phase", thetas=[[0.1, 0.2], [0.9, 0.9]]), (), 3, "family.thetas[1]"),
+    "ou-weights": (
+        "validate",
+        family_doc(kind="ou", unitaries=[mat_json(np.eye(2)), mat_json(np.diag([1, -1]))], weights=[[0.5, 0.5], [0.7, 0.7]]),
+        (), 3, "family.weights[1]",
+    ),
+    "ou-not-orthogonal": (
+        "validate", family_doc(kind="ou", unitaries=[mat_json(np.eye(2))] * 2, weights=[[0.5, 0.5]]), (), 3, "family.unitaries",
+    ),
+    "povm-incomplete": (
+        "validate", family_doc(kind="measurement", povms=[[mat_json(np.eye(2))], [mat_json(np.diag([1, 0]))]]), (), 3, "family.povms[1]",
+    ),
+    "povm-not-psd": (
+        "validate",
+        family_doc(kind="measurement", povms=[[mat_json(np.diag([1.5, 0.5])), mat_json(np.diag([-0.5, 0.5]))]]),
+        (), 3, "family.povms[0]",
+    ),
+    "povm-shape": (
+        "validate", family_doc(kind="measurement", povms=[[mat_json(np.eye(2)), mat_json(np.eye(3))]]), (), 3, "family.povms[0]",
+    ),
+    "kraus-shape": (
+        "validate", family_doc(kind="custom", kraus=[[mat_json(np.eye(2)), mat_json(np.ones((3, 2)))]]), (), 3, "family.kraus[0]",
+    ),
+    "kraus-member-dims": (
+        "validate", family_doc(kind="custom", kraus=[[mat_json(np.eye(2))], [mat_json(np.eye(3))]]), (), 3, "family.kraus[1]",
+    ),
+    "kraus-not-cptp": (
+        "validate", family_doc(kind="custom", kraus=[[mat_json(np.eye(2))], [mat_json(2 * np.eye(2))]]), (), 3, "family.kraus[1]",
+    ),
+    "kraus-not-cptp-labelled": (
+        "validate", family_doc(kind="custom", kraus=[[mat_json(2 * np.eye(2))]], labels=["big"]), (), 3, "family.kraus[0]",
+    ),
+    "rotated-m-plus-shape": ("validate", family_doc(**dict(ROTATED, m_plus=mat_json(np.eye(3)))), (), 2, "family.m_plus"),
+    "rotated-m-minus-shape": ("validate", family_doc(**dict(ROTATED, m_minus=mat_json(np.eye(3)))), (), 2, "family.m_minus"),
+    "rotated-unitary-shape": (
+        "validate", family_doc(**dict(ROTATED, unitaries=ROTATED["unitaries"] + [mat_json(np.eye(3))])), (), 3, "family.unitaries[4]",
+    ),
+    # twice the Weyl set, weighted 3/2 and 1/2, meets the twirl identity but
+    # holds no unitary, so the rotated inputs U_0 v_j would not be unit vectors
+    "rotated-not-unitary": (
+        "ent-advantage",
+        family_doc(**dict(ROTATED, unitaries=[mat_json(np.sqrt(w) * u) for w in (1.5, 0.5) for u in weyl_ops(2)])),
+        (), 3, "family.unitaries[0]",
     ),
     "sweep-s-max-list": ("sweep", with_analysis(DAMP, {"s_max": [1]}, EB_INPUTS), (), 2, "analysis.s_max"),
     "sweep-points-string": ("sweep", with_analysis(DAMP, {"points": "x"}, EB_INPUTS), (), 2, "analysis.points"),
@@ -846,6 +956,34 @@ MISMATCHED = {
                       EB_INPUTS, group=weyl_group_json()),
         "analysis.strategy.mode",
     ),
+    "adaptive-three-members": (
+        "repeat",
+        with_analysis(
+            {"kind": "measurement", "povms": [[mat_json(np.eye(2))]] * 3},
+            {"analysis": "adaptive", "blocks": [1], "menus": [["a"]]}, AB_INPUTS,
+        ),
+        "family",
+    ),
+    "adaptive-menu-state-three-factors": (
+        "repeat",
+        with_analysis(
+            ROTATED, {"analysis": "adaptive", "blocks": [1, 1], "menus": [["a"], ["t"]]},
+            dict(AB_INPUTS, t={"kind": "amplitudes", "values": [1, 0, 0, 0, 0, 0, 0, 0], "dims": [2, 2, 2]}),
+        ),
+        "analysis.menus[1]",
+    ),
+    "output-identical-bare-input": (
+        "repeat",
+        with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": {"mode": "identical", "n": 2, "input": "b"}},
+                      EB_INPUTS),
+        "analysis.strategy.input",
+    ),
+    "output-parallel-phi": (
+        "repeat",
+        with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": {"mode": "parallel", "n": 2, "input": "e"}},
+                      EB_INPUTS),
+        "analysis.strategy.input",
+    ),
     "adaptive-not-measurement": (
         "repeat", with_analysis(ONE_GP, {"analysis": "adaptive", "blocks": [1], "menus": [["a"]]}, AB_INPUTS), "family",
     ),
@@ -977,6 +1115,8 @@ def test_any_family_node_exits_cleanly(family):
     assert code in (0, 2, 3)
     if code == 2:
         assert err.getvalue().startswith("spec error at family")
+    if code == 3:
+        assert err.getvalue().startswith("validation error: family")
 
 
 # Whole documents under every command: a family that mostly builds, named

@@ -119,18 +119,6 @@ def test_curve_rejects_bad_inputs(rng):
         gap_curve(np.eye(2), a)
 
 
-def test_curve_csv_round_trip(rng):
-    a, b = np.diag([0.7, 0.3]), np.diag([0.4, 0.6])
-    c = gap_curve(a, b, grid=[0.0, 0.5, 1.0])
-    text = c.to_csv()
-    lines = text.strip().splitlines()
-    assert lines[0] == "s,norm,is_breakpoint"
-    body = [ln.split(",") for ln in lines[1:]]
-    for (s_str, n_str, _), s, nv in zip(body, c.s_values, c.norms):
-        assert float(s_str) == s
-        assert float(n_str) == nv
-
-
 # ---------------------------------------------------------------------------
 # dominance_check
 

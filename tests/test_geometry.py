@@ -2,35 +2,42 @@ import numpy as np
 import pytest
 
 from chanopt.geometry import (
-    AngleVector,
     _chain_intervals,
+    _restore_order,
     ang_nonempty,
     ang_parallel_property,
     ang_sample,
     ang_solve_triangle,
     closure_residual,
-    samples_to_csv,
 )
 from conftest import ang_grid_search
 
 
 # ---------------------------------------------------------------------------
-# containers
+# closures as arrays
 
 
-def test_angle_vector_validation():
-    av = AngleVector((1.0, -1.0, 1j))
-    assert len(av) == 3
-    conj = av.conjugate()
-    assert conj.omegas[2] == -1j
+def test_closures_have_unit_modulus():
+    for x in ([1.0, 1.0, 1.0], [2.0, 1.0, 1.0], [1.0, 2.0, 1.5]):
+        sols = ang_solve_triangle(x)
+        assert sols.dtype == complex and sols.shape[1] == 2
+        assert np.abs(np.abs(sols) - 1.0).max() <= 1e-10
+    samples = ang_sample([1.0, 0.8, 0.6, 0.9], 25, seed=11)
+    assert samples.dtype == complex and samples.shape == (25, 3)
+    assert np.abs(np.abs(samples) - 1.0).max() <= 1e-10
+    # the check both return through
     with pytest.raises(ValueError):
-        AngleVector((0.5, 1.0))
+        _restore_order(np.array([[0.5, 1.0]]), np.arange(3))
 
 
 def test_closure_residual_formula():
-    av = AngleVector((-1.0, 1.0))
-    assert closure_residual([2.0, 1.0, 1.0], av) == 0.0
-    assert abs(closure_residual([1.0, 1.0, 1.0], av) - 1.0) < 1e-15
+    om = np.array([-1.0, 1.0])
+    assert closure_residual([2.0, 1.0, 1.0], om) == 0.0
+    assert abs(closure_residual([1.0, 1.0, 1.0], om) - 1.0) < 1e-15
+    # a stack of closures gets one residual per row
+    stacked = closure_residual([1.0, 1.0, 1.0], np.array([om, [1j, -1j]]))
+    assert stacked.shape == (2,)
+    assert abs(stacked[0] - 1.0) < 1e-15 and abs(stacked[1] - 1.0) < 1e-15
 
 
 def test_rchain_intervals():
@@ -80,23 +87,22 @@ def test_nonempty_matches_grid_search(rng, d):
 
 def test_triangle_equilateral():
     sols = ang_solve_triangle([1.0, 1.0, 1.0])
-    assert len(sols) == 2
-    for av in sols:
-        assert closure_residual([1.0, 1.0, 1.0], av) < 1e-12
-    a, b = sols
-    assert a.conjugate() in sols and b.conjugate() in sols
+    assert sols.shape == (2, 2)
+    assert (closure_residual([1.0, 1.0, 1.0], sols) < 1e-12).all()
+    # a conjugate pair, rows in lexicographic (re, im) order
+    assert np.array_equal(sols[1], sols[0].conj())
+    assert sols[0, 0].imag < 0 < sols[1, 0].imag
 
 
 def test_triangle_degenerate_flat():
     sols = ang_solve_triangle([2.0, 1.0, 1.0])
-    assert len(sols) == 1
-    (av,) = sols
-    assert closure_residual([2.0, 1.0, 1.0], av) < 1e-12
-    assert all(abs(w.imag) < 1e-12 for w in av.omegas)
+    assert sols.shape == (1, 2)
+    assert closure_residual([2.0, 1.0, 1.0], sols[0]) < 1e-12
+    assert np.abs(sols.imag).max() < 1e-12
 
 
 def test_triangle_infeasible_empty():
-    assert ang_solve_triangle([3.0, 1.0, 1.0]) == set()
+    assert ang_solve_triangle([3.0, 1.0, 1.0]).shape == (0, 2)
 
 
 def test_triangle_random_instances(rng):
@@ -104,17 +110,15 @@ def test_triangle_random_instances(rng):
         x = rng.uniform(0.2, 2.0, size=3)
         sols = ang_solve_triangle(x)
         if not ang_nonempty(x):
-            assert sols == set()
+            assert len(sols) == 0
             continue
         assert 1 <= len(sols) <= 2
-        for av in sols:
-            assert closure_residual(x, av) < 1e-9
+        assert (closure_residual(x, sols) < 1e-9).all()
 
 
 def test_triangle_unsorted_input():
     x = [1.0, 2.0, 1.5]
-    for av in ang_solve_triangle(x):
-        assert closure_residual(x, av) < 1e-12
+    assert (closure_residual(x, ang_solve_triangle(x)) < 1e-12).all()
 
 
 def test_triangle_rejections():
@@ -133,23 +137,21 @@ def test_sample_closure_and_determinism():
     first = ang_sample(x, 25, seed=11)
     again = ang_sample(x, 25, seed=11)
     other = ang_sample(x, 25, seed=12)
-    assert len(first) == 25
-    for av in first:
-        assert closure_residual(x, av) <= 1e-9
-    assert all(a.omegas == b.omegas for a, b in zip(first, again))
-    assert any(a.omegas != b.omegas for a, b in zip(first, other))
+    assert first.shape == (25, 3)
+    assert (closure_residual(x, first) <= 1e-9).all()
+    assert np.array_equal(first, again)
+    assert not np.array_equal(first, other)
 
 
 def test_sample_symmetric_diversity():
     samples = ang_sample([1.0, 1.0, 1.0, 1.0], 20, seed=3)
-    rounded = {tuple(np.round(av.omegas, 8)) for av in samples}
+    rounded = {tuple(np.round(row, 8)) for row in samples}
     assert len(rounded) >= 3
 
 
 def test_sample_five_lengths():
     x = [1.3, 1.0, 0.7, 0.5, 0.4]
-    for av in ang_sample(x, 10, seed=5):
-        assert closure_residual(x, av) <= 1e-9
+    assert (closure_residual(x, ang_sample(x, 10, seed=5)) <= 1e-9).all()
 
 
 def test_sample_rejections():
@@ -193,21 +195,3 @@ def test_parallel_rejections():
         ang_parallel_property([1.0, 1.0, 1.0], [1.0, 1.0])
     with pytest.raises(ValueError):
         ang_parallel_property([3.0, 1.0, 1.0], [3.0, 1.0, 1.0])
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_samples_csv_shape():
-    x = [1.0, 0.8, 0.6, 0.9]
-    samples = ang_sample(x, 4, seed=2)
-    text = samples_to_csv(x, samples)
-    lines = text.strip().splitlines()
-    assert lines[0] == "index,re_omega1,im_omega1,re_omega2,im_omega2,re_omega3,im_omega3,residual"
-    assert len(lines) == 5
-    cells = lines[1].split(",")
-    assert cells[0] == "0"
-    w1 = complex(float(cells[1]), float(cells[2]))
-    assert abs(w1 - samples[0].omegas[0]) < 1e-15
-    assert float(cells[-1]) <= 1e-9
