@@ -425,9 +425,11 @@ def _cmd_ang(doc, fam, args):
     payload: dict = {"query": query, "x": x}
     tables = {}
     if query == "nonempty":
-        payload["nonempty"] = ang_nonempty(x)
+        with _at("x"):
+            payload["nonempty"] = ang_nonempty(x)
     elif query == "solve":
-        sols = ang_solve_triangle(x)
+        with _at("x"):
+            sols = ang_solve_triangle(x)
         payload["solutions"] = sols
         payload["residuals"] = closure_residual(x, sols)
     elif query == "sample":
@@ -435,7 +437,8 @@ def _cmd_ang(doc, fam, args):
             raise SpecError("flags", "--seed is required for sampling queries")
         n = ana("n", _int_from, 50)
         _check_count("analysis.n", n, 1, len(x))
-        samples = ang_sample(x, n, args.seed)
+        with _at("x"):
+            samples = ang_sample(x, n, args.seed)
         residuals = closure_residual(x, samples)
         tables["ang-samples.csv"] = _samples_csv(samples, residuals)
         payload["n"] = n
@@ -447,7 +450,9 @@ def _cmd_ang(doc, fam, args):
         _check_count("analysis.n", n, 1, len(x))
         if len(x) >= 4 and args.seed is None:
             raise SpecError("flags", "--seed is required for sampling queries")
-        shadow = ang_parallel_property(x, xp, n=n, seed=args.seed)
+        # a length mismatch is x_prime's fault; anything else is x's
+        with _at("x" if len(xp) == len(x) else "x_prime"):
+            shadow = ang_parallel_property(x, xp, n=n, seed=args.seed)
         payload["x_prime"] = xp
         payload["subset_holds"] = shadow.subset_holds
         if shadow.violating_sample is not None:

@@ -11,8 +11,11 @@ never claims more than the routes used can support.
 
 A commuting pair's curve is sum_i |p_i - s q_i| over its joint eigenvalues;
 it is read that way whenever the joint eigenbasis is accurate enough to
-prove the closed form within SWEEP_TOL / 10 (_sweep_operands). Every other
-pair is swept by one stacked eigendecomposition (or SVD) over the grid.
+prove the closed form within SWEEP_TOL / 10 (_sweep_operands). Any other
+Hermitian pair's curve is |tr a - s tr b| wherever a - s b is proven
+semidefinite within SWEEP_TOL / 10 (_hermitian_sweep), and one stacked
+eigendecomposition covers the indefinite middle of the grid; a
+non-Hermitian pair takes one stacked SVD over the whole grid.
 """
 from __future__ import annotations
 
@@ -104,9 +107,12 @@ def sweep_norms(a, b, s) -> np.ndarray:
 
     a and b are either a pair of square matrices or the paired joint
     eigenvalues (p, q) of a commuting Hermitian pair. The spectrum takes the
-    closed form sum_i |p_i - s_k q_i|; a Hermitian pair takes one stacked
-    eigvalsh, any other pair one stacked svd: the split trace_norm makes,
-    decided once for the pair.
+    closed form sum_i |p_i - s_k q_i|. A Hermitian pair takes
+    _hermitian_sweep: the closed form |tr a - s_k tr b| where a - s_k b is
+    semidefinite, each such value proven within SWEEP_TOL / 10 of the norm
+    (the bounds are in _hermitian_sweep), and one stacked eigvalsh at the
+    other s_k. Any other pair takes one stacked svd. The Hermitian/svd split
+    is the one trace_norm makes, decided once for the pair.
     """
     s = np.asarray(s, dtype=float).reshape(-1)
     if np.ndim(a) == 1:
@@ -114,11 +120,85 @@ def sweep_norms(a, b, s) -> np.ndarray:
         return np.abs(p - s[:, None] * q).sum(axis=1)
     a = as_matrix(a)
     b = as_matrix(b)
-    stack = a[None, :, :] - s[:, None, None] * b[None, :, :]
     if is_hermitian(a) and is_hermitian(b):
-        herm = 0.5 * (stack + stack.conj().swapaxes(1, 2))
-        return np.abs(np.linalg.eigvalsh(herm)).sum(axis=1)
+        return _hermitian_sweep(a, b, s)
+    stack = a[None, :, :] - s[:, None, None] * b[None, :, :]
     return np.linalg.svd(stack, compute_uv=False).sum(axis=1)
+
+
+def _stacked_eigvalsh(a, b, s) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of a - s_k b, one row per
+    s_k, from one stacked eigvalsh."""
+    stack = a[None, :, :] - s[:, None, None] * b[None, :, :]
+    return np.linalg.eigvalsh(0.5 * (stack + stack.conj().swapaxes(1, 2)))
+
+
+def _semidefinite_ends(a, b) -> tuple[float, float]:
+    """A guess (lo, hi) with a - s b >= 0 for s <= lo and <= 0 for s >= hi.
+
+    For PSD a and b, c = a + b vanishes exactly where both do, and on the
+    range of c, a - s b = c^1/2 (m - s (1 - m)) c^1/2 with m = c^-1/2 a c^-1/2,
+    whose eigenvalues t lie in [0, 1]. So a - s b >= 0 iff s <= t_min /
+    (1 - t_min) and <= 0 iff s >= t_max / (1 - t_max), infinite at t = 1.
+    Eigenvalues of c below 1e-12 of its largest count as outside its range;
+    with no range left the guess is (0, inf), which closes no s > 0. Nothing
+    here is trusted: _hermitian_sweep certifies what it uses.
+    """
+    w, v = np.linalg.eigh(a + b)
+    keep = w > 1e-12 * max(float(w[-1]), 0.0)
+    if not keep.any():
+        return 0.0, np.inf
+    vr = v[:, keep] / np.sqrt(w[keep])
+    t = np.linalg.eigvalsh(dagger(vr) @ a @ vr)
+    lo, hi = float(t[0]), float(t[-1])
+    return (lo / (1.0 - lo) if lo < 1.0 else np.inf), (hi / (1.0 - hi) if hi < 1.0 else np.inf)
+
+
+def _hermitian_sweep(a, b, s) -> np.ndarray:
+    """||a - s_k b||_1 of a Hermitian pair: |tr a - s_k tr b| at the s_k > 0
+    outside the indefinite middle that _semidefinite_ends guesses, one
+    stacked eigvalsh at the rest.
+
+    The stack also holds s = 0 and the last point of each closed side: s_k,
+    the largest s on the PSD side, and s_m, the smallest on the NSD side.
+    With the computed violations delta_a = max(0, -lambda_min(a)), delta_k =
+    max(0, -lambda_min(a - s_k b)) and delta_m = max(0, lambda_max(a - s_m b)):
+
+    - lambda_min(a - s b) is concave in s, so it is >= -max(delta_a,
+      delta_k) on [0, s_k]; as ||X||_1 - tr X is twice the negative mass of
+      X, the closed form is within 2 d max(delta_a, delta_k) there.
+    - a >= -delta_a and a - s_m b <= delta_m give s_m b >= -(delta_a +
+      delta_m), so a - s b <= (s / s_m)(delta_m + delta_a) for s >= s_m; as
+      ||X||_1 + tr X is twice the positive mass, the closed form is within
+      2 d (max s / s_m)(delta_m + delta_a) on [s_m, max s].
+
+    The closed form is taken only when both bounds are at most
+    SWEEP_TOL / 10, the rule _sweep_operands applies to commuting pairs;
+    otherwise the whole grid is stacked. A stacked s_k gets the same bits
+    in any stack, so the values do not depend on where the split falls.
+    """
+    lo, hi = _semidefinite_ends(a, b)
+    psd = (s > 0) & (s <= lo)
+    nsd = (s > 0) & (s >= hi) & ~psd
+    s_k = s[psd].max(initial=0.0)
+    s_m = s[nsd].min(initial=np.inf)
+    closed = (psd & (s < s_k)) | (nsd & (s > s_m))
+    if closed.any():
+        stacked = ~closed
+        # with no s on the NSD side, a stands in for a - s_m b and is not read
+        ends = [0.0, s_k, s_m if nsd.any() else 0.0]
+        lam = _stacked_eigvalsh(a, b, np.concatenate([ends, s[stacked]]))
+        d = len(a)
+        delta_a = max(-lam[0, 0], 0.0)
+        err = 2 * d * max(delta_a, -lam[1, 0])
+        if nsd.any():
+            err = max(err, 2 * d * (s.max() / s_m) * (max(lam[2, -1], 0.0) + delta_a))
+        if err <= SWEEP_TOL / 10:
+            norms = np.empty(len(s))
+            norms[stacked] = np.abs(lam[3:]).sum(axis=1)
+            norms[closed] = np.abs(np.trace(a).real - s[closed] * np.trace(b).real)
+            return norms
+    return np.abs(_stacked_eigvalsh(a, b, s)).sum(axis=1)
 
 
 def _joint_spectrum(a, b) -> tuple[np.ndarray, np.ndarray, float] | None:
@@ -168,8 +248,8 @@ def _sweep_grid(grid) -> np.ndarray:
     s = _DEFAULT_GRID if grid is None else np.asarray(grid, dtype=float).reshape(-1)
     if len(s) == 0:
         raise ValueError("empty s grid")
-    if s.min() < 0:
-        raise ValueError("s must be nonnegative")
+    if not (np.isfinite(s).all() and s.min() >= 0):
+        raise ValueError("s must be finite and nonnegative")
     return s
 
 

@@ -859,6 +859,11 @@ MALFORMED = {
         ang_doc("parallel", [1.0, 0.8, 0.6, 0.9], x_prime=[1.0, 0.8, 0.6, 0.8], analysis={"n": 10**12}),
         ("--seed", "7"), 3, "analysis.n",
     ),
+    "ang-parallel-no-closure": ("ang", ang_doc("parallel", [3.0, 1.0, 1.0], x_prime=[3.0, 1.0, 1.0]), (), 3, "x"),
+    "ang-sample-degenerate": ("ang", ang_doc("sample", [5.0, 1.0, 1.0, 1.0]), ("--seed", "7"), 3, "x"),
+    "ang-solve-negative": ("ang", ang_doc("solve", [1.0, -1.0, 1.0]), (), 3, "x"),
+    "ang-parallel-short-x-prime": ("ang", ang_doc("parallel", [1.0, 0.9, 0.7], x_prime=[1.0, 0.9]), (), 3, "x_prime"),
+    "ang-nonempty-two-lengths": ("ang", ang_doc("nonempty", [1.0, 1.0]), (), 3, "x"),
     "strategy-n-zero": (
         "repeat",
         with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": {"mode": "identical", "n": 0, "input": "e"}}, EB_INPUTS),

@@ -16,7 +16,7 @@ from chanopt.comparison import (
     joint_eigenbasis,
     sweep_norms,
 )
-from chanopt.numerics import SystemShape, max_abs, max_entangled, trace_norm
+from chanopt.numerics import DENSITY_TOL, SystemShape, is_density, max_abs, max_entangled, trace_norm
 from conftest import haar_unitary, random_density, random_pure
 
 
@@ -364,6 +364,113 @@ def test_commuting_pair_off_the_guard_takes_the_stacked_route(rng, monkeypatch):
         assert routes == ["matrices", "matrices"]
         assert (v.relation, v.method, v.witness_s) == (relation, method, witness)
         assert gap is None if v.gap is None else abs(v.gap - gap) < 1e-12
+
+
+def stacked_grids(monkeypatch) -> list[np.ndarray]:
+    """Record the s values of every stacked eigvalsh inside comparison."""
+    grids = []
+    kernel = comparison._stacked_eigvalsh
+
+    def spy(a, b, s):
+        grids.append(np.array(s))
+        return kernel(a, b, s)
+
+    monkeypatch.setattr(comparison, "_stacked_eigvalsh", spy)
+    return grids
+
+
+def assert_matches_trace_norm(a, b, s):
+    want = np.array([trace_norm(a - t * b) for t in s])
+    assert np.all(np.abs(sweep_norms(a, b, s) - want) <= 1e-12 * (1.0 + s))
+
+
+def weyl_pair(rng, thetas):
+    """Outputs of two qubit Weyl mixtures (weights thetas) on one random pure
+    two-qubit input: a - s b is semidefinite exactly where every weight
+    difference theta_i - s theta'_i has one sign, so the commuting Bell
+    outputs' kinks are the pencil boundaries of this pair."""
+    psi = random_pure(rng, 4)
+    kets = [np.kron(w, np.eye(2)) @ psi for w in weyl_ops(2)]
+    return [sum(t * np.outer(k, k.conj()) for t, k in zip(theta, kets)) for theta in thetas]
+
+
+def test_sweep_norms_match_trace_norm_on_every_route(rng):
+    """The semidefinite ends in closed form and the stacked middle agree with
+    a per-s trace_norm within 1e-12 (1 + s): d = 2..5 at every pair of ranks,
+    pure, identical and disjoint pairs, a member whose support b does not
+    reach (t = 1), grids with and without s = 0, and Weyl pairs whose pencil
+    boundaries sit on grid points."""
+    grid = default_grid()
+    for d in range(2, 6):
+        for ra in range(1, d + 1):
+            for rb in range(1, d + 1):
+                a, b = random_density(rng, d, ra), random_density(rng, d, rb)
+                assert_matches_trace_norm(a, b, grid)
+                assert_matches_trace_norm(b, a, grid[1:])
+        a = random_density(rng, d)
+        assert_matches_trace_norm(a, a, grid)
+        e = np.eye(d)
+        assert_matches_trace_norm(np.diag(e[0]), np.diag(e[-1]), grid)
+        assert_matches_trace_norm(np.diag(e[0] + e[1]) / 2, np.diag(e[1] + e[-1]) / 2, grid)
+    assert_matches_trace_norm(np.zeros((2, 2)), np.zeros((2, 2)), grid)
+    for _ in range(10):
+        thetas = rng.dirichlet(np.ones(4), size=2)
+        s = np.unique(np.concatenate([grid, thetas[0] / thetas[1]]))
+        assert_matches_trace_norm(*weyl_pair(rng, thetas), s)
+
+
+def test_generic_pair_stacks_only_the_indefinite_middle(rng, monkeypatch):
+    """A full-rank 4 x 4 pair sends to the stacked eigvalsh only s = 0, the
+    grid points where a - s b is indefinite and the last grid point on each
+    semidefinite side; every other point takes |tr a - s tr b|."""
+    a, b = random_density(rng, 4), random_density(rng, 4)
+    s = default_grid()
+    lam = np.linalg.eigvalsh(a[None] - s[:, None, None] * b[None])
+    psd, nsd = s[lam[:, 0] > 0], s[lam[:, -1] < 0]
+    indefinite = s[(lam[:, 0] < 0) & (lam[:, -1] > 0)]
+    grids = stacked_grids(monkeypatch)
+    assert_matches_trace_norm(a, b, s)
+    assert len(grids) == 1
+    assert set(grids[0]) == {0.0, psd.max(), nsd.min(), *indefinite}
+    # the three certifying points lead the stack, then every stacked s once
+    assert len(grids[0]) == 6 + len(indefinite) < len(s)
+
+
+def test_boundary_on_the_grid_keeps_the_closed_form(rng, monkeypatch):
+    """At a Weyl pair's pencil boundary lambda_min(a - s b) is a rounding
+    error of either sign; the certificate absorbs it instead of falling back
+    to the whole grid."""
+    grids = stacked_grids(monkeypatch)
+    for _ in range(10):
+        thetas = rng.dirichlet(np.ones(4), size=2)
+        s = np.unique(np.concatenate([default_grid(), thetas[0] / thetas[1]]))
+        sweep_norms(*weyl_pair(rng, thetas), s)
+        assert len(grids) == 1 and len(grids.pop()) < len(s)
+
+
+def test_member_below_zero_is_refused_the_closed_form(rng, monkeypatch):
+    """A member with an eigenvalue at -DENSITY_TOL / 2 still passes
+    is_density, but a - s b need not be semidefinite where the guess says:
+    the certificate fails and the whole grid is stacked."""
+    w, v = np.linalg.eigh(random_density(rng, 3))
+    w = np.array([-DENSITY_TOL / 2, w[1], w[2]])
+    a = (v * (w / w.sum())) @ v.conj().T
+    b = random_density(rng, 3)
+    assert is_density(a)
+    grids = stacked_grids(monkeypatch)
+    c = gap_curve(a, b)
+    assert np.array_equal(grids[-1], c.s_values)
+    want = np.array([trace_norm(a - t * b) for t in c.s_values])
+    assert np.all(np.abs(c.norms - want) <= 1e-12 * (1.0 + c.s_values))
+    assert_matches_trace_norm(b, a, c.s_values)
+
+
+def test_grid_must_be_finite(rng):
+    a, b = random_density(rng, 2), random_density(rng, 2)
+    with pytest.raises(ValueError, match="finite"):
+        dominance_check([a, b], [b, a], grid=[np.inf], certify=False)
+    with pytest.raises(ValueError, match="finite"):
+        gap_curve(a, b, grid=[0.5, np.nan])
 
 
 def test_dominance_rejects_non_density():
