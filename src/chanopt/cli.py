@@ -57,7 +57,6 @@ from .numerics import (
     SystemShape,
     basis_vector,
     exceeds_dim_guard,
-    hermitian_eig,
     max_abs,
     max_entangled,
 )
@@ -76,6 +75,7 @@ from .repetition import (
     STRATEGY_MODES,
     AdaptivePlan,
     Strategy,
+    _kron_power,
     _menu_step,
     adaptive_vs_identical,
     fresh_swap_interleavers,
@@ -553,14 +553,22 @@ def _cmd_repeat(doc, fam, args):
         if member not in fam.labels():
             raise SpecError("analysis.member", f"unknown member {member!r}")
         strat = _parse_strategy(ana("strategy"), fam, states, "analysis.strategy", args)
+        ch = dict(fam.members)[member]
         # the mode, n and interleavers are checked: only the input can be rejected
         with _at("analysis.strategy.input"):
-            rho = repeated_output(dict(fam.members)[member], strat)
-        lam, _ = hermitian_eig(rho)
+            if strat.mode == "identical":
+                # omega^(x n) is never formed: its spectrum is the n-fold
+                # products of omega's eigenvalues
+                rho = repeated_output(ch, Strategy("identical", 1, strat.input))
+            else:
+                rho = repeated_output(ch, strat)
+        lam = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+        if strat.mode == "identical":
+            lam = _kron_power(lam, strat.n)
         payload = {
             "member": member,
-            "dim": int(rho.shape[0]),
-            "trace": float(np.trace(rho).real),
+            "dim": int(lam.size),
+            "trace": float(lam.sum()),
             "min_eig": float(lam.min()),
             "max_eig": float(lam.max()),
         }

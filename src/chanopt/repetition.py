@@ -12,15 +12,16 @@ Channel uses are applied factor by factor with channels.apply_at_factor, so
 no operator on the joint space is ever formed; each measure-and-correct step
 of the sequential certificate is one correction channel, shared by every
 member and every step, applied the same way. The joint states themselves are
-dense, and a dimension guard keeps them at desk scale. The adaptive analysis
-builds each block's output pair once, and the identical-repetition risk of a
-commuting pair comes from n-fold products of joint eigenvalues instead of
-dense Kronecker powers.
+dense, and a dimension guard keeps them at desk scale. Every n-fold
+Kronecker power, of a state or of a spectrum, is built by halving: one
+balanced product of two half powers, so at most 2 log2(n) kron calls. The
+adaptive analysis builds each block's output pair once, and the
+identical-repetition risk of a commuting pair comes from n-fold products of
+joint eigenvalues instead of the dense powers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -105,8 +106,23 @@ def _guard(base: int, n: int = 1):
         raise ValueError(f"{n} uses of dimension {base} exceed the {DIM_GUARD} guard")
 
 
+def _kron_power(a: np.ndarray, n: int) -> np.ndarray:
+    """a (x) a (x) ... (x) a, n factors, by halving: the largest product is
+    kron(a^(x ceil(n/2)), a^(x floor(n/2))), whose contiguous runs are
+    len(a)^floor(n/2) entries wide, and at most 2 floor(log2 n) kron calls
+    are made. On a vector of eigenvalues it gives their n-fold products in
+    the order of the power's eigenvalues."""
+    if n == 1:
+        return a
+    low = _kron_power(a, n // 2)
+    high = low if n % 2 == 0 else np.kron(low, a)
+    return np.kron(high, low)
+
+
 def repeated_output(member: KrausChannel, strat: Strategy) -> np.ndarray:
-    """Exact final state of the strategy for one family member."""
+    """Exact final state of the strategy for one family member. Identical
+    mode returns omega^(x n), omega the single-use output, as one balanced
+    Kronecker power (_kron_power)."""
     dims = strat.input.shape.factor_dims
 
     if strat.mode == "identical":
@@ -115,10 +131,7 @@ def repeated_output(member: KrausChannel, strat: Strategy) -> np.ndarray:
         dr = dims[1]
         _guard(member.dout * dr, strat.n)
         omega = apply_extended(member, strat.input.density(), strat.input.shape)
-        out = omega
-        for _ in range(strat.n - 1):
-            out = np.kron(out, omega)
-        return out
+        return _kron_power(omega, strat.n)
 
     if strat.mode == "parallel":
         if len(dims) != 2 * strat.n or any(dims[2 * i] != member.din for i in range(strat.n)):
@@ -284,10 +297,10 @@ def _identical_risk(omega_p: np.ndarray, omega_m: np.ndarray, n: int, prior: flo
     """
     spectrum = _joint_spectrum(omega_p, omega_m)
     if spectrum is not None and spectrum[2] <= 1e-8:
-        spectra = [reduce(np.multiply.outer, [lam] * n).reshape(-1) for lam in spectrum[:2]]
+        spectra = [_kron_power(lam, n) for lam in spectrum[:2]]
         _check_pair(*spectra)
         return _binary_risk(*spectra, prior)
-    powers = [reduce(np.kron, [omega] * n) for omega in (omega_p, omega_m)]
+    powers = [_kron_power(omega, n) for omega in (omega_p, omega_m)]
     return bayes_binary_risk(*powers, prior)
 
 

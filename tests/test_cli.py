@@ -1,6 +1,7 @@
 import io
 import json
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -14,7 +15,9 @@ from chanopt.cli import _samples_csv, _sweep_csv, main
 from chanopt.comparison import gap_curve
 from chanopt.entanglement import product_candidates
 from chanopt.geometry import ang_sample, ang_solve_triangle, closure_residual
-from chanopt.numerics import max_abs
+from chanopt.numerics import SystemShape, max_abs, max_entangled
+from chanopt.optimal_inputs import PureState
+from chanopt.repetition import Strategy, repeated_output
 
 SQRT_HALF = float(np.sqrt(0.5))
 
@@ -563,6 +566,43 @@ def test_repeat_output_identity_rewire(tmp_path):
     assert abs(out["trace"] - 1.0) < 1e-9
     assert out["min_eig"] >= -1e-9
     assert out["dim"] == 4
+
+
+def identical_output_doc(n):
+    return {
+        "family": {"kind": "gp", "d": 2, "xis": [[0.1, 0.2, 0.3]]},
+        "inputs": {"bell": {"kind": "phi_d"}},
+        "analysis": {
+            "analysis": "output",
+            "member": "gp0",
+            "strategy": {"mode": "identical", "n": n, "input": "bell"},
+        },
+    }
+
+
+def test_repeat_identical_output_matches_dense_state(tmp_path):
+    assert run(tmp_path, identical_output_doc(3), "repeat") == 0
+    out = report(tmp_path, "repeat-report.json")
+    ch = make_family("gp", {"d": 2, "xis": [[0.1, 0.2, 0.3]]}).members[0][1]
+    bell = PureState(max_entangled(2), SystemShape((2, 2)))
+    rho = repeated_output(ch, Strategy("identical", 3, bell))
+    lam = np.linalg.eigvalsh(rho)
+    assert out["dim"] == 64
+    assert abs(out["trace"] - np.trace(rho).real) < 1e-12
+    assert abs(out["min_eig"] - lam.min()) < 1e-12
+    assert abs(out["max_eig"] - lam.max()) < 1e-12
+
+
+def test_repeat_identical_output_never_forms_the_joint_state(tmp_path):
+    # a 4096-dimensional joint state: a dense eigendecomposition of it takes
+    # over a minute, its spectrum from omega's eigenvalues a fraction of a second
+    start = time.perf_counter()
+    assert run(tmp_path, identical_output_doc(6), "repeat") == 0
+    assert time.perf_counter() - start < 2.0
+    out = report(tmp_path, "repeat-report.json")
+    assert out["dim"] == 4096
+    assert abs(out["trace"] - 1.0) < 1e-12
+    assert abs(out["max_eig"] - 0.4**6) < 1e-12
 
 
 def test_repeat_unknown_analysis(tmp_path):

@@ -71,11 +71,33 @@ def test_factor_permutation_reorders(rng):
 # repeated_output
 
 
-def test_identical_is_kron_power():
+@pytest.mark.parametrize("n", [1, 2, 4, 5])
+def test_identical_is_kron_power(n):
     ch = qubit_fam().members[0][1]
     omega = apply_extended(ch, np.outer(PHI2, PHI2.conj()), SystemShape((2, 2)))
-    out = repeated_output(ch, Strategy("identical", 3, bell_input()))
-    assert max_abs(out - np.kron(np.kron(omega, omega), omega)) < 1e-12
+    out = repeated_output(ch, Strategy("identical", n, bell_input()))
+    assert out.shape == (4**n, 4**n)
+    assert max_abs(out - reduce(np.kron, [omega] * n)) < 1e-12
+
+
+# matrices stop at dimension d^n <= 1024, where the reference fold is still cheap
+KRON_POWER_CASES = [
+    (d, n, vector)
+    for d in (1, 2, 3)
+    for n in range(1, 10)
+    for vector in (True, False)
+    if vector or d**n <= 1024
+]
+
+
+@pytest.mark.parametrize("d,n,vector", KRON_POWER_CASES)
+def test_kron_power_matches_fold(rng, d, n, vector):
+    shape = (d,) if vector else (d, d)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    want = reduce(np.kron, [a] * n)
+    got = repetition._kron_power(a, n)
+    assert got.shape == want.shape
+    assert max_abs(got - want) <= 1e-14 * max_abs(want)
 
 
 def test_parallel_on_product_input_matches_identical():
@@ -135,13 +157,27 @@ def test_dimension_guard_trips():
         repeated_output(ch, Strategy("identical", 7, bell_input()))
 
 
-def test_dimension_guard_bounds_uses_of_trivial_joint_dimension():
+def test_dimension_guard_bounds_uses_of_trivial_joint_dimension(monkeypatch):
     trace_out = make_family("custom", {"kraus": [[[[1, 0]], [[0, 1]]]], "labels": ["tr"]})
     ch = trace_out.members[0][1]
     e0 = PureState(np.array([1.0, 0.0]), SystemShape((2, 1)))
     assert repeated_output(ch, Strategy("identical", 3, e0)).shape == (1, 1)
     with pytest.raises(ValueError):
         repeated_output(ch, Strategy("identical", DIM_GUARD + 1, e0))
+
+    # at the limit of uses the power is built by halving: at most
+    # 2 floor(log2 n) kron calls, not the n - 1 of a left fold
+    calls = []
+    real = np.kron
+
+    def spy(a, b):
+        calls.append(a.shape)
+        return real(a, b)
+
+    monkeypatch.setattr(repetition.np, "kron", spy)
+    out = repeated_output(ch, Strategy("identical", DIM_GUARD, e0))
+    assert out.shape == (1, 1) and abs(out[0, 0] - 1.0) < 1e-12
+    assert len(calls) <= 2 * (DIM_GUARD.bit_length() - 1)
 
 
 def test_repeated_output_layout_rejections():
