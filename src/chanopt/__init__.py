@@ -1,15 +1,15 @@
 """Optimal input states for discriminating families of quantum channels.
 
 The package namespace holds the library entry points: family construction,
-the sweep comparison and its feasibility certificate, one constructor or
-certifier per optimal-input result, the entanglement and adaptation
-analyses, and the phase-closure geometry. Helpers live in their modules
-(``chanopt.channels``, ``chanopt.numerics``, ...); the command line is
-``chanopt.cli``.
+the sweep comparison, its feasibility certificate and the binary Bayes
+risk, one constructor or certifier per optimal-input result, the
+entanglement and adaptation analyses, and the phase-closure geometry.
+Helpers live in their modules (``chanopt.channels``, ``chanopt.numerics``,
+...); the command line is ``chanopt.cli``.
 """
 
 from .channels import apply_extended, gen_pauli, make_family, weyl_ops
-from .comparison import cptp_feasible, dominance_check, gap_curve
+from .comparison import bayes_binary_risk, cptp_feasible, dominance_check, gap_curve
 from .entanglement import entanglement_breaking_gp, separable_suffices
 from .geometry import ang_nonempty, ang_sample, closure_residual
 from .numerics import SystemShape, partial_transpose, trace_norm
@@ -46,6 +46,7 @@ __all__ = [
     "ang_nonempty",
     "ang_sample",
     "apply_extended",
+    "bayes_binary_risk",
     "closure_residual",
     "covariant_optimal_state",
     "cptp_feasible",

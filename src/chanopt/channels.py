@@ -347,18 +347,12 @@ def is_unital(ch: KrausChannel) -> bool:
 COVARIANCE_TOL = 1e-8
 
 
-def is_covariant(
-    fam: ChannelFamily,
-    group: list[tuple[np.ndarray, np.ndarray]],
-    *,
-    contravariant: bool = False,
-) -> bool:
-    """Check L(U_g rho U_g^dag) = V_g L(rho) V_g^dag for every member and g.
-
-    The contravariant variant conjugates the output rotation: V_g -> conj(V_g).
-    Both sides are compared on Choi matrices, which is equivalent to comparing
-    the maps themselves.
-    """
+def covariance(
+    fam: ChannelFamily, group: list[tuple[np.ndarray, np.ndarray]]
+) -> tuple[bool, bool]:
+    """Whether L(U_g rho U_g^dag) = V_g L(rho) V_g^dag for every member and g
+    (covariant), and whether it holds with conj(V_g) for V_g (contravariant),
+    compared on Choi matrices. Each member's Choi matrix serves both."""
     din, dout = fam.din, fam.dout
     gs = []
     for u, v in group:
@@ -368,17 +362,17 @@ def is_covariant(
             v @ dagger(v) - np.eye(dout)
         ) > 1e-9:
             raise ValueError("group elements must be unitary")
-        gs.append((u, v.conj() if contravariant else v))
-    eye_in = np.eye(din)
-    eye_out = np.eye(dout)
+        # the input rotation on the Choi matrix, then each relation's output rotation
+        rots_out = [np.kron(r, np.eye(din)) for r in (v, v.conj())]
+        gs.append((np.kron(np.eye(dout), u.T), rots_out))
+    holds = [True, True]
     for _, ch in fam.members:
         w = choi_of(ch).matrix
-        for u, v in gs:
-            pre = np.kron(eye_out, u.T) @ w @ np.kron(eye_out, u.conj())
-            post = np.kron(v, eye_in) @ w @ np.kron(dagger(v), eye_in)
-            if max_abs(pre - post) > COVARIANCE_TOL:
-                return False
-    return True
+        for rot_in, rots_out in gs:
+            pre = rot_in @ w @ dagger(rot_in)
+            for i, rot in enumerate(rots_out):
+                holds[i] = holds[i] and max_abs(pre - rot @ w @ dagger(rot)) <= COVARIANCE_TOL
+    return holds[0], holds[1]
 
 
 # ---------------------------------------------------------------------------
@@ -587,9 +581,12 @@ _MISSING = object()
 
 
 class _Fields:
-    """Typed reads of one spec object's fields, located under a path."""
+    """Typed reads of one spec object's fields (a non-object is a SpecError),
+    located under a path."""
 
     def __init__(self, node: dict, where: str):
+        if not isinstance(node, dict):
+            raise SpecError(where, "expected an object")
         self.node = node
         self.where = where
 

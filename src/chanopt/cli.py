@@ -33,7 +33,7 @@ from .channels import (
     _str_from,
     _vector_from,
     apply_extended,
-    is_covariant,
+    covariance,
     make_family,
     validate_cptp,
 )
@@ -65,7 +65,7 @@ from .optimal_inputs import (
     PureState,
     _probability_pair,
     _qubit_unitary,
-    group_correction_protocol,
+    group_correction_simulator,
     measurement_input_certify,
     phi_pv,
     unital_qubit_protocol,
@@ -94,8 +94,6 @@ CERTIFICATE_TOL = 1e-8
 
 
 def parse_family(node):
-    if not isinstance(node, dict):
-        raise SpecError("family", "expected an object")
     return make_family(_Fields(node, "family")("kind"), node)
 
 
@@ -107,8 +105,6 @@ def _index(node, dim: int, where: str) -> int:
 
 
 def parse_state(node, fam, where: str) -> PureState:
-    if not isinstance(node, dict):
-        raise SpecError(where, "expected an object")
     f = _Fields(node, where)
     kind = f("kind")
     d = fam.din
@@ -134,13 +130,8 @@ def parse_state(node, fam, where: str) -> PureState:
 
 
 def _named_states(doc, fam) -> dict[str, PureState]:
-    nodes = doc.get("inputs") or {}
-    if not isinstance(nodes, dict):
-        raise SpecError("inputs", "expected an object mapping names to states")
-    out = {}
-    for name, node in nodes.items():
-        out[name] = parse_state(node, fam, f"inputs.{name}")
-    return out
+    nodes = _Fields(doc.get("inputs", {}), "inputs").node
+    return {name: parse_state(node, fam, f"inputs.{name}") for name, node in nodes.items()}
 
 
 def _named(states: dict, name: str, where: str):
@@ -197,10 +188,7 @@ def _group(doc, fam):
 
 
 def _analysis(doc) -> _Fields:
-    node = doc.get("analysis") or {}
-    if not isinstance(node, dict):
-        raise SpecError("analysis", "expected an object")
-    return _Fields(node, "analysis")
+    return _Fields(doc.get("analysis", {}), "analysis")
 
 
 def _single_block(ana: _Fields, fam) -> IrrepBlocks:
@@ -297,8 +285,7 @@ def _cmd_validate(doc, fam, args):
     if "group" in doc:
         group = _group(doc, fam)
         with _at("group"):
-            payload["covariant"] = is_covariant(fam, group)
-            payload["contravariant"] = is_covariant(fam, group, contravariant=True)
+            payload["covariant"], payload["contravariant"] = covariance(fam, group)
     return payload, {}
 
 
@@ -309,9 +296,14 @@ def _cmd_compare(doc, fam, args):
         raise SpecError("analysis.inputs", "compare needs exactly two input names")
     states = _named_states(doc, fam)
     pair = [_named(states, n, "analysis.inputs") for n in names]
-    grid = default_grid(args.grid) if args.grid else None
     outputs = [_state_outputs(fam, st, f"inputs.{n}") for n, st in zip(names, pair)]
-    verdict = dominance_check(*outputs, grid=grid)
+    grid = None
+    if args.grid is not None:
+        _check_count("flags.--grid", args.grid, 1, max(out[0].shape[0] for out in outputs))
+        grid = default_grid(args.grid)
+    # the inputs and the grid are checked: only the family can be rejected
+    with _at("family"):
+        verdict = dominance_check(*outputs, grid=grid)
     return {"candidate": names[0], "challenger": names[1], **_verdict(verdict)}, {}
 
 
@@ -337,7 +329,8 @@ def _cmd_certify(doc, fam, args):
         direct = _state_outputs(fam, target, f"inputs.{target_name}")
         # blocks and target are checked: only the group can be rejected
         with _at("group"):
-            simulated = group_correction_protocol(fam, group, blocks, target.density())
+            sims = group_correction_simulator(fam, group, blocks)
+        simulated = {label: sim(target.density()) for label, sim in sims.items()}
     elif protocol == "unital-qubit":
         with _at("analysis.p"):
             p = _probability_pair(ana("p", _real_pair))
@@ -401,6 +394,13 @@ def _cmd_sweep(doc, fam, args):
     _check_count("analysis.points", points, 0, d_out)
     s_max = ana("s_max", _real_from, 3.0)
     extra = ana("extra_s", _real_list, [])
+    named = [("analysis.s_max", s_max)]
+    named += [(f"analysis.extra_s[{i}]", s) for i, s in enumerate(extra)]
+    for where, s in named:
+        if s < 0:
+            raise ConstraintViolation(f"{where}: s must be nonnegative")
+    if points == 0 and not extra:
+        raise ConstraintViolation("analysis.points: no points and no extra_s: empty s grid")
     grid = np.unique(np.concatenate([np.linspace(0.0, s_max, points), extra]))
 
     labels = fam.labels()
@@ -465,8 +465,6 @@ def _cmd_ang(doc, fam, args):
 def _parse_strategy(node, fam, states, where: str, args) -> Strategy:
     """A strategy node; n is bounded before any state or interleaver of its
     size is built."""
-    if not isinstance(node, dict):
-        raise SpecError(where, "expected an object")
     f = _Fields(node, where)
     mode = f("mode")
     if mode not in STRATEGY_MODES:

@@ -2,7 +2,7 @@
 
 Three constructive routes are implemented: the group-covariant
 measure-and-correct protocol, the unital-qubit instrument protocol, and the
-eigenphase-hull minimizer for a pair of unitaries. The measure-and-correct
+eigenphase-arc minimizer for a pair of unitaries. The measure-and-correct
 circuit is one channel shared by the whole family; both protocols apply
 their operators to one factor with channels.apply_at_factor. Each protocol
 returns the states it assembles so that the caller can check the defining
@@ -12,7 +12,6 @@ self-certifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .channels import (
     KrausChannel,
     apply_at_factor,
     apply_extended,
-    is_covariant,
+    covariance,
     is_unital,
 )
 from .comparison import (
@@ -118,8 +117,8 @@ def _correction_setup(fam, group, blocks) -> KrausChannel:
     blocks.check_single(fam.din)
     d = fam.din
 
-    contravariant = not is_covariant(fam, group)
-    if contravariant and not is_covariant(fam, group, contravariant=True):
+    covariant, contravariant = covariance(fam, group)
+    if not (covariant or contravariant):
         raise ValueError("family is not covariant for the supplied group")
 
     phi = max_entangled(d)
@@ -127,7 +126,7 @@ def _correction_setup(fam, group, blocks) -> KrausChannel:
     ops = []
     for u, v in group:
         bra = (np.kron(u.conj(), np.eye(d)) @ phi).conj()[None, :]
-        ops.append(amp * np.kron(v.T if contravariant else dagger(v), bra))
+        ops.append(amp * np.kron(dagger(v) if covariant else v.T, bra))
     correct = KrausChannel(ops, din=fam.dout * d * d, dout=fam.dout)
     if max_abs(correct.kraus_sum() - np.eye(correct.din)) > 1e-8:
         raise ValueError(
@@ -146,7 +145,13 @@ def group_correction_simulator(
     space (times any reference) to the measure-then-correct simulation of
     that member: the member's entangled-input output omega beside the target,
     put through the shared correction channel with apply_at_factor.
-    Validation runs once; the callables are cheap."""
+
+    The simulation should equal the member applied to the target; checking
+    that equality is up to the caller and is the optimality certificate of
+    the entangled input. Family, group and blocks are validated once, here:
+    one invariant block only, since with several the outcome operators no
+    longer resolve the identity. Each call checks only its target, which
+    must be a density matrix whose dimension is a multiple of d_in."""
     correct = _correction_setup(fam, group, blocks)
     d = fam.din
     in_shape = SystemShape((d, d))
@@ -162,37 +167,13 @@ def group_correction_simulator(
                 raise ValueError(
                     "target dimension is not a multiple of the input dimension"
                 )
+            if not is_density(target):
+                raise ValueError("target is not a density matrix")
             dims = (correct.din, target.shape[0] // d)
             return apply_at_factor(correct, np.kron(omega, target), dims, 0)
 
         sims[label] = sim
     return sims
-
-
-def group_correction_protocol(
-    fam: ChannelFamily,
-    group: list[tuple[np.ndarray, np.ndarray]],
-    blocks: IrrepBlocks,
-    target_input,
-) -> dict[str, np.ndarray]:
-    """Simulate measure-then-correct over the group outcomes, per member.
-
-    The channel built here acts only on the family outputs fed the maximally
-    entangled input; its result should equal the member applied to
-    target_input. Checking that equality is up to the caller and constitutes
-    the optimality certificate for the entangled input.
-
-    Works for a single invariant block; with several blocks the outcome
-    operators no longer resolve the identity, so that case is rejected rather
-    than silently mis-assembled.
-    """
-    target = as_matrix(target_input)
-    if target.shape[0] % fam.din:
-        raise ValueError("target dimension is not a multiple of the input dimension")
-    if not is_density(target):
-        raise ValueError("target_input is not a density matrix")
-    sims = group_correction_simulator(fam, group, blocks)
-    return {label: sim(target) for label, sim in sims.items()}
 
 
 _PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]])
@@ -275,51 +256,29 @@ class PairOptimum:
     min_overlap: float
 
 
-def _hull_min_norm(points: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    """Candidate (distance, weights) pairs for the min-norm point of a hull.
-
-    In the plane the minimizer is supported on at most three points: a
-    vertex, an edge projection, or an interior zero.
-    """
-    k = len(points)
-    cands = []
-    for i in range(k):
-        w = np.zeros(k)
-        w[i] = 1.0
-        cands.append((abs(points[i]), w))
-    for i, j in combinations(range(k), 2):
-        zi, zj = points[i], points[j]
-        denom = abs(zj - zi) ** 2
-        if denom < 1e-30:
-            continue
-        t = np.clip(-((zj - zi).conjugate() * zi).real / denom, 0.0, 1.0)
-        w = np.zeros(k)
-        w[i], w[j] = 1.0 - t, t
-        cands.append((abs((1.0 - t) * zi + t * zj), w))
-    for i, j, l in combinations(range(k), 3):
-        zs = [points[i], points[j], points[l]]
-        mat = np.array([[z.real for z in zs], [z.imag for z in zs], [1.0, 1.0, 1.0]])
-        try:
-            sol = np.linalg.solve(mat, np.array([0.0, 0.0, 1.0]))
-        except np.linalg.LinAlgError:
-            continue
-        if sol.min() >= -1e-12:
-            sol = np.clip(sol, 0.0, None)
-            sol /= sol.sum()
-            w = np.zeros(k)
-            w[i], w[j], w[l] = sol
-            cands.append((abs(sum(s * z for s, z in zip(sol, zs))), w))
-    return cands
-
-
 def pair_unitary_optimal_input(u_plus, u_minus) -> PairOptimum:
     """Input minimizing |<psi| U+^dag U- (x) 1 |psi>| over pure states.
 
     The functional equals |sum_k w_k e^{i lam_k}| for Schmidt weights w on
     the eigenbasis of U+^dag U-, so the minimum is the distance from the
-    origin to the convex hull of the eigenphase points. Ties are broken
-    toward the lexicographically smallest weight vector over the
-    phase-sorted eigenbasis.
+    origin to the convex hull of the eigenphase points, which lie on the
+    unit circle. With the phases sorted, let g be the largest cyclic gap
+    between neighbours.
+
+    - g > pi: the phases fill an arc of width 2 pi - g < pi, and the nearest
+      point of the hull is the middle of the chord between its ends. Weight
+      1/2 goes on each of the two eigenvectors at the ends of the arc, and
+      min_overlap = cos((2 pi - g) / 2). For d = 1, or when every phase is
+      the same, g = 2 pi and min_overlap = 1 (one end eigenvector with
+      weight 1, or two with the same phase).
+    - g <= pi: the hull holds the origin and min_overlap = 0. The first
+      phase takes weight 1/2 together with its antipode when that is an
+      eigenphase; otherwise the first phase and the two phases on either
+      side of its antipode take the barycentric weights of the origin in
+      their triangle.
+
+    A repeated eigenphase is one point per eigenvector; "first" and "either
+    side" count positions in the phase-sorted eigenbasis.
     """
     u_plus = as_matrix(u_plus)
     u_minus = as_matrix(u_minus)
@@ -332,26 +291,43 @@ def pair_unitary_optimal_input(u_plus, u_minus) -> PairOptimum:
 
     from scipy.linalg import schur
 
-    m = dagger(u_plus) @ u_minus
-    t, z = schur(m, output="complex")
+    t, z = schur(dagger(u_plus) @ u_minus, output="complex")
     phases = np.angle(np.diag(t))
     order = np.argsort(phases, kind="stable")
-    eigs = np.diag(t)[order]
     vecs = z[:, order]
+    # phases measured from the first one: ascending on [0, 2 pi)
+    theta = phases[order] - phases[order[0]]
+    gaps = np.diff(theta, append=2 * np.pi)
 
-    cands = _hull_min_norm(eigs)
-    best = min(c[0] for c in cands)
-    ties = [w for val, w in cands if val <= best + 1e-12]
-    weights = min(tuple(np.round(w, 15)) for w in ties)
-    weights = np.array(weights)
+    weights = np.zeros(d)
+    k = int(np.argmax(gaps))
+    if gaps[k] > np.pi:
+        # the arc runs from the phase after the gap round to the one before it
+        weights[(k + 1) % d] += 0.5
+        weights[k] += 0.5
+        best = np.cos((2 * np.pi - gaps[k]) / 2)
+    else:
+        best = 0.0
+        j = int(np.searchsorted(theta, np.pi, side="right")) - 1  # last phase <= pi
+        if j == d - 1 or theta[j] == np.pi:
+            weights[[0, j]] = 0.5
+        else:
+            # the chord from theta_j (above the real axis) to theta_{j+1}
+            # (below it) crosses the axis at -r <= 0; the origin then splits
+            # 1 and -r in the ratio r : 1
+            a, b = np.exp(1j * theta[j : j + 2])
+            c = a.imag / (a.imag - b.imag)
+            r = -((1 - c) * a + c * b).real
+            if r >= 0:
+                weights[[0, j, j + 1]] = np.array([r, 1 - c, c]) / (1 + r)
+            else:
+                # only round-off in the gaps puts the crossing right of 0,
+                # and then the chord is a diameter to round-off
+                weights[[j, j + 1]] = 0.5
 
-    amps = np.zeros(d * d, dtype=complex)
-    basis = np.eye(d)
-    for k in range(d):
-        if weights[k] > 0:
-            amps += np.sqrt(weights[k]) * np.kron(vecs[:, k], basis[k])
-    state = PureState(amps, SystemShape((d, d)))
-    return PairOptimum(state=state, min_overlap=float(best))
+    # sum_k sqrt(w_k) |v_k> (x) |k>
+    amps = (vecs * np.sqrt(weights)).reshape(-1)
+    return PairOptimum(state=PureState(amps, SystemShape((d, d))), min_overlap=float(best))
 
 
 # ---------------------------------------------------------------------------

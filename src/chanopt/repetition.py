@@ -31,7 +31,6 @@ from .comparison import (
     _check_pair,
     _check_prior,
     _joint_spectrum,
-    bayes_binary_risk,
 )
 from .numerics import (
     DIM_GUARD,
@@ -293,15 +292,15 @@ def _identical_risk(omega_p: np.ndarray, omega_m: np.ndarray, n: int, prior: flo
     only when the joint eigenbasis V leaves V^dag omega V diagonal to within
     1e-8 for both members (the residual _joint_spectrum returns): commutes()
     alone passes a pair whose near-degenerate eigenvectors the other member
-    still couples. Any other pair takes the dense route.
+    still couples. Any other pair takes the dense route. Either way the
+    pair is checked once, before it is powered: the n-fold power of a
+    density matrix is one.
     """
+    _check_pair(omega_p, omega_m)
     spectrum = _joint_spectrum(omega_p, omega_m)
     if spectrum is not None and spectrum[2] <= 1e-8:
-        spectra = [_kron_power(lam, n) for lam in spectrum[:2]]
-        _check_pair(*spectra)
-        return _binary_risk(*spectra, prior)
-    powers = [_kron_power(omega, n) for omega in (omega_p, omega_m)]
-    return bayes_binary_risk(*powers, prior)
+        return _binary_risk(*[_kron_power(lam, n) for lam in spectrum[:2]], prior)
+    return _binary_risk(*[_kron_power(omega, n) for omega in (omega_p, omega_m)], prior)
 
 
 def adaptive_vs_identical(

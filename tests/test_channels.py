@@ -10,10 +10,10 @@ from chanopt.channels import (
     apply_at_factor,
     apply_extended,
     choi_of,
+    covariance,
     gen_pauli,
     gp_theta_from_xi,
     gp_weights_from_channel,
-    is_covariant,
     is_unital,
     make_family,
     measurement_channel,
@@ -203,7 +203,7 @@ def test_damp_family_unitality():
 def test_damp_half_is_weyl_mixture_and_covariant():
     fam = make_family("damp", {"p": 0.5, "xis": [0.2, 0.7]})
     group = [(u, u) for u in weyl_ops(2)]
-    assert is_covariant(fam, group)
+    assert covariance(fam, group)[0]
     for _, ch in fam.members:
         th = gp_weights_from_channel(ch)
         assert th.min() > -1e-12 and abs(th.sum() - 1) < 1e-9
@@ -212,7 +212,7 @@ def test_damp_half_is_weyl_mixture_and_covariant():
 def test_gp_family_weyl_covariant():
     fam = make_family("gp", {"d": 3, "thetas": [np.full(9, 1 / 9).tolist(), [0.6, 0.1, 0.05, 0.05, 0.05, 0.05, 0.05, 0.0, 0.05]]})
     group = [(u, u) for u in weyl_ops(3)]
-    assert is_covariant(fam, group)
+    assert covariance(fam, group)[0]
 
 
 def test_diag_reproduces_gp_members():
@@ -235,15 +235,35 @@ def test_diag_needs_unit_diagonal_norm():
 def test_diag_d3_weyl_covariant():
     fam = make_family("diag", {"d": 3, "thetas": [[2.0**-0.5]]})
     group = [(u, u) for u in weyl_ops(3)]
-    assert is_covariant(fam, group)
+    assert covariance(fam, group)[0]
 
 
 def test_cdep_contravariant(rng):
     fam = make_family("cdep", {"d": 2, "thetas": [0.1, 0.3]})
     group = [(haar_unitary(rng, 2), haar_unitary(rng, 2)) for _ in range(3)]
     group = [(u, u) for u, _ in group]
-    assert is_covariant(fam, group, contravariant=True)
-    assert not is_covariant(fam, group)
+    assert covariance(fam, group) == (False, True)
+
+
+def test_covariance_builds_one_choi_matrix_per_member(monkeypatch):
+    calls = []
+    real = channels.choi_of
+
+    def spy(ch):
+        calls.append(ch)
+        return real(ch)
+
+    fam = make_family("gp", {"d": 2, "xis": [[0.1, 0.2, 0.3], [0.0, 0.0, 0.4]]})
+    monkeypatch.setattr(channels, "choi_of", spy)
+    # both relations hold, so every (member, g) is tested for both
+    assert covariance(fam, [(u, u) for u in weyl_ops(2)]) == (True, True)
+    assert calls == fam.channels()
+
+
+def test_covariance_rejects_a_nonunitary_group():
+    fam = make_family("gp", {"d": 2, "xis": [[0.1, 0.2, 0.3]]})
+    with pytest.raises(ValueError, match="unitary"):
+        covariance(fam, [(np.eye(2), 2 * np.eye(2))])
 
 
 def test_cdep_cp_window():

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -757,6 +758,26 @@ MALFORMED = {
     "sweep-points-negative": ("sweep", with_analysis(DAMP, {"points": -1}, EB_INPUTS), (), 3, "analysis.points"),
     "sweep-inputs-string": ("sweep", with_analysis(DAMP, {"inputs": "eb"}, EB_INPUTS), (), 2, "analysis.inputs"),
     "compare-input-list": ("compare", with_analysis(DAMP, {"inputs": [["e"], "b"]}, EB_INPUTS), (), 2, "analysis.inputs[0]"),
+    "sweep-s-max-negative": ("sweep", with_analysis(DAMP, {"s_max": -1}, EB_INPUTS), (), 3, "analysis.s_max"),
+    "sweep-extra-s-negative": (
+        "sweep", with_analysis(DAMP, {"extra_s": [0.5, -0.5]}, EB_INPUTS), (), 3, "analysis.extra_s[1]",
+    ),
+    "sweep-grid-empty": ("sweep", with_analysis(DAMP, {"points": 0}, EB_INPUTS), (), 3, "analysis.points"),
+    "sweep-analysis-false": ("sweep", dict(family_doc(**DAMP), analysis=False, inputs=EB_INPUTS), (), 2, "analysis"),
+    "sweep-analysis-list": ("sweep", dict(family_doc(**DAMP), analysis=[], inputs=EB_INPUTS), (), 2, "analysis"),
+    "sweep-inputs-zero": ("sweep", dict(family_doc(**DAMP), inputs=0), (), 2, "inputs"),
+    "compare-inputs-list": ("compare", with_analysis(DAMP, {"inputs": ["e", "b"]}, []), (), 2, "inputs"),
+    "compare-grid-negative": (
+        "compare", with_analysis(DAMP, {"inputs": ["e", "b"]}, EB_INPUTS), ("--grid", "-1"), 3, "flags.--grid",
+    ),
+    "compare-grid-zero": (
+        "compare", with_analysis(DAMP, {"inputs": ["e", "b"]}, EB_INPUTS), ("--grid", "0"), 3, "flags.--grid",
+    ),
+    # 1.1e6 grid points of 4 x 4 outputs would stack 1.76e7 entries, above 4096^2
+    "compare-grid-above-guard": (
+        "compare", with_analysis(DAMP, {"inputs": ["e", "b"]}, EB_INPUTS), ("--grid", "1100000"), 3, "flags.--grid",
+    ),
+    "compare-one-member": ("compare", with_analysis(ONE_GP, {"inputs": ["e", "b"]}, EB_INPUTS), (), 3, "family"),
     "xis-short": ("validate", family_doc(**dict(ONE_GP, xis=[[0.1]])), (), 3, "family.xis[0]"),
     "xis-off-simplex": ("validate", family_doc(**dict(ONE_GP, xis=[[0.6, 0.6, 0.0]])), (), 3, "family.xis[0]"),
     "ent-plain-not-complement": (
@@ -1269,3 +1290,10 @@ def test_any_document_exits_cleanly(case, seed):
     assert code in (0, 2, 3)
     if code == 2:
         assert err.getvalue().startswith("spec error at ")
+    if code == 3:
+        # validation error: <path>: ..., the path rooted at a document key
+        message = err.getvalue()
+        assert message.startswith("validation error: "), message
+        path = message.removeprefix("validation error: ").split(": ", 1)[0]
+        assert re.split(r"[.\[]", path, maxsplit=1)[0] in {*doc, "flags"}, message
+        assert " " not in path, message

@@ -197,6 +197,29 @@ def test_noncommuting_dominance_without_certificate_is_inconclusive():
     assert v.method == "sweep-necessary"
 
 
+def test_noncommuting_pair_against_its_rotation_is_inconclusive(rng):
+    # a unitary rotation keeps every trace norm, so neither curve beats the
+    # other; the pairs are neither identical nor commuting, and a tie on
+    # the sweep proves no channel either way
+    cand = phi_outputs(make_family("damp", {"p": 1.0, "xis": [0.5, 0.0]}))
+    u = haar_unitary(rng, 4)
+    chal = [u @ m @ u.conj().T for m in cand]
+    v = dominance_check(cand, chal)
+    assert (v.relation, v.method, v.witness_s, v.gap) == (
+        "inconclusive", "sweep-necessary", None, None,
+    )
+
+
+def test_post_processed_family_is_dominated_with_certificate():
+    # the candidate is the challenger after partial depolarizing: the
+    # challenger's curve is higher, and the channel back is certified
+    chal = phi_outputs(make_family("damp", {"p": 1.0, "xis": [0.5, 0.0]}))
+    cand = [0.6 * m + 0.4 * np.eye(4) / 4 for m in chal]
+    v = dominance_check(cand, chal)
+    assert (v.relation, v.method) == ("dominated", "randomization-certificate")
+    assert v.witness_s is not None and v.gap > 1e-3
+
+
 def test_multi_member_aggregation():
     fam = make_family(
         "gp", {"d": 2, "xis": [[0.0, 0.0, 0.1], [0.0, 0.0, 0.3], [0.0, 0.0, 0.45]]}

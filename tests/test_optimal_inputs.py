@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from chanopt.optimal_inputs import (
     _correction_setup,
     PureState,
     covariant_optimal_state,
-    group_correction_protocol,
     group_correction_simulator,
     measurement_input_certify,
     pair_unitary_optimal_input,
@@ -26,6 +27,11 @@ def weyl_group(d):
 
 def member_outputs(fam, target, shape):
     return {label: apply_extended(ch, target, shape) for label, ch in fam.members}
+
+
+def simulate(fam, group, blocks, target):
+    sims = group_correction_simulator(fam, group, blocks)
+    return {label: sim(target) for label, sim in sims.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +70,7 @@ def test_group_correction_reproduces_members(rng, d):
     theta = rng.dirichlet(np.ones(d * d))
     fam = make_family("gp", {"d": d, "thetas": [theta]})
     target = random_density(rng, d)
-    outs = group_correction_protocol(fam, weyl_group(d), IrrepBlocks((d,)), target)
+    outs = simulate(fam, weyl_group(d), IrrepBlocks((d,)), target)
     for label, ch in fam.members:
         assert max_abs(outs[label] - ch.apply(target)) < 1e-9
 
@@ -73,7 +79,7 @@ def test_group_correction_with_reference(rng):
     fam = make_family("gp", {"d": 2, "xis": [[0.1, 0.2, 0.3]]})
     psi = random_pure(rng, 4)
     target = np.outer(psi, psi.conj())
-    outs = group_correction_protocol(fam, weyl_group(2), IrrepBlocks((2,)), target)
+    outs = simulate(fam, weyl_group(2), IrrepBlocks((2,)), target)
     shape = SystemShape((2, 2))
     for label, ch in fam.members:
         assert max_abs(outs[label] - apply_extended(ch, target, shape)) < 1e-9
@@ -82,7 +88,7 @@ def test_group_correction_with_reference(rng):
 def test_group_correction_contravariant_family(rng):
     fam = make_family("cdep", {"d": 2, "thetas": [0.2]})
     target = random_density(rng, 2)
-    outs = group_correction_protocol(fam, weyl_group(2), IrrepBlocks((2,)), target)
+    outs = simulate(fam, weyl_group(2), IrrepBlocks((2,)), target)
     for label, ch in fam.members:
         assert max_abs(outs[label] - ch.apply(target)) < 1e-9
 
@@ -112,27 +118,32 @@ def test_simulator_is_linear(rng):
     a, b = random_density(rng, 4), random_density(rng, 4)
     for label, _ in fam.members:
         sim = sims[label]
-        assert max_abs(sim(0.3 * a + 1.7 * b) - (0.3 * sim(a) + 1.7 * sim(b))) < 1e-9
-        assert abs(np.trace(sim(2.0 * a)) - 2.0) < 1e-9
+        # targets must be states, so linearity is tested on mixtures
+        assert max_abs(sim(0.3 * a + 0.7 * b) - (0.3 * sim(a) + 0.7 * sim(b))) < 1e-9
+        assert abs(np.trace(sim(a)) - 1.0) < 1e-9
 
 
 def test_group_correction_rejections(rng):
     fam = make_family("gp", {"d": 2, "xis": [[0.1, 0.2, 0.3]]})
     grp = weyl_group(2)
     with pytest.raises(ValueError):
-        group_correction_protocol(fam, grp, IrrepBlocks((3,)), np.eye(2) / 2)
+        group_correction_simulator(fam, grp, IrrepBlocks((3,)))
     with pytest.raises(ValueError):
-        group_correction_protocol(fam, grp, IrrepBlocks((1, 1)), np.eye(2) / 2)
+        group_correction_simulator(fam, grp, IrrepBlocks((1, 1)))
     damp = make_family("damp", {"p": 1.0, "xis": [0.3]})
-    with pytest.raises(ValueError):
-        group_correction_protocol(damp, grp, IrrepBlocks((2,)), np.eye(2) / 2)
-    with pytest.raises(ValueError):
-        group_correction_protocol(fam, grp, IrrepBlocks((2,)), np.eye(2))
+    with pytest.raises(ValueError, match="not covariant"):
+        group_correction_simulator(damp, grp, IrrepBlocks((2,)))
     # covariant, but {phi, (Z (x) 1) phi} does not span the two-qubit space
     z = np.diag([1.0, -1.0])
     subgroup = [(np.eye(2), np.eye(2)), (z, z)]
     with pytest.raises(ValueError, match="do not resolve the identity"):
-        group_correction_protocol(fam, subgroup, IrrepBlocks((2,)), np.eye(2) / 2)
+        group_correction_simulator(fam, subgroup, IrrepBlocks((2,)))
+    # the callable checks its target
+    (sim,) = group_correction_simulator(fam, grp, IrrepBlocks((2,))).values()
+    with pytest.raises(ValueError, match="not a density matrix"):
+        sim(np.eye(2))
+    with pytest.raises(ValueError, match="not a multiple"):
+        sim(np.eye(3) / 3)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +263,82 @@ def test_pair_unitary_rejections():
         pair_unitary_optimal_input(np.eye(2), np.eye(3))
     with pytest.raises(ValueError):
         pair_unitary_optimal_input(np.diag([1.0, 2.0]), np.eye(2))
+
+
+def hull_distance(points) -> float:
+    """Distance from the origin to the convex hull of planar points, by
+    enumeration: the nearest point is a vertex, the foot of an edge, or the
+    origin inside a triangle of the points. The arc rule never looks at
+    more than three points; this looks at all of them."""
+    best = min(abs(z) for z in points)
+    for zi, zj in combinations(points, 2):
+        denom = abs(zj - zi) ** 2
+        if denom < 1e-30:
+            continue
+        t = np.clip(-((zj - zi).conjugate() * zi).real / denom, 0.0, 1.0)
+        best = min(best, abs((1.0 - t) * zi + t * zj))
+    for zs in combinations(points, 3):
+        mat = np.array([[z.real for z in zs], [z.imag for z in zs], [1.0, 1.0, 1.0]])
+        try:
+            sol = np.linalg.solve(mat, np.array([0.0, 0.0, 1.0]))
+        except np.linalg.LinAlgError:
+            continue
+        if sol.min() >= -1e-12:
+            sol = np.clip(sol, 0.0, None)
+            best = min(best, abs(sol @ np.array(zs)) / sol.sum())
+    return best
+
+
+def eigenphases(rng, kind: str, d: int) -> np.ndarray:
+    if kind == "random":
+        return rng.uniform(-np.pi, np.pi, d)
+    if kind == "clustered":
+        # an arc narrower than pi, sometimes a few ulps wide, with repeats
+        width = rng.choice([1e-9, 0.3, 2.0, 3.1])
+        phases = rng.uniform(-np.pi, np.pi) + width * rng.uniform(0.0, 1.0, d)
+        phases[: d // 3] = phases[-1]
+        return phases
+    # antipodal: pairs a, a + pi; half the time on a lattice of pi/4,
+    # where phases also repeat and meet their antipodes exactly
+    a = rng.uniform(-np.pi, np.pi, (d + 1) // 2)
+    if rng.uniform() < 0.5:
+        a = np.round(a / (np.pi / 4)) * (np.pi / 4)
+    return np.concatenate([a, a + np.pi])[:d] if d > 1 else a
+
+
+PHASE_KINDS = ("random", "clustered", "antipodal")
+
+
+@pytest.mark.parametrize("kind", PHASE_KINDS)
+@pytest.mark.parametrize("d", range(1, 7))
+def test_pair_unitary_arc_rule_matches_hull_enumeration(kind, d):
+    rng = np.random.default_rng([d, PHASE_KINDS.index(kind)])
+    for _ in range(40):
+        lam = eigenphases(rng, kind, d)
+        frame, u_plus = haar_unitary(rng, d), haar_unitary(rng, d)
+        u_minus = u_plus @ frame @ np.diag(np.exp(1j * lam)) @ frame.conj().T
+        res = pair_unitary_optimal_input(u_plus, u_minus)
+        assert abs(res.min_overlap - hull_distance(np.exp(1j * lam))) < 1e-12
+        assert abs(overlap(res.state.amplitudes, u_plus, u_minus) - res.min_overlap) < 1e-12
+
+
+@pytest.mark.parametrize("eps", [1e-16, 3e-16, 1e-15, 1e-14])
+def test_pair_unitary_phases_round_off_from_a_diameter(eps):
+    # phases -eps, 0 and pi: one gap is pi to round-off, and the chord from
+    # 0 to pi may cross the real axis on either side of the origin
+    u_minus = np.diag(np.exp(1j * np.array([-eps, 0.0, np.pi])))
+    res = pair_unitary_optimal_input(np.eye(3), u_minus)
+    assert res.min_overlap < 1e-12
+    assert overlap(res.state.amplitudes, np.eye(3), u_minus) < 1e-12
+
+
+def test_pair_unitary_single_and_repeated_phases():
+    # d = 1, and every phase the same: the arc is one point, min_overlap 1
+    for u_minus in (np.array([[1j]]), 1j * np.eye(3)):
+        d = u_minus.shape[0]
+        res = pair_unitary_optimal_input(np.eye(d), u_minus)
+        assert abs(res.min_overlap - 1.0) < 1e-12
+        assert abs(overlap(res.state.amplitudes, np.eye(d), u_minus) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------

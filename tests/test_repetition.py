@@ -5,7 +5,7 @@ from functools import lru_cache, reduce
 import numpy as np
 import pytest
 
-from chanopt import repetition
+from chanopt import comparison, repetition
 from chanopt.channels import apply_extended, make_family, weyl_ops
 from chanopt.comparison import bayes_binary_risk
 from chanopt.numerics import DIM_GUARD, SystemShape, max_abs, max_entangled
@@ -433,21 +433,43 @@ def test_adaptive_and_identical_match_dense_reference(blocks, make):
 
 def test_identical_risk_route_follows_joint_diagonalization(monkeypatch):
     calls = []
-    real = repetition.bayes_binary_risk
+    real = repetition._binary_risk
 
     def spy(a, b, prior):
         calls.append(a.shape)
         return real(a, b, prior)
 
-    monkeypatch.setattr(repetition, "bayes_binary_risk", spy)
+    # the identical risk is the last _binary_risk call, after the adaptive
+    # branches' calls on block outputs
+    monkeypatch.setattr(repetition, "_binary_risk", spy)
     plan = AdaptivePlan((1, 1), (basis_menu(), basis_menu()))
     adaptive_vs_identical(rotated_measurement(), 0.5, plan)
-    assert calls == []  # commuting Bell outputs: joint eigenvalues
+    assert len(calls[-1]) == 1  # commuting Bell outputs: joint eigenvalues
     adaptive_vs_identical(noncommuting_measurement(), 0.5, plan)
-    assert calls == [(16, 16)]  # noncommuting: dense Kronecker powers
-    calls.clear()
+    assert calls[-1] == (16, 16)  # noncommuting: dense Kronecker powers
     adaptive_vs_identical(near_degenerate_measurement(), 0.5, plan)
-    assert calls == [(16, 16)]  # commutes() passes, the joint basis does not
+    assert calls[-1] == (16, 16)  # commutes() passes, the joint basis does not
+
+
+@pytest.mark.parametrize("make", [noncommuting_measurement, near_degenerate_measurement])
+def test_identical_risk_checks_the_single_use_pair_not_its_powers(monkeypatch, make):
+    # the n-fold powers of a checked pair are states: checking them again
+    # costs two eigendecompositions at the joint dimension
+    fam = make()
+    plan = AdaptivePlan((1, 1, 1), (basis_menu(),) * 3)
+    want = adaptive_vs_identical(fam, 0.4, plan)
+    checked = []
+    real = comparison.is_density
+
+    def spy(m):
+        checked.append(np.shape(m)[0])
+        return real(m)
+
+    monkeypatch.setattr(comparison, "is_density", spy)
+    assert adaptive_vs_identical(fam, 0.4, plan) == want
+    # block outputs and the Bell outputs are 2 or 4 dimensional, the
+    # three-use powers 64
+    assert max(checked) == 4
 
 
 @pytest.mark.parametrize("blocks", [(1, 1), (1, 1, 1)])
