@@ -26,6 +26,7 @@ import numpy as np
 from .numerics import (
     DIM_GUARD,
     SystemShape,
+    around_factor,
     as_matrix,
     dagger,
     hermitian_eig,
@@ -261,8 +262,7 @@ def apply_at_factor(ch: KrausChannel, rho: np.ndarray, dims, k: int) -> np.ndarr
     if dims[k] != ch.din:
         raise ValueError("factor dimension does not match the channel input")
     din, dout, ops = ch.din, ch.dout, ch.kraus_ops
-    left = math.prod(dims[:k])
-    right = math.prod(dims[k + 1 :])
+    left, _, right = around_factor(dims, k)
     mid = right * left
     t = rho.reshape(left, din, mid, din, right)
     out = np.zeros((left, dout, mid, dout, right), dtype=complex)
@@ -582,7 +582,8 @@ _MISSING = object()
 
 class _Fields:
     """Typed reads of one spec object's fields (a non-object is a SpecError),
-    located under a path."""
+    located under a path; the document itself has the empty path, so its
+    fields are named by bare keys."""
 
     def __init__(self, node: dict, where: str):
         if not isinstance(node, dict):
@@ -596,7 +597,7 @@ class _Fields:
     def __call__(self, key: str, read=None, default=_MISSING):
         """node[key] passed through read(value, path); a missing key without
         a default is a SpecError."""
-        path = f"{self.where}.{key}"
+        path = f"{self.where}.{key}" if self.where else key
         if key not in self.node:
             if default is _MISSING:
                 raise SpecError(path, "missing required field")

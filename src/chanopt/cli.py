@@ -52,14 +52,7 @@ from .geometry import (
     ang_solve_triangle,
     closure_residual,
 )
-from .numerics import (
-    DIM_GUARD,
-    SystemShape,
-    basis_vector,
-    exceeds_dim_guard,
-    max_abs,
-    max_entangled,
-)
+from .numerics import DIM_GUARD, SystemShape, basis_vector, max_abs, max_entangled
 from .optimal_inputs import (
     IrrepBlocks,
     PureState,
@@ -75,6 +68,7 @@ from .repetition import (
     STRATEGY_MODES,
     AdaptivePlan,
     Strategy,
+    _guard,
     _kron_power,
     _menu_step,
     adaptive_vs_identical,
@@ -125,13 +119,13 @@ def parse_state(node, fam, where: str) -> PureState:
         values = f("values", _vector_from)
         dims = f("dims", _list_of(_int_from))
         _check_dims(f"{where}.dims", *dims)
-        return PureState(values, SystemShape(tuple(dims)))
+        with _at(where):
+            return PureState(values, SystemShape(tuple(dims)))
     raise SpecError(f"{where}.kind", f"unknown state kind {kind!r}")
 
 
-def _named_states(doc, fam) -> dict[str, PureState]:
-    nodes = _Fields(doc.get("inputs", {}), "inputs").node
-    return {name: parse_state(node, fam, f"inputs.{name}") for name, node in nodes.items()}
+def _named_states(inputs: _Fields, fam) -> dict[str, PureState]:
+    return {name: parse_state(node, fam, f"inputs.{name}") for name, node in inputs.node.items()}
 
 
 def _named(states: dict, name: str, where: str):
@@ -163,19 +157,10 @@ def _check_count(where: str, n: int, low: int, d: int) -> None:
         )
 
 
-def _check_uses(where: str, base: int, n: int) -> None:
-    """Reject n uses of a base-dimensional system when n or their joint
-    dimension base^n exceeds DIM_GUARD, before that power is formed."""
-    if exceeds_dim_guard(base, n):
-        raise ConstraintViolation(
-            f"{where}: {n} uses of dimension {base} exceed the {DIM_GUARD} guard"
-        )
-
-
 def _group(doc, fam):
     """The document's group: [U, V] pairs, U on the family input and V on its
     output."""
-    node = _Fields(doc, "document")("group")
+    node = doc("group")
     if not isinstance(node, (list, tuple)) or not node:
         raise SpecError("group", "expected a nonempty list of [U, V] pairs")
     group = []
@@ -185,10 +170,6 @@ def _group(doc, fam):
         dims = (fam.din, fam.dout)
         group.append(tuple(_square(d)(pair[j], f"group[{i}][{j}]") for j, d in enumerate(dims)))
     return group
-
-
-def _analysis(doc) -> _Fields:
-    return _Fields(doc.get("analysis", {}), "analysis")
 
 
 def _single_block(ana: _Fields, fam) -> IrrepBlocks:
@@ -269,10 +250,11 @@ def _emit(out_dir: Path, command: str, payload: dict, tables: dict[str, str]) ->
 
 
 # ---------------------------------------------------------------------------
-# Commands: (document, family, args) -> (report payload, CSV tables by name)
+# Commands: (document, analysis, inputs, family, args) -> (report payload,
+# CSV tables by name)
 
 
-def _cmd_validate(doc, fam, args):
+def _cmd_validate(doc, ana, inputs, fam, args):
     members = {}
     for label, ch in fam.members:
         rep = validate_cptp(ch)
@@ -289,12 +271,11 @@ def _cmd_validate(doc, fam, args):
     return payload, {}
 
 
-def _cmd_compare(doc, fam, args):
-    ana = _analysis(doc)
+def _cmd_compare(doc, ana, inputs, fam, args):
     names = ana("inputs", _list_of(_str_from))
     if len(names) != 2:
         raise SpecError("analysis.inputs", "compare needs exactly two input names")
-    states = _named_states(doc, fam)
+    states = _named_states(inputs, fam)
     pair = [_named(states, n, "analysis.inputs") for n in names]
     outputs = [_state_outputs(fam, st, f"inputs.{n}") for n, st in zip(names, pair)]
     grid = None
@@ -307,10 +288,9 @@ def _cmd_compare(doc, fam, args):
     return {"candidate": names[0], "challenger": names[1], **_verdict(verdict)}, {}
 
 
-def _cmd_certify(doc, fam, args):
-    ana = _analysis(doc)
+def _cmd_certify(doc, ana, inputs, fam, args):
     protocol = ana("protocol")
-    states = _named_states(doc, fam)
+    states = _named_states(inputs, fam)
 
     if protocol == "measurement":
         name = ana("input", _str_from)
@@ -338,15 +318,18 @@ def _cmd_certify(doc, fam, args):
             v = _qubit_unitary(ana("v", _matrix_from))
         with _at("family"):
             simulated = unital_qubit_protocol(fam, p, v)
-        direct = _state_outputs(fam, phi_pv(p, v), "analysis.v")
+        # p sums to 1 within the norm slack: only an almost unitary v can
+        # leave the target off unit norm
+        with _at("analysis.v"):
+            target = phi_pv(p, v)
+        direct = _state_outputs(fam, target, "analysis.v")
     else:
         raise SpecError("analysis.protocol", f"unknown protocol {protocol!r}")
     residuals = {lab: max_abs(simulated[lab] - out) for lab, out in zip(fam.labels(), direct)}
     return {"protocol": protocol, **_certificate(residuals)}, {}
 
 
-def _cmd_ent_advantage(doc, fam, args):
-    _analysis(doc)  # reads no field, but a non-object analysis is still malformed
+def _cmd_ent_advantage(doc, ana, inputs, fam, args):
     # the family parsed: only its structure can rule the analysis out
     with _at("family"):
         if fam.kind == "measurement":
@@ -381,9 +364,8 @@ def _cmd_ent_advantage(doc, fam, args):
     return payload, {}
 
 
-def _cmd_sweep(doc, fam, args):
-    ana = _analysis(doc)
-    states = _named_states(doc, fam)
+def _cmd_sweep(doc, ana, inputs, fam, args):
+    states = _named_states(inputs, fam)
     names = ana("inputs", _list_of(_str_from), None) or list(states)
     if not names:
         raise SpecError("analysis.inputs", "sweep needs at least one input")
@@ -407,8 +389,10 @@ def _cmd_sweep(doc, fam, args):
     curves = []
     for name, st in zip(names, chosen):
         outs = dict(zip(labels, _state_outputs(fam, st, f"inputs.{name}")))
-        for la, lb in combinations(labels, 2):
-            curves.append((name, la, lb, gap_curve(outs[la], outs[lb], grid=grid)))
+        # the inputs and the grid are checked: only the family can be rejected
+        with _at("family"):
+            for la, lb in combinations(labels, 2):
+                curves.append((name, la, lb, gap_curve(outs[la], outs[lb], grid=grid)))
     payload = {
         "inputs": list(names),
         "pairs": [list(p) for p in combinations(labels, 2)],
@@ -418,10 +402,9 @@ def _cmd_sweep(doc, fam, args):
     return payload, {"sweep-curves.csv": _sweep_csv(curves)}
 
 
-def _cmd_ang(doc, fam, args):
-    ana = _analysis(doc)
+def _cmd_ang(doc, ana, inputs, fam, args):
     query = ana("query")
-    x = _real_list(_Fields(doc, "document")("x"), "x")
+    x = doc("x", _real_list)
     payload: dict = {"query": query, "x": x}
     tables = {}
     if query == "nonempty":
@@ -445,7 +428,7 @@ def _cmd_ang(doc, fam, args):
         payload["max_residual"] = residuals.max()
         payload["csv"] = "ang-samples.csv"
     elif query == "parallel":
-        xp = _real_list(_Fields(doc, "document")("x_prime"), "x_prime")
+        xp = doc("x_prime", _real_list)
         n = ana("n", _int_from, 50)
         _check_count("analysis.n", n, 1, len(x))
         if len(x) >= 4 and args.seed is None:
@@ -473,7 +456,8 @@ def _parse_strategy(node, fam, states, where: str, args) -> Strategy:
     st = _named(states, f("input", _str_from), f"{where}.input")
     dims = st.shape.factor_dims
     if mode == "identical" and len(dims) == 2:
-        _check_uses(f"{where}.n", fam.dout * dims[1], n)
+        with _at(f"{where}.n"):
+            _guard(fam.dout * dims[1], n)
     if mode == "sequential" and (len(dims) != 2 or dims[0] != fam.din):
         raise SpecError(f"{where}.input", "sequential input needs (channel x reference) factors")
     interleavers = ()
@@ -487,7 +471,8 @@ def _parse_strategy(node, fam, states, where: str, args) -> Strategy:
             d_ref = f("ref_dim", _int_from)
             _check_dims(f"{where}.ref_dim", fam.din, d_ref)
             # each of the n - 1 interleavers permutes all n (input x ref) pairs
-            _check_uses(f"{where}.n", fam.din * d_ref, n)
+            with _at(f"{where}.n"):
+                _guard(fam.din * d_ref, n)
             _check_count(f"{where}.n", n, 1, (fam.din * d_ref) ** n)
             interleavers = fresh_swap_interleavers(fam.din, d_ref, n)
         elif spec == "random-unitary":
@@ -502,10 +487,9 @@ def _parse_strategy(node, fam, states, where: str, args) -> Strategy:
         return Strategy(mode=mode, n=n, input=st, interleavers=tuple(interleavers))
 
 
-def _cmd_repeat(doc, fam, args):
-    ana = _analysis(doc)
+def _cmd_repeat(doc, ana, inputs, fam, args):
     analysis = ana("analysis")
-    states = _named_states(doc, fam)
+    states = _named_states(inputs, fam)
 
     if analysis == "adaptive":
         prior = ana("prior", _real_from, 0.5)
@@ -519,7 +503,8 @@ def _cmd_repeat(doc, fam, args):
         for i, size in enumerate(blocks):
             if size < 1:
                 raise ConstraintViolation(f"analysis.blocks[{i}]: a block needs at least one use")
-        _check_uses("analysis.blocks", fam.dout * fam.din, sum(blocks))
+        with _at("analysis.blocks"):
+            _guard(fam.dout * fam.din, sum(blocks))
         # the blocks are positive and each menu nonempty: only the menu count can be rejected
         with _at("analysis.menus"):
             plan = AdaptivePlan(tuple(blocks), tuple(menus))
@@ -598,8 +583,8 @@ def _load_document(spec: str) -> dict:
             raise SpecError("spec", str(exc)) from exc
     path = Path(spec)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecError("spec", f"cannot read {spec}: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -622,16 +607,22 @@ def main(argv=None) -> int:
     parser.add_argument("--grid", type=int, default=None)
     args = parser.parse_args(argv)
 
+    # A library ValueError becomes a ConstraintViolation only under _at, which
+    # names the field at fault; any other exception is a bug and propagates.
     try:
-        doc = _load_document(args.spec)
+        if args.seed is not None and args.seed < 0:
+            raise ConstraintViolation("flags.--seed: expected a nonnegative integer")
+        doc = _Fields(_load_document(args.spec), "")
         fam = None
         if args.command != "ang":
-            fam = parse_family(_Fields(doc, "document")("family"))
-        payload, tables = _COMMANDS[args.command](doc, fam, args)
+            fam = parse_family(doc("family"))
+        ana = _Fields(doc("analysis", default={}), "analysis")
+        inputs = _Fields(doc("inputs", default={}), "inputs")
+        payload, tables = _COMMANDS[args.command](doc, ana, inputs, fam, args)
     except SpecError as exc:
         print(f"spec error at {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as exc:
+    except ConstraintViolation as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     _emit(Path(args.out), args.command, payload, tables)

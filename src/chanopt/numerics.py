@@ -10,6 +10,7 @@ at a time instead of forming operators on the joint space.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,6 @@ def exceeds_dim_guard(base: int, n: int) -> bool:
     return n > DIM_GUARD or (
         base > 1 and n > 0 and (n >= DIM_GUARD.bit_length() or base**n > DIM_GUARD)
     )
-
-
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 @dataclass(frozen=True)
@@ -91,6 +89,14 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(0.5 * (m + m.conj().T))
 
 
+def around_factor(dims, k: int, what: str = "factor") -> tuple[int, int, int]:
+    """(left, d_k, right): the joint dimensions of the factors before factor
+    k, its own and those after it."""
+    if not 0 <= k < len(dims):
+        raise ValueError(f"{what} index {k} out of range for {len(dims)} factors")
+    return math.prod(dims[:k]), dims[k], math.prod(dims[k + 1 :])
+
+
 def partial_trace(m, shape: SystemShape, keep: int) -> np.ndarray:
     """Trace out every tensor factor except ``keep``.
 
@@ -98,31 +104,17 @@ def partial_trace(m, shape: SystemShape, keep: int) -> np.ndarray:
     """
     m = as_matrix(m)
     shape.check(m)
-    dims = shape.factor_dims
-    k = len(dims)
-    if not 0 <= keep < k:
-        raise ValueError(f"keep index {keep} out of range for {k} factors")
-    if 2 * k > len(_LETTERS):
-        raise ValueError("too many tensor factors")
-    t = m.reshape(dims + dims)
-    row = list(_LETTERS[:k])
-    col = list(_LETTERS[:k])
-    col[keep] = _LETTERS[k]
-    sub = "".join(row) + "".join(col) + "->" + row[keep] + col[keep]
-    return np.einsum(sub, t)
+    left, d, right = around_factor(shape.factor_dims, keep, "keep")
+    return np.einsum("aibajb->ij", m.reshape(left, d, right, left, d, right))
 
 
 def partial_transpose(m, shape: SystemShape, on: int) -> np.ndarray:
     """Transpose a single tensor factor; applying twice is the identity."""
     m = as_matrix(m)
     shape.check(m)
-    dims = shape.factor_dims
-    k = len(dims)
-    if not 0 <= on < k:
-        raise ValueError(f"transpose index {on} out of range for {k} factors")
-    t = m.reshape(dims + dims)
-    t = np.swapaxes(t, on, on + k)
-    return t.reshape(m.shape)
+    left, d, right = around_factor(shape.factor_dims, on, "transpose")
+    t = m.reshape(left, d, right, left, d, right)
+    return np.swapaxes(t, 1, 4).reshape(m.shape)
 
 
 def trace_norm(m) -> float:

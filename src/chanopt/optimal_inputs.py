@@ -71,6 +71,12 @@ class IrrepBlocks:
             )
 
 
+# Largest deviation of a pure state's norm from 1. A probability pair's sum
+# gets the same slack, so that phi_pv of a pair that passes, which has norm
+# sqrt(p1 + p2) for unitary V, is a unit state.
+NORM_TOL = 1e-10
+
+
 @dataclass
 class PureState:
     amplitudes: np.ndarray
@@ -80,7 +86,8 @@ class PureState:
         v = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if v.shape[0] != self.shape.dim:
             raise ValueError("amplitude length does not match shape")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+        # written so that a NaN norm fails too
+        if not abs(np.linalg.norm(v) - 1.0) <= NORM_TOL:
             raise ValueError("state is not unit norm")
         self.amplitudes = v
 
@@ -199,7 +206,7 @@ def phi_pv(p, v) -> PureState:
 
 def _probability_pair(p) -> tuple[float, float]:
     p1, p2 = float(p[0]), float(p[1])
-    if p1 < -1e-12 or p2 < -1e-12 or abs(p1 + p2 - 1.0) > 1e-9:
+    if min(p1, p2) < 0 or abs(p1 + p2 - 1.0) > NORM_TOL:
         raise ValueError("p must be a probability pair")
     return p1, p2
 

@@ -71,8 +71,12 @@ def test_trace_norm_against_svd_oracle(rng):
             assert abs(trace_norm(a) - trace_norm_oracle(a)) < 1e-10
 
 
+# 14 factors: 28 tensor axes, more than an einsum subscript alphabet holds
+MANY_FACTORS = (2,) + (1,) * 12 + (3,)
+
+
 def test_partial_trace_against_loop_oracle(rng):
-    for dims in ((2, 2), (2, 3), (3, 2, 2)):
+    for dims in ((2, 2), (2, 3), (3, 2, 2), MANY_FACTORS):
         n = int(np.prod(dims))
         m = random_density(rng, n)
         shape = SystemShape(dims)
@@ -84,13 +88,13 @@ def test_partial_trace_against_loop_oracle(rng):
 
 
 def test_partial_transpose_involution_and_oracle(rng):
-    dims = (2, 3)
-    m = random_density(rng, 6)
-    shape = SystemShape(dims)
-    for on in range(2):
-        pt = partial_transpose(m, shape, on=on)
-        assert max_abs(pt - partial_transpose_oracle(m, dims, on)) < 1e-12
-        assert max_abs(partial_transpose(pt, shape, on=on) - m) < 1e-12
+    for dims in ((2, 3), MANY_FACTORS):
+        m = random_density(rng, 6)
+        shape = SystemShape(dims)
+        for on in range(len(dims)):
+            pt = partial_transpose(m, shape, on=on)
+            assert max_abs(pt - partial_transpose_oracle(m, dims, on)) < 1e-12
+            assert max_abs(partial_transpose(pt, shape, on=on) - m) < 1e-12
 
 
 def test_is_density(rng):

@@ -59,6 +59,8 @@ def test_pure_state_validation():
         PureState(np.array([1.0, 1.0]), SystemShape((2,)))
     with pytest.raises(ValueError):
         PureState(np.array([1.0, 0.0, 0.0]), SystemShape((2,)))
+    with pytest.raises(ValueError, match="unit norm"):
+        PureState(np.array([np.nan, 0.0]), SystemShape((2,)))
 
 
 # ---------------------------------------------------------------------------
