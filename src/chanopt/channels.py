@@ -378,9 +378,10 @@ def covariance(
 # ---------------------------------------------------------------------------
 # Family constructors
 #
-# A generalized Pauli family is built from, and analysed by, its Weyl weights
-# theta in the order of weyl_ops, [I, Z, X, XZ] for qubits. A qubit spec may
-# give the weights xis = (xi1, xi2, xi3) of X, XZ (= -iY) and Z instead:
+# A generalized Pauli family is the mixture (_ou_channel) of weyl_ops, built
+# from, and analysed by, its Weyl weights theta in that order, [I, Z, X, XZ]
+# for qubits. A qubit spec may give the weights xis = (xi1, xi2, xi3) of X,
+# XZ (= -iY) and Z instead:
 #   theta = (1 - xi1 - xi2 - xi3, xi3, xi1, xi2).
 
 
@@ -395,26 +396,6 @@ def gp_theta_from_xi(xi) -> np.ndarray:
             f"gp weights must lie in the probability simplex, got theta={theta}"
         )
     return np.clip(theta, 0.0, 1.0)
-
-
-def _gp_channel(d: int, theta) -> KrausChannel:
-    """The Weyl mixture with weights theta."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (d * d,):
-        raise ConstraintViolation(f"gp d={d} needs {d*d} weights, got {theta.shape}")
-    if theta.min() < -1e-12 or abs(theta.sum() - 1.0) > 1e-9:
-        raise ConstraintViolation(
-            "gp weights must be nonnegative and sum to 1 "
-            f"(min {theta.min():.3e}, sum {theta.sum():.12f})"
-        )
-    ops = [
-        np.sqrt(max(t, 0.0)) * u
-        for t, u in zip(theta, weyl_ops(d))
-        if t > 1e-15
-    ]
-    if not ops:
-        raise ConstraintViolation("gp weights are all zero")
-    return KrausChannel(ops, din=d, dout=d)
 
 
 def gp_weights_from_channel(ch: KrausChannel) -> np.ndarray:
@@ -509,7 +490,9 @@ def _ou_channel(us: list[np.ndarray], weights) -> KrausChannel:
     d = us[0].shape[0]
     w = np.asarray(weights, dtype=float)
     if w.shape != (len(us),) or w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-9:
-        raise ConstraintViolation("ou weights must be a probability vector over the unitaries")
+        raise ConstraintViolation(
+            f"mixture weights must be a probability vector over {len(us)} unitaries, got {w}"
+        )
     ops = [np.sqrt(max(t, 0.0)) * u for t, u in zip(w, us) if t > 1e-15]
     return KrausChannel(ops, din=d, dout=d)
 
@@ -756,7 +739,8 @@ def _gp(f: _Fields):
     else:
         key = "thetas"
         thetas = [np.array(t, dtype=float) for t in f("thetas", _list_of(_real_list))]
-    return _numbered("gp", f, key, thetas, lambda t: _gp_channel(d, t)), {"thetas": thetas}
+    us = weyl_ops(d)
+    return _numbered("gp", f, key, thetas, lambda t: _ou_channel(us, t)), {"thetas": thetas}
 
 
 def _damp(f: _Fields):

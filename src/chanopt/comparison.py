@@ -1,4 +1,4 @@
-"""Trace-norm comparison of state families, one member pair at a time.
+"""Trace-norm comparison of state families.
 
 The central object is the sweep curve s -> ||rho_plus - s rho_minus||_1 of a
 pair of states. For each pair of members, weak domination of one curve by
@@ -6,8 +6,11 @@ another over all s >= 0 is necessary for the "always at least as
 informative" ordering of the two output pairs; it is also sufficient when
 the dominating pair commutes, and in general a channel mapping one pair onto
 the other (cptp_feasible) certifies the ordering directly. dominance_check
-runs the three routes on every member pair, merges the pair verdicts, and
-never claims more than the routes used can support.
+sweeps every member pair once: a pair the challenger beats anywhere refutes
+"dominates", one the candidate beats refutes "dominated", and only the
+direction the sweep leaves open is certified, pair by pair. With three or
+more members a positive verdict is pairwise evidence, not one channel for
+the whole family.
 
 A commuting pair's curve is sum_i |p_i - s q_i| over its joint eigenvalues;
 it is read that way whenever the joint eigenbasis is accurate enough to
@@ -20,6 +23,7 @@ non-Hermitian pair takes one stacked SVD over the whole grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -253,6 +257,15 @@ def _sweep_grid(grid) -> np.ndarray:
     return s
 
 
+def _sweep(pairs, grid):
+    """The joint spectra of the pairs (None where a pair does not commute),
+    the grid merged with every pair's kinks, and each pair's norms there."""
+    spectra = [_joint_spectrum(*pair) for pair in pairs]
+    s = np.unique(np.concatenate([grid, *map(_breakpoints, spectra)]))
+    norms = [sweep_norms(*_sweep_operands(p, sp, s), s) for p, sp in zip(pairs, spectra)]
+    return spectra, s, norms
+
+
 def gap_curve(rho_plus, rho_minus, grid=None) -> SweepCurve:
     """Sweep curve of a state pair on the given s grid.
 
@@ -267,11 +280,8 @@ def gap_curve(rho_plus, rho_minus, grid=None) -> SweepCurve:
     if rho_plus.shape != rho_minus.shape:
         raise ValueError("state pair must share one dimension")
     _check_pair(rho_plus, rho_minus)
-    spectrum = _joint_spectrum(rho_plus, rho_minus)
-    bp = _breakpoints(spectrum)
-    s = np.unique(np.concatenate([_sweep_grid(grid), bp]))
-    norms = sweep_norms(*_sweep_operands((rho_plus, rho_minus), spectrum, s), s)
-    return SweepCurve(s_values=s, norms=norms, breakpoints=bp)
+    (spectrum,), s, (norms,) = _sweep([(rho_plus, rho_minus)], _sweep_grid(grid))
+    return SweepCurve(s_values=s, norms=norms, breakpoints=_breakpoints(spectrum))
 
 
 @dataclass
@@ -551,71 +561,29 @@ def _validate_family(name: str, fam) -> list[np.ndarray]:
     return mats
 
 
-# Largest Choi dimension d_in d_out a pair verdict sends to cptp_feasible.
+# Largest Choi dimension d_in d_out dominance_check sends to cptp_feasible.
 CERTIFY_MAX_CHOI = 16
 
 
-def _channel_maps(sources, targets) -> bool:
-    """Whether cptp_feasible certifies a channel mapping the source pair onto
-    the target pair; pairs above CERTIFY_MAX_CHOI are not tried."""
-    if sources[0].shape[0] * targets[0].shape[0] > CERTIFY_MAX_CHOI:
-        return False
-    return cptp_feasible(list(sources), list(targets)).feasible
-
-
-def _pair_verdict(cand, chal, grid, certify) -> ComparisonVerdict:
-    cand_spec, chal_spec = _joint_spectrum(*cand), _joint_spectrum(*chal)
-    cand_comm, chal_comm = cand_spec is not None, chal_spec is not None
-    s_all = np.unique(np.concatenate([grid, _breakpoints(cand_spec), _breakpoints(chal_spec)]))
-    cand_norms = sweep_norms(*_sweep_operands(cand, cand_spec, s_all), s_all)
-    chal_norms = sweep_norms(*_sweep_operands(chal, chal_spec, s_all), s_all)
-    diff = cand_norms - chal_norms
-    cand_beats = bool((diff > SWEEP_TOL).any())
-    chal_beats = bool((diff < -SWEEP_TOL).any())
-
-    identical = (
-        cand[0].shape == chal[0].shape
-        and max_abs(cand[0] - chal[0]) <= 1e-12
-        and max_abs(cand[1] - chal[1]) <= 1e-12
-    )
-
-    if not cand_beats and not chal_beats:
-        if identical:
-            method = "sweep-sufficient-commuting" if cand_comm else "randomization-certificate"
-            return ComparisonVerdict("equivalent", method=method)
-        if cand_comm and chal_comm:
-            return ComparisonVerdict("equivalent", method="sweep-sufficient-commuting")
-        return ComparisonVerdict("inconclusive", method="sweep-necessary")
-
-    if cand_beats and chal_beats:
-        k = int(np.argmax(-diff))
-        return ComparisonVerdict(
-            "incomparable",
-            witness_s=float(s_all[k]),
-            gap=float(-diff[k]),
-            method="sweep-necessary",
-        )
-
-    if cand_beats:
-        if cand_comm:
-            return ComparisonVerdict("dominates", method="sweep-sufficient-commuting")
-        if certify and _channel_maps(cand, chal):
-            return ComparisonVerdict("dominates", method="randomization-certificate")
-        return ComparisonVerdict("inconclusive", method="sweep-necessary")
-
-    # challenger strictly beats somewhere and is never beaten: the candidate
-    # cannot dominate (the sweep inequality is necessary), so the relation is
-    # settled; the method records how the reverse direction was certified.
-    k = int(np.argmax(-diff))
-    witness = float(s_all[k])
-    gap = float(-diff[k])
-    if chal_comm:
-        method = "sweep-sufficient-commuting"
-    elif certify and _channel_maps(chal, cand):
+def _certified(pairs, certify: bool) -> str:
+    """The weakest method showing each source pair at least as informative
+    as its target, over (source, target, source commutes) triples:
+    sweep-sufficient-commuting for a commuting source, else
+    randomization-certificate when certify is set and cptp_feasible finds a
+    channel (Choi dimension at most CERTIFY_MAX_CHOI), else sweep-necessary,
+    returned at the first such pair without trying the rest."""
+    method = "sweep-sufficient-commuting"
+    for src, tgt, commuting in pairs:
+        if commuting:
+            continue
+        if not (
+            certify
+            and src[0].shape[0] * tgt[0].shape[0] <= CERTIFY_MAX_CHOI
+            and cptp_feasible(list(src), list(tgt)).feasible
+        ):
+            return "sweep-necessary"
         method = "randomization-certificate"
-    else:
-        method = "sweep-necessary"
-    return ComparisonVerdict("dominated", witness_s=witness, gap=gap, method=method)
+    return method
 
 
 def dominance_check(
@@ -624,12 +592,30 @@ def dominance_check(
     grid=None,
     certify: bool = True,
 ) -> ComparisonVerdict:
-    """Compare two output families member-pair by member-pair.
+    """Compare two output families over every member pair.
 
-    dominates is only reported through a sufficiency route (commuting
-    candidate pair, or an explicit channel mapping candidate outputs onto the
-    challenger's); when a noncommuting candidate merely wins the sweep on the
-    grid the verdict stays inconclusive.
+    Each pair is swept once on the grid and both pairs' kinks; with diff the
+    candidate curve minus the challenger's, the candidate beats where diff >
+    SWEEP_TOL and the challenger where diff < -SWEEP_TOL. A pair where
+    neither beats is a settled tie when it is identical (entries within
+    1e-12) or both of its pairs commute. The witness (witness_s, gap) is the
+    challenger's largest margin over all pairs (first pair, then first s, on
+    ties), reported only when the challenger beats somewhere. Then:
+
+    - both sides beat somewhere: incomparable;
+    - only the challenger: dominated when every other pair is a settled tie,
+      its method the weakest over the pairs the challenger beats (commuting
+      challenger pair, or a channel from challenger to candidate);
+    - only the candidate: dominates when every other pair is a settled tie
+      and every pair the candidate beats is certified (commuting candidate
+      pair, or a channel from candidate to challenger), its method the
+      weakest over all pairs;
+    - neither: equivalent when every pair is a settled tie.
+
+    Anything else is inconclusive. Settled ties are checked before any
+    cptp_feasible call, and certification stops at the first pair that
+    fails, so a verdict never claims more than its routes prove. With three
+    or more members a positive verdict is pairwise evidence only.
     """
     cand = _validate_family("candidate_outputs", candidate_outputs)
     chal = _validate_family("challenger_outputs", challenger_outputs)
@@ -637,44 +623,44 @@ def dominance_check(
         raise ValueError("families must have matching member counts")
     grid = _sweep_grid(grid)
 
-    verdicts = []
-    for i in range(len(cand)):
-        for j in range(i + 1, len(cand)):
-            verdicts.append(
-                _pair_verdict((cand[i], cand[j]), (chal[i], chal[j]), grid, certify)
+    # (source, target, source commutes) of the pairs each side beats; the
+    # method of each tie pair, None unless it is settled
+    wins, losses, ties = [], [], []
+    witness_s = gap = None
+    for i, j in combinations(range(len(cand)), 2):
+        pc, ph = (cand[i], cand[j]), (chal[i], chal[j])
+        (spec_c, spec_h), s, (norms_c, norms_h) = _sweep([pc, ph], grid)
+        diff = norms_c - norms_h
+        beats, beaten = bool((diff > SWEEP_TOL).any()), bool((diff < -SWEEP_TOL).any())
+        if beats:
+            wins.append((pc, ph, spec_c is not None))
+        if beaten:
+            losses.append((ph, pc, spec_h is not None))
+            k = int(np.argmax(-diff))
+            if gap is None or -diff[k] > gap:
+                witness_s, gap = float(s[k]), float(-diff[k])
+        if not (beats or beaten):
+            identical = pc[0].shape == ph[0].shape and all(
+                max_abs(x - y) <= 1e-12 for x, y in zip(pc, ph)
             )
+            if not (identical or (spec_c is not None and spec_h is not None)):
+                ties.append(None)
+            elif spec_c is not None:
+                ties.append("sweep-sufficient-commuting")
+            else:  # identical noncommuting pairs: the identity channel maps them
+                ties.append("randomization-certificate")
 
-    rels = {v.relation for v in verdicts}
-    witnessed = [v for v in verdicts if v.witness_s is not None]
-    worst = max(witnessed, key=lambda v: v.gap) if witnessed else None
+    def verdict(relation, method="sweep-necessary"):
+        return ComparisonVerdict(relation, witness_s=witness_s, gap=gap, method=method)
 
-    def combined_method(subset):
-        methods = {v.method for v in subset}
-        if "sweep-necessary" in methods:
-            return "sweep-necessary"
-        if "randomization-certificate" in methods:
-            return "randomization-certificate"
-        return "sweep-sufficient-commuting"
-
-    if "incomparable" in rels or {"dominates", "dominated"} <= rels:
-        v = next(v for v in verdicts if v.relation == "incomparable") if "incomparable" in rels else worst
-        return ComparisonVerdict(
-            "incomparable", witness_s=v.witness_s, gap=v.gap, method="sweep-necessary"
-        )
-    if rels == {"equivalent"}:
-        return ComparisonVerdict("equivalent", method=combined_method(verdicts))
-    if rels <= {"dominates", "equivalent"}:
-        return ComparisonVerdict("dominates", method=combined_method(verdicts))
-    if rels <= {"dominated", "equivalent"}:
-        return ComparisonVerdict(
-            "dominated",
-            witness_s=worst.witness_s,
-            gap=worst.gap,
-            method=combined_method([v for v in verdicts if v.relation == "dominated"]),
-        )
-    return ComparisonVerdict(
-        "inconclusive",
-        witness_s=worst.witness_s if worst else None,
-        gap=worst.gap if worst else None,
-        method="sweep-necessary",
-    )
+    if wins and losses:
+        return verdict("incomparable")
+    if None in ties:
+        return verdict("inconclusive")
+    if losses:
+        return verdict("dominated", _certified(losses, certify))
+    method = _certified(wins, certify)
+    if method == "sweep-necessary":
+        return verdict("inconclusive")
+    strength = ("sweep-necessary", "randomization-certificate", "sweep-sufficient-commuting")
+    return verdict("dominates" if wins else "equivalent", min([method, *ties], key=strength.index))

@@ -15,15 +15,14 @@ import numpy as np
 from .channels import weyl_ops
 
 
-def eb_povm_elements(a: float = 1.0, b: float = 0.5):
-    """Three-outcome unit-rank POVM (a > b > 0) with its complement partner."""
-    if not a > b > 0:
-        raise ValueError("need a > b > 0")
-    s = 1.0 / (2 * a * a)
+def eb_povm_elements():
+    """Three-outcome unit-rank qubit POVM with its complement partner: the
+    plus elements are |v><v| / 2 for v = (1, 1/2), (1, -1/2) and the rest of
+    the identity, (3/4) |1><1|; each minus element is (tr M) 1 - M."""
     plus = [
-        s * np.array([[a * a, a * b], [a * b, b * b]]),
-        s * np.array([[a * a, -a * b], [-a * b, b * b]]),
-        s * np.array([[0.0, 0.0], [0.0, 2 * a * a - 2 * b * b]]),
+        np.array([[0.5, 0.25], [0.25, 0.125]]),
+        np.array([[0.5, -0.25], [-0.25, 0.125]]),
+        np.array([[0.0, 0.0], [0.0, 0.75]]),
     ]
     minus = [np.trace(m).real * np.eye(2) - m for m in plus]
     return plus, minus

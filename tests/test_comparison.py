@@ -1,5 +1,6 @@
 import io
 import time
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -231,14 +232,19 @@ def test_multi_member_aggregation():
     assert dominance_check(cand, weaker).relation == "dominates"
 
 
-def reference_pair_verdict(cand, chal, tol=1e-9):
-    """Relation, witness_s, gap and method of one member pair with
-    certify=False, from a per-s trace_norm loop on the union of both
-    curves' grids."""
+def reference_pair_diff(cand, chal):
+    """The union of both curves' grids, and the candidate curve minus the
+    challenger's on it from a per-s trace_norm loop."""
     s_all = np.unique(np.concatenate([gap_curve(*cand).s_values, gap_curve(*chal).s_values]))
     fv = np.array([trace_norm(cand[0] - s * cand[1]) for s in s_all])
     gv = np.array([trace_norm(chal[0] - s * chal[1]) for s in s_all])
-    diff = fv - gv
+    return s_all, fv - gv
+
+
+def reference_pair_verdict(cand, chal, tol=1e-9):
+    """Relation, witness_s, gap and method of one member pair with
+    certify=False, from reference_pair_diff."""
+    s_all, diff = reference_pair_diff(cand, chal)
     cand_beats, chal_beats = (diff > tol).any(), (diff < -tol).any()
     cand_comm, chal_comm = commutes(*cand), commutes(*chal)
     k = int(np.argmax(-diff))
@@ -281,6 +287,105 @@ def test_dominance_matches_per_s_reference(rng):
         else:
             assert abs(v.gap - gap) < 1e-12
     assert {"incomparable", "dominated"} <= relations
+
+
+def reference_family_verdict(cand, chal, tol=1e-9):
+    """Relation, witness_s, gap and method of a family with certify=False,
+    from reference_pair_diff on every member pair: the challenger beating a
+    pair refutes "dominates", the candidate beating one refutes "dominated",
+    and the witness is the challenger's largest margin (first pair, then
+    first s). A pair neither beats is settled only when both pairs commute
+    (no member pair here is identical)."""
+    pairs = [((cand[i], cand[j]), (chal[i], chal[j])) for i, j in combinations(range(len(cand)), 2)]
+    data = [reference_pair_diff(*pair) for pair in pairs]
+    beats = [bool((diff > tol).any()) for _, diff in data]
+    beaten = [bool((diff < -tol).any()) for _, diff in data]
+    witness = gap = None
+    if any(beaten):
+        s_all, diff = data[int(np.argmax([(-diff).max() for _, diff in data]))]
+        k = int(np.argmax(-diff))
+        witness, gap = s_all[k], -diff[k]
+    if any(beats) and any(beaten):
+        return "incomparable", witness, gap, "sweep-necessary"
+    ties = [pair for pair, b, l in zip(pairs, beats, beaten) if not (b or l)]
+    if not all(commutes(*c) and commutes(*h) for c, h in ties):
+        return "inconclusive", witness, gap, "sweep-necessary"
+    if any(beaten):
+        exact = all(commutes(*h) for (_, h), l in zip(pairs, beaten) if l)
+        return "dominated", witness, gap, "sweep-sufficient-commuting" if exact else "sweep-necessary"
+    if all(commutes(*c) for (c, _), b in zip(pairs, beats) if b):
+        return "dominates" if any(beats) else "equivalent", None, None, "sweep-sufficient-commuting"
+    return "inconclusive", None, None, "sweep-necessary"
+
+
+def test_three_member_families_match_per_s_reference(rng):
+    """Seeded 3-member families against reference_family_verdict. The
+    challenger's members share one Haar frame, their eigenvalues the
+    candidate's plus N(0, 0.05) noise, or mixed with 0.1 of the uniform
+    distribution (a classical garbling). The candidate's members each take
+    that frame tilted by a random near-identity unitary (noncommuting pairs
+    the sweep cannot certify) in every noisy qubit family and every odd
+    case, and share it (a commuting family) otherwise. A tilted family the
+    sweep refutes both ways without one pair beaten both ways is
+    incomparable; a merge of per-pair verdicts called it inconclusive."""
+    cases = []
+    for d in (2, 3):
+        for case in range(12):
+            ps = rng.dirichlet(np.ones(d), size=3)
+            qs = np.abs(ps + 0.05 * rng.normal(size=ps.shape)) if case < 8 else 0.9 * ps + 0.1 / d
+            u = haar_unitary(rng, d)
+            chal = [u @ np.diag(q / q.sum()) @ u.conj().T for q in qs]
+            frames = [u] * 3
+            if case % 2 or (d == 2 and case < 8):
+                g = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+                frames = [u @ np.linalg.qr(np.eye(d) + 0.1 * x)[0] for x in g]
+            cases.append(([v @ np.diag(p) @ v.conj().T for v, p in zip(frames, ps)], chal))
+    relations, split = set(), 0
+    for cand, chal in cases:
+        relation, witness, gap, method = reference_family_verdict(cand, chal)
+        v = dominance_check(cand, chal, certify=False)
+        relations.add(relation)
+        assert (v.relation, v.method, v.witness_s) == (relation, method, witness)
+        assert gap is None if v.gap is None else abs(v.gap - gap) < 1e-12
+        if relation == "incomparable" and not commutes(cand[0], cand[1]):
+            sides = [
+                reference_pair_verdict((cand[i], cand[j]), (chal[i], chal[j]))[0]
+                for i, j in combinations(range(3), 2)
+            ]
+            split += "incomparable" not in sides
+    assert split > 0
+    assert {"incomparable", "dominated", "dominates", "inconclusive"} <= relations
+
+
+def test_certification_runs_only_where_the_sweep_leaves_a_direction_open(rng, monkeypatch):
+    """cptp_feasible is never called for a family the sweep refutes both
+    ways, and is called once per pair when every pair needs a channel."""
+    calls = []
+    solver = comparison.cptp_feasible
+
+    def spy(sources, targets):
+        calls.append(len(sources))
+        return solver(sources, targets)
+
+    monkeypatch.setattr(comparison, "cptp_feasible", spy)
+    # the candidate beats the noncommuting pair (0, 1), which the challenger
+    # holds depolarized; the challenger's |1><1| beats it on pair (0, 2)
+    cand = [bloch([0, 0, 1]), bloch([1, 0, 0]), bloch([0, 1, 0])]
+    chal = [0.8 * m + 0.1 * np.eye(2) for m in cand[:2]] + [bloch([0, 0, -1])]
+    v = dominance_check(cand, chal)
+    assert v.relation == "incomparable" and v.gap > 1e-3
+    assert calls == []
+
+    # pure qubit states and their images under a random channel: each pair
+    # is noncommuting on the certified side, both ways
+    cand = [np.outer(x, x.conj()) for x in (random_pure(rng, 2) for _ in range(3))]
+    ks = random_kraus(rng, 2, 2, 2)
+    chal = [sum(k @ m @ k.conj().T for k in ks) for m in cand]
+    for fams, relation in (((cand, chal), "dominates"), ((chal, cand), "dominated")):
+        del calls[:]
+        v = dominance_check(*fams)
+        assert (v.relation, v.method) == (relation, "randomization-certificate")
+        assert calls == [2, 2, 2]
 
 
 def test_commuting_verdicts_hold_off_the_grid(rng):

@@ -82,8 +82,6 @@ def test_eb_povm_elements_structure():
     assert max_abs(sum(minus) - np.eye(2)) < 1e-12
     for p, m in zip(plus, minus):
         assert max_abs(m - (np.trace(p).real * np.eye(2) - p)) < 1e-12
-    with pytest.raises(ValueError):
-        eb_povm_elements(0.5, 1.0)
 
 
 def test_eb_povm_no_product_input_matches():
