@@ -17,6 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
+# these five are called through their module objects, which the package
+# runs on first use, so that each command runs only the modules it calls
+from . import comparison, entanglement, geometry, optimal_inputs, repetition
 from .channels import (
     ConstraintViolation,
     SpecError,
@@ -37,47 +40,8 @@ from .channels import (
     make_family,
     validate_cptp,
 )
-from .comparison import _check_prior, default_grid, dominance_check, gap_curve
-from .entanglement import (
-    entanglement_breaking_gp,
-    family_gp_params,
-    meas_separable_check,
-    product_candidates,
-    separable_suffices,
-)
-from .geometry import (
-    ang_nonempty,
-    ang_parallel_property,
-    ang_sample,
-    ang_solve_triangle,
-    closure_residual,
-)
 from .numerics import DIM_GUARD, SystemShape, basis_vector, max_abs, max_entangled
-from .optimal_inputs import (
-    IrrepBlocks,
-    PureState,
-    _probability_pair,
-    _qubit_unitary,
-    group_correction_simulator,
-    measurement_input_certify,
-    phi_pv,
-    unital_qubit_protocol,
-)
 from .presets import preset_document
-from .repetition import (
-    STRATEGY_MODES,
-    AdaptivePlan,
-    Strategy,
-    _guard,
-    _kron_power,
-    _menu_step,
-    adaptive_vs_identical,
-    fresh_swap_interleavers,
-    identical_matches_sequential,
-    identity_rewire_interleavers,
-    random_unitary_interleavers,
-    repeated_output,
-)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -98,12 +62,12 @@ def _index(node, dim: int, where: str) -> int:
     return k
 
 
-def parse_state(node, fam, where: str) -> PureState:
+def parse_state(node, fam, where: str) -> optimal_inputs.PureState:
     f = _Fields(node, where)
     kind = f("kind")
     d = fam.din
     if kind == "phi_d":
-        return PureState(max_entangled(d), SystemShape((d, d)))
+        return optimal_inputs.PureState(max_entangled(d), SystemShape((d, d)))
     if kind == "basis":
         idx = f("indices")
         if not isinstance(idx, (list, tuple)) or not 1 <= len(idx) <= 2:
@@ -114,17 +78,17 @@ def parse_state(node, fam, where: str) -> PureState:
         for i, dim in enumerate(dims):
             k = _index(idx[i], dim, f"{where}.indices[{i}]")
             vec = np.kron(vec, basis_vector(dim, k))
-        return PureState(vec, SystemShape(dims))
+        return optimal_inputs.PureState(vec, SystemShape(dims))
     if kind == "amplitudes":
         values = f("values", _vector_from)
         dims = f("dims", _list_of(_int_from))
         _check_dims(f"{where}.dims", *dims)
         with _at(where):
-            return PureState(values, SystemShape(tuple(dims)))
+            return optimal_inputs.PureState(values, SystemShape(tuple(dims)))
     raise SpecError(f"{where}.kind", f"unknown state kind {kind!r}")
 
 
-def _named_states(inputs: _Fields, fam) -> dict[str, PureState]:
+def _named_states(inputs: _Fields, fam) -> dict[str, optimal_inputs.PureState]:
     return {name: parse_state(node, fam, f"inputs.{name}") for name, node in inputs.node.items()}
 
 
@@ -135,7 +99,7 @@ def _named(states: dict, name: str, where: str):
     return states[name]
 
 
-def _state_outputs(fam, st: PureState, where: str) -> list[np.ndarray]:
+def _state_outputs(fam, st: optimal_inputs.PureState, where: str) -> list[np.ndarray]:
     dims = st.shape.factor_dims
     rho = st.density()
     if len(dims) == 1:
@@ -172,11 +136,11 @@ def _group(doc, fam):
     return group
 
 
-def _single_block(ana: _Fields, fam) -> IrrepBlocks:
+def _single_block(ana: _Fields, fam) -> optimal_inputs.IrrepBlocks:
     """analysis.blocks, which the measure-and-correct protocol needs to be
     one invariant block spanning the family input."""
     with _at("analysis.blocks"):
-        blocks = IrrepBlocks(tuple(ana("blocks", _list_of(_int_from))))
+        blocks = optimal_inputs.IrrepBlocks(tuple(ana("blocks", _list_of(_int_from))))
         blocks.check_single(fam.din)
     return blocks
 
@@ -281,10 +245,10 @@ def _cmd_compare(doc, ana, inputs, fam, args):
     grid = None
     if args.grid is not None:
         _check_count("flags.--grid", args.grid, 1, max(out[0].shape[0] for out in outputs))
-        grid = default_grid(args.grid)
+        grid = comparison.default_grid(args.grid)
     # the inputs and the grid are checked: only the family can be rejected
     with _at("family"):
-        verdict = dominance_check(*outputs, grid=grid)
+        verdict = comparison.dominance_check(*outputs, grid=grid)
     return {"candidate": names[0], "challenger": names[1], **_verdict(verdict)}, {}
 
 
@@ -299,7 +263,7 @@ def _cmd_certify(doc, ana, inputs, fam, args):
             raise ConstraintViolation(f"inputs.{name}: first factor is not the family input")
         # the input fits the family: only the family can be rejected
         with _at("family"):
-            verdict = measurement_input_certify(fam, psi)
+            verdict = optimal_inputs.measurement_input_certify(fam, psi)
         return {"protocol": protocol, "input": name, **_verdict(verdict)}, {}
     if protocol == "group-correction":
         group = _group(doc, fam)
@@ -309,19 +273,19 @@ def _cmd_certify(doc, ana, inputs, fam, args):
         direct = _state_outputs(fam, target, f"inputs.{target_name}")
         # blocks and target are checked: only the group can be rejected
         with _at("group"):
-            sims = group_correction_simulator(fam, group, blocks)
+            sims = optimal_inputs.group_correction_simulator(fam, group, blocks)
         simulated = {label: sim(target.density()) for label, sim in sims.items()}
     elif protocol == "unital-qubit":
         with _at("analysis.p"):
-            p = _probability_pair(ana("p", _real_pair))
+            p = optimal_inputs._probability_pair(ana("p", _real_pair))
         with _at("analysis.v"):
-            v = _qubit_unitary(ana("v", _matrix_from))
+            v = optimal_inputs._qubit_unitary(ana("v", _matrix_from))
         with _at("family"):
-            simulated = unital_qubit_protocol(fam, p, v)
+            simulated = optimal_inputs.unital_qubit_protocol(fam, p, v)
         # p sums to 1 within the norm slack: only an almost unitary v can
         # leave the target off unit norm
         with _at("analysis.v"):
-            target = phi_pv(p, v)
+            target = optimal_inputs.phi_pv(p, v)
         direct = _state_outputs(fam, target, "analysis.v")
     else:
         raise SpecError("analysis.protocol", f"unknown protocol {protocol!r}")
@@ -333,10 +297,11 @@ def _cmd_ent_advantage(doc, ana, inputs, fam, args):
     # the family parsed: only its structure can rule the analysis out
     with _at("family"):
         if fam.kind == "measurement":
-            candidates = product_candidates(fam)
-            match = next(
-                (psi for psi in candidates if meas_separable_check(fam, psi).matches_phi), None
+            candidates = entanglement.product_candidates(fam)
+            matches = (
+                psi for psi in candidates if entanglement.meas_separable_check(fam, psi).matches_phi
             )
+            match = next(matches, None)
             payload = {
                 "kind": "measurement",
                 "any_separable_match": match is not None,
@@ -344,15 +309,16 @@ def _cmd_ent_advantage(doc, ana, inputs, fam, args):
                 "candidates": len(candidates),
             }
             return payload, {}
-        verdict = separable_suffices(fam)
-        thetas = family_gp_params(fam)
+        verdict = entanglement.separable_suffices(fam)
+        thetas = entanglement.family_gp_params(fam)
     payload = {
         "kind": fam.kind,
         "suffices": verdict.suffices,
         "condition": verdict.condition,
         "axis": verdict.axis_name,
         "entanglement_breaking": {
-            lab: entanglement_breaking_gp(theta) for lab, theta in zip(fam.labels(), thetas)
+            lab: entanglement.entanglement_breaking_gp(theta)
+            for lab, theta in zip(fam.labels(), thetas)
         },
     }
     if verdict.witness is not None:
@@ -392,7 +358,7 @@ def _cmd_sweep(doc, ana, inputs, fam, args):
         # the inputs and the grid are checked: only the family can be rejected
         with _at("family"):
             for la, lb in combinations(labels, 2):
-                curves.append((name, la, lb, gap_curve(outs[la], outs[lb], grid=grid)))
+                curves.append((name, la, lb, comparison.gap_curve(outs[la], outs[lb], grid=grid)))
     payload = {
         "inputs": list(names),
         "pairs": [list(p) for p in combinations(labels, 2)],
@@ -409,20 +375,20 @@ def _cmd_ang(doc, ana, inputs, fam, args):
     tables = {}
     if query == "nonempty":
         with _at("x"):
-            payload["nonempty"] = ang_nonempty(x)
+            payload["nonempty"] = geometry.ang_nonempty(x)
     elif query == "solve":
         with _at("x"):
-            sols = ang_solve_triangle(x)
+            sols = geometry.ang_solve_triangle(x)
         payload["solutions"] = sols
-        payload["residuals"] = closure_residual(x, sols)
+        payload["residuals"] = geometry.closure_residual(x, sols)
     elif query == "sample":
         if args.seed is None:
             raise SpecError("flags", "--seed is required for sampling queries")
         n = ana("n", _int_from, 50)
         _check_count("analysis.n", n, 1, len(x))
         with _at("x"):
-            samples = ang_sample(x, n, args.seed)
-        residuals = closure_residual(x, samples)
+            samples = geometry.ang_sample(x, n, args.seed)
+        residuals = geometry.closure_residual(x, samples)
         tables["ang-samples.csv"] = _samples_csv(samples, residuals)
         payload["n"] = n
         payload["max_residual"] = residuals.max()
@@ -435,7 +401,7 @@ def _cmd_ang(doc, ana, inputs, fam, args):
             raise SpecError("flags", "--seed is required for sampling queries")
         # a length mismatch is x_prime's fault; anything else is x's
         with _at("x" if len(xp) == len(x) else "x_prime"):
-            shadow = ang_parallel_property(x, xp, n=n, seed=args.seed)
+            shadow = geometry.ang_parallel_property(x, xp, n=n, seed=args.seed)
         payload["x_prime"] = xp
         payload["subset_holds"] = shadow.subset_holds
         if shadow.violating_sample is not None:
@@ -445,19 +411,19 @@ def _cmd_ang(doc, ana, inputs, fam, args):
     return payload, tables
 
 
-def _parse_strategy(node, fam, states, where: str, args) -> Strategy:
+def _parse_strategy(node, fam, states, where: str, args) -> repetition.Strategy:
     """A strategy node; n is bounded before any state or interleaver of its
     size is built."""
     f = _Fields(node, where)
     mode = f("mode")
-    if mode not in STRATEGY_MODES:
+    if mode not in repetition.STRATEGY_MODES:
         raise SpecError(f"{where}.mode", f"unknown mode {mode!r}")
     n = f("n", _int_from)
     st = _named(states, f("input", _str_from), f"{where}.input")
     dims = st.shape.factor_dims
     if mode == "identical" and len(dims) == 2:
         with _at(f"{where}.n"):
-            _guard(fam.dout * dims[1], n)
+            repetition._guard(fam.dout * dims[1], n)
     if mode == "sequential" and (len(dims) != 2 or dims[0] != fam.din):
         raise SpecError(f"{where}.input", "sequential input needs (channel x reference) factors")
     interleavers = ()
@@ -466,25 +432,25 @@ def _parse_strategy(node, fam, states, where: str, args) -> Strategy:
         dr = dims[1]
         if spec == "identity-rewire":
             _check_count(f"{where}.n", n, 1, fam.din * dr)
-            interleavers = identity_rewire_interleavers(fam.din, dr, n)
+            interleavers = repetition.identity_rewire_interleavers(fam.din, dr, n)
         elif spec == "fresh-swap":
             d_ref = f("ref_dim", _int_from)
             _check_dims(f"{where}.ref_dim", fam.din, d_ref)
             # each of the n - 1 interleavers permutes all n (input x ref) pairs
             with _at(f"{where}.n"):
-                _guard(fam.din * d_ref, n)
+                repetition._guard(fam.din * d_ref, n)
             _check_count(f"{where}.n", n, 1, (fam.din * d_ref) ** n)
-            interleavers = fresh_swap_interleavers(fam.din, d_ref, n)
+            interleavers = repetition.fresh_swap_interleavers(fam.din, d_ref, n)
         elif spec == "random-unitary":
             if args.seed is None:
                 raise SpecError("flags", "--seed is required for random interleavers")
             _check_count(f"{where}.n", n, 1, fam.din * dr)
-            interleavers = random_unitary_interleavers(fam.din, dr, n, args.seed)
+            interleavers = repetition.random_unitary_interleavers(fam.din, dr, n, args.seed)
         else:
             raise SpecError(f"{where}.interleavers", f"unknown preset {spec!r}")
     # the mode is known and the interleavers match n: only n can be rejected
     with _at(f"{where}.n"):
-        return Strategy(mode=mode, n=n, input=st, interleavers=tuple(interleavers))
+        return repetition.Strategy(mode=mode, n=n, input=st, interleavers=tuple(interleavers))
 
 
 def _cmd_repeat(doc, ana, inputs, fam, args):
@@ -499,22 +465,22 @@ def _cmd_repeat(doc, ana, inputs, fam, args):
             for i, menu in enumerate(ana("menus", _list_of(_list_of(_str_from))))
         ]
         with _at("analysis.prior"):
-            _check_prior(prior)
+            comparison._check_prior(prior)
         for i, size in enumerate(blocks):
             if size < 1:
                 raise ConstraintViolation(f"analysis.blocks[{i}]: a block needs at least one use")
         with _at("analysis.blocks"):
-            _guard(fam.dout * fam.din, sum(blocks))
+            repetition._guard(fam.dout * fam.din, sum(blocks))
         # the blocks are positive and each menu nonempty: only the menu count can be rejected
         with _at("analysis.menus"):
-            plan = AdaptivePlan(tuple(blocks), tuple(menus))
+            plan = repetition.AdaptivePlan(tuple(blocks), tuple(menus))
         for i, (size, menu) in enumerate(zip(plan.block_sizes, plan.menus)):
             with _at(f"analysis.menus[{i}]"):
                 for psi in menu:
-                    _menu_step(psi, fam.din, size)
+                    repetition._menu_step(psi, fam.din, size)
         # prior, blocks and menus are checked: only the family can be rejected
         with _at("family"):
-            risks = adaptive_vs_identical(fam, prior, plan)
+            risks = repetition.adaptive_vs_identical(fam, prior, plan)
         payload = {
             "adaptive_risk": risks["adaptive_risk"],
             "identical_risk": risks["identical_risk"],
@@ -530,7 +496,8 @@ def _cmd_repeat(doc, ana, inputs, fam, args):
             )
         # blocks and strategy are checked: only the group can be rejected
         with _at("group"):
-            payload = _certificate(identical_matches_sequential(fam, group, blocks, strat))
+            residuals = repetition.identical_matches_sequential(fam, group, blocks, strat)
+            payload = _certificate(residuals)
     elif analysis == "output":
         member = ana("member", _str_from)
         if member not in fam.labels():
@@ -542,12 +509,13 @@ def _cmd_repeat(doc, ana, inputs, fam, args):
             if strat.mode == "identical":
                 # omega^(x n) is never formed: its spectrum is the n-fold
                 # products of omega's eigenvalues
-                rho = repeated_output(ch, Strategy("identical", 1, strat.input))
+                single = repetition.Strategy("identical", 1, strat.input)
+                rho = repetition.repeated_output(ch, single)
             else:
-                rho = repeated_output(ch, strat)
+                rho = repetition.repeated_output(ch, strat)
         lam = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
         if strat.mode == "identical":
-            lam = _kron_power(lam, strat.n)
+            lam = repetition._kron_power(lam, strat.n)
         payload = {
             "member": member,
             "dim": int(lam.size),

@@ -7,10 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import chanopt
 import chanopt.cli  # noqa: F401  (the benchmark reaches main as co.cli.main)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(chanopt.__file__).parents[1]
 
 
 def _traced() -> tuple[tuple[str, str], ...]:
@@ -25,19 +28,85 @@ def _traced() -> tuple[tuple[str, str], ...]:
     raise AssertionError("bench/tracing.py has no TRACED table")
 
 
-def test_import_loads_every_traced_module():
-    traced = {mod for mod, _ in _traced()}
-    assert len(traced) == 7
-    # a fresh interpreter: this one has already imported every module
-    code = "import sys, chanopt; print(' '.join(sorted(sys.modules)))"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
+def _fresh(code: str, *args: str) -> list[str]:
+    """The lines a fresh interpreter prints to stderr after running code with
+    args as sys.argv[1:]; this interpreter has already run every module."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
         check=True,
-        env=dict(os.environ, PYTHONPATH=str(Path(chanopt.__file__).parents[1])),
-    ).stdout.split()
-    assert {f"chanopt.{mod}" for mod in traced} <= set(out)
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    ).stderr.splitlines()
+
+
+# chanopt.<module> entries whose source has run: LazyLoader turns a
+# registered module's class into types.ModuleType when it runs it
+_RAN = (
+    "' '.join(sorted(n[len('chanopt.'):] for n, m in sys.modules.items()"
+    " if n.startswith('chanopt.') and type(m) is types.ModuleType))"
+)
+
+
+def test_import_loads_every_traced_module():
+    traced = _traced()
+    assert len({mod for mod, _ in traced}) == 7
+    # import chanopt registers every module without running it; the tracer
+    # then looks each function up on sys.modules["chanopt.<module>"]
+    code = (
+        "import sys, chanopt\n"
+        "print(' '.join(sorted(sys.modules)), file=sys.stderr)\n"
+        f"for mod, fn in {traced!r}:\n"
+        "    print(mod, fn, callable(getattr(sys.modules[f'chanopt.{mod}'], fn)), file=sys.stderr)"
+    )
+    registered, *resolved = _fresh(code)
+    assert {f"chanopt.{mod}" for mod, _ in traced} <= set(registered.split())
+    assert resolved == [f"{mod} {fn} True" for mod, fn in traced]
+
+
+def test_import_runs_no_module():
+    code = (
+        "import sys, types, chanopt\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
+        f"print({_RAN}, file=sys.stderr)"
+    )
+    assert _fresh(code) == ["False", ""]
+
+
+# command: (spec, the modules it runs besides cli and the three cli imports)
+_RUNS = {
+    "validate": ("preset:damp-counterexample", set()),
+    "compare": ("preset:damp-counterexample", {"comparison", "optimal_inputs"}),
+    "certify": ("certify-measurement.json", {"comparison", "optimal_inputs"}),
+    "ent-advantage": ("preset:eb-needs-ent-gp", {"comparison", "entanglement"}),
+    "sweep": ("preset:damp-counterexample", {"comparison", "optimal_inputs"}),
+    "ang": ("ang-solve.json", {"geometry"}),
+    "repeat": ("repeat-adaptive.json", {"comparison", "optimal_inputs", "repetition"}),
+}
+
+
+@pytest.mark.parametrize("cmd", list(_RUNS))
+def test_each_command_runs_only_its_modules(tmp_path, cmd):
+    spec, extra = _RUNS[cmd]
+    if not spec.startswith("preset:"):
+        spec = str(BENCH / "specs" / spec)
+    # as python -m chanopt runs it, then the modules that ran
+    code = (
+        "import runpy, sys, types\n"
+        "try:\n"
+        "    runpy.run_module('chanopt', run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        f"    print({_RAN}, file=sys.stderr)"
+    )
+    ran = _fresh(code, cmd, "--spec", spec, "--seed", "7", "--out", str(tmp_path))[-1]
+    assert (tmp_path / f"{cmd}-report.json").is_file()
+    assert set(ran.split()) == {"cli", "channels", "numerics", "presets"} | extra
+
+
+def test_missing_name_is_an_attribute_error():
+    assert not hasattr(chanopt, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        chanopt.no_such_name  # noqa: B018
 
 
 def test_every_traced_function_resolves():
@@ -107,10 +176,15 @@ def _names_in(tree) -> set[str]:
     return names
 
 
+# the package's PEP 562 hook: the interpreter calls it, no code names it
+_HOOK = "__init__.__getattr__"
+
+
 def _unreferenced_definitions(src: Path) -> list[str]:
     """Top-level functions and classes under src named nowhere but in their
     own definition: not by a module under src, not as co.<name> in the
-    benchmark, not in chanopt.__all__. Docstrings and tests do not count."""
+    benchmark, not in chanopt.__all__; the package's __getattr__ hook aside.
+    Docstrings and tests do not count."""
     defined = {}
     referenced = set(chanopt.__all__)
     for path in sorted(src.glob("*.py")):
@@ -127,7 +201,9 @@ def _unreferenced_definitions(src: Path) -> list[str]:
             and isinstance(node.value, ast.Name)
             and node.value.id == "co"
         }
-    return sorted(where for name, where in defined.items() if name not in referenced)
+    return sorted(
+        where for name, where in defined.items() if name not in referenced and where != _HOOK
+    )
 
 
 def test_every_definition_is_reached():
