@@ -20,14 +20,13 @@ __version__ = "0.1.0"
 
 # module: the names the package namespace exports from it
 _EXPORTS = {
-    "numerics": ("SystemShape", "partial_transpose", "trace_norm"),
+    "numerics": ("PureState", "SystemShape", "partial_transpose", "trace_norm"),
     "channels": ("apply_extended", "gen_pauli", "make_family", "weyl_ops"),
     "comparison": ("bayes_binary_risk", "cptp_feasible", "dominance_check", "gap_curve"),
     "entanglement": ("entanglement_breaking_gp", "separable_suffices"),
     "geometry": ("ang_nonempty", "ang_sample", "closure_residual"),
     "optimal_inputs": (
         "IrrepBlocks",
-        "PureState",
         "covariant_optimal_state",
         "group_correction_simulator",
         "pair_unitary_optimal_input",

@@ -782,11 +782,16 @@ def _qubit_phase(f: _Fields):
 
 
 def _measurement(f: _Fields):
-    """Plain form: one POVM per member. Rotated form (selected by
-    ``unitaries``, or by ``structure: "rotated"``): the members plus and
-    minus measure the rotated sets (1/c) U_i M_pm U_i^dag."""
-    structure = "rotated" if "unitaries" in f else f("structure", _str_from, "plain")
-    if structure != "rotated":
+    """Plain form (``structure: "plain"``, the default): one POVM per
+    member. Rotated form (selected by ``unitaries``, or by ``structure:
+    "rotated"``): the members plus and minus measure the rotated sets (1/c)
+    U_i M_pm U_i^dag. Any other structure is a SpecError."""
+    structure = f("structure", _str_from, "plain")
+    if structure not in ("plain", "rotated"):
+        raise SpecError(
+            f"{f.where}.structure", f"unknown structure {structure!r}, expected 'plain' or 'rotated'"
+        )
+    if structure == "plain" and "unitaries" not in f:
         povms = _each(f"{f.where}.povms", f("povms", _list_of(_list_of(_matrix_from))), Povm)
         members = _numbered("meas", f, "povms", povms, measurement_channel)
         return members, {"structure": structure, "povms": povms}

@@ -40,7 +40,7 @@ from .channels import (
     make_family,
     validate_cptp,
 )
-from .numerics import DIM_GUARD, SystemShape, basis_vector, max_abs, max_entangled
+from .numerics import DIM_GUARD, PureState, SystemShape, basis_vector, max_abs, max_entangled
 from .presets import preset_document
 
 EXIT_OK = 0
@@ -62,12 +62,12 @@ def _index(node, dim: int, where: str) -> int:
     return k
 
 
-def parse_state(node, fam, where: str) -> optimal_inputs.PureState:
+def parse_state(node, fam, where: str) -> PureState:
     f = _Fields(node, where)
     kind = f("kind")
     d = fam.din
     if kind == "phi_d":
-        return optimal_inputs.PureState(max_entangled(d), SystemShape((d, d)))
+        return PureState(max_entangled(d), SystemShape((d, d)))
     if kind == "basis":
         idx = f("indices")
         if not isinstance(idx, (list, tuple)) or not 1 <= len(idx) <= 2:
@@ -78,17 +78,17 @@ def parse_state(node, fam, where: str) -> optimal_inputs.PureState:
         for i, dim in enumerate(dims):
             k = _index(idx[i], dim, f"{where}.indices[{i}]")
             vec = np.kron(vec, basis_vector(dim, k))
-        return optimal_inputs.PureState(vec, SystemShape(dims))
+        return PureState(vec, SystemShape(dims))
     if kind == "amplitudes":
         values = f("values", _vector_from)
         dims = f("dims", _list_of(_int_from))
         _check_dims(f"{where}.dims", *dims)
         with _at(where):
-            return optimal_inputs.PureState(values, SystemShape(tuple(dims)))
+            return PureState(values, SystemShape(tuple(dims)))
     raise SpecError(f"{where}.kind", f"unknown state kind {kind!r}")
 
 
-def _named_states(inputs: _Fields, fam) -> dict[str, optimal_inputs.PureState]:
+def _named_states(inputs: _Fields, fam) -> dict[str, PureState]:
     return {name: parse_state(node, fam, f"inputs.{name}") for name, node in inputs.node.items()}
 
 
@@ -99,7 +99,7 @@ def _named(states: dict, name: str, where: str):
     return states[name]
 
 
-def _state_outputs(fam, st: optimal_inputs.PureState, where: str) -> list[np.ndarray]:
+def _state_outputs(fam, st: PureState, where: str) -> list[np.ndarray]:
     dims = st.shape.factor_dims
     rho = st.density()
     if len(dims) == 1:

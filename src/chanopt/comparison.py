@@ -12,13 +12,13 @@ direction the sweep leaves open is certified, pair by pair. With three or
 more members a positive verdict is pairwise evidence, not one channel for
 the whole family.
 
-A commuting pair's curve is sum_i |p_i - s q_i| over its joint eigenvalues;
-it is read that way whenever the joint eigenbasis is accurate enough to
-prove the closed form within SWEEP_TOL / 10 (_sweep_operands). Any other
-Hermitian pair's curve is |tr a - s tr b| wherever a - s b is proven
-semidefinite within SWEEP_TOL / 10 (_hermitian_sweep), and one stacked
-eigendecomposition covers the indefinite middle of the grid; a
-non-Hermitian pair takes one stacked SVD over the whole grid.
+A commuting pair's curve is sum_i |p_i - s q_i| over its joint eigenvalues
+(_joint_spectrum, the package's one joint-eigenbasis routine); it is read
+that way whenever the joint eigenbasis is accurate enough to prove the
+closed form within SWEEP_TOL / 10 (_sweep_operands). Any other pair's curve
+is |tr a - s tr b| wherever a - s b is proven semidefinite within
+SWEEP_TOL / 10 (_hermitian_sweep), and one stacked eigendecomposition
+covers the indefinite middle of the grid.
 """
 from __future__ import annotations
 
@@ -33,8 +33,6 @@ from .numerics import (
     dagger,
     hermitian_eig,
     is_density,
-    is_density_spectrum,
-    is_hermitian,
     max_abs,
     trace_norm,
 )
@@ -51,12 +49,6 @@ CPTP_TOL = 1e-7
 # Violation at which the solver stops with a channel: stopping at CPTP_TOL
 # leaves Choi eigenvalues down to about -4e-8 on boundary instances.
 CPTP_STOP_TOL = 1e-9
-
-
-def commutes(a, b) -> bool:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    return max_abs(a @ b - b @ a) <= COMMUTE_TOL
 
 
 def default_grid(points: int = 200) -> np.ndarray:
@@ -80,54 +72,21 @@ class SweepCurve:
     breakpoints: np.ndarray
 
 
-def joint_eigenbasis(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Common eigenbasis of a commuting Hermitian pair.
-
-    Diagonalizes b, then rediagonalizes a inside each (near-)degenerate
-    eigenspace of b, eigenvalues within 1e-8 of its scale; valid only when
-    [a, b] = 0 up to tolerance. Returns the basis vectors as columns and the
-    eigenvalues of a and of b, paired by column.
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    lam, v = hermitian_eig(b)
-    scale = max(float(np.abs(lam).max()), 1.0)
-    blocks, ps = [], []
-    i = 0
-    while i < len(lam):
-        j = i
-        while j + 1 < len(lam) and lam[j + 1] - lam[j] <= 1e-8 * scale:
-            j += 1
-        cols = v[:, i : j + 1]
-        mu, w = hermitian_eig(dagger(cols) @ a @ cols)
-        blocks.append(cols @ w)
-        ps.append(mu)
-        i = j + 1
-    return np.hstack(blocks), np.concatenate(ps), lam
-
-
 def sweep_norms(a, b, s) -> np.ndarray:
     """||a - s_k b||_1 for every s_k.
 
-    a and b are either a pair of square matrices or the paired joint
-    eigenvalues (p, q) of a commuting Hermitian pair. The spectrum takes the
-    closed form sum_i |p_i - s_k q_i|. A Hermitian pair takes
-    _hermitian_sweep: the closed form |tr a - s_k tr b| where a - s_k b is
-    semidefinite, each such value proven within SWEEP_TOL / 10 of the norm
-    (the bounds are in _hermitian_sweep), and one stacked eigvalsh at the
-    other s_k. Any other pair takes one stacked svd. The Hermitian/svd split
-    is the one trace_norm makes, decided once for the pair.
+    a and b are either the paired joint eigenvalues (p, q) of a commuting
+    pair, which take the closed form sum_i |p_i - s_k q_i|, or a pair of
+    Hermitian matrices, which take _hermitian_sweep: the closed form
+    |tr a - s_k tr b| where a - s_k b is semidefinite, each such value proven
+    within SWEEP_TOL / 10 of the norm (the bounds are in _hermitian_sweep),
+    and one stacked eigvalsh at the other s_k.
     """
     s = np.asarray(s, dtype=float).reshape(-1)
     if np.ndim(a) == 1:
         p, q = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         return np.abs(p - s[:, None] * q).sum(axis=1)
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if is_hermitian(a) and is_hermitian(b):
-        return _hermitian_sweep(a, b, s)
-    stack = a[None, :, :] - s[:, None, None] * b[None, :, :]
-    return np.linalg.svd(stack, compute_uv=False).sum(axis=1)
+    return _hermitian_sweep(as_matrix(a), as_matrix(b), s)
 
 
 def _stacked_eigvalsh(a, b, s) -> np.ndarray:
@@ -205,17 +164,32 @@ def _hermitian_sweep(a, b, s) -> np.ndarray:
     return np.abs(_stacked_eigvalsh(a, b, s)).sum(axis=1)
 
 
-def _joint_spectrum(a, b) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """The paired joint eigenvalues (p, q) of a commuting pair, with the
-    residual r = max |V^dag m V - diag(lambda_m)| over both members m to
-    which the joint basis V diagonalizes them; None for a noncommuting
-    pair."""
-    if not commutes(a, b):
+def _joint_spectrum(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
+    """(V, p, q, r) for a Hermitian pair that commutes within COMMUTE_TOL,
+    None for any other pair.
+
+    Diagonalizes b, then rediagonalizes a inside each (near-)degenerate
+    eigenspace of b, eigenvalues within 1e-8 of its scale. V holds the joint
+    basis vectors as columns, p and q the eigenvalues of a and of b paired
+    by column, and r = max |V^dag m V - diag(lambda_m)| over both members m:
+    how far V is from diagonalizing them, which each caller bounds before it
+    trusts (p, q).
+    """
+    a = as_matrix(a)
+    b = as_matrix(b)
+    if max_abs(a @ b - b @ a) > COMMUTE_TOL:
         return None
-    v, p, q = joint_eigenbasis(a, b)
+    q, v = hermitian_eig(b)
+    scale = max(float(np.abs(q).max()), 1.0)
+    ps, cols = [], []
+    for c in np.split(v, np.flatnonzero(np.diff(q) > 1e-8 * scale) + 1, axis=1):
+        mu, w = hermitian_eig(dagger(c) @ a @ c)
+        ps.append(mu)
+        cols.append(c @ w)
+    v, p = np.hstack(cols), np.concatenate(ps)
     vh = dagger(v)
     r = max(max_abs(vh @ m @ v - np.diag(lam)) for m, lam in ((a, p), (b, q)))
-    return p, q, r
+    return v, p, q, r
 
 
 def _breakpoints(spectrum) -> np.ndarray:
@@ -223,7 +197,7 @@ def _breakpoints(spectrum) -> np.ndarray:
     noncommuting pair (spectrum None) gets none."""
     if spectrum is None:
         return np.array([])
-    p, q, _ = spectrum
+    _, p, q, _ = spectrum
     mask = q > 1e-12
     bp = np.unique(p[mask] / q[mask])
     return bp[bp >= 0]
@@ -237,7 +211,7 @@ def _sweep_operands(pair, spectrum, s) -> tuple:
     the triangle inequality sum_i |p_i - s q_i| is within d^2 (1 + s) r of
     ||a - s b||_1: within SWEEP_TOL / 10 at every s of the grid."""
     if spectrum is not None:
-        p, q, r = spectrum
+        _, p, q, r = spectrum
         if len(p) ** 2 * (1.0 + s.max()) * r <= SWEEP_TOL / 10:
             return p, q
     return pair
@@ -319,12 +293,9 @@ def _check_prior(prior: float) -> None:
 
 
 def _check_pair(plus: np.ndarray, minus: np.ndarray) -> None:
-    """Raise unless both states are density matrices. A state is a square
-    matrix, or the spectrum of a Hermitian one (the joint eigenvalues of a
-    commuting pair)."""
+    """Raise unless both matrices are density matrices."""
     for name, m in (("rho_plus", plus), ("rho_minus", minus)):
-        valid = is_density_spectrum(m) if m.ndim == 1 else is_density(m)
-        if not valid:
+        if not is_density(m):
             raise ValueError(f"{name} is not a density matrix")
 
 

@@ -22,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .channels import ChannelFamily, ConstraintViolation, gp_weights_from_channel
-from .comparison import commutes, default_grid, joint_eigenbasis, sweep_norms
+from .comparison import _joint_spectrum, default_grid, sweep_norms
 from .numerics import as_matrix, dagger, hermitian_eig, max_abs
 
 # Positions of the qubit Weyl weights theta.
@@ -208,11 +208,10 @@ class MeasSeparableResult:
 def _rotated_eigenbasis(fam: ChannelFamily) -> np.ndarray:
     """Joint eigenvectors (columns) of a rotated family's base pair, by
     strictly decreasing weight ratio m_plus / m_minus."""
-    base_p = as_matrix(fam.params["m_plus"])
-    base_m = as_matrix(fam.params["m_minus"])
-    if not commutes(base_p, base_m):
+    spectrum = _joint_spectrum(fam.params["m_plus"], fam.params["m_minus"])
+    if spectrum is None:
         raise ValueError("base elements do not commute")
-    vecs, alphas, betas = joint_eigenbasis(base_p, base_m)
+    vecs, alphas, betas, _ = spectrum
     if betas.min() <= 1e-12:
         raise ValueError("ratio ordering needs strictly positive second weights")
     order = np.argsort(-alphas / betas, kind="stable")

@@ -4,7 +4,7 @@ Everything downstream (channels, sweeps, protocols) runs on plain complex
 numpy arrays. Single operators are small, mostly under a hundred dimensions,
 so this module favors clarity over asymptotics: dense storage,
 eigendecompositions wherever convenient, and explicit shape bookkeeping
-through :class:`SystemShape`. Joint states of repeated uses reach
+through :class:`SystemShape`, which :class:`PureState` carries. Joint states of repeated uses reach
 DIM_GUARD dimensions; the code that builds them contracts one tensor factor
 at a time instead of forming operators on the joint space.
 """
@@ -53,6 +53,33 @@ class SystemShape:
                 f"shape mismatch: matrix is {m.shape}, factors {self.factor_dims} "
                 f"require {self.dim}x{self.dim}"
             )
+
+
+# Largest deviation of a pure state's norm from 1. A probability pair's sum
+# gets the same slack, so that phi_pv of a pair that passes, which has norm
+# sqrt(p1 + p2) for unitary V, is a unit state.
+NORM_TOL = 1e-10
+
+
+@dataclass
+class PureState:
+    amplitudes: np.ndarray
+    shape: SystemShape
+
+    def __post_init__(self):
+        v = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        if v.shape[0] != self.shape.dim:
+            raise ValueError("amplitude length does not match shape")
+        # written so that a NaN norm fails too
+        if not abs(np.linalg.norm(v) - 1.0) <= NORM_TOL:
+            raise ValueError("state is not unit norm")
+        self.amplitudes = v
+
+    def density(self) -> np.ndarray:
+        return np.outer(self.amplitudes, self.amplitudes.conj())
+
+    def reduced(self, keep: int) -> np.ndarray:
+        return partial_trace(self.density(), self.shape, keep=keep)
 
 
 def as_matrix(m) -> np.ndarray:
@@ -156,15 +183,12 @@ DENSITY_TOL = 1e-8
 
 
 def is_density(m: np.ndarray) -> bool:
+    """Whether m is a density matrix: square, Hermitian with trace 1, and no
+    eigenvalue below zero, each within DENSITY_TOL."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1] or not is_hermitian(m, DENSITY_TOL):
         return False
     if abs(np.trace(m).real - 1.0) > DENSITY_TOL:
         return False
-    return is_density_spectrum(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))
-
-
-def is_density_spectrum(w: np.ndarray) -> bool:
-    """Whether real eigenvalues w can be those of a density matrix: none
-    below -DENSITY_TOL, and their sum within DENSITY_TOL of 1."""
+    w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
     return bool(w.min() >= -DENSITY_TOL and abs(w.sum() - 1.0) <= DENSITY_TOL)

@@ -23,15 +23,10 @@ from .channels import (
     covariance,
     is_unital,
 )
-from .comparison import (
-    ComparisonVerdict,
-    _joint_spectrum,
-    _sweep_operands,
-    commutes,
-    default_grid,
-    sweep_norms,
-)
+from .comparison import SWEEP_TOL, ComparisonVerdict, _joint_spectrum, _sweep, _sweep_grid
 from .numerics import (
+    NORM_TOL,
+    PureState,
     SystemShape,
     as_matrix,
     dagger,
@@ -39,7 +34,6 @@ from .numerics import (
     is_density,
     max_abs,
     max_entangled,
-    partial_trace,
 )
 
 
@@ -69,33 +63,6 @@ class IrrepBlocks:
                 "protocol supports a single invariant block; multi-block groups do "
                 "not give a complete outcome set on the reference system"
             )
-
-
-# Largest deviation of a pure state's norm from 1. A probability pair's sum
-# gets the same slack, so that phi_pv of a pair that passes, which has norm
-# sqrt(p1 + p2) for unitary V, is a unit state.
-NORM_TOL = 1e-10
-
-
-@dataclass
-class PureState:
-    amplitudes: np.ndarray
-    shape: SystemShape
-
-    def __post_init__(self):
-        v = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if v.shape[0] != self.shape.dim:
-            raise ValueError("amplitude length does not match shape")
-        # written so that a NaN norm fails too
-        if not abs(np.linalg.norm(v) - 1.0) <= NORM_TOL:
-            raise ValueError("state is not unit norm")
-        self.amplitudes = v
-
-    def density(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
-
-    def reduced(self, keep: int) -> np.ndarray:
-        return partial_trace(self.density(), self.shape, keep=keep)
 
 
 def covariant_optimal_state(blocks: IrrepBlocks) -> PureState:
@@ -267,7 +234,9 @@ def pair_unitary_optimal_input(u_plus, u_minus) -> PairOptimum:
     """Input minimizing |<psi| U+^dag U- (x) 1 |psi>| over pure states.
 
     The functional equals |sum_k w_k e^{i lam_k}| for Schmidt weights w on
-    the eigenbasis of U+^dag U-, so the minimum is the distance from the
+    the eigenbasis of W = U+^dag U-, whose eigenphases lam_k are the angles
+    of the joint spectrum (cos, sin) of (W + W^dag)/2 and (W - W^dag)/2i,
+    a commuting pair for normal W. So the minimum is the distance from the
     origin to the convex hull of the eigenphase points, which lie on the
     unit circle. With the phases sorted, let g be the largest cyclic gap
     between neighbours.
@@ -296,10 +265,12 @@ def pair_unitary_optimal_input(u_plus, u_minus) -> PairOptimum:
         if max_abs(u @ dagger(u) - np.eye(d)) > 1e-9:
             raise ValueError(f"{name} is not unitary")
 
-    from scipy.linalg import schur
-
-    t, z = schur(dagger(u_plus) @ u_minus, output="complex")
-    phases = np.angle(np.diag(t))
+    w = dagger(u_plus) @ u_minus
+    spectrum = _joint_spectrum((w + dagger(w)) / 2, (w - dagger(w)) / 2j)
+    if spectrum is None:
+        raise ValueError("U_plus^dag U_minus is not normal")
+    z, cos, sin, _ = spectrum
+    phases = np.arctan2(sin, cos)
     order = np.argsort(phases, kind="stable")
     vecs = z[:, order]
     # phases measured from the first one: ascending on [0, 2 pi)
@@ -369,7 +340,9 @@ def measurement_input_certify(fam: ChannelFamily, psi: PureState) -> ComparisonV
        ceiling of every sweep curve.
     b. Rotated commuting pair: unit-trace commuting base elements conjugated
        by a rotation set that averages to c tr(.) 1; the entangled input's
-       curve then meets the universal bound tr|M+ - s M-| at every s.
+       curve then meets the universal bound tr|M+ - s M-| at every s. Both
+       pairs must commute and their curves agree within SWEEP_TOL on the
+       default grid and both pairs' kinks.
     c. Complementary diagonal pair: members measure {M, 1-M} with outcomes
        swapped and M = diag(a); the basis state at a's largest entry yields
        the extremal classical curve max(|s-1|, |2a_k - 1|(s+1)), provided
@@ -397,26 +370,15 @@ def measurement_input_certify(fam: ChannelFamily, psi: PureState) -> ComparisonV
             return ComparisonVerdict("dominates", method="sweep-sufficient-commuting")
 
     if fam.params.get("structure") == "rotated":
-        base_p = fam.params["m_plus"]
-        base_m = fam.params["m_minus"]
-        base_spec = _joint_spectrum(base_p, base_m)
+        base = (fam.params["m_plus"], fam.params["m_minus"])
         if (
-            base_spec is not None
-            and abs(np.trace(base_p) - 1.0) <= MEASUREMENT_TOL
-            and abs(np.trace(base_m) - 1.0) <= MEASUREMENT_TOL
+            all(abs(np.trace(m) - 1.0) <= MEASUREMENT_TOL for m in base)
             and max_abs(rho - np.eye(din) / din) <= MEASUREMENT_TOL
         ):
-            s_grid = default_grid()
-            shape = SystemShape(tuple(psi.shape.factor_dims))
-            outs = [
-                apply_extended(ch, psi.density(), shape) for _, ch in fam.members
-            ]
-            base_ops = _sweep_operands((base_p, base_m), base_spec, s_grid)
-            gaps = sweep_norms(outs[0], outs[1], s_grid) - sweep_norms(*base_ops, s_grid)
-            if np.all(np.abs(gaps) <= 1e-7) and commutes(outs[0], outs[1]):
-                return ComparisonVerdict(
-                    "dominates", method="sweep-sufficient-commuting"
-                )
+            outs = tuple(apply_extended(ch, psi.density(), psi.shape) for _, ch in fam.members)
+            spectra, _, (norms, bound) = _sweep([outs, base], _sweep_grid(None))
+            if None not in spectra and np.all(np.abs(norms - bound) <= SWEEP_TOL):
+                return ComparisonVerdict("dominates", method="sweep-sufficient-commuting")
         return ComparisonVerdict("inconclusive", method="sweep-necessary")
 
     if len(mp) == 2 and len(mm) == 2:

@@ -84,7 +84,6 @@ _DOCUMENTS = {
     "eb-needs-ent-povm": {
         "family": {
             "kind": "measurement",
-            "structure": "ortho",
             "povms": [[_pairs(m) for m in _EB_PLUS], [_pairs(m) for m in _EB_MINUS]],
             "labels": ["plus", "minus"],
         },

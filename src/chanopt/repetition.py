@@ -34,13 +34,14 @@ from .comparison import (
 )
 from .numerics import (
     DIM_GUARD,
+    PureState,
     SystemShape,
     exceeds_dim_guard,
     hermitian_eig,
     max_abs,
     max_entangled,
 )
-from .optimal_inputs import IrrepBlocks, PureState, group_correction_simulator
+from .optimal_inputs import IrrepBlocks, group_correction_simulator
 
 
 STRATEGY_MODES = ("identical", "parallel", "sequential")
@@ -290,16 +291,16 @@ def _identical_risk(omega_p: np.ndarray, omega_m: np.ndarray, n: int, prior: flo
     n-fold products of them, so the risk needs len(p)^n numbers instead of
     dense len(p)^n x len(p)^n Kronecker powers. The eigenvalue route is taken
     only when the joint eigenbasis V leaves V^dag omega V diagonal to within
-    1e-8 for both members (the residual _joint_spectrum returns): commutes()
-    alone passes a pair whose near-degenerate eigenvectors the other member
-    still couples. Any other pair takes the dense route. Either way the
-    pair is checked once, before it is powered: the n-fold power of a
-    density matrix is one.
+    1e-8 for both members (the residual _joint_spectrum returns): a pair
+    that commutes within COMMUTE_TOL can still have near-degenerate
+    eigenvectors that the other member couples. Any other pair takes the
+    dense route. Either way the pair is checked once, before it is powered:
+    the n-fold power of a density matrix is one.
     """
     _check_pair(omega_p, omega_m)
     spectrum = _joint_spectrum(omega_p, omega_m)
-    if spectrum is not None and spectrum[2] <= 1e-8:
-        return _binary_risk(*[_kron_power(lam, n) for lam in spectrum[:2]], prior)
+    if spectrum is not None and spectrum[3] <= 1e-8:
+        return _binary_risk(*[_kron_power(lam, n) for lam in spectrum[1:3]], prior)
     return _binary_risk(*[_kron_power(omega, n) for omega in (omega_p, omega_m)], prior)
 
 

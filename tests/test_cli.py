@@ -772,6 +772,11 @@ MALFORMED = {
         family_doc(kind="measurement", structure="rotated", povms=[[mat_json(np.eye(2))]]),
         (), 2, "family.unitaries",
     ),
+    "structure-unknown": (
+        "validate",
+        family_doc(kind="measurement", structure="bogus", povms=[[mat_json(np.eye(2))]]),
+        (), 2, "family.structure",
+    ),
     "diag-not-trace-preserving": (
         "validate", family_doc(kind="diag", d=2, thetas=[[SQRT_HALF], [0.5]]), (), 3, "family.thetas[1]",
     ),

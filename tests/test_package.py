@@ -12,7 +12,8 @@ import pytest
 import chanopt
 import chanopt.cli  # noqa: F401  (the benchmark reaches main as co.cli.main)
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 SRC = Path(chanopt.__file__).parents[1]
 
 
@@ -76,10 +77,10 @@ def test_import_runs_no_module():
 # command: (spec, the modules it runs besides cli and the three cli imports)
 _RUNS = {
     "validate": ("preset:damp-counterexample", set()),
-    "compare": ("preset:damp-counterexample", {"comparison", "optimal_inputs"}),
+    "compare": ("preset:damp-counterexample", {"comparison"}),
     "certify": ("certify-measurement.json", {"comparison", "optimal_inputs"}),
     "ent-advantage": ("preset:eb-needs-ent-gp", {"comparison", "entanglement"}),
-    "sweep": ("preset:damp-counterexample", {"comparison", "optimal_inputs"}),
+    "sweep": ("preset:damp-counterexample", {"comparison"}),
     "ang": ("ang-solve.json", {"geometry"}),
     "repeat": ("repeat-adaptive.json", {"comparison", "optimal_inputs", "repetition"}),
 }
@@ -146,6 +147,30 @@ def _unused_imports(source: str) -> list[str]:
             imported |= {a.asname or a.name for a in node.names}
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return sorted(imported - used)
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # every top-level module the package imports is numpy or in the
+    # standard library, and numpy is all pyproject.toml asks for
+    imported = set()
+    for path in Path(chanopt.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) == {"numpy"}
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    deps = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+    assert re.findall(r'"([\w.-]+)', deps) == ["numpy"]
+
+
+def test_readme_library_example_prints_its_comment(capsys):
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
+    assert block.rstrip().endswith("# incomparable 0.5 0.207106781")
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "incomparable 0.5 0.207106781\n"
 
 
 def test_modules_use_every_name_they_import():

@@ -405,7 +405,7 @@ def noncommuting_measurement():
 
 def near_degenerate_measurement():
     # the Bell outputs commute to within 1e-9, but the 1.5e-8 split in the
-    # second member's spectrum is wider than joint_eigenbasis groups, so the
+    # second member's spectrum is wider than _joint_spectrum groups, so the
     # first member's 0.05 coupling inside that pair stays off its diagonal
     p = np.array([[0.5, 0.05], [0.05, 0.4]])
     q = np.diag([0.5, 0.5 + 3e-8])
@@ -448,7 +448,7 @@ def test_identical_risk_route_follows_joint_diagonalization(monkeypatch):
     adaptive_vs_identical(noncommuting_measurement(), 0.5, plan)
     assert calls[-1] == (16, 16)  # noncommuting: dense Kronecker powers
     adaptive_vs_identical(near_degenerate_measurement(), 0.5, plan)
-    assert calls[-1] == (16, 16)  # commutes() passes, the joint basis does not
+    assert calls[-1] == (16, 16)  # the pair commutes, the joint basis does not
 
 
 @pytest.mark.parametrize("make", [noncommuting_measurement, near_degenerate_measurement])
