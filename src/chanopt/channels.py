@@ -782,16 +782,21 @@ def _qubit_phase(f: _Fields):
 
 
 def _measurement(f: _Fields):
-    """Plain form (``structure: "plain"``, the default): one POVM per
-    member. Rotated form (selected by ``unitaries``, or by ``structure:
-    "rotated"``): the members plus and minus measure the rotated sets (1/c)
-    U_i M_pm U_i^dag. Any other structure is a SpecError."""
-    structure = f("structure", _str_from, "plain")
+    """Plain form (``structure: "plain"``): one POVM per member. Rotated form
+    (``structure: "rotated"``): the members plus and minus measure the
+    rotated sets (1/c) U_i M_pm U_i^dag. Without a ``structure`` the form is
+    rotated when ``unitaries`` is given and plain otherwise. Any other
+    structure, or ``unitaries`` under an explicit plain one, is a SpecError."""
+    structure = f("structure", _str_from, "rotated" if "unitaries" in f else "plain")
     if structure not in ("plain", "rotated"):
         raise SpecError(
             f"{f.where}.structure", f"unknown structure {structure!r}, expected 'plain' or 'rotated'"
         )
-    if structure == "plain" and "unitaries" not in f:
+    if structure == "plain":
+        if "unitaries" in f:
+            raise SpecError(
+                f"{f.where}.structure", "a plain family takes no unitaries; the rotated form does"
+            )
         povms = _each(f"{f.where}.povms", f("povms", _list_of(_list_of(_matrix_from))), Povm)
         members = _numbered("meas", f, "povms", povms, measurement_channel)
         return members, {"structure": structure, "povms": povms}

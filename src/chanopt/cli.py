@@ -506,16 +506,14 @@ def _cmd_repeat(doc, ana, inputs, fam, args):
         ch = dict(fam.members)[member]
         # the mode, n and interleavers are checked: only the input can be rejected
         with _at("analysis.strategy.input"):
-            if strat.mode == "identical":
-                # omega^(x n) is never formed: its spectrum is the n-fold
-                # products of omega's eigenvalues
-                single = repetition.Strategy("identical", 1, strat.input)
-                rho = repetition.repeated_output(ch, single)
-            else:
-                rho = repetition.repeated_output(ch, strat)
-        lam = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-        if strat.mode == "identical":
-            lam = repetition._kron_power(lam, strat.n)
+            factors = repetition._output_factors(ch, strat)
+            if factors is None:
+                factors = [repetition.repeated_output(ch, strat)]
+        # a product state is never formed: its spectrum is the products of
+        # its factors' eigenvalues, each distinct factor diagonalised once
+        distinct = {id(rho): rho for rho in factors}
+        spectra = {key: np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)) for key, rho in distinct.items()}
+        lam = repetition._kron_all([spectra[id(rho)] for rho in factors])
         payload = {
             "member": member,
             "dim": int(lam.size),

@@ -11,16 +11,22 @@ identical repetition.
 Channel uses are applied factor by factor with channels.apply_at_factor, so
 no operator on the joint space is ever formed; each measure-and-correct step
 of the sequential certificate is one correction channel, shared by every
-member and every step, applied the same way. The joint states themselves are
-dense, and a dimension guard keeps them at desk scale. Every n-fold
-Kronecker power, of a state or of a spectrum, is built by halving: one
-balanced product of two half powers, so at most 2 log2(n) kron calls. The
-adaptive analysis builds each block's output pair once, and the
-identical-repetition risk of a commuting pair comes from n-fold products of
-joint eigenvalues instead of the dense powers.
+member and every step, applied the same way. An identical strategy, and a
+parallel one whose input is a product over its use pairs (one SVD per
+use-pair cut tells), never forms a joint input density: each use's output
+is built on its own pair, and the final state, or its spectrum, is the
+Kronecker product of theirs. The joint states of a parallel input entangled
+across a use-pair cut and of a sequential strategy are dense, and a
+dimension guard keeps them at desk scale. Every n-fold Kronecker power, of
+a state or of a spectrum, is built by halving: one balanced product of two
+half powers, so at most 2 log2(n) kron calls. The adaptive analysis builds
+each block's output pair once, and the identical-repetition risk of a
+commuting pair comes from n-fold products of joint eigenvalues instead of
+the dense powers.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,31 +125,89 @@ def _kron_power(a: np.ndarray, n: int) -> np.ndarray:
     return np.kron(high, low)
 
 
-def repeated_output(member: KrausChannel, strat: Strategy) -> np.ndarray:
-    """Exact final state of the strategy for one family member. Identical
-    mode returns omega^(x n), omega the single-use output, as one balanced
-    Kronecker power (_kron_power)."""
+def _kron_all(factors: list[np.ndarray]) -> np.ndarray:
+    """factors[0] (x) factors[1] (x) ...: one _kron_power when every factor
+    is the same array, otherwise a balanced product of the two halves, so the
+    largest kron call has the widest contiguous runs. Works on matrices and
+    on vectors of eigenvalues alike."""
+    if all(f is factors[0] for f in factors):
+        return _kron_power(factors[0], len(factors))
+    half = len(factors) // 2
+    return np.kron(_kron_all(factors[:half]), _kron_all(factors[half:]))
+
+
+# A parallel input is split at a use-pair cut only when the Schmidt weight
+# beyond its leading term, sqrt(sum_{k>=1} s_k^2), is below this. Dropping
+# that weight moves the joint density matrix by at most 2 _PRODUCT_TOL in
+# trace norm, which no channel increases, so the factored output of n uses
+# is within 2 (n - 1) _PRODUCT_TOL of the dense one, entrywise too: under
+# 1e-12 for the n <= 12 uses with an output pair of dimension 2 or more
+# that the guard allows. An exact product built in floating point reads
+# about 1e-16 here.
+_PRODUCT_TOL = 4e-14
+
+
+def _output_factors(member: KrausChannel, strat: Strategy) -> list[np.ndarray] | None:
+    """Per-use outputs whose Kronecker product is the strategy's final state,
+    or None when the state does not factor that way.
+
+    Identical mode gives omega n times (one array), omega the single-use
+    output. A parallel input is peeled one (channel x reference) pair at a
+    time: the remaining amplitudes, reshaped to (d_in d_ref_i) x rest, are a
+    product across that cut when one SVD leaves a dropped Schmidt weight
+    below _PRODUCT_TOL; each pair's output is then apply_extended on its own
+    (d_in, d_ref_i) pure state. An input entangled across any cut, and every
+    sequential strategy, gives None. The layout checks and the dimension
+    guard are those of repeated_output, made before anything is built."""
     dims = strat.input.shape.factor_dims
 
     if strat.mode == "identical":
         if len(dims) != 2 or dims[0] != member.din:
             raise ValueError("identical mode expects an input on channel x reference")
-        dr = dims[1]
-        _guard(member.dout * dr, strat.n)
+        _guard(member.dout * dims[1], strat.n)
         omega = apply_extended(member, strat.input.density(), strat.input.shape)
-        return _kron_power(omega, strat.n)
+        return [omega] * strat.n
+
+    if strat.mode != "parallel":
+        return None
+    if len(dims) != 2 * strat.n or any(dims[2 * i] != member.din for i in range(strat.n)):
+        raise ValueError("parallel mode expects n (channel x reference) factor pairs")
+    refs = dims[1::2]
+    # math.prod: an int64 product of many output dimensions can wrap past the guard
+    _guard(math.prod(member.dout * dr for dr in refs))
+
+    pairs = []
+    rest = strat.input.amplitudes
+    for dr in refs[:-1]:
+        u, s, vh = np.linalg.svd(rest.reshape(member.din * dr, -1), full_matrices=False)
+        if np.sqrt(np.sum(s[1:] ** 2)) >= _PRODUCT_TOL:
+            return None
+        pairs.append(u[:, 0])
+        rest = s[0] * vh[0]
+    pairs.append(rest)
+    return [
+        apply_extended(member, np.outer(v, v.conj()), SystemShape((member.din, dr)))
+        for v, dr in zip(pairs, refs)
+    ]
+
+
+def repeated_output(member: KrausChannel, strat: Strategy) -> np.ndarray:
+    """Exact final state of the strategy for one family member.
+
+    Identical mode and a parallel input that is a product over its use
+    pairs give the Kronecker product of their per-use outputs
+    (_output_factors, _kron_all): omega^(x n) as one balanced power, and no
+    joint input density formed. A parallel input entangled across a
+    use-pair cut is applied use by use to its dense state; a sequential one
+    is run step by step."""
+    factors = _output_factors(member, strat)
+    if factors is not None:
+        return _kron_all(factors)
 
     if strat.mode == "parallel":
-        if len(dims) != 2 * strat.n or any(dims[2 * i] != member.din for i in range(strat.n)):
-            raise ValueError(
-                "parallel mode expects n (channel x reference) factor pairs"
-            )
-        out_dims = list(dims)
-        for i in range(strat.n):
-            out_dims[2 * i] = member.dout
-        _guard(int(np.prod(out_dims)))
         return _block_outputs(member, strat.input, member.din, strat.n)
 
+    dims = strat.input.shape.factor_dims
     if len(dims) != 2 or dims[0] != member.din:
         raise ValueError("sequential mode expects an input on channel x reference")
     dr = dims[1]

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chanopt
-from chanopt.channels import make_family, weyl_ops
-from chanopt.cli import _COMMANDS, _samples_csv, _sweep_csv, main
+from chanopt import repetition
+from chanopt.channels import apply_extended, make_family, weyl_ops
+from chanopt.cli import _COMMANDS, _jsonable, _samples_csv, _sweep_csv, main
 from chanopt.comparison import gap_curve
 from chanopt.entanglement import product_candidates
 from chanopt.geometry import ang_sample, ang_solve_triangle, closure_residual
@@ -617,6 +619,90 @@ def test_repeat_identical_output_never_forms_the_joint_state(tmp_path):
     assert abs(out["max_eig"] - 0.4**6) < 1e-12
 
 
+def gp0():
+    return make_family("gp", {"d": 2, "xis": [[0.1, 0.2, 0.3]]}).members[0][1]
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_repeat_identical_output_values_are_omegas_spectrum_powered(tmp_path, n):
+    # the report is omega's spectrum raised to the n-fold products by
+    # _kron_power, number for number once rounded for emission
+    assert run(tmp_path, identical_output_doc(n), "repeat") == 0
+    bell = PureState(max_entangled(2), SystemShape((2, 2)))
+    omega = repeated_output(gp0(), Strategy("identical", 1, bell))
+    lam = repetition._kron_power(np.linalg.eigvalsh(0.5 * (omega + omega.conj().T)), n)
+    want = _jsonable({
+        "dim": int(lam.size),
+        "trace": float(lam.sum()),
+        "min_eig": float(lam.min()),
+        "max_eig": float(lam.max()),
+    })
+    out = report(tmp_path, "repeat-report.json")
+    assert {key: out[key] for key in want} == want
+
+
+def pair_states(n, seed=22):
+    rng = np.random.default_rng(seed)
+    pairs = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    return pairs / np.linalg.norm(pairs, axis=1, keepdims=True)
+
+
+def parallel_output_doc(vec, n):
+    return {
+        "family": {"kind": "gp", "d": 2, "xis": [[0.1, 0.2, 0.3]]},
+        "inputs": {
+            "in": {
+                "kind": "amplitudes",
+                "values": [[float(z.real), float(z.imag)] for z in vec],
+                "dims": [2, 2] * n,
+            }
+        },
+        "analysis": {
+            "analysis": "output",
+            "member": "gp0",
+            "strategy": {"mode": "parallel", "n": n, "input": "in"},
+        },
+    }
+
+
+def test_repeat_parallel_product_output_never_forms_the_joint_state(tmp_path):
+    # six product use pairs: a 4096-dimensional joint state, whose dense
+    # eigendecomposition alone takes well over ten seconds
+    pairs = pair_states(6)
+    doc = parallel_output_doc(reduce(np.kron, pairs), 6)
+    start = time.perf_counter()
+    assert run(tmp_path, doc, "repeat") == 0
+    assert time.perf_counter() - start < 2.0
+    out = report(tmp_path, "repeat-report.json")
+    tops = [
+        np.linalg.eigvalsh(apply_extended(gp0(), np.outer(v, v.conj()), SystemShape((2, 2)))).max()
+        for v in pairs
+    ]
+    assert out["dim"] == 4096
+    assert abs(out["trace"] - 1.0) < 1e-12
+    assert abs(out["max_eig"] - np.prod(tops)) < 1e-12
+
+
+@pytest.mark.parametrize("entangled", [False, True])
+def test_repeat_parallel_output_matches_dense_spectrum(tmp_path, monkeypatch, entangled):
+    pairs = pair_states(3)
+    if entangled:
+        # the first two pairs share a generic 16-dimensional state
+        pairs = [pair_states(4, seed=5).reshape(-1) / 2, pairs[2]]
+    vec = reduce(np.kron, pairs)
+    dense_state = PureState(vec, SystemShape((2, 2) * 3))
+    lam = np.linalg.eigvalsh(repetition._block_outputs(gp0(), dense_state, 2, 3))
+    dense = []
+    real = repetition._block_outputs
+    monkeypatch.setattr(repetition, "_block_outputs", lambda *a: dense.append(a) or real(*a))
+    assert run(tmp_path, parallel_output_doc(vec, 3), "repeat") == 0
+    assert len(dense) == int(entangled)
+    out = report(tmp_path, "repeat-report.json")
+    assert out["dim"] == lam.size == 64
+    for key, value in (("trace", lam.sum()), ("min_eig", lam.min()), ("max_eig", lam.max())):
+        assert abs(out[key] - value) < 1e-12, key
+
+
 # two Bell pairs laid out (in_1, r_1, in_2, r_2)
 BELL_PAIRS = [0.5 if i in (0, 3, 12, 15) else 0.0 for i in range(16)]
 OUTPUT_STRATEGIES = {
@@ -771,6 +857,10 @@ MALFORMED = {
         "validate",
         family_doc(kind="measurement", structure="rotated", povms=[[mat_json(np.eye(2))]]),
         (), 2, "family.unitaries",
+    ),
+    # unitaries select the rotated form only when no structure is given
+    "structure-plain-with-unitaries": (
+        "validate", family_doc(**dict(ROTATED, structure="plain")), (), 2, "family.structure",
     ),
     "structure-unknown": (
         "validate",

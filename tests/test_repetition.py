@@ -21,6 +21,7 @@ from chanopt.repetition import (
     random_unitary_interleavers,
     repeated_output,
 )
+from conftest import random_pure
 
 PHI2 = max_entangled(2)
 
@@ -124,6 +125,66 @@ def test_parallel_entangled_input_matches_kron_kraus(rng):
     assert max_abs(out - want) < 1e-12
 
 
+def gp_channel(rng, d):
+    if d == 2:
+        return qubit_fam().members[0][1]
+    return make_family("gp", {"d": d, "thetas": [rng.dirichlet(np.ones(d * d))]}).members[0][1]
+
+
+def pair_product(rng, d, refs):
+    """A product of random pure states, one per (channel x reference) pair."""
+    vec = reduce(np.kron, [random_pure(rng, d * r) for r in refs])
+    dims = tuple(x for r in refs for x in (d, r))
+    return PureState(vec, SystemShape(dims))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3])
+def test_parallel_product_input_matches_dense_route(rng, monkeypatch, d, n):
+    ch = gp_channel(rng, d)
+    st = pair_product(rng, d, (2, 1, 3, 1)[:n])
+    want = repetition._block_outputs(ch, st, d, n)
+    dense = []
+    monkeypatch.setattr(repetition, "_block_outputs", lambda *a: dense.append(a))
+    got = repeated_output(ch, Strategy("parallel", n, st))
+    assert not dense  # the product route built the output
+    assert got.shape == want.shape
+    assert max_abs(got - want) <= 1e-12
+
+
+def entangled_at_cut(rng, weight, cut):
+    """Three qubit-with-qubit-reference pairs, a product except across the
+    cut after pair `cut` (0 or 1), whose Schmidt weight beyond the leading
+    term is exactly `weight` there."""
+    # two orthonormal states e_i, f_i of each pair; the second term swaps in
+    # f on the two pairs beside the cut
+    e, f = zip(*(np.linalg.qr(rng.normal(size=(4, 2)))[0].T for _ in range(3)))
+    second = list(e)
+    second[cut : cut + 2] = f[cut : cut + 2]
+    vec = np.sqrt(1 - weight**2) * reduce(np.kron, e) + weight * reduce(np.kron, second)
+    return PureState(vec, SystemShape((2, 2) * 3))
+
+
+@pytest.mark.parametrize("cut", [0, 1])
+@pytest.mark.parametrize("weight", [1e-7, 10 * repetition._PRODUCT_TOL])
+def test_parallel_input_entangled_across_a_cut_takes_dense_route(rng, monkeypatch, weight, cut):
+    ch = qubit_fam().members[0][1]
+    st = entangled_at_cut(rng, weight, cut)
+    strat = Strategy("parallel", 3, st)
+    assert repetition._output_factors(ch, strat) is None
+    calls = []
+    real = repetition._block_outputs
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(repetition, "_block_outputs", spy)
+    out = repeated_output(ch, strat)
+    assert len(calls) == 1
+    assert max_abs(out - _dense_block_output(ch, st, 3)) < 1e-12
+
+
 def test_sequential_identity_rewire_composes():
     ch = qubit_fam().members[0][1]
     strat = Strategy(
@@ -178,6 +239,17 @@ def test_dimension_guard_bounds_uses_of_trivial_joint_dimension(monkeypatch):
     out = repeated_output(ch, Strategy("identical", DIM_GUARD, e0))
     assert out.shape == (1, 1) and abs(out[0, 0] - 1.0) < 1e-12
     assert len(calls) <= 2 * (DIM_GUARD.bit_length() - 1)
+
+
+def test_parallel_guard_counts_output_dimensions_exactly():
+    # eleven uses of a 2 -> 64 isometry on qubits without references: a 2^66
+    # dimensional output, which an int64 product of the dimensions wraps to 0
+    iso = make_family("custom", {"kraus": [[np.eye(64)[:, :2]]]}).members[0][1]
+    e0 = np.zeros(2**11)
+    e0[0] = 1.0
+    strat = Strategy("parallel", 11, PureState(e0, SystemShape((2, 1) * 11)))
+    with pytest.raises(ValueError, match="guard"):
+        repeated_output(iso, strat)
 
 
 def test_repeated_output_layout_rejections():
