@@ -424,6 +424,9 @@ def _parse_strategy(node, fam, states, where: str, args) -> repetition.Strategy:
     if mode == "identical" and len(dims) == 2:
         with _at(f"{where}.n"):
             repetition._guard(fam.dout * dims[1], n)
+    if mode == "parallel" and len(dims) == 2 * n and set(dims[::2]) == {fam.din}:
+        with _at(f"{where}.n"):
+            repetition._guard_parallel([fam.dout * dr for dr in dims[1::2]])
     if mode == "sequential" and (len(dims) != 2 or dims[0] != fam.din):
         raise SpecError(f"{where}.input", "sequential input needs (channel x reference) factors")
     interleavers = ()
@@ -431,7 +434,9 @@ def _parse_strategy(node, fam, states, where: str, args) -> repetition.Strategy:
         spec = f("interleavers")
         dr = dims[1]
         if spec == "identity-rewire":
-            _check_count(f"{where}.n", n, 1, fam.din * dr)
+            # each step only copies the state, so n alone is bounded
+            if n > DIM_GUARD:
+                raise ConstraintViolation(f"{where}.n: {n} is outside [1, {DIM_GUARD}]")
             interleavers = repetition.identity_rewire_interleavers(fam.din, dr, n)
         elif spec == "fresh-swap":
             d_ref = f("ref_dim", _int_from)
@@ -439,7 +444,6 @@ def _parse_strategy(node, fam, states, where: str, args) -> repetition.Strategy:
             # each of the n - 1 interleavers permutes all n (input x ref) pairs
             with _at(f"{where}.n"):
                 repetition._guard(fam.din * d_ref, n)
-            _check_count(f"{where}.n", n, 1, (fam.din * d_ref) ** n)
             interleavers = repetition.fresh_swap_interleavers(fam.din, d_ref, n)
         elif spec == "random-unitary":
             if args.seed is None:

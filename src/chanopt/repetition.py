@@ -11,14 +11,18 @@ identical repetition.
 Channel uses are applied factor by factor with channels.apply_at_factor, so
 no operator on the joint space is ever formed; each measure-and-correct step
 of the sequential certificate is one correction channel, shared by every
-member and every step, applied the same way. An identical strategy, and a
-parallel one whose input is a product over its use pairs (one SVD per
-use-pair cut tells), never forms a joint input density: each use's output
-is built on its own pair, and the final state, or its spectrum, is the
-Kronecker product of theirs. The joint states of a parallel input entangled
-across a use-pair cut and of a sequential strategy are dense, and a
-dimension guard keeps them at desk scale. Every n-fold Kronecker power, of
-a state or of a spectrum, is built by halving: one balanced product of two
+member and every step, applied the same way. An identical strategy never
+forms a joint input density, and a parallel one forms only those of its
+entangled groups: one SVD per use-pair cut tells which cuts the input is a
+product across, each group of pairs between two such cuts is built on its
+own (a single pair by apply_extended), and the final state, or its
+spectrum, is the Kronecker product of the groups'. The interleavers that
+only reorder tensor factors (identity-rewire, fresh-swap) are
+FactorPermutations, applied as one transpose of the state's tensor axes
+rather than as a product with a dense permutation matrix. The joint state
+of a sequential strategy is dense, and a dimension guard keeps it, and
+every joint state here, at desk scale. Every n-fold Kronecker power, of a
+state or of a spectrum, is built by halving: one balanced product of two
 half powers, so at most 2 log2(n) kron calls. The adaptive analysis builds
 each block's output pair once, and the identical-repetition risk of a
 commuting pair comes from n-fold products of joint eigenvalues instead of
@@ -42,6 +46,7 @@ from .numerics import (
     DIM_GUARD,
     PureState,
     SystemShape,
+    as_matrix,
     exceeds_dim_guard,
     hermitian_eig,
     max_abs,
@@ -53,12 +58,45 @@ from .optimal_inputs import IrrepBlocks, group_correction_simulator
 STRATEGY_MODES = ("identical", "parallel", "sequential")
 
 
+@dataclass(frozen=True)
+class FactorPermutation:
+    """The unitary interleaver that reorders the tensor factors of dims:
+    factor i of its output is factor perm[i] of its input. apply(rho) is
+    P rho P^T, P the 0/1 permutation matrix, computed as one transpose of
+    rho's 2k tensor axes: one copy of rho, no operator on the joint space,
+    and the same numbers, bit for bit, as the dense product."""
+
+    dims: tuple[int, ...]
+    perm: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "dims", SystemShape(self.dims).factor_dims)
+        perm = tuple(int(p) for p in self.perm)
+        if sorted(perm) != list(range(len(self.dims))):
+            raise ValueError(f"{perm} is not a permutation of {len(self.dims)} factors")
+        object.__setattr__(self, "perm", perm)
+
+    @property
+    def din(self) -> int:
+        return math.prod(self.dims)
+
+    dout = din  # a permutation is square
+
+    def apply(self, rho) -> np.ndarray:
+        rho = as_matrix(rho)
+        SystemShape(self.dims).check(rho)
+        k = len(self.dims)
+        axes = self.perm + tuple(k + p for p in self.perm)
+        # copy() is C-ordered, so the final reshape is a view of it
+        return rho.reshape(self.dims * 2).transpose(axes).copy().reshape(rho.shape)
+
+
 @dataclass
 class Strategy:
     mode: str
     n: int
     input: PureState
-    interleavers: tuple[KrausChannel, ...] = ()
+    interleavers: tuple[KrausChannel | FactorPermutation, ...] = ()
 
     def __post_init__(self):
         if self.mode not in STRATEGY_MODES:
@@ -96,20 +134,22 @@ class AdaptivePlan:
             raise ValueError("menus must be nonempty")
 
 
-def factor_permutation(dims, perm) -> np.ndarray:
-    """Unitary reordering tensor factors: |i_0 .. i_{n-1}> -> permuted order."""
-    dims = list(dims)
-    total = int(np.prod(dims))
-    dst = np.transpose(np.arange(total).reshape(dims), perm).reshape(-1)
-    p = np.zeros((total, total))
-    p[np.arange(total), dst] = 1.0
-    return p
-
-
 def _guard(base: int, n: int = 1):
     """Reject n uses of dimension base past DIM_GUARD (exceeds_dim_guard)."""
     if exceeds_dim_guard(base, n):
         raise ValueError(f"{n} uses of dimension {base} exceed the {DIM_GUARD} guard")
+
+
+def _guard_parallel(outs: list[int]):
+    """Reject parallel uses with these output dimensions past DIM_GUARD:
+    more than DIM_GUARD of them, or a joint dimension above it."""
+    n = len(outs)
+    if n > DIM_GUARD:
+        raise ValueError(f"{n} uses exceed the {DIM_GUARD} guard")
+    # math.prod: an int64 product of many output dimensions can wrap past the guard
+    joint = math.prod(outs)
+    if joint > DIM_GUARD:
+        raise ValueError(f"{n} uses of joint output dimension {joint} exceed the {DIM_GUARD} guard")
 
 
 def _kron_power(a: np.ndarray, n: int) -> np.ndarray:
@@ -148,16 +188,19 @@ _PRODUCT_TOL = 4e-14
 
 
 def _output_factors(member: KrausChannel, strat: Strategy) -> list[np.ndarray] | None:
-    """Per-use outputs whose Kronecker product is the strategy's final state,
-    or None when the state does not factor that way.
+    """Outputs whose Kronecker product is the strategy's final state, or None
+    for a sequential strategy.
 
     Identical mode gives omega n times (one array), omega the single-use
-    output. A parallel input is peeled one (channel x reference) pair at a
-    time: the remaining amplitudes, reshaped to (d_in d_ref_i) x rest, are a
-    product across that cut when one SVD leaves a dropped Schmidt weight
-    below _PRODUCT_TOL; each pair's output is then apply_extended on its own
-    (d_in, d_ref_i) pure state. An input entangled across any cut, and every
-    sequential strategy, gives None. The layout checks and the dimension
+    output. A parallel input is split at every use-pair cut it is a product
+    across: the amplitudes of the open group of (channel x reference) pairs
+    and all later ones, reshaped to (group) x (rest), are a product across
+    the cut after the group when one SVD leaves a dropped Schmidt weight
+    below _PRODUCT_TOL. The group then closes with the leading Schmidt
+    vector as its state, and its output is built on its own: apply_extended
+    for one pair, _block_outputs for several. A cut that fails widens the
+    open group by the next pair, so an input entangled across every cut is
+    one group, the whole dense state. The layout checks and the dimension
     guard are those of repeated_output, made before anything is built."""
     dims = strat.input.shape.factor_dims
 
@@ -173,39 +216,41 @@ def _output_factors(member: KrausChannel, strat: Strategy) -> list[np.ndarray] |
     if len(dims) != 2 * strat.n or any(dims[2 * i] != member.din for i in range(strat.n)):
         raise ValueError("parallel mode expects n (channel x reference) factor pairs")
     refs = dims[1::2]
-    # math.prod: an int64 product of many output dimensions can wrap past the guard
-    _guard(math.prod(member.dout * dr for dr in refs))
+    _guard_parallel([member.dout * dr for dr in refs])
 
-    pairs = []
+    def group_output(v: np.ndarray, group: tuple[int, ...]) -> np.ndarray:
+        if len(group) == 1:
+            shape = SystemShape((member.din, group[0]))
+            return apply_extended(member, np.outer(v, v.conj()), shape)
+        shape = SystemShape(tuple(x for dr in group for x in (member.din, dr)))
+        return _block_outputs(member, PureState(v, shape), member.din, len(group))
+
+    factors = []
     rest = strat.input.amplitudes
-    for dr in refs[:-1]:
-        u, s, vh = np.linalg.svd(rest.reshape(member.din * dr, -1), full_matrices=False)
+    first = 0  # the open group is refs[first : i + 1]
+    for i in range(strat.n - 1):
+        rows = math.prod(member.din * dr for dr in refs[first : i + 1])
+        u, s, vh = np.linalg.svd(rest.reshape(rows, -1), full_matrices=False)
         if np.sqrt(np.sum(s[1:] ** 2)) >= _PRODUCT_TOL:
-            return None
-        pairs.append(u[:, 0])
+            continue
+        factors.append(group_output(u[:, 0], refs[first : i + 1]))
         rest = s[0] * vh[0]
-    pairs.append(rest)
-    return [
-        apply_extended(member, np.outer(v, v.conj()), SystemShape((member.din, dr)))
-        for v, dr in zip(pairs, refs)
-    ]
+        first = i + 1
+    factors.append(group_output(rest, refs[first:]))
+    return factors
 
 
 def repeated_output(member: KrausChannel, strat: Strategy) -> np.ndarray:
     """Exact final state of the strategy for one family member.
 
-    Identical mode and a parallel input that is a product over its use
-    pairs give the Kronecker product of their per-use outputs
-    (_output_factors, _kron_all): omega^(x n) as one balanced power, and no
-    joint input density formed. A parallel input entangled across a
-    use-pair cut is applied use by use to its dense state; a sequential one
-    is run step by step."""
+    Identical and parallel modes give the Kronecker product of their
+    outputs (_output_factors, _kron_all): omega^(x n) as one balanced power,
+    and a parallel input as the product of its groups of use pairs, no group
+    wider than its entanglement. A sequential strategy is run step by step
+    on its dense state."""
     factors = _output_factors(member, strat)
     if factors is not None:
         return _kron_all(factors)
-
-    if strat.mode == "parallel":
-        return _block_outputs(member, strat.input, member.din, strat.n)
 
     dims = strat.input.shape.factor_dims
     if len(dims) != 2 or dims[0] != member.din:
@@ -228,24 +273,25 @@ def repeated_output(member: KrausChannel, strat: Strategy) -> np.ndarray:
 # Interleaver presets
 
 
-def identity_rewire_interleavers(d: int, d_ref: int, n: int) -> list[KrausChannel]:
-    """Feed each output straight into the next use (square channels only)."""
-    eye = np.eye(d * d_ref)
-    return [KrausChannel.from_ops([eye]) for _ in range(n - 1)]
+def identity_rewire_interleavers(d: int, d_ref: int, n: int) -> list[FactorPermutation]:
+    """Feed each output straight into the next use (square channels only):
+    the identity permutation of the one (d d_ref)-dimensional factor."""
+    return [FactorPermutation((d * d_ref,), (0,))] * (n - 1)
 
 
-def fresh_swap_interleavers(d: int, d_ref: int, n: int) -> list[KrausChannel]:
+def fresh_swap_interleavers(d: int, d_ref: int, n: int) -> list[FactorPermutation]:
     """Discard the running output into the reference and swap in the next
     fresh copy. Pair with an initial state laid out as
     (in_1, r_1, in_2, r_2, ..., in_n, r_n); the final state is the identical
-    repetition up to that factor order.
+    repetition up to that factor order. The interleaver after use i swaps
+    factors in_1 and in_(i+1).
     """
-    dims = [d, d_ref] * n
+    dims = (d, d_ref) * n
     out = []
     for i in range(1, n):
         perm = list(range(2 * n))
         perm[0], perm[2 * i] = perm[2 * i], perm[0]
-        out.append(KrausChannel.from_ops([factor_permutation(dims, perm)]))
+        out.append(FactorPermutation(dims, tuple(perm)))
     return out
 
 

@@ -17,6 +17,17 @@ def rng():
     return np.random.default_rng(20240815)
 
 
+def factor_permutation(dims, perm) -> np.ndarray:
+    """The dense 0/1 matrix P that reorders tensor factors: factor i of P v
+    is factor perm[i] of v."""
+    dims = list(dims)
+    total = int(np.prod(dims))
+    dst = np.transpose(np.arange(total).reshape(dims), perm).reshape(-1)
+    p = np.zeros((total, total))
+    p[np.arange(total), dst] = 1.0
+    return p
+
+
 def random_pure(rng, d: int) -> np.ndarray:
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     return v / np.linalg.norm(v)

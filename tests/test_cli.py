@@ -683,6 +683,50 @@ def test_repeat_parallel_product_output_never_forms_the_joint_state(tmp_path):
     assert abs(out["max_eig"] - np.prod(tops)) < 1e-12
 
 
+def test_repeat_parallel_grouped_output_builds_only_the_entangled_group(tmp_path):
+    # six use pairs, the first two sharing a generic 16-dimensional state:
+    # only that group is dense, and the 4096-dimensional joint state, whose
+    # dense eigendecomposition alone takes well over ten seconds, is never
+    # formed
+    group = pair_states(4, seed=5).reshape(-1) / 2
+    pairs = pair_states(4)
+    doc = parallel_output_doc(reduce(np.kron, [group, *pairs]), 6)
+    start = time.perf_counter()
+    assert run(tmp_path, doc, "repeat") == 0
+    assert time.perf_counter() - start < 2.0
+    out = report(tmp_path, "repeat-report.json")
+    dense_group = PureState(group, SystemShape((2, 2, 2, 2)))
+    tops = [np.linalg.eigvalsh(repetition._block_outputs(gp0(), dense_group, 2, 2)).max()] + [
+        np.linalg.eigvalsh(apply_extended(gp0(), np.outer(v, v.conj()), SystemShape((2, 2)))).max()
+        for v in pairs
+    ]
+    assert out["dim"] == 4096
+    assert abs(out["trace"] - 1.0) < 1e-12
+    assert abs(out["max_eig"] - np.prod(tops)) < 1e-12
+
+
+def test_repeat_sequential_fresh_swap_output_matches_identical(tmp_path):
+    # n = 5 Bell pairs laid out (in_1, r_1, ..., in_5, r_5): the fresh-swap
+    # chain reorders the factors of omega^(x 5), so the spectra agree
+    bell5 = reduce(np.kron, [max_entangled(2).real] * 5)
+    doc = {
+        "family": {"kind": "gp", "d": 2, "xis": [[0.1, 0.2, 0.3]]},
+        "inputs": {"in": {"kind": "amplitudes", "values": bell5.tolist(), "dims": [2, 512]}},
+        "analysis": {
+            "analysis": "output",
+            "member": "gp0",
+            "strategy": {"mode": "sequential", "n": 5, "input": "in", "interleavers": "fresh-swap", "ref_dim": 2},
+        },
+    }
+    assert run(tmp_path, doc, "repeat") == 0
+    seq = report(tmp_path, "repeat-report.json")
+    assert run(tmp_path, identical_output_doc(5), "repeat") == 0
+    ident = report(tmp_path, "repeat-report.json")
+    assert seq["dim"] == ident["dim"] == 1024
+    for key in ("trace", "min_eig", "max_eig"):
+        assert abs(seq[key] - ident[key]) < 1e-12, key
+
+
 @pytest.mark.parametrize("entangled", [False, True])
 def test_repeat_parallel_output_matches_dense_spectrum(tmp_path, monkeypatch, entangled):
     pairs = pair_states(3)
@@ -1031,14 +1075,29 @@ MALFORMED = {
         with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": dict(OUTPUT_STRATEGY, n=12, ref_dim=2)}, EB_INPUTS),
         (), 3, "analysis.strategy.n",
     ),
-    "strategy-fresh-swap-n-above-steps": (
+    "strategy-fresh-swap-joint-dim-above-guard": (
         "repeat",
-        with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": dict(OUTPUT_STRATEGY, n=11, ref_dim=1)}, EB_INPUTS),
+        with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": dict(OUTPUT_STRATEGY, n=13, ref_dim=1)}, EB_INPUTS),
+        (), 3, "analysis.strategy.n",
+    ),
+    # the input fits the guard, its 3^8-dimensional joint output does not
+    "strategy-parallel-joint-output-above-guard": (
+        "repeat",
+        with_analysis(
+            {"kind": "measurement", "povms": [[mat_json(np.diag([0.5, 0.0])), mat_json(np.diag([0.5, 0.5])), mat_json(np.diag([0.0, 0.5]))]]},
+            {"analysis": "output", "member": "meas0", "strategy": {"mode": "parallel", "n": 8, "input": "a"}},
+            {"a": {"kind": "amplitudes", "values": [1.0] + [0.0] * 255, "dims": [2, 1] * 8}},
+        ),
         (), 3, "analysis.strategy.n",
     ),
     "strategy-rewire-n-above-steps": (
         "repeat",
         with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": dict(OUTPUT_STRATEGY, n=3 * 10**6, interleavers="identity-rewire")}, EB_INPUTS),
+        (), 3, "analysis.strategy.n",
+    ),
+    "strategy-rewire-n-above-guard": (
+        "repeat",
+        with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": dict(OUTPUT_STRATEGY, n=4097, interleavers="identity-rewire")}, EB_INPUTS),
         (), 3, "analysis.strategy.n",
     ),
     "strategy-random-n-above-steps": (

@@ -1,27 +1,30 @@
 import itertools
 import time
+import tracemalloc
 from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from chanopt import comparison, repetition
-from chanopt.channels import apply_extended, make_family, weyl_ops
+from chanopt.channels import KrausChannel, apply_extended, make_family, weyl_ops
 from chanopt.comparison import bayes_binary_risk
 from chanopt.numerics import DIM_GUARD, SystemShape, max_abs, max_entangled
 from chanopt.optimal_inputs import IrrepBlocks, PureState
 from chanopt.repetition import (
     AdaptivePlan,
+    FactorPermutation,
     Strategy,
     adaptive_vs_identical,
-    factor_permutation,
     fresh_swap_interleavers,
     identical_matches_sequential,
     identity_rewire_interleavers,
     random_unitary_interleavers,
     repeated_output,
 )
-from conftest import random_pure
+from conftest import factor_permutation, random_pure
 
 PHI2 = max_entangled(2)
 
@@ -66,6 +69,77 @@ def test_factor_permutation_reorders(rng):
     want = v.reshape(2, 3).T.reshape(-1)
     assert max_abs(p @ v - want) < 1e-15
     assert max_abs(p @ p.T - np.eye(6)) < 1e-15
+
+
+_DIMS_AND_ORDER = hst.lists(hst.integers(1, 4), min_size=1, max_size=4).flatmap(
+    lambda dims: hst.tuples(hst.just(dims), hst.permutations(range(len(dims))))
+)
+
+
+# mixed dimensions, the identity, transpositions and a 3-cycle, which is
+# not its own inverse
+@example(case=([2, 3, 4], [2, 0, 1]), seed=0)
+@example(case=([3, 1, 2], [0, 1, 2]), seed=1)
+@example(case=([5], [0]), seed=2)
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(case=_DIMS_AND_ORDER, seed=hst.integers(0, 2**32 - 1))
+def test_factor_permutation_apply_is_the_dense_product_exactly(case, seed):
+    dims, order = case
+    rng = np.random.default_rng(seed)
+    total = int(np.prod(dims))
+    rho = rng.normal(size=(total, total)) + 1j * rng.normal(size=(total, total))
+    p = factor_permutation(dims, order)
+    y = FactorPermutation(tuple(dims), tuple(order))
+    assert y.din == y.dout == total
+    assert np.array_equal(y.apply(rho), p @ rho @ p.T)
+
+
+def test_factor_permutation_rejections():
+    with pytest.raises(ValueError, match="permutation"):
+        FactorPermutation((2, 2), (0, 0))
+    with pytest.raises(ValueError, match="permutation"):
+        FactorPermutation((2, 2), (0, 1, 2))
+    with pytest.raises(ValueError):
+        FactorPermutation((2, 0), (1, 0))
+    y = FactorPermutation((2, 3), (1, 0))
+    with pytest.raises(ValueError, match="shape"):
+        y.apply(np.eye(5))
+    bad = np.eye(6)
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        y.apply(bad)
+
+
+def test_fresh_swap_interleavers_form_no_joint_operator():
+    # four dense 1024 x 1024 permutation matrices would hold 71 MB
+    tracemalloc.start()
+    try:
+        ys = fresh_swap_interleavers(2, 2, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ys) == 4 and all(y.din == y.dout == 1024 for y in ys)
+    assert peak < 2**20
+
+
+def _dense_interleavers(ys):
+    """The same interleavers as Kraus channels of their dense permutations."""
+    return [KrausChannel.from_ops([factor_permutation(y.dims, y.perm)]) for y in ys]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("preset", ["fresh-swap", "identity-rewire"])
+def test_sequential_permutation_interleavers_match_dense_exactly(rng, preset, n):
+    ch = gp_channel(rng, 2)
+    if preset == "fresh-swap":
+        ys = fresh_swap_interleavers(2, 2, n)
+        st = PureState(random_pure(rng, 4**n), SystemShape((2, 2 * 4 ** (n - 1))))
+    else:
+        ys = identity_rewire_interleavers(2, 3, n)
+        st = PureState(random_pure(rng, 6), SystemShape((2, 3)))
+    got = repeated_output(ch, Strategy("sequential", n, st, ys))
+    want = repeated_output(ch, Strategy("sequential", n, st, _dense_interleavers(ys)))
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +226,22 @@ def test_parallel_product_input_matches_dense_route(rng, monkeypatch, d, n):
     assert max_abs(got - want) <= 1e-12
 
 
+def test_parallel_product_input_takes_one_svd_per_cut(rng, monkeypatch):
+    ch = gp_channel(rng, 2)
+    refs = (2, 1, 3, 1)
+    st = pair_product(rng, 2, refs)
+    shapes = []
+    real = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(repetition.np.linalg, "svd", spy)
+    repeated_output(ch, Strategy("parallel", 4, st))
+    assert shapes == [(4, 24), (2, 12), (6, 2)]
+
+
 def entangled_at_cut(rng, weight, cut):
     """Three qubit-with-qubit-reference pairs, a product except across the
     cut after pair `cut` (0 or 1), whose Schmidt weight beyond the leading
@@ -171,7 +261,9 @@ def test_parallel_input_entangled_across_a_cut_takes_dense_route(rng, monkeypatc
     ch = qubit_fam().members[0][1]
     st = entangled_at_cut(rng, weight, cut)
     strat = Strategy("parallel", 3, st)
-    assert repetition._output_factors(ch, strat) is None
+    # the two pairs beside the cut are one group, the third pair its own
+    factors = repetition._output_factors(ch, strat)
+    assert [f.shape[0] for f in factors] == ([16, 4] if cut == 0 else [4, 16])
     calls = []
     real = repetition._block_outputs
 
@@ -181,8 +273,46 @@ def test_parallel_input_entangled_across_a_cut_takes_dense_route(rng, monkeypatc
 
     monkeypatch.setattr(repetition, "_block_outputs", spy)
     out = repeated_output(ch, strat)
-    assert len(calls) == 1
+    assert [psi.shape.factor_dims for _, psi, _, _ in calls] == [(2, 2, 2, 2)]
     assert max_abs(out - _dense_block_output(ch, st, 3)) < 1e-12
+
+
+def grouped_input(rng, d, refs, groups):
+    """A product over consecutive groups of (channel x reference) pairs, each
+    group a random pure state of its pairs, entangled inside the group."""
+    vecs, dims, first = [], (), 0
+    for size in groups:
+        group = refs[first : first + size]
+        vecs.append(random_pure(rng, int(np.prod([d * r for r in group]))))
+        dims += tuple(x for r in group for x in (d, r))
+        first += size
+    return PureState(reduce(np.kron, vecs), SystemShape(dims))
+
+
+GROUPINGS = [(2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2), (1, 3), (3, 1), (4,), (2, 1, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("groups", GROUPINGS, ids=lambda g: "-".join(map(str, g)))
+def test_parallel_grouped_input_builds_each_group_alone(rng, monkeypatch, groups):
+    ch = gp_channel(rng, 2)
+    n = sum(groups)
+    refs = (2, 1, 2, 2, 1, 2)[:n]
+    st = grouped_input(rng, 2, refs, groups)
+    want = repetition._block_outputs(ch, st, 2, n)
+    calls = []
+    real = repetition._block_outputs
+
+    def spy(ch_, psi, d, n_block):
+        calls.append(n_block)
+        return real(ch_, psi, d, n_block)
+
+    monkeypatch.setattr(repetition, "_block_outputs", spy)
+    got = repeated_output(ch, Strategy("parallel", n, st))
+    # one dense call per entangled group, none on the full joint state
+    # unless the whole input is one group
+    assert sorted(calls) == sorted(size for size in groups if size > 1)
+    assert got.shape == want.shape
+    assert max_abs(got - want) <= 1e-12
 
 
 def test_sequential_identity_rewire_composes():
