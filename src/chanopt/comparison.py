@@ -6,19 +6,21 @@ another over all s >= 0 is necessary for the "always at least as
 informative" ordering of the two output pairs; it is also sufficient when
 the dominating pair commutes, and in general a channel mapping one pair onto
 the other (cptp_feasible) certifies the ordering directly. dominance_check
-sweeps every member pair once: a pair the challenger beats anywhere refutes
-"dominates", one the candidate beats refutes "dominated", and only the
-direction the sweep leaves open is certified, pair by pair. With three or
-more members a positive verdict is pairwise evidence, not one channel for
-the whole family.
+sweeps every member pair once, every pair of a comparison in one batch: a
+pair the challenger beats anywhere refutes "dominates", one the candidate
+beats refutes "dominated", and only the direction the sweep leaves open is
+certified, pair by pair. With three or more members a positive verdict is
+pairwise evidence, not one channel for the whole family.
 
 A commuting pair's curve is sum_i |p_i - s q_i| over its joint eigenvalues
 (_joint_spectrum, the package's one joint-eigenbasis routine); it is read
 that way whenever the joint eigenbasis is accurate enough to prove the
 closed form within SWEEP_TOL / 10 (_sweep_operands). Any other pair's curve
 is |tr a - s tr b| wherever a - s b is proven semidefinite within
-SWEEP_TOL / 10 (_hermitian_sweep), and one stacked eigendecomposition
-covers the indefinite middle of the grid.
+SWEEP_TOL / 10, and a stacked eigendecomposition covers the indefinite
+middle of the grid (_hermitian_sweeps). _sweep runs each step once for a
+whole batch of pairs: one commutator gate, one semidefinite guess and one
+eigvalsh over every pair's certifying points and middle, per dimension.
 """
 from __future__ import annotations
 
@@ -31,8 +33,8 @@ from .channels import ChoiMatrix
 from .numerics import (
     as_matrix,
     dagger,
+    density_mask,
     hermitian_eig,
-    is_density,
     max_abs,
     trace_norm,
 )
@@ -77,55 +79,83 @@ def sweep_norms(a, b, s) -> np.ndarray:
 
     a and b are either the paired joint eigenvalues (p, q) of a commuting
     pair, which take the closed form sum_i |p_i - s_k q_i|, or a pair of
-    Hermitian matrices, which take _hermitian_sweep: the closed form
-    |tr a - s_k tr b| where a - s_k b is semidefinite, each such value proven
-    within SWEEP_TOL / 10 of the norm (the bounds are in _hermitian_sweep),
-    and one stacked eigvalsh at the other s_k.
+    Hermitian matrices, which take _hermitian_sweeps as a batch of one: the
+    closed form |tr a - s_k tr b| where a - s_k b is semidefinite, each such
+    value proven within SWEEP_TOL / 10 of the norm, and one stacked eigvalsh
+    at the other s_k.
     """
     s = np.asarray(s, dtype=float).reshape(-1)
     if np.ndim(a) == 1:
         p, q = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         return np.abs(p - s[:, None] * q).sum(axis=1)
-    return _hermitian_sweep(as_matrix(a), as_matrix(b), s)
+    return _hermitian_sweeps([(as_matrix(a), as_matrix(b))], [s])[0]
 
 
-def _stacked_eigvalsh(a, b, s) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part of a - s_k b, one row per
-    s_k, from one stacked eigvalsh."""
-    stack = a[None, :, :] - s[:, None, None] * b[None, :, :]
-    return np.linalg.eigvalsh(0.5 * (stack + stack.conj().swapaxes(1, 2)))
+def _by_dimension(pairs):
+    """(indices, stacked first members, stacked second members) of the
+    pairs of each matrix dimension."""
+    dims = {}
+    for i, (a, _) in enumerate(pairs):
+        dims.setdefault(len(a), []).append(i)
+    for idx in dims.values():
+        yield idx, np.array([pairs[i][0] for i in idx]), np.array([pairs[i][1] for i in idx])
 
 
-def _semidefinite_ends(a, b) -> tuple[float, float]:
-    """A guess (lo, hi) with a - s b >= 0 for s <= lo and <= 0 for s >= hi.
+def _stacked_eigvalsh(a, b, pair, s) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of a[j] - s_k b[j] with
+    j = pair[k], one row per s_k, from one stacked eigvalsh. In place, so
+    that at most two copies of the stack are alive at once."""
+    stack, sb = a[pair], b[pair]
+    sb *= s[:, None, None]
+    stack -= sb
+    del sb
+    stack += stack.conj().swapaxes(1, 2)
+    stack *= 0.5
+    return np.linalg.eigvalsh(stack)
+
+
+def _semidefinite_ends(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Guesses (lo, hi), one per pair of the stacks a and b, with
+    a - s b >= 0 for s <= lo and <= 0 for s >= hi.
 
     For PSD a and b, c = a + b vanishes exactly where both do, and on the
     range of c, a - s b = c^1/2 (m - s (1 - m)) c^1/2 with m = c^-1/2 a c^-1/2,
     whose eigenvalues t lie in [0, 1]. So a - s b >= 0 iff s <= t_min /
     (1 - t_min) and <= 0 iff s >= t_max / (1 - t_max), infinite at t = 1.
     Eigenvalues of c below 1e-12 of its largest count as outside its range;
-    with no range left the guess is (0, inf), which closes no s > 0. Nothing
-    here is trusted: _hermitian_sweep certifies what it uses.
+    with no range left the guess is (0, inf), which closes no s > 0. One
+    stacked eigh covers every c and one stacked eigvalsh every full-rank m;
+    an m of lower rank is projected on its own. Nothing here is trusted:
+    _hermitian_sweeps certifies what it uses.
     """
     w, v = np.linalg.eigh(a + b)
-    keep = w > 1e-12 * max(float(w[-1]), 0.0)
-    if not keep.any():
-        return 0.0, np.inf
-    vr = v[:, keep] / np.sqrt(w[keep])
-    t = np.linalg.eigvalsh(dagger(vr) @ a @ vr)
-    lo, hi = float(t[0]), float(t[-1])
-    return (lo / (1.0 - lo) if lo < 1.0 else np.inf), (hi / (1.0 - hi) if hi < 1.0 else np.inf)
+    keep = w > 1e-12 * np.maximum(w[:, -1:], 0.0)
+    rank = keep.sum(axis=1)
+    t = np.zeros((len(a), 2))
+    t[:, 1] = 1.0
+    full = rank == a.shape[1]
+    if full.any():
+        vr = v[full] / np.sqrt(w[full])[:, None, :]
+        t[full] = np.linalg.eigvalsh(vr.conj().swapaxes(1, 2) @ a[full] @ vr)[:, [0, -1]]
+    for j in np.flatnonzero((rank > 0) & ~full):
+        vr = v[j][:, keep[j]] / np.sqrt(w[j][keep[j]])
+        lam = np.linalg.eigvalsh(dagger(vr) @ a[j] @ vr)
+        t[j] = lam[0], lam[-1]
+    ends = np.divide(t, 1.0 - t, out=np.full(t.shape, np.inf), where=t < 1.0)
+    return ends[:, 0], ends[:, 1]
 
 
-def _hermitian_sweep(a, b, s) -> np.ndarray:
-    """||a - s_k b||_1 of a Hermitian pair: |tr a - s_k tr b| at the s_k > 0
-    outside the indefinite middle that _semidefinite_ends guesses, one
-    stacked eigvalsh at the rest.
+def _hermitian_sweeps(pairs, grids) -> list[np.ndarray]:
+    """||a - s_k b||_1 of each Hermitian pair (a, b) at the s_k of its grid:
+    |tr a - s_k tr b| at the s_k > 0 outside the indefinite middle that
+    _semidefinite_ends guesses, one stacked eigvalsh at the rest of every
+    pair of a dimension.
 
-    The stack also holds s = 0 and the last point of each closed side: s_k,
-    the largest s on the PSD side, and s_m, the smallest on the NSD side.
-    With the computed violations delta_a = max(0, -lambda_min(a)), delta_k =
-    max(0, -lambda_min(a - s_k b)) and delta_m = max(0, lambda_max(a - s_m b)):
+    The stack also holds each guessed pair's s = 0 and the last point of
+    each closed side: s_k, the largest s on the PSD side, and s_m, the
+    smallest on the NSD side. With the computed violations delta_a = max(0,
+    -lambda_min(a)), delta_k = max(0, -lambda_min(a - s_k b)) and delta_m =
+    max(0, lambda_max(a - s_m b)):
 
     - lambda_min(a - s b) is concave in s, so it is >= -max(delta_a,
       delta_k) on [0, s_k]; as ||X||_1 - tr X is twice the negative mass of
@@ -137,36 +167,77 @@ def _hermitian_sweep(a, b, s) -> np.ndarray:
 
     The closed form is taken only when both bounds are at most
     SWEEP_TOL / 10, the rule _sweep_operands applies to commuting pairs;
-    otherwise the whole grid is stacked. A stacked s_k gets the same bits
-    in any stack, so the values do not depend on where the split falls.
+    a pair that fails it has its whole grid stacked in a second eigvalsh,
+    and a pair whose guess closes nothing has its whole grid in the first.
+    A stacked s_k gets the same bits in any stack, so the values depend
+    neither on where the split falls nor on the other pairs of the batch.
     """
-    lo, hi = _semidefinite_ends(a, b)
-    psd = (s > 0) & (s <= lo)
-    nsd = (s > 0) & (s >= hi) & ~psd
-    s_k = s[psd].max(initial=0.0)
-    s_m = s[nsd].min(initial=np.inf)
-    closed = (psd & (s < s_k)) | (nsd & (s > s_m))
-    if closed.any():
-        stacked = ~closed
-        # with no s on the NSD side, a stands in for a - s_m b and is not read
-        ends = [0.0, s_k, s_m if nsd.any() else 0.0]
-        lam = _stacked_eigvalsh(a, b, np.concatenate([ends, s[stacked]]))
-        d = len(a)
-        delta_a = max(-lam[0, 0], 0.0)
-        err = 2 * d * max(delta_a, -lam[1, 0])
-        if nsd.any():
-            err = max(err, 2 * d * (s.max() / s_m) * (max(lam[2, -1], 0.0) + delta_a))
-        if err <= SWEEP_TOL / 10:
-            norms = np.empty(len(s))
-            norms[stacked] = np.abs(lam[3:]).sum(axis=1)
-            norms[closed] = np.abs(np.trace(a).real - s[closed] * np.trace(b).real)
-            return norms
-    return np.abs(_stacked_eigvalsh(a, b, s)).sum(axis=1)
+    norms = [None] * len(pairs)
+    for idx, a, b in _by_dimension(pairs):
+        d = a.shape[1]
+        # every grid in one zero-padded row; s = 0 closes nothing
+        lengths = [len(grids[i]) for i in idx]
+        valid = np.arange(max(lengths)) < np.array(lengths)[:, None]
+        s = np.zeros(valid.shape)
+        s[valid] = np.concatenate([grids[i] for i in idx])
+        lo, hi = _semidefinite_ends(a, b)
+        pos = s > 0
+        psd = pos & (s <= lo[:, None])
+        nsd = pos & (s >= hi[:, None]) & ~psd
+        s_k = np.where(psd, s, 0.0).max(axis=1, keepdims=True, initial=0.0)
+        s_m = np.where(nsd, s, np.inf).min(axis=1, keepdims=True, initial=np.inf)
+        closed = (psd & (s < s_k)) | (nsd & (s > s_m))
+        middle = valid & ~closed
+        g = np.flatnonzero(closed.any(axis=1))
+        pair, s_stack = np.nonzero(middle)[0], s[middle]
+        if len(g):
+            # each guessed pair's certifying points lead the stack; with no s
+            # on the NSD side, a stands in for a - s_m b and is not read
+            ends = np.zeros((len(g), 3))
+            ends[:, 1:] = np.hstack([s_k, np.where(np.isinf(s_m), 0.0, s_m)])[g]
+            pair = np.concatenate([np.repeat(g, 3), pair])
+            s_stack = np.concatenate([ends.reshape(-1), s_stack])
+        lam = _stacked_eigvalsh(a, b, pair, s_stack)
+        out = np.empty(s.shape)
+        out[middle] = np.abs(lam[3 * len(g) :]).sum(axis=1)
+        if len(g):
+            e = lam[: 3 * len(g)].reshape(-1, 3, d)
+            delta_a = np.maximum(-e[:, 0, 0], 0.0)
+            # the NSD bound is 0 where there is no NSD side (s_m = inf)
+            err = np.maximum(
+                2 * d * np.maximum(delta_a, -e[:, 1, 0]),
+                2 * d * (s[g].max(axis=1) / s_m[g, 0]) * (np.maximum(e[:, 2, -1], 0.0) + delta_a),
+            )
+            tr_a, tr_b = (np.trace(m, axis1=1, axis2=2).real[:, None] for m in (a, b))
+            out[closed] = np.abs(tr_a - s * tr_b)[closed]
+            fail = g[err > SWEEP_TOL / 10]
+            if len(fail):
+                whole = np.zeros_like(valid)
+                whole[fail] = valid[fail]
+                out[whole] = np.abs(_stacked_eigvalsh(a, b, np.nonzero(whole)[0], s[whole])).sum(axis=1)
+        for i, row, k in zip(idx, out, lengths):
+            norms[i] = row[:k]
+    return norms
+
+
+def _commuting(a, b) -> np.ndarray:
+    """Whether a and b commute within COMMUTE_TOL, pair by pair for stacks."""
+    return np.abs(a @ b - b @ a).max(axis=(-2, -1)) <= COMMUTE_TOL
 
 
 def _joint_spectrum(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
     """(V, p, q, r) for a Hermitian pair that commutes within COMMUTE_TOL,
     None for any other pair.
+
+    _joint_basis does the work once the commutator gate has passed.
+    """
+    a = as_matrix(a)
+    b = as_matrix(b)
+    return _joint_basis(a, b) if _commuting(a, b) else None
+
+
+def _joint_basis(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(V, p, q, r) of a commuting Hermitian pair.
 
     Diagonalizes b, then rediagonalizes a inside each (near-)degenerate
     eigenspace of b, eigenvalues within 1e-8 of its scale. V holds the joint
@@ -175,10 +246,6 @@ def _joint_spectrum(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | 
     how far V is from diagonalizing them, which each caller bounds before it
     trusts (p, q).
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if max_abs(a @ b - b @ a) > COMMUTE_TOL:
-        return None
     q, v = hermitian_eig(b)
     scale = max(float(np.abs(q).max()), 1.0)
     ps, cols = [], []
@@ -231,13 +298,38 @@ def _sweep_grid(grid) -> np.ndarray:
     return s
 
 
-def _sweep(pairs, grid):
-    """The joint spectra of the pairs (None where a pair does not commute),
-    the grid merged with every pair's kinks, and each pair's norms there."""
-    spectra = [_joint_spectrum(*pair) for pair in pairs]
-    s = np.unique(np.concatenate([grid, *map(_breakpoints, spectra)]))
-    norms = [sweep_norms(*_sweep_operands(p, sp, s), s) for p, sp in zip(pairs, spectra)]
-    return spectra, s, norms
+def _sweep(groups, grid) -> list[tuple[list, list, np.ndarray, list]]:
+    """Every pair of every group of pairs swept in one batch. Per group: the
+    joint spectra of its pairs (None where a pair does not commute), their
+    kinks, the grid merged with all of them, and each pair's norms there.
+
+    The commutator gate is one stacked product per dimension, and every pair
+    _sweep_operands leaves as matrices goes through one _hermitian_sweeps.
+    """
+    pairs = [pair for group in groups for pair in group]
+    spectra = [None] * len(pairs)
+    for idx, a, b in _by_dimension(pairs):
+        for j in np.flatnonzero(_commuting(a, b)):
+            spectra[idx[j]] = _joint_basis(a[j], b[j])
+    out, dense, start = [], [], 0
+    for group in groups:
+        group_spectra = spectra[start : start + len(group)]
+        start += len(group)
+        kinks = list(map(_breakpoints, group_spectra))
+        s = np.unique(np.concatenate([grid, *kinks]))
+        norms = []
+        for pair, spectrum in zip(group, group_spectra):
+            a, b = _sweep_operands(pair, spectrum, s)
+            if np.ndim(a) == 1:
+                norms.append(sweep_norms(a, b, s))
+            else:  # filled in below, from one batch
+                dense.append((norms, len(norms), (a, b), s))
+                norms.append(None)
+        out.append((group_spectra, kinks, s, norms))
+    batch = _hermitian_sweeps([x[2] for x in dense], [x[3] for x in dense])
+    for (norms, k, _, _), row in zip(dense, batch):
+        norms[k] = row
+    return out
 
 
 def gap_curve(rho_plus, rho_minus, grid=None) -> SweepCurve:
@@ -251,11 +343,9 @@ def gap_curve(rho_plus, rho_minus, grid=None) -> SweepCurve:
     """
     rho_plus = as_matrix(rho_plus)
     rho_minus = as_matrix(rho_minus)
-    if rho_plus.shape != rho_minus.shape:
-        raise ValueError("state pair must share one dimension")
     _check_pair(rho_plus, rho_minus)
-    (spectrum,), s, (norms,) = _sweep([(rho_plus, rho_minus)], _sweep_grid(grid))
-    return SweepCurve(s_values=s, norms=norms, breakpoints=_breakpoints(spectrum))
+    ((_, (kinks,), s, (norms,)),) = _sweep([[(rho_plus, rho_minus)]], _sweep_grid(grid))
+    return SweepCurve(s_values=s, norms=norms, breakpoints=kinks)
 
 
 @dataclass
@@ -293,9 +383,12 @@ def _check_prior(prior: float) -> None:
 
 
 def _check_pair(plus: np.ndarray, minus: np.ndarray) -> None:
-    """Raise unless both matrices are density matrices."""
-    for name, m in (("rho_plus", plus), ("rho_minus", minus)):
-        if not is_density(m):
+    """Raise unless the two matrices share one shape and both are density
+    matrices (one stacked density_mask)."""
+    if plus.shape != minus.shape:
+        raise ValueError("state pair must share one dimension")
+    for name, ok in zip(("rho_plus", "rho_minus"), density_mask(np.array([plus, minus]))):
+        if not ok:
             raise ValueError(f"{name} is not a density matrix")
 
 
@@ -524,11 +617,10 @@ def _validate_family(name: str, fam) -> list[np.ndarray]:
     if len(mats) < 2:
         raise ValueError(f"{name} needs at least two members")
     d = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (d, d):
-            raise ValueError(f"{name} members must share one dimension")
-        if not is_density(m):
-            raise ValueError(f"{name} contains a non-density matrix")
+    if any(m.shape != (d, d) for m in mats):
+        raise ValueError(f"{name} members must share one dimension")
+    if not density_mask(np.array(mats)).all():
+        raise ValueError(f"{name} contains a non-density matrix")
     return mats
 
 
@@ -565,13 +657,14 @@ def dominance_check(
 ) -> ComparisonVerdict:
     """Compare two output families over every member pair.
 
-    Each pair is swept once on the grid and both pairs' kinks; with diff the
-    candidate curve minus the challenger's, the candidate beats where diff >
-    SWEEP_TOL and the challenger where diff < -SWEEP_TOL. A pair where
-    neither beats is a settled tie when it is identical (entries within
-    1e-12) or both of its pairs commute. The witness (witness_s, gap) is the
-    challenger's largest margin over all pairs (first pair, then first s, on
-    ties), reported only when the challenger beats somewhere. Then:
+    Every pair is swept once, all of them in one _sweep batch, each on the
+    grid and both its pairs' kinks; with diff the candidate curve minus the
+    challenger's, the candidate beats where diff > SWEEP_TOL and the
+    challenger where diff < -SWEEP_TOL. A pair where neither beats is a
+    settled tie when it is identical (entries within 1e-12) or both of its
+    pairs commute. The witness (witness_s, gap) is the challenger's largest
+    margin over all pairs (first pair, then first s, on ties), reported only
+    when the challenger beats somewhere. Then:
 
     - both sides beat somewhere: incomparable;
     - only the challenger: dominated when every other pair is a settled tie,
@@ -598,9 +691,8 @@ def dominance_check(
     # method of each tie pair, None unless it is settled
     wins, losses, ties = [], [], []
     witness_s = gap = None
-    for i, j in combinations(range(len(cand)), 2):
-        pc, ph = (cand[i], cand[j]), (chal[i], chal[j])
-        (spec_c, spec_h), s, (norms_c, norms_h) = _sweep([pc, ph], grid)
+    pairs = [((cand[i], cand[j]), (chal[i], chal[j])) for i, j in combinations(range(len(cand)), 2)]
+    for (pc, ph), ((spec_c, spec_h), _, s, (norms_c, norms_h)) in zip(pairs, _sweep(pairs, grid)):
         diff = norms_c - norms_h
         beats, beaten = bool((diff > SWEEP_TOL).any()), bool((diff < -SWEEP_TOL).any())
         if beats:

@@ -185,10 +185,20 @@ DENSITY_TOL = 1e-8
 def is_density(m: np.ndarray) -> bool:
     """Whether m is a density matrix: square, Hermitian with trace 1, and no
     eigenvalue below zero, each within DENSITY_TOL."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1] or not is_hermitian(m, DENSITY_TOL):
-        return False
-    if abs(np.trace(m).real - 1.0) > DENSITY_TOL:
-        return False
-    w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    return bool(w.min() >= -DENSITY_TOL and abs(w.sum() - 1.0) <= DENSITY_TOL)
+    return bool(density_mask(as_matrix(m)))
+
+
+def density_mask(ms) -> np.ndarray:
+    """is_density of every matrix of a stack (..., d, d) of finite complex
+    matrices, from one stacked eigvalsh."""
+    ms = np.asarray(ms, dtype=complex)
+    if ms.shape[-1] != ms.shape[-2]:
+        return np.zeros(ms.shape[:-2], dtype=bool)
+    ms_h = ms.conj().swapaxes(-1, -2)
+    w = np.linalg.eigvalsh(0.5 * (ms + ms_h))
+    return (
+        (np.abs(ms - ms_h).max(axis=(-2, -1)) <= DENSITY_TOL)
+        & (np.abs(np.trace(ms, axis1=-2, axis2=-1).real - 1.0) <= DENSITY_TOL)
+        & (w.min(axis=-1) >= -DENSITY_TOL)
+        & (np.abs(w.sum(axis=-1) - 1.0) <= DENSITY_TOL)
+    )

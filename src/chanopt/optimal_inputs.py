@@ -376,7 +376,7 @@ def measurement_input_certify(fam: ChannelFamily, psi: PureState) -> ComparisonV
             and max_abs(rho - np.eye(din) / din) <= MEASUREMENT_TOL
         ):
             outs = tuple(apply_extended(ch, psi.density(), psi.shape) for _, ch in fam.members)
-            spectra, _, (norms, bound) = _sweep([outs, base], _sweep_grid(None))
+            ((spectra, _, _, (norms, bound)),) = _sweep([[outs, base]], _sweep_grid(None))
             if None not in spectra and np.all(np.abs(norms - bound) <= SWEEP_TOL):
                 return ComparisonVerdict("dominates", method="sweep-sufficient-commuting")
         return ComparisonVerdict("inconclusive", method="sweep-necessary")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from chanopt.channels import make_family
+from chanopt.comparison import SWEEP_TOL
 from chanopt.presets import preset_document
 
 
@@ -146,6 +147,53 @@ def ang_grid_search(x, steps: int):
     best = np.abs(total).min()
     bound = float(np.sum(x[:k])) * (np.pi / steps)
     return float(best), bound
+
+
+def _pencil_ends_oracle(a, b) -> tuple[float, float]:
+    """One pair's semidefinite guess, as the per-pair sweep made it."""
+    w, v = np.linalg.eigh(a + b)
+    keep = w > 1e-12 * max(float(w[-1]), 0.0)
+    if not keep.any():
+        return 0.0, np.inf
+    vr = v[:, keep] / np.sqrt(w[keep])
+    t = np.linalg.eigvalsh(vr.conj().T @ a @ vr)
+    lo, hi = float(t[0]), float(t[-1])
+    return (lo / (1.0 - lo) if lo < 1.0 else np.inf), (hi / (1.0 - hi) if hi < 1.0 else np.inf)
+
+
+def _pencil_eigvalsh_oracle(a, b, s) -> np.ndarray:
+    stack = a[None, :, :] - s[:, None, None] * b[None, :, :]
+    return np.linalg.eigvalsh(0.5 * (stack + stack.conj().swapaxes(1, 2)))
+
+
+def hermitian_sweep_oracle(a, b, s) -> np.ndarray:
+    """||a - s_k b||_1 of one Hermitian pair by the per-pair sweep that the
+    batched comparison._hermitian_sweeps replaced: the same guess, the same
+    certificate and the same stacked eigvalsh, one pair at a time, so the
+    batch must agree with it bit for bit."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    s = np.asarray(s, dtype=float).reshape(-1)
+    lo, hi = _pencil_ends_oracle(a, b)
+    psd = (s > 0) & (s <= lo)
+    nsd = (s > 0) & (s >= hi) & ~psd
+    s_k = s[psd].max(initial=0.0)
+    s_m = s[nsd].min(initial=np.inf)
+    closed = (psd & (s < s_k)) | (nsd & (s > s_m))
+    if closed.any():
+        stacked = ~closed
+        ends = [0.0, s_k, s_m if nsd.any() else 0.0]
+        lam = _pencil_eigvalsh_oracle(a, b, np.concatenate([ends, s[stacked]]))
+        d = len(a)
+        delta_a = max(-lam[0, 0], 0.0)
+        err = 2 * d * max(delta_a, -lam[1, 0])
+        if nsd.any():
+            err = max(err, 2 * d * (s.max() / s_m) * (max(lam[2, -1], 0.0) + delta_a))
+        if err <= SWEEP_TOL / 10:
+            norms = np.empty(len(s))
+            norms[stacked] = np.abs(lam[3:]).sum(axis=1)
+            norms[closed] = np.abs(np.trace(a).real - s[closed] * np.trace(b).real)
+            return norms
+    return np.abs(_pencil_eigvalsh_oracle(a, b, s)).sum(axis=1)
 
 
 def hull_min_norm_oracle(points, steps: int = 200) -> float:

@@ -18,7 +18,7 @@ from chanopt.comparison import (
     sweep_norms,
 )
 from chanopt.numerics import DENSITY_TOL, SystemShape, is_density, max_abs, max_entangled, trace_norm
-from conftest import haar_unitary, random_density, random_pure
+from conftest import haar_unitary, hermitian_sweep_oracle, random_density, random_pure
 
 
 def phi_outputs(fam):
@@ -423,16 +423,17 @@ def test_commuting_verdicts_hold_off_the_grid(rng):
 
 
 def sweep_routes(monkeypatch) -> list[str]:
-    """Record, per sweep_norms call inside comparison, whether it was given
-    a joint spectrum or the matrices themselves."""
+    """Record, per pair that _sweep sweeps, whether _sweep_operands handed it
+    on as a joint spectrum or as the matrices themselves."""
     routes = []
-    kernel = comparison.sweep_norms
+    kernel = comparison._sweep_operands
 
-    def spy(a, b, s):
-        routes.append("spectrum" if np.ndim(a) == 1 else "matrices")
-        return kernel(a, b, s)
+    def spy(pair, spectrum, s):
+        ops = kernel(pair, spectrum, s)
+        routes.append("spectrum" if np.ndim(ops[0]) == 1 else "matrices")
+        return ops
 
-    monkeypatch.setattr(comparison, "sweep_norms", spy)
+    monkeypatch.setattr(comparison, "_sweep_operands", spy)
     return routes
 
 
@@ -496,13 +497,14 @@ def test_commuting_pair_off_the_guard_takes_the_stacked_route(rng, monkeypatch):
 
 
 def stacked_grids(monkeypatch) -> list[np.ndarray]:
-    """Record the s values of every stacked eigvalsh inside comparison."""
+    """Record the s values that every stacked eigvalsh inside comparison
+    takes for each of its pairs, pair by pair in stack order."""
     grids = []
     kernel = comparison._stacked_eigvalsh
 
-    def spy(a, b, s):
-        grids.append(np.array(s))
-        return kernel(a, b, s)
+    def spy(a, b, pair, s):
+        grids.extend(np.array(s[pair == j]) for j in dict.fromkeys(pair.tolist()))
+        return kernel(a, b, pair, s)
 
     monkeypatch.setattr(comparison, "_stacked_eigvalsh", spy)
     return grids
@@ -577,13 +579,19 @@ def test_boundary_on_the_grid_keeps_the_closed_form(rng, monkeypatch):
         assert len(grids) == 1 and len(grids.pop()) < len(s)
 
 
+def member_below_zero(rng, d):
+    """A d x d state whose lowest eigenvalue is -DENSITY_TOL / 2: it passes
+    is_density, and a - s b need not be semidefinite where the guess says."""
+    w, v = np.linalg.eigh(random_density(rng, d))
+    w = np.concatenate([[-DENSITY_TOL / 2], w[1:]])
+    return (v * (w / w.sum())) @ v.conj().T
+
+
 def test_member_below_zero_is_refused_the_closed_form(rng, monkeypatch):
     """A member with an eigenvalue at -DENSITY_TOL / 2 still passes
     is_density, but a - s b need not be semidefinite where the guess says:
     the certificate fails and the whole grid is stacked."""
-    w, v = np.linalg.eigh(random_density(rng, 3))
-    w = np.array([-DENSITY_TOL / 2, w[1], w[2]])
-    a = (v * (w / w.sum())) @ v.conj().T
+    a = member_below_zero(rng, 3)
     b = random_density(rng, 3)
     assert is_density(a)
     grids = stacked_grids(monkeypatch)
@@ -592,6 +600,155 @@ def test_member_below_zero_is_refused_the_closed_form(rng, monkeypatch):
     want = np.array([trace_norm(a - t * b) for t in c.s_values])
     assert np.all(np.abs(c.norms - want) <= 1e-12 * (1.0 + c.s_values))
     assert_matches_trace_norm(b, a, c.s_values)
+
+
+def test_batch_matches_the_per_pair_sweep_bit_for_bit(rng, monkeypatch):
+    """One _hermitian_sweeps call over pairs of every route gives each pair
+    exactly the norms of the per-pair sweep it replaced: d = 2..5 at every
+    pair of ranks, identical, disjoint, zero and t = 1 pairs, Weyl pairs
+    with a pencil boundary on the grid, grids of several lengths (one of
+    them empty), and a member below zero, whose failed certificate stacks
+    its whole grid in the one extra eigvalsh of its dimension."""
+    grid = default_grid()
+    pairs, grids = [], []
+
+    def add(a, b, s=grid):
+        pairs.append((np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
+        grids.append(s)
+
+    for d in range(2, 6):
+        for ra in range(1, d + 1):
+            for rb in range(1, d + 1):
+                add(random_density(rng, d, ra), random_density(rng, d, rb))
+                add(random_density(rng, d, rb), random_density(rng, d, ra), grid[1:])
+        a = random_density(rng, d)
+        add(a, a)
+        e = np.eye(d)
+        add(np.diag(e[0]), np.diag(e[-1]))
+        add(np.diag(e[0] + e[1]) / 2, np.diag(e[1] + e[-1]) / 2)
+        add(np.zeros((d, d)), np.zeros((d, d)))
+    for _ in range(5):
+        thetas = rng.dirichlet(np.ones(4), size=2)
+        add(*weyl_pair(rng, thetas), np.unique(np.concatenate([grid, thetas[0] / thetas[1]])))
+    below = member_below_zero(rng, 3)
+    add(below, random_density(rng, 3))
+    add(random_density(rng, 3), random_density(rng, 3), grid[:0])
+    calls = []
+    kernel = comparison._stacked_eigvalsh
+
+    def spy(a, b, pair, s):
+        calls.append((len(a[0]), np.array(s[pair == pair[-1]])))
+        return kernel(a, b, pair, s)
+
+    monkeypatch.setattr(comparison, "_stacked_eigvalsh", spy)
+    norms = comparison._hermitian_sweeps(pairs, grids)
+    for (a, b), s, got in zip(pairs, grids, norms):
+        assert np.array_equal(got, hermitian_sweep_oracle(a, b, s))
+    # one stacked eigvalsh per dimension, and one more for the pair below zero
+    assert [d for d, _ in calls] == [2, 3, 3, 4, 5]
+    assert np.array_equal(calls[2][1], grid)
+
+
+def test_noncommuting_family_takes_one_stacked_sweep(rng, monkeypatch):
+    """A 5-member comparison of noncommuting qutrit families sends all 20
+    member pairs through one stacked guess and one stacked eigvalsh."""
+    cand = [random_density(rng, 3) for _ in range(5)]
+    chal = [random_density(rng, 3) for _ in range(5)]
+    sweeps, guesses = [], []
+    kernel, guess = comparison._stacked_eigvalsh, comparison._semidefinite_ends
+
+    def spy_sweep(a, b, pair, s):
+        sweeps.append(len(set(pair.tolist())))
+        return kernel(a, b, pair, s)
+
+    def spy_guess(a, b):
+        guesses.append(len(a))
+        return guess(a, b)
+
+    monkeypatch.setattr(comparison, "_stacked_eigvalsh", spy_sweep)
+    monkeypatch.setattr(comparison, "_semidefinite_ends", spy_guess)
+    dominance_check(cand, chal, certify=False)
+    assert sweeps == [20] and guesses == [20]
+
+
+def per_pair_sweep(groups, grid):
+    """_sweep as it was before batching: group by group and pair by pair,
+    the noncommuting pairs through hermitian_sweep_oracle."""
+    out = []
+    for group in groups:
+        spectra = [_joint_spectrum(*pair) for pair in group]
+        kinks = [comparison._breakpoints(spectrum) for spectrum in spectra]
+        s = np.unique(np.concatenate([grid, *kinks]))
+        norms = []
+        for pair, spectrum in zip(group, spectra):
+            a, b = comparison._sweep_operands(pair, spectrum, s)
+            norms.append(sweep_norms(a, b, s) if np.ndim(a) == 1 else hermitian_sweep_oracle(a, b, s))
+        out.append((spectra, kinks, s, norms))
+    return out
+
+
+def seeded_families(rng, members, kind):
+    """(candidate, challenger) outputs of one of five kinds: independent
+    random states, identical families, a commuting family against its image
+    under a random channel (and the reverse), and a noncommuting family
+    against its image."""
+    d = int(rng.integers(2, 4))
+    if kind == "random":
+        return [random_density(rng, d) for _ in range(members)], [random_density(rng, d) for _ in range(members)]
+    if kind == "identical":
+        fam = [random_density(rng, d) for _ in range(members)]
+        return fam, [m.copy() for m in fam]
+    if kind == "noncommuting-image":
+        src = [random_density(rng, d) for _ in range(members)]
+    else:
+        u = haar_unitary(rng, d)
+        src = [u @ np.diag(p) @ u.conj().T for p in rng.dirichlet(np.ones(d), size=members)]
+    ks = random_kraus(rng, d, d, 2)
+    image = [sum(k @ m @ k.conj().T for k in ks) for m in src]
+    return (image, src) if kind == "commuting-source" else (src, image)
+
+
+def test_family_verdicts_match_the_per_pair_route(rng, monkeypatch):
+    """On 300 seeded 2-, 3- and 5-member families of every route, the
+    batched sweep gives every verdict field for field, witness_s and gap to
+    the bit, as sweeping pair by pair with the per-pair kernel does."""
+    kinds = ("random", "identical", "commuting-image", "commuting-source", "noncommuting-image")
+    cases = [seeded_families(rng, m, kinds[k % 5]) for m in (2, 3, 5) for k in range(100)]
+    batch = [dominance_check(c, h, certify=False) for c, h in cases]
+    monkeypatch.setattr(comparison, "_sweep", per_pair_sweep)
+    assert [dominance_check(c, h, certify=False) for c, h in cases] == batch
+    assert {v.relation for v in batch} == {"dominates", "dominated", "equivalent", "incomparable", "inconclusive"}
+
+
+def test_gap_curve_reports_the_kinks_it_merged(monkeypatch):
+    """gap_curve finds a commuting pair's kinks once, merges them into the
+    grid and reports those same kinks."""
+    calls = []
+    real = comparison._breakpoints
+
+    def spy(spectrum):
+        calls.append(spectrum)
+        return real(spectrum)
+
+    monkeypatch.setattr(comparison, "_breakpoints", spy)
+    c = gap_curve(np.diag([0.5, 0.5]), np.diag([1.0, 0.0]), grid=[0.0, 1.0])
+    assert len(calls) == 1
+    assert c.breakpoints.tolist() == [0.5]
+    assert c.s_values.tolist() == [0.0, 0.5, 1.0]
+
+
+def test_density_errors_name_the_member():
+    good, bad = np.eye(2) / 2, np.eye(2)
+    with pytest.raises(ValueError, match="^rho_plus is not a density matrix$"):
+        gap_curve(bad, good)
+    with pytest.raises(ValueError, match="^rho_minus is not a density matrix$"):
+        gap_curve(good, bad)
+    with pytest.raises(ValueError, match="^state pair must share one dimension$"):
+        gap_curve(good, np.eye(3) / 3)
+    with pytest.raises(ValueError, match="^candidate_outputs contains a non-density matrix$"):
+        dominance_check([good, bad], [good, good])
+    with pytest.raises(ValueError, match="^challenger_outputs contains a non-density matrix$"):
+        dominance_check([good, good], [good, bad])
 
 
 def test_grid_must_be_finite(rng):

@@ -8,6 +8,7 @@ from chanopt.numerics import (
     SystemShape,
     basis_vector,
     dagger,
+    density_mask,
     exceeds_dim_guard,
     hermitian_eig,
     is_density,
@@ -101,6 +102,32 @@ def test_is_density(rng):
     assert is_density(np.eye(2) / 2)
     assert not is_density(np.eye(2))
     assert not is_density(np.diag([1.5, -0.5]))
+
+
+def test_density_mask_agrees_with_the_definition(rng):
+    """The stacked check gives, matrix by matrix, the literal definition:
+    Hermitian, trace 1 and no eigenvalue below zero, each within 1e-8."""
+    w, v = np.linalg.eigh(random_density(rng, 3))
+    mats = [random_density(rng, 3), np.eye(3) / 3, np.diag([1.5, -0.25, -0.25])]
+    for low in (-5e-9, -2e-8):  # one eigenvalue just inside, then outside
+        lam = np.array([low, w[1], w[2]])
+        mats.append((v * (lam / lam.sum())) @ v.conj().T)
+    skew = random_density(rng, 3).astype(complex)
+    skew[0, 1] += 2e-8  # Hermitian only to 2e-8
+    mats += [skew, 1.01 * random_density(rng, 3)]
+    want = []
+    for m in mats:
+        lam = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        want.append(bool(
+            np.abs(m - m.conj().T).max() <= 1e-8
+            and abs(np.trace(m).real - 1.0) <= 1e-8
+            and lam.min() >= -1e-8
+        ))
+    assert want == [True, True, False, True, False, False, False]
+    assert density_mask(np.array(mats)).tolist() == want
+    assert [is_density(m) for m in mats] == want
+    assert density_mask(np.zeros((2, 2, 3))).tolist() == [False, False]
+    assert not is_density(np.ones((2, 3)) / 2)
 
 
 def test_hermitian_eig_reconstructs(rng):

@@ -661,13 +661,13 @@ def test_identical_risk_checks_the_single_use_pair_not_its_powers(monkeypatch, m
     plan = AdaptivePlan((1, 1, 1), (basis_menu(),) * 3)
     want = adaptive_vs_identical(fam, 0.4, plan)
     checked = []
-    real = comparison.is_density
+    real = comparison.density_mask
 
-    def spy(m):
-        checked.append(np.shape(m)[0])
-        return real(m)
+    def spy(ms):
+        checked.append(np.shape(ms)[-1])
+        return real(ms)
 
-    monkeypatch.setattr(comparison, "is_density", spy)
+    monkeypatch.setattr(comparison, "density_mask", spy)
     assert adaptive_vs_identical(fam, 0.4, plan) == want
     # block outputs and the Bell outputs are 2 or 4 dimensional, the
     # three-use powers 64
