@@ -24,6 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .numerics import (
+    _SLAB_ENTRIES,
     DIM_GUARD,
     SystemShape,
     around_factor,
@@ -35,10 +36,6 @@ from .numerics import (
 )
 
 DEFAULT_TOL = 1e-9
-
-# Entries of rho contracted per slab in apply_at_factor: 1 MB of complex
-# numbers, small enough for the temporaries to stay in cache.
-_SLAB_ENTRIES = 1 << 16
 
 # What one Kraus operator costs apply_at_factor per entry, in units of one
 # multiplication of the superoperator matmul. The Kraus route is bound by

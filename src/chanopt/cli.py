@@ -40,7 +40,15 @@ from .channels import (
     make_family,
     validate_cptp,
 )
-from .numerics import DIM_GUARD, PureState, SystemShape, basis_vector, max_abs, max_entangled
+from .numerics import (
+    DIM_GUARD,
+    PureState,
+    SystemShape,
+    basis_vector,
+    max_abs,
+    max_entangled,
+    sorted_unique,
+)
 from .presets import preset_document
 
 EXIT_OK = 0
@@ -349,7 +357,7 @@ def _cmd_sweep(doc, ana, inputs, fam, args):
             raise ConstraintViolation(f"{where}: s must be nonnegative")
     if points == 0 and not extra:
         raise ConstraintViolation("analysis.points: no points and no extra_s: empty s grid")
-    grid = np.unique(np.concatenate([np.linspace(0.0, s_max, points), extra]))
+    grid = sorted_unique(np.concatenate([np.linspace(0.0, s_max, points), extra]))
 
     labels = fam.labels()
     curves = []

@@ -20,22 +20,25 @@ is |tr a - s tr b| wherever a - s b is proven semidefinite within
 SWEEP_TOL / 10, and a stacked eigendecomposition covers the indefinite
 middle of the grid (_hermitian_sweeps). _sweep runs each step once for a
 whole batch of pairs: one commutator gate, one semidefinite guess and one
-eigvalsh over every pair's certifying points and middle, per dimension.
+eigvalsh (in slabs) over every pair's certifying points and middle, per dimension.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from .channels import ChoiMatrix
 from .numerics import (
+    _SLAB_ENTRIES,
     as_matrix,
     dagger,
     density_mask,
     hermitian_eig,
     max_abs,
+    sorted_unique,
     trace_norm,
 )
 
@@ -103,15 +106,21 @@ def _by_dimension(pairs):
 
 def _stacked_eigvalsh(a, b, pair, s) -> np.ndarray:
     """Ascending eigenvalues of the Hermitian part of a[j] - s_k b[j] with
-    j = pair[k], one row per s_k, from one stacked eigvalsh. In place, so
-    that at most two copies of the stack are alive at once."""
-    stack, sb = a[pair], b[pair]
-    sb *= s[:, None, None]
-    stack -= sb
-    del sb
-    stack += stack.conj().swapaxes(1, 2)
-    stack *= 0.5
-    return np.linalg.eigvalsh(stack)
+    j = pair[k], one row per s_k, by stacked eigvalsh over slabs of at most
+    _SLAB_ENTRIES entries; each matrix goes through LAPACK on its own. In
+    place, so that at most two copies of a slab are alive at once."""
+    lam = np.empty((len(pair), a.shape[1]))
+    step = max(1, _SLAB_ENTRIES // a[0].size)
+    for k in range(0, len(pair), step):
+        j = slice(k, k + step)
+        stack, sb = a[pair[j]], b[pair[j]]
+        sb *= s[j, None, None]
+        stack -= sb
+        del sb
+        stack += stack.conj().swapaxes(1, 2)
+        stack *= 0.5
+        lam[j] = np.linalg.eigvalsh(stack)
+    return lam
 
 
 def _semidefinite_ends(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -266,7 +275,7 @@ def _breakpoints(spectrum) -> np.ndarray:
         return np.array([])
     _, p, q, _ = spectrum
     mask = q > 1e-12
-    bp = np.unique(p[mask] / q[mask])
+    bp = sorted_unique(p[mask] / q[mask])
     return bp[bp >= 0]
 
 
@@ -316,7 +325,7 @@ def _sweep(groups, grid) -> list[tuple[list, list, np.ndarray, list]]:
         group_spectra = spectra[start : start + len(group)]
         start += len(group)
         kinks = list(map(_breakpoints, group_spectra))
-        s = np.unique(np.concatenate([grid, *kinks]))
+        s = sorted_unique(np.concatenate([grid, *kinks]))
         norms = []
         for pair, spectrum in zip(group, group_spectra):
             a, b = _sweep_operands(pair, spectrum, s)
@@ -430,26 +439,28 @@ class FeasibilityResult:
 
 
 def _herm(m):
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
-def _hermitian_basis(d: int) -> np.ndarray:
-    """An orthonormal basis of the d x d Hermitian matrices, shape (d^2, d, d)."""
-    basis = np.zeros((d, d, d, d), dtype=complex)
-    for a in range(d):
-        basis[a, a, a, a] = 1.0
-        for b in range(a + 1, d):
-            basis[a, b, a, b] = basis[a, b, b, a] = np.sqrt(0.5)
-            basis[b, a, a, b] = -1j * np.sqrt(0.5)
-            basis[b, a, b, a] = 1j * np.sqrt(0.5)
-    return basis.reshape(d * d, d, d)
-
-
-def _max_step(m_chol_inv, dm) -> float:
-    """Largest t keeping m + t dm PSD (inf if every t >= 0 does), from the
-    inverse Cholesky factor of m."""
-    lam = float(np.linalg.eigvalsh(_herm(m_chol_inv @ dm @ m_chol_inv.conj().T))[0])
-    return -1.0 / lam if lam < 0 else np.inf
+@lru_cache(maxsize=16)
+def _shape_constants(di: int, do: int) -> tuple[np.ndarray, ...]:
+    """Orthonormal bases of the d_out and d_in Hermitian matrices, shape
+    (d^2, d, d), and the partial-trace constraints 1 (x) F with their values
+    tr F: read-only, as every cptp_feasible call of the shape shares them."""
+    bases = []
+    for d in (do, di):
+        basis = np.zeros((d, d, d, d), dtype=complex)
+        k, (i, j) = np.arange(d), np.triu_indices(d, 1)
+        basis[k, k, k, k] = 1.0
+        basis[i, j, i, j] = basis[i, j, j, i] = np.sqrt(0.5)
+        basis[j, i, i, j] = -1j * np.sqrt(0.5)
+        basis[j, i, j, i] = 1j * np.sqrt(0.5)
+        bases.append(basis.reshape(d * d, d, d))
+    block = np.einsum("ab,pij->paibj", np.eye(do), bases[1]).reshape(di * di, do * di, do * di)
+    out = (*bases, block, np.trace(bases[1], axis1=1, axis2=2).real)
+    for m in out:
+        m.setflags(write=False)
+    return out
 
 
 def cptp_feasible(sources, targets) -> FeasibilityResult:
@@ -462,9 +473,10 @@ def cptp_feasible(sources, targets) -> FeasibilityResult:
     at most d_in, and both it and its dual max b'.y s.t. 1 - A'*(y) >= 0 are
     strictly feasible. Dependent constraint rows are dropped once by an SVD;
     an inconsistent system is refuted by its least-squares residual (a
-    linear Farkas certificate). One infeasible-start primal-dual
-    interior-point method (HKM direction, Mehrotra predictor-corrector) then
-    closes the gap from both sides. The status is one of:
+    linear Farkas certificate). The projection of V = 1 onto A'(V) = b' is
+    tried as a channel first; failing that, one infeasible-start primal-dual
+    interior-point method (HKM direction, Mehrotra predictor-corrector) from
+    V = 1 closes the gap from both sides. The status is one of:
 
     - "feasible": choi is a verified Choi matrix, its constraint violation
       and most negative eigenvalue both within CPTP_STOP_TOL.
@@ -477,8 +489,8 @@ def cptp_feasible(sources, targets) -> FeasibilityResult:
       verdict, not a proof.
 
     feasible is True exactly for "feasible"; iterations counts the
-    interior-point steps taken, and residual is the violation of choi, the
-    last iterate.
+    interior-point steps taken (0: the projected start was a channel), and
+    residual is the violation of choi, the last iterate.
     """
     sources = [as_matrix(m) for m in sources]
     targets = [as_matrix(m) for m in targets]
@@ -495,23 +507,15 @@ def cptp_feasible(sources, targets) -> FeasibilityResult:
 
     n = do * di
     src, tgt = np.array(sources), np.array(targets)
-    e_out, e_in = _hermitian_basis(do), _hermitian_basis(di)
+    e_out, e_in, trace_block, trace_b = _shape_constants(di, do)
     # constraint p is tr(A_p W) = b_p: the image constraints E (x) rho^T with
     # tr(E sigma), then the partial-trace constraints 1 (x) F with tr F
-    a = np.concatenate([
-        np.einsum("pab,kji->kpaibj", e_out, src).reshape(-1, n, n),
-        np.einsum("ab,pij->paibj", np.eye(do), e_in).reshape(-1, n, n),
-    ])
-    b = np.concatenate([
-        np.einsum("pab,kba->kp", e_out, tgt).real.reshape(-1),
-        np.trace(e_in, axis1=1, axis2=2).real,
-    ])
+    a = np.concatenate([np.einsum("pab,kji->kpaibj", e_out, src).reshape(-1, n, n), trace_block])
+    b = np.concatenate([np.einsum("pab,kba->kp", e_out, tgt).real.reshape(-1), trace_b])
     tr_a = np.trace(a, axis1=1, axis2=2).real
     a_flat = (a - (tr_a / n)[:, None, None] * np.eye(n)).reshape(len(b), -1)
     b_red = b - di * tr_a / n
-    u, sv, vt = np.linalg.svd(
-        np.concatenate([a_flat.real, a_flat.imag], axis=1), full_matrices=False
-    )
+    u, sv, vt = np.linalg.svd(np.hstack([a_flat.real, a_flat.imag]), full_matrices=False)
     r = int(np.sum(sv > 1e-10 * sv[0]))
     # the r independent rows are orthonormal; a dual y on them is lift @ y on
     # the original constraints
@@ -526,12 +530,16 @@ def cptp_feasible(sources, targets) -> FeasibilityResult:
     def adj(y):
         return (y @ ops).reshape(n, n)
 
-    def violation(w):
+    # the violation of w is max(errors(w), below_zero(w)); each test below
+    # computes first the part that its candidates usually fail on
+    def errors(w):
         w4 = w.reshape(do, di, do, di)
         image = np.einsum("aibj,kij->kab", w4, src) - tgt
         trace = np.einsum("aiaj->ij", w4) - np.eye(di)
-        lam_min = float(np.linalg.eigvalsh(_herm(w))[0])
-        return max(float(np.abs(image).max()), float(np.abs(trace).max()), -lam_min)
+        return max(float(np.abs(image).max()), float(np.abs(trace).max()))
+
+    def below_zero(w):
+        return -float(np.linalg.eigvalsh(_herm(w))[0])
 
     def witness(y):
         """The FarkasWitness -y on the original constraints, or None.
@@ -543,40 +551,47 @@ def cptp_feasible(sources, targets) -> FeasibilityResult:
         [d_in (1 - t), d_in (1 + t) + n t], so
         tr(Z W) >= d_in lam - t (|lam| (d_in + n) + n |Z|) with
         lam = lambda_min(Z). A witness is returned only when value lies
-        below that bound by t l1, so it excludes every such W and every
-        channel.
+        below that bound by t l1 (a margin >= 0, so the duals are built
+        only below d_in lam), so it excludes every such W and every channel.
         """
+        lam = np.linalg.eigvalsh(-np.tensordot(y, a, 1))
+        value = -float(b @ y)
+        if value >= di * float(lam[0]):
+            return None
         k = len(sources) * do * do
         ys = list(np.tensordot(-y[:k].reshape(len(sources), -1), e_out, 1))
         trace_dual = np.tensordot(-y[k:], e_in, 1)
-        lam = np.linalg.eigvalsh(-np.tensordot(y, a, 1))
         z_norm = max(abs(float(lam[0])), abs(float(lam[-1])))
         l1 = sum(float(np.abs(m).sum()) for m in (*ys, trace_dual))
         margin = CPTP_TOL * (abs(float(lam[0])) * (di + n) + n * z_norm + l1)
-        if -float(b @ y) >= di * float(lam[0]) - margin:
+        if value >= di * float(lam[0]) - margin:
             return None
         return FarkasWitness(ys, trace_dual)
 
-    def result(w, status, it, wit=None):
-        choi = ChoiMatrix(w, din=di, dout=do)
-        return FeasibilityResult(status == "feasible", choi, violation(w), status, it, wit)
+    def result(w, status, it, wit=None, res=None):
+        res = max(errors(w), below_zero(w)) if res is None else res
+        return FeasibilityResult(status == "feasible", ChoiMatrix(w, din=di, dout=do), res, status, it, wit)
 
     eye = np.eye(n, dtype=complex)
     w = di / n * eye  # the completely depolarizing channel, which x = 1 gives
     # the part of b' outside the range of A' refutes an inconsistent system
-    wit = witness(b_red - u[:, :r] @ (u[:, :r].T @ b_red))
-    if wit is not None:
+    if (wit := witness(b_red - u[:, :r] @ (u[:, :r].T @ b_red))) is not None:
         return result(w, "infeasible", 0, wit)
+    # the point of A'(V) = b' nearest to 1, as the rows of ops are orthonormal
+    xp = eye + adj(rhs - op(eye))
+    wp = xp - (float(np.trace(xp).real) - di) / n * eye
+    if (neg := below_zero(wp)) <= CPTP_STOP_TOL and (res := max(errors(wp), neg)) <= CPTP_STOP_TOL:
+        return result(wp, "feasible", 0, res=res)
 
     # the dual slack S = 1 - A'*(y) is kept exact, so the dual stays feasible
     x, s, y = eye, eye, np.zeros(r)
     for it in range(1, CPTP_MAX_ITERS + 1):
-        try:
-            lx = np.linalg.inv(np.linalg.cholesky(x))
-            ls = np.linalg.inv(np.linalg.cholesky(s))
+        try:  # the inverse Cholesky factors of x and s, stacked
+            lxs = np.linalg.inv(np.linalg.cholesky(np.array([x, s])))
         except np.linalg.LinAlgError:  # round-off has pushed an iterate off the cone
             return result(w, "unresolved", it - 1)
-        s_inv = ls.conj().T @ ls
+        lxs_h = lxs.conj().swapaxes(1, 2)
+        s_inv = lxs_h[1] @ lxs[1]
         rp = rhs - op(x)
         g = x @ ops.reshape(r, n, n) @ s_inv
         schur = (ops @ g.transpose(0, 2, 1).reshape(r, n * n).T).real
@@ -589,22 +604,25 @@ def cptp_feasible(sources, targets) -> FeasibilityResult:
             ds = -adj(dy)
             return _herm((rc - x @ ds) @ s_inv), dy, ds
 
+        def steps(dx, ds, frac):
+            # min(1, frac t) for x and for s, t the largest step keeping each PSD
+            lam = np.linalg.eigvalsh(_herm(lxs @ np.array([dx, ds]) @ lxs_h))[:, 0]
+            return [min(1.0, frac * (-1.0 / v)) if v < 0 else 1.0 for v in lam.tolist()]
+
         dx, dy, ds = direction(-x @ s)
-        tp, td = min(1.0, _max_step(lx, dx)), min(1.0, _max_step(ls, ds))
+        tp, td = steps(dx, ds, 1.0)
         comp_aff = float(np.trace((x + tp * dx) @ (s + td * ds)).real) / n
         sigma = min(1.0, comp_aff / comp) ** 3
         dx, dy, ds = direction(sigma * comp * eye - x @ s - dx @ ds)
-        tp, td = min(1.0, 0.98 * _max_step(lx, dx)), min(1.0, 0.98 * _max_step(ls, ds))
+        tp, td = steps(dx, ds, 0.98)
         x, y = x + tp * dx, y + td * dy
         s = _herm(eye - adj(y))
 
         w = x - (float(np.trace(x).real) - di) / n * eye
-        if violation(w) <= CPTP_STOP_TOL:
-            return result(w, "feasible", it)
-        if rhs @ y > di:
-            wit = witness(lift @ y)
-            if wit is not None:
-                return result(w, "infeasible", it, wit)
+        if (err := errors(w)) <= CPTP_STOP_TOL and (res := max(err, below_zero(w))) <= CPTP_STOP_TOL:
+            return result(w, "feasible", it, res=res)
+        if rhs @ y > di and (wit := witness(lift @ y)) is not None:
+            return result(w, "infeasible", it, wit)
     return result(w, "unresolved", CPTP_MAX_ITERS)
 
 

@@ -20,6 +20,11 @@ HERMITICITY_TOL = 1e-10
 # Largest joint dimension a spec field or a repetition strategy may ask for.
 DIM_GUARD = 4096
 
+# Entries of a large operand processed per slab (apply_at_factor's slabs of
+# rho, the sweep's stacks of matrices): 1 MB of complex numbers, small enough
+# for the temporaries to stay in cache.
+_SLAB_ENTRIES = 1 << 16
+
 
 def exceeds_dim_guard(base: int, n: int) -> bool:
     """Whether n factors of dimension base go past DIM_GUARD: more than
@@ -157,6 +162,16 @@ def trace_norm(m) -> float:
         w, _ = hermitian_eig(m)
         return float(np.abs(w).sum())
     return float(np.linalg.svd(m, compute_uv=False).sum())
+
+
+def sorted_unique(x) -> np.ndarray:
+    """np.unique of a finite 1-d array, without its import of numpy.ma: a
+    stable sort, then the first of each run of equal values, so that of
+    0.0 and -0.0 the first given is kept (np.unique keeps either)."""
+    x = np.sort(np.asarray(x).reshape(-1), kind="stable")
+    first = np.ones(len(x), dtype=bool)
+    first[1:] = x[1:] != x[:-1]
+    return x[first]
 
 
 def max_abs(m) -> float:

@@ -1,5 +1,6 @@
 import io
 import time
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -9,6 +10,7 @@ from chanopt import comparison
 from chanopt.channels import KrausChannel, apply_extended, make_family, weyl_ops
 from chanopt.comparison import (
     COMMUTE_TOL,
+    CPTP_STOP_TOL,
     _joint_spectrum,
     bayes_binary_risk,
     cptp_feasible,
@@ -671,6 +673,35 @@ def test_noncommuting_family_takes_one_stacked_sweep(rng, monkeypatch):
     assert sweeps == [20] and guesses == [20]
 
 
+def test_stacked_sweep_memory_is_bounded(rng):
+    """Two 5-member families of full-rank states at d = 32: 20 noncommuting
+    pairs, whose stacks peaked at 128 MB when held all at once."""
+    cand, chal = ([random_density(rng, 32) for _ in range(5)] for _ in range(2))
+    tracemalloc.start()
+    try:
+        dominance_check(cand, chal, certify=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6
+
+
+@pytest.mark.parametrize("d,rows", [(32, None), (3, 1), (3, 7), (3, 50)])
+def test_slabs_keep_the_single_stack_bits(rng, monkeypatch, d, rows):
+    """The sweep's stack cut into slabs of rows matrices (the default slab
+    at d = 32: 64 matrices) gives every norm the bits of one stack."""
+    cand, chal = ([random_density(rng, d) for _ in range(2)] for _ in range(2))
+    pairs = [((cand[0], cand[1]), (chal[0], chal[1]))]
+    if rows is not None:
+        monkeypatch.setattr(comparison, "_SLAB_ENTRIES", rows * d * d)
+    got = comparison._sweep(pairs, default_grid())
+    monkeypatch.setattr(comparison, "_SLAB_ENTRIES", 1 << 60)
+    want = comparison._sweep(pairs, default_grid())
+    for (_, _, s_got, norms_got), (_, _, s_want, norms_want) in zip(got, want):
+        assert np.array_equal(s_got, s_want)
+        assert all(np.array_equal(x, y) for x, y in zip(norms_got, norms_want))
+
+
 def per_pair_sweep(groups, grid):
     """_sweep as it was before batching: group by group and pair by pair,
     the noncommuting pairs through hermitian_sweep_oracle."""
@@ -961,6 +992,59 @@ def test_feasibility_resolves_within_time_bound(rng, case):
                 assert max_abs(w.apply(rho) - sigma) <= 1e-7
         else:
             assert witness_separates(res.witness, src, tgt)
+
+
+def choi_maps(w, sources, targets, tol=1e-7) -> bool:
+    """Whether the Choi matrix w on H_out (x) H_in is PSD and trace preserving
+    and maps each source onto its target, L(rho)_ab = sum_ij w_(ai),(bj)
+    rho_ij, all within tol."""
+    din, dout = sources[0].shape[0], targets[0].shape[0]
+    t = w.reshape(dout, din, dout, din)
+    return bool(
+        np.linalg.eigvalsh(0.5 * (w + w.conj().T)).min() >= -tol
+        and max_abs(np.einsum("aiaj->ij", t) - np.eye(din)) <= tol
+        and all(max_abs(np.einsum("aibj,ij->ab", t, rho) - sigma) <= tol
+                for rho, sigma in zip(sources, targets))
+    )
+
+
+def newton_instances():
+    """40 seeded pure pairs at each of 2->2, 2->3 and 3->2 with overlaps
+    0.3 -> 0.7 (feasible), the kind of instance the interior-point method
+    resolves in 8-10 steps and a less accurate Newton solve (an SVD
+    pseudo-inverse in place of lstsq) left unresolved."""
+    rng = np.random.default_rng(2525)
+    return [
+        (pure_pair(rng, din, 0.3), pure_pair(rng, dout, 0.7))
+        for din, dout in ((2, 2), (2, 3), (3, 2))
+        for _ in range(40)
+    ]
+
+
+def test_newton_solve_resolves_every_seeded_pure_pair():
+    for src, tgt in newton_instances():
+        res = cptp_feasible(src, tgt)
+        assert res.status == "feasible" and 1 <= res.iterations <= 12
+        assert res.residual <= CPTP_STOP_TOL
+        assert choi_maps(res.choi.matrix, src, tgt)
+
+
+def test_newton_solve_refutes_every_mirrored_pure_pair():
+    for src, tgt in newton_instances():
+        res = cptp_feasible(tgt, src)
+        assert res.status == "infeasible"
+        assert witness_separates(res.witness, tgt, src)
+
+
+def test_projected_start_that_is_a_channel_takes_no_step():
+    """|0> and |+> onto their halfway depolarized images: the point of the
+    constraints nearest the start is already a channel."""
+    src = [np.diag([1.0, 0.0]), np.full((2, 2), 0.5)]
+    tgt = [0.5 * m + 0.25 * np.eye(2) for m in src]
+    res = cptp_feasible(src, tgt)
+    assert res.status == "feasible" and res.iterations == 0 and res.witness is None
+    assert res.residual <= CPTP_STOP_TOL
+    assert choi_maps(res.choi.matrix, src, tgt, tol=CPTP_STOP_TOL)
 
 
 def test_default_grid_shape():

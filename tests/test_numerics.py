@@ -17,6 +17,7 @@ from chanopt.numerics import (
     max_entangled,
     partial_trace,
     partial_transpose,
+    sorted_unique,
     trace_norm,
 )
 from conftest import (
@@ -128,6 +129,20 @@ def test_density_mask_agrees_with_the_definition(rng):
     assert [is_density(m) for m in mats] == want
     assert density_mask(np.zeros((2, 2, 3))).tolist() == [False, False]
     assert not is_density(np.ones((2, 3)) / 2)
+
+
+def test_sorted_unique_matches_np_unique(rng):
+    # rounded draws repeat values, signed zeros among them
+    cases = [[0.0, -0.0], [-0.0, 0.0], [1.0, -0.0, 0.5, 0.0, -0.0], [], [2.0], [-0.0, 3.0]]
+    cases += [np.round(rng.normal(size=n), k) for n in (3, 40, 300) for k in (0, 1, 3)]
+    for x in map(np.asarray, cases):
+        want, got = np.unique(x), sorted_unique(x)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        zeros = np.signbit(x[x == 0])
+        if len(set(zeros)) < 2:
+            assert got.tobytes() == want.tobytes()
+        else:  # np.unique keeps either zero; here the first one given
+            assert np.signbit(got[got == 0]).tolist() == [zeros[0]]
 
 
 def test_hermitian_eig_reconstructs(rng):

@@ -97,11 +97,15 @@ def test_each_command_runs_only_its_modules(tmp_path, cmd):
         "try:\n"
         "    runpy.run_module('chanopt', run_name='__main__', alter_sys=True)\n"
         "finally:\n"
+        "    print('numpy.ma' in sys.modules, file=sys.stderr)\n"
         f"    print({_RAN}, file=sys.stderr)"
     )
-    ran = _fresh(code, cmd, "--spec", spec, "--seed", "7", "--out", str(tmp_path))[-1]
+    *_, masked, ran = _fresh(code, cmd, "--spec", spec, "--seed", "7", "--out", str(tmp_path))
     assert (tmp_path / f"{cmd}-report.json").is_file()
     assert set(ran.split()) == {"cli", "channels", "numerics", "presets"} | extra
+    # np.unique imports numpy.ma on recent numpy; only ang's 2-d call keeps it
+    if cmd != "ang":
+        assert masked == "False"
 
 
 def test_missing_name_is_an_attribute_error():
