@@ -14,7 +14,6 @@ Basis labels run 0..d-1 throughout.
 """
 from __future__ import annotations
 
-import math
 import numbers
 import sys
 from contextlib import contextmanager
@@ -30,6 +29,7 @@ from .numerics import (
     around_factor,
     as_matrix,
     dagger,
+    exceeds_dim_guard,
     hermitian_eig,
     max_abs,
     max_entangled,
@@ -669,12 +669,12 @@ def _square(d: int):
 
 
 def _check_dims(where: str, *dims: int) -> None:
-    """Reject a dimension below 1, or a joint dimension above DIM_GUARD,
-    before anything of that size is allocated."""
-    if min(dims) < 1 or math.prod(dims) > DIM_GUARD:
+    """Reject a dimension below 1, or factors past the guard
+    (exceeds_dim_guard), before anything of that size is allocated."""
+    if min(dims) < 1 or exceeds_dim_guard(dims):
         raise ConstraintViolation(
-            f"{where}: dimensions {list(dims)} must be at least 1 with a "
-            f"product of at most {DIM_GUARD}"
+            f"{where}: dimensions {list(dims)} must be at least 1, at most "
+            f"{DIM_GUARD} of them, with a product of at most {DIM_GUARD}"
         )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from itertools import combinations
 from pathlib import Path
@@ -45,6 +46,7 @@ from .numerics import (
     PureState,
     SystemShape,
     basis_vector,
+    exceeds_dim_guard,
     max_abs,
     max_entangled,
     sorted_unique,
@@ -123,7 +125,9 @@ def _check_count(where: str, n: int, low: int, d: int) -> None:
     """Reject a grid or sample count below low, or one whose n items of
     d x d entries would outgrow a state at the joint-dimension guard
     (n d^2 > DIM_GUARD^2), before anything of that size is allocated."""
-    if n < low or n * d * d > DIM_GUARD**2:
+    # n d^2 entries fill a square of side ceil(d sqrt(n)), a joint dimension
+    side = math.isqrt(n * d * d - 1) + 1 if n > 0 else 0
+    if n < low or exceeds_dim_guard([side]):
         raise ConstraintViolation(
             f"{where}: {n} is outside [{low}, {DIM_GUARD}^2 / {d}^2]"
         )
@@ -420,49 +424,38 @@ def _cmd_ang(doc, ana, inputs, fam, args):
 
 
 def _parse_strategy(node, fam, states, where: str, args) -> repetition.Strategy:
-    """A strategy node; n is bounded before any state or interleaver of its
-    size is built."""
+    """A strategy node; its layout and size are checked by repetition's one
+    rule for each before any state or interleaver of its size is built."""
     f = _Fields(node, where)
     mode = f("mode")
     if mode not in repetition.STRATEGY_MODES:
         raise SpecError(f"{where}.mode", f"unknown mode {mode!r}")
     n = f("n", _int_from)
     st = _named(states, f("input", _str_from), f"{where}.input")
-    dims = st.shape.factor_dims
-    if mode == "identical" and len(dims) == 2:
-        with _at(f"{where}.n"):
-            repetition._guard(fam.dout * dims[1], n)
-    if mode == "parallel" and len(dims) == 2 * n and set(dims[::2]) == {fam.din}:
-        with _at(f"{where}.n"):
-            repetition._guard_parallel([fam.dout * dr for dr in dims[1::2]])
-    if mode == "sequential" and (len(dims) != 2 or dims[0] != fam.din):
-        raise SpecError(f"{where}.input", "sequential input needs (channel x reference) factors")
+    if n < 1:
+        raise ConstraintViolation(f"{where}.n: a strategy needs at least one use")
+    with _at(f"{where}.input"):
+        refs = repetition.strategy_layout(mode, n, st, fam.din)
+    with _at(f"{where}.n"):
+        repetition.strategy_guard(mode, n, refs, fam.dout)
     interleavers = ()
     if mode == "sequential" and n > 1:
         spec = f("interleavers")
-        dr = dims[1]
         if spec == "identity-rewire":
-            # each step only copies the state, so n alone is bounded
-            if n > DIM_GUARD:
-                raise ConstraintViolation(f"{where}.n: {n} is outside [1, {DIM_GUARD}]")
-            interleavers = repetition.identity_rewire_interleavers(fam.din, dr, n)
+            interleavers = repetition.identity_rewire_interleavers(fam.din, refs[0], n)
         elif spec == "fresh-swap":
             d_ref = f("ref_dim", _int_from)
             _check_dims(f"{where}.ref_dim", fam.din, d_ref)
-            # each of the n - 1 interleavers permutes all n (input x ref) pairs
             with _at(f"{where}.n"):
-                repetition._guard(fam.din * d_ref, n)
-            interleavers = repetition.fresh_swap_interleavers(fam.din, d_ref, n)
+                interleavers = repetition.fresh_swap_interleavers(fam.din, d_ref, n)
         elif spec == "random-unitary":
             if args.seed is None:
                 raise SpecError("flags", "--seed is required for random interleavers")
-            _check_count(f"{where}.n", n, 1, fam.din * dr)
-            interleavers = repetition.random_unitary_interleavers(fam.din, dr, n, args.seed)
+            _check_count(f"{where}.n", n, 1, fam.din * refs[0])
+            interleavers = repetition.random_unitary_interleavers(fam.din, refs[0], n, args.seed)
         else:
             raise SpecError(f"{where}.interleavers", f"unknown preset {spec!r}")
-    # the mode is known and the interleavers match n: only n can be rejected
-    with _at(f"{where}.n"):
-        return repetition.Strategy(mode=mode, n=n, input=st, interleavers=tuple(interleavers))
+    return repetition.Strategy(mode=mode, n=n, input=st, interleavers=tuple(interleavers))
 
 
 def _cmd_repeat(doc, ana, inputs, fam, args):
@@ -481,8 +474,9 @@ def _cmd_repeat(doc, ana, inputs, fam, args):
         for i, size in enumerate(blocks):
             if size < 1:
                 raise ConstraintViolation(f"analysis.blocks[{i}]: a block needs at least one use")
+        # the identical risk it is compared with is that of the d x d entangled input
         with _at("analysis.blocks"):
-            repetition._guard(fam.dout * fam.din, sum(blocks))
+            repetition.strategy_guard("identical", sum(blocks), (fam.din,), fam.dout)
         # the blocks are positive and each menu nonempty: only the menu count can be rejected
         with _at("analysis.menus"):
             plan = repetition.AdaptivePlan(tuple(blocks), tuple(menus))
@@ -515,17 +509,9 @@ def _cmd_repeat(doc, ana, inputs, fam, args):
         if member not in fam.labels():
             raise SpecError("analysis.member", f"unknown member {member!r}")
         strat = _parse_strategy(ana("strategy"), fam, states, "analysis.strategy", args)
-        ch = dict(fam.members)[member]
-        # the mode, n and interleavers are checked: only the input can be rejected
+        # the mode, n and layout are checked: only the interleavers' chain can be rejected
         with _at("analysis.strategy.input"):
-            factors = repetition._output_factors(ch, strat)
-            if factors is None:
-                factors = [repetition.repeated_output(ch, strat)]
-        # a product state is never formed: its spectrum is the products of
-        # its factors' eigenvalues, each distinct factor diagonalised once
-        distinct = {id(rho): rho for rho in factors}
-        spectra = {key: np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)) for key, rho in distinct.items()}
-        lam = repetition._kron_all([spectra[id(rho)] for rho in factors])
+            lam = repetition.output_spectrum(dict(fam.members)[member], strat)
         payload = {
             "member": member,
             "dim": int(lam.size),

@@ -26,12 +26,14 @@ DIM_GUARD = 4096
 _SLAB_ENTRIES = 1 << 16
 
 
-def exceeds_dim_guard(base: int, n: int) -> bool:
-    """Whether n factors of dimension base go past DIM_GUARD: more than
-    DIM_GUARD of them, whatever their dimension (each one still costs a
-    step), or a joint dimension base^n above it. No power above the guard is
-    formed, so n may be arbitrarily large."""
-    return n > DIM_GUARD or (
+def exceeds_dim_guard(dims, n: int = 1) -> bool:
+    """Whether n copies of a system with factor dimensions dims go past
+    DIM_GUARD: more than DIM_GUARD factors in all, whatever their dimension
+    (each one still costs a step), or a joint dimension prod(dims)^n above
+    it, in exact integers (an int64 product can wrap). Every size check is
+    this one rule; no power above the guard is formed, so n may be huge."""
+    base = math.prod(map(int, dims))
+    return n * len(dims) > DIM_GUARD or (
         base > 1 and n > 0 and (n >= DIM_GUARD.bit_length() or base**n > DIM_GUARD)
     )
 

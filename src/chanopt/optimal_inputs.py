@@ -23,7 +23,7 @@ from .channels import (
     covariance,
     is_unital,
 )
-from .comparison import SWEEP_TOL, ComparisonVerdict, _joint_spectrum, _sweep, _sweep_grid
+from .comparison import SWEEP_TOL, ComparisonVerdict, _joint_spectrum, _sweep
 from .numerics import (
     NORM_TOL,
     PureState,
@@ -341,8 +341,8 @@ def measurement_input_certify(fam: ChannelFamily, psi: PureState) -> ComparisonV
     b. Rotated commuting pair: unit-trace commuting base elements conjugated
        by a rotation set that averages to c tr(.) 1; the entangled input's
        curve then meets the universal bound tr|M+ - s M-| at every s. Both
-       pairs must commute and their curves agree within SWEEP_TOL on the
-       default grid and both pairs' kinks.
+       pairs must commute and their curves agree within SWEEP_TOL at s = 0
+       and both pairs' kinks, which is agreement at every s.
     c. Complementary diagonal pair: members measure {M, 1-M} with outcomes
        swapped and M = diag(a); the basis state at a's largest entry yields
        the extremal classical curve max(|s-1|, |2a_k - 1|(s+1)), provided
@@ -376,7 +376,9 @@ def measurement_input_certify(fam: ChannelFamily, psi: PureState) -> ComparisonV
             and max_abs(rho - np.eye(din) / din) <= MEASUREMENT_TOL
         ):
             outs = tuple(apply_extended(ch, psi.density(), psi.shape) for _, ch in fam.members)
-            ((spectra, _, _, (norms, bound)),) = _sweep([[outs, base]], _sweep_grid(None))
+            # both curves are linear between kinks, with slope 1 past the last (unit
+            # traces): agreement at s = 0 and every kink of either is agreement at every s
+            ((spectra, _, _, (norms, bound)),) = _sweep([[outs, base]], np.zeros(1))
             if None not in spectra and np.all(np.abs(norms - bound) <= SWEEP_TOL):
                 return ComparisonVerdict("dominates", method="sweep-sufficient-commuting")
         return ComparisonVerdict("inconclusive", method="sweep-necessary")

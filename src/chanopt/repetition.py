@@ -134,22 +134,34 @@ class AdaptivePlan:
             raise ValueError("menus must be nonempty")
 
 
-def _guard(base: int, n: int = 1):
-    """Reject n uses of dimension base past DIM_GUARD (exceeds_dim_guard)."""
-    if exceeds_dim_guard(base, n):
-        raise ValueError(f"{n} uses of dimension {base} exceed the {DIM_GUARD} guard")
+def strategy_layout(mode: str, n: int, psi: PureState, din: int) -> tuple[int, ...]:
+    """The reference dimension of each (channel x reference) factor pair an
+    n-use strategy in this mode reads psi as: the one pair that identical
+    repetition copies and a sequential strategy runs, or n pairs, one per
+    parallel use. ValueError when psi's factors are not that layout: the one
+    layout rule of every strategy, in the library and the CLI alike."""
+    pairs = n if mode == "parallel" else 1
+    dims = psi.shape.factor_dims
+    if len(dims) != 2 * pairs or any(dims[2 * i] != din for i in range(pairs)):
+        raise ValueError(
+            f"{mode} input needs {pairs} (channel x reference) factor pair(s), channel dimension {din}"
+        )
+    return dims[1::2]
 
 
-def _guard_parallel(outs: list[int]):
-    """Reject parallel uses with these output dimensions past DIM_GUARD:
-    more than DIM_GUARD of them, or a joint dimension above it."""
-    n = len(outs)
-    if n > DIM_GUARD:
-        raise ValueError(f"{n} uses exceed the {DIM_GUARD} guard")
-    # math.prod: an int64 product of many output dimensions can wrap past the guard
-    joint = math.prod(outs)
-    if joint > DIM_GUARD:
-        raise ValueError(f"{n} uses of joint output dimension {joint} exceed the {DIM_GUARD} guard")
+def strategy_guard(mode: str, n: int, refs: tuple[int, ...], dout: int) -> None:
+    """ValueError when n uses in this mode, on use pairs with these reference
+    dimensions (strategy_layout), go past DIM_GUARD (exceeds_dim_guard). The
+    final state of identical repetition is n copies of its (output x
+    reference) pair, that of parallel repetition the product of its n pairs,
+    and a sequential strategy runs n steps on the one pair's state, so its n
+    is bounded as uses of a trivial system."""
+    outs = [dout * dr for dr in refs]
+    over = exceeds_dim_guard(outs, n if mode == "identical" else 1)
+    if over or (mode == "sequential" and exceeds_dim_guard([1], n)):
+        raise ValueError(
+            f"{n} {mode} uses of output pairs of dimension {sorted(set(outs))} exceed the {DIM_GUARD} guard"
+        )
 
 
 def _kron_power(a: np.ndarray, n: int) -> np.ndarray:
@@ -187,12 +199,13 @@ def _kron_all(factors: list[np.ndarray]) -> np.ndarray:
 _PRODUCT_TOL = 4e-14
 
 
-def _output_factors(member: KrausChannel, strat: Strategy) -> list[np.ndarray] | None:
-    """Outputs whose Kronecker product is the strategy's final state, or None
-    for a sequential strategy.
+def _output_factors(member: KrausChannel, strat: Strategy) -> list[np.ndarray]:
+    """Outputs whose Kronecker product is the strategy's final state, after
+    its layout and size are checked (strategy_layout, strategy_guard).
 
     Identical mode gives omega n times (one array), omega the single-use
-    output. A parallel input is split at every use-pair cut it is a product
+    output, and a sequential strategy its dense final state, run step by
+    step. A parallel input is split at every use-pair cut it is a product
     across: the amplitudes of the open group of (channel x reference) pairs
     and all later ones, reshaped to (group) x (rest), are a product across
     the cut after the group when one SVD leaves a dropped Schmidt weight
@@ -200,23 +213,24 @@ def _output_factors(member: KrausChannel, strat: Strategy) -> list[np.ndarray] |
     vector as its state, and its output is built on its own: apply_extended
     for one pair, _block_outputs for several. A cut that fails widens the
     open group by the next pair, so an input entangled across every cut is
-    one group, the whole dense state. The layout checks and the dimension
-    guard are those of repeated_output, made before anything is built."""
-    dims = strat.input.shape.factor_dims
+    one group, the whole dense state."""
+    refs = strategy_layout(strat.mode, strat.n, strat.input, member.din)
+    strategy_guard(strat.mode, strat.n, refs, member.dout)
 
     if strat.mode == "identical":
-        if len(dims) != 2 or dims[0] != member.din:
-            raise ValueError("identical mode expects an input on channel x reference")
-        _guard(member.dout * dims[1], strat.n)
         omega = apply_extended(member, strat.input.density(), strat.input.shape)
         return [omega] * strat.n
 
-    if strat.mode != "parallel":
-        return None
-    if len(dims) != 2 * strat.n or any(dims[2 * i] != member.din for i in range(strat.n)):
-        raise ValueError("parallel mode expects n (channel x reference) factor pairs")
-    refs = dims[1::2]
-    _guard_parallel([member.dout * dr for dr in refs])
+    if strat.mode == "sequential":
+        rho = strat.input.density()
+        for i in range(strat.n):
+            rho = apply_extended(member, rho, strat.input.shape)
+            if i < strat.n - 1:
+                y = strat.interleavers[i]
+                if y.din != member.dout * refs[0] or y.dout != member.din * refs[0]:
+                    raise ValueError(f"interleaver {i} dimensions do not chain")
+                rho = y.apply(rho)
+        return [rho]
 
     def group_output(v: np.ndarray, group: tuple[int, ...]) -> np.ndarray:
         if len(group) == 1:
@@ -241,32 +255,21 @@ def _output_factors(member: KrausChannel, strat: Strategy) -> list[np.ndarray] |
 
 
 def repeated_output(member: KrausChannel, strat: Strategy) -> np.ndarray:
-    """Exact final state of the strategy for one family member.
+    """Exact final state of the strategy for one family member: the
+    Kronecker product of its outputs (_output_factors, _kron_all), so
+    omega^(x n) is one balanced power and a parallel input the product of
+    its groups of use pairs, no group wider than its entanglement."""
+    return _kron_all(_output_factors(member, strat))
 
-    Identical and parallel modes give the Kronecker product of their
-    outputs (_output_factors, _kron_all): omega^(x n) as one balanced power,
-    and a parallel input as the product of its groups of use pairs, no group
-    wider than its entanglement. A sequential strategy is run step by step
-    on its dense state."""
+
+def output_spectrum(member: KrausChannel, strat: Strategy) -> np.ndarray:
+    """Eigenvalues of repeated_output(member, strat), which is never formed
+    when it is a product: the Kronecker product of its factors' spectra,
+    each distinct factor diagonalised once."""
     factors = _output_factors(member, strat)
-    if factors is not None:
-        return _kron_all(factors)
-
-    dims = strat.input.shape.factor_dims
-    if len(dims) != 2 or dims[0] != member.din:
-        raise ValueError("sequential mode expects an input on channel x reference")
-    dr = dims[1]
-    _guard(member.dout * dr)
-    shape_in = SystemShape((member.din, dr))
-    rho = strat.input.density()
-    for i in range(strat.n):
-        rho = apply_extended(member, rho, shape_in)
-        if i < strat.n - 1:
-            y = strat.interleavers[i]
-            if y.din != member.dout * dr or y.dout != member.din * dr:
-                raise ValueError(f"interleaver {i} dimensions do not chain")
-            rho = y.apply(rho)
-    return rho
+    distinct = {id(rho): rho for rho in factors}
+    spectra = {key: np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)) for key, rho in distinct.items()}
+    return _kron_all([spectra[id(rho)] for rho in factors])
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +289,8 @@ def fresh_swap_interleavers(d: int, d_ref: int, n: int) -> list[FactorPermutatio
     repetition up to that factor order. The interleaver after use i swaps
     factors in_1 and in_(i+1).
     """
+    if exceeds_dim_guard((d, d_ref), n):
+        raise ValueError(f"{n} (input x reference) pairs of dimension {d * d_ref} exceed the guard")
     dims = (d, d_ref) * n
     out = []
     for i in range(1, n):
@@ -328,9 +333,7 @@ def identical_matches_sequential(
     """
     if strat_seq.mode != "sequential":
         raise ValueError("certificate expects a sequential strategy")
-    dims = strat_seq.input.shape.factor_dims
-    if len(dims) != 2 or dims[0] != fam.din:
-        raise ValueError("sequential input must live on channel x reference")
+    strategy_layout(strat_seq.mode, strat_seq.n, strat_seq.input, fam.din)
     sims = group_correction_simulator(fam, group, blocks)
 
     residuals: dict[str, float] = {}
@@ -434,7 +437,8 @@ def adaptive_vs_identical(
     d = fam.din
     (_, ch_p), (_, ch_m) = fam.members
     n = sum(plan.block_sizes)
-    _guard(ch_p.dout * d, n)
+    # the risk the plan is compared with is identical repetition of the d x d entangled input
+    strategy_guard("identical", n, (d,), ch_p.dout)
     outputs = [
         [_checked_pair(ch_p, ch_m, psi, d, n_block) for psi in menu]
         for n_block, menu in zip(plan.block_sizes, plan.menus)

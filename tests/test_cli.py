@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 
 import chanopt
 from chanopt import repetition
-from chanopt.channels import apply_extended, make_family, weyl_ops
-from chanopt.cli import _COMMANDS, _jsonable, _samples_csv, _sweep_csv, main
+from chanopt.channels import ConstraintViolation, apply_extended, make_family, weyl_ops
+from chanopt.cli import _COMMANDS, _check_count, _jsonable, _samples_csv, _sweep_csv, main
 from chanopt.comparison import gap_curve
 from chanopt.entanglement import product_candidates
 from chanopt.geometry import ang_sample, ang_solve_triangle, closure_residual
-from chanopt.numerics import SystemShape, max_abs, max_entangled
-from chanopt.optimal_inputs import PureState
+from chanopt.numerics import DIM_GUARD, SystemShape, max_abs, max_entangled
+from chanopt.optimal_inputs import IrrepBlocks, PureState
 from chanopt.repetition import Strategy, repeated_output
 
 SQRT_HALF = float(np.sqrt(0.5))
@@ -1155,6 +1155,11 @@ MALFORMED = {
         with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": {"mode": "identical", "n": 0, "input": "e"}}, EB_INPUTS),
         (), 3, "analysis.strategy.n",
     ),
+    "strategy-parallel-n-zero": (
+        "repeat",
+        with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": {"mode": "parallel", "n": 0, "input": "e"}}, EB_INPUTS),
+        (), 3, "analysis.strategy.n",
+    ),
     "strategy-mode-unknown": (
         "repeat",
         with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": {"mode": "junk", "n": 1, "input": "e"}}, EB_INPUTS),
@@ -1326,6 +1331,12 @@ MISMATCHED = {
                       EB_INPUTS),
         "analysis.strategy.input",
     ),
+    "output-sequential-bare-input": (
+        "repeat",
+        with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": dict(OUTPUT_STRATEGY, input="b", interleavers="identity-rewire")},
+                      EB_INPUTS),
+        "analysis.strategy.input",
+    ),
     "adaptive-not-measurement": (
         "repeat", with_analysis(ONE_GP, {"analysis": "adaptive", "blocks": [1], "menus": [["a"]]}, AB_INPUTS), "family",
     ),
@@ -1345,6 +1356,66 @@ def test_mismatch_names_field(tmp_path, capsys, case):
     command, doc, path = MISMATCHED[case]
     assert run(tmp_path, doc, command) == 3
     assert capsys.readouterr().err.startswith(f"validation error: {path}: ")
+
+
+# (mode, n, input factor dims) that do not fit the mode's layout: one
+# (channel x reference) pair for identical and sequential, n for parallel
+BAD_LAYOUTS = {
+    "identical-bare": ("identical", 2, [2]),
+    "identical-wrong-channel": ("identical", 2, [3, 2]),
+    "identical-two-pairs": ("identical", 2, [2, 2, 2, 2]),
+    "parallel-bare": ("parallel", 2, [2]),
+    "parallel-wrong-channel": ("parallel", 2, [3, 2, 2, 2]),
+    "parallel-three-pairs": ("parallel", 2, [2, 2, 2, 2, 2, 2]),
+    "parallel-mixed-channels": ("parallel", 2, [2, 2, 3, 2]),
+    "sequential-bare": ("sequential", 2, [2]),
+    "sequential-wrong-channel": ("sequential", 2, [3, 2]),
+    "sequential-two-pairs": ("sequential", 2, [2, 2, 2, 2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LAYOUTS))
+def test_one_layout_rule_one_verdict(tmp_path, capsys, case):
+    """The library and every repeat analysis reject a strategy input that
+    does not fit its mode with the same error, named at the input."""
+    mode, n, dims = BAD_LAYOUTS[case]
+    values = np.eye(int(np.prod(dims)))[0]
+    strategy = {"mode": mode, "n": n, "input": "x", "interleavers": "identity-rewire"}
+    inputs = {"x": {"kind": "amplitudes", "values": values.tolist(), "dims": dims}}
+    gp2 = dict(ONE_GP, xis=[[0.1, 0.2, 0.3], [0.25, 0.05, 0.15]])
+    docs = [with_analysis(gp2, {"analysis": "output", "member": "gp0", "strategy": strategy}, inputs)]
+    if mode == "sequential":
+        docs.append(with_analysis(gp2, {"analysis": "sequential-certificate", "blocks": [2], "strategy": strategy},
+                                  inputs, group=weyl_group_json()))
+    errors = []
+    for doc in docs:
+        assert run(tmp_path, doc, "repeat") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: analysis.strategy.input: ")
+        errors.append(err.strip().split(": ", 2)[2])
+
+    fam = make_family("gp", gp2)
+    interleavers = repetition.identity_rewire_interleavers(2, 2, n) if mode == "sequential" else ()
+    strat = Strategy(mode, n, PureState(values, SystemShape(tuple(dims))), interleavers)
+    with pytest.raises(ValueError) as exc:
+        repeated_output(fam.members[0][1], strat)
+    errors.append(str(exc.value))
+    with pytest.raises(ValueError) as exc:
+        repetition.identical_matches_sequential(fam, [(u, u) for u in weyl_ops(2)], IrrepBlocks((2,)), strat)
+    if mode == "sequential":
+        errors.append(str(exc.value))
+    assert len(set(errors)) == 1, errors
+
+
+@pytest.mark.parametrize("d", [1, 3, 4, 5, 64])
+def test_count_guard_is_exact_in_entries(d):
+    # n items of d x d entries pass up to DIM_GUARD^2 entries and not past
+    # them, also where d does not divide the guard
+    most = DIM_GUARD**2 // d**2
+    _check_count("analysis.n", most, 1, d)
+    with pytest.raises(ConstraintViolation, match="analysis.n"):
+        _check_count("analysis.n", most + 1, 1, d)
+    _check_count("analysis.points", 0, 0, d)
 
 
 def test_a_bug_is_not_reported_as_a_validation_error(tmp_path, monkeypatch):

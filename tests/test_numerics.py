@@ -57,13 +57,13 @@ def test_projector_and_hermitian_checks():
 
 def test_dim_guard_bounds_uses_whatever_the_base():
     # trivial dimension: the count of uses alone is bounded
-    assert not exceeds_dim_guard(1, DIM_GUARD)
-    assert exceeds_dim_guard(1, DIM_GUARD + 1)
+    assert not exceeds_dim_guard([1], DIM_GUARD)
+    assert exceeds_dim_guard([1], DIM_GUARD + 1)
     # 2^12 = DIM_GUARD sits on the bound
-    assert not exceeds_dim_guard(2, 12)
-    assert exceeds_dim_guard(2, 13)
-    assert exceeds_dim_guard(3, 10**12)
-    assert not exceeds_dim_guard(5, 0)
+    assert not exceeds_dim_guard([2], 12)
+    assert exceeds_dim_guard([2], 13)
+    assert exceeds_dim_guard([3], 10**12)
+    assert not exceeds_dim_guard([5], 0)
 
 
 def test_trace_norm_against_svd_oracle(rng):

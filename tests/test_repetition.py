@@ -382,6 +382,40 @@ def test_parallel_guard_counts_output_dimensions_exactly():
         repeated_output(iso, strat)
 
 
+def _base_and_count(mode, what, size):
+    """(n, refs) of a strategy whose joint output dimension (base) or number
+    of uses (count) is size, with a channel of output dimension 1."""
+    if what == "base":
+        return 1, (size,)
+    return size, ((1,) * size if mode == "parallel" else (1,))
+
+
+@pytest.mark.parametrize("what", ["base", "count"])
+@pytest.mark.parametrize("mode", repetition.STRATEGY_MODES)
+def test_strategy_guard_boundary_is_the_one_predicate(monkeypatch, mode, what):
+    seen = []
+    real = repetition.exceeds_dim_guard
+
+    def spy(dims, n=1):
+        seen.append(real(dims, n))
+        return seen[-1]
+
+    monkeypatch.setattr(repetition, "exceeds_dim_guard", spy)
+    repetition.strategy_guard(mode, *_base_and_count(mode, what, DIM_GUARD), 1)
+    assert seen and not any(seen)
+    seen.clear()
+    with pytest.raises(ValueError, match="guard"):
+        repetition.strategy_guard(mode, *_base_and_count(mode, what, DIM_GUARD + 1), 1)
+    assert any(seen)
+
+
+def test_fresh_swap_interleavers_stop_at_the_guard():
+    # (2 x 2)^6 = DIM_GUARD sits on the bound
+    assert len(fresh_swap_interleavers(2, 2, 6)) == 5
+    with pytest.raises(ValueError, match="guard"):
+        fresh_swap_interleavers(2, 2, 7)
+
+
 def test_repeated_output_layout_rejections():
     ch = qubit_fam().members[0][1]
     four = PureState(np.kron(PHI2, PHI2), SystemShape((2, 2, 2, 2)))
