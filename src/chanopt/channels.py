@@ -31,11 +31,16 @@ from .numerics import (
     dagger,
     exceeds_dim_guard,
     hermitian_eig,
+    is_unitary,
     max_abs,
     max_entangled,
 )
 
 DEFAULT_TOL = 1e-9
+
+# Slack of the equalities behind the measurement-family checks: vanishing
+# cross terms and annihilations, unit traces and overlaps, input marginals.
+MEASUREMENT_TOL = 1e-8
 
 # What one Kraus operator costs apply_at_factor per entry, in units of one
 # multiplication of the superoperator matmul. The Kraus route is bound by
@@ -231,10 +236,6 @@ def apply_extended(ch: KrausChannel, rho, shape: SystemShape) -> np.ndarray:
     """
     rho = as_matrix(rho)
     shape.check(rho)
-    if shape.factor_dims[0] != ch.din:
-        raise ValueError(
-            f"first factor {shape.factor_dims[0]} does not match channel din {ch.din}"
-        )
     return apply_at_factor(ch, rho, shape.factor_dims, 0)
 
 
@@ -355,9 +356,7 @@ def covariance(
     for u, v in group:
         u = as_matrix(u)
         v = as_matrix(v)
-        if max_abs(u @ dagger(u) - np.eye(din)) > 1e-9 or max_abs(
-            v @ dagger(v) - np.eye(dout)
-        ) > 1e-9:
+        if not (is_unitary(u) and is_unitary(v)):
             raise ValueError("group elements must be unitary")
         # the input rotation on the Choi matrix, then each relation's output rotation
         rots_out = [np.kron(r, np.eye(din)) for r in (v, v.conj())]
@@ -612,6 +611,17 @@ def _str_from(node, where: str) -> str:
     return node
 
 
+def _one_of(names):
+    """Reader of one of names; any other value is unknown, named by its key."""
+
+    def read_name(node, where: str) -> str:
+        if not isinstance(node, str) or node not in names:
+            raise SpecError(where, f"unknown {where.rsplit('.', 1)[-1]} {node!r}")
+        return node
+
+    return read_name
+
+
 def _complex_from(node, where: str) -> complex:
     if isinstance(node, numbers.Complex) and not isinstance(node, numbers.Real):
         node = [node.real, node.imag]
@@ -690,7 +700,7 @@ def _unitaries(node, where: str) -> list[np.ndarray]:
     us = _list_of(_matrix_from)(node, where)
     d = us[0].shape[0]
     for i, u in enumerate(us):
-        if u.shape != (d, d) or max_abs(u @ dagger(u) - np.eye(d)) > 1e-9:
+        if u.shape != (d, d) or not is_unitary(u):
             raise ConstraintViolation(f"{where}[{i}]: not a {d}x{d} unitary")
     return us
 
@@ -736,7 +746,8 @@ def _gp(f: _Fields):
     else:
         key = "thetas"
         thetas = [np.array(t, dtype=float) for t in f("thetas", _list_of(_real_list))]
-    us = weyl_ops(d)
+    with _at(f"{f.where}.d"):
+        us = weyl_ops(d)
     return _numbered("gp", f, key, thetas, lambda t: _ou_channel(us, t)), {"thetas": thetas}
 
 
@@ -784,11 +795,8 @@ def _measurement(f: _Fields):
     rotated sets (1/c) U_i M_pm U_i^dag. Without a ``structure`` the form is
     rotated when ``unitaries`` is given and plain otherwise. Any other
     structure, or ``unitaries`` under an explicit plain one, is a SpecError."""
-    structure = f("structure", _str_from, "rotated" if "unitaries" in f else "plain")
-    if structure not in ("plain", "rotated"):
-        raise SpecError(
-            f"{f.where}.structure", f"unknown structure {structure!r}, expected 'plain' or 'rotated'"
-        )
+    default = "rotated" if "unitaries" in f else "plain"
+    structure = f("structure", _one_of(("plain", "rotated")), default)
     if structure == "plain":
         if "unitaries" in f:
             raise SpecError(
@@ -853,8 +861,7 @@ def make_family(kind: str, params: dict) -> ChannelFamily:
     down to the list item a member was built from. Every member of the
     returned family passes validate_cptp.
     """
-    if not isinstance(kind, str) or kind not in _BUILDERS:
-        raise SpecError("family.kind", f"unknown kind {kind!r}")
+    _one_of(_BUILDERS)(kind, "family.kind")
     f = _Fields(params, "family")
     labels = f("labels", _labels_from, None)
     members, stored = _BUILDERS[kind](f)

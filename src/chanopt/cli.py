@@ -28,8 +28,10 @@ from .channels import (
     _check_dims,
     _Fields,
     _int_from,
+    _items,
     _list_of,
     _matrix_from,
+    _one_of,
     _real_from,
     _real_list,
     _real_pair,
@@ -74,7 +76,7 @@ def _index(node, dim: int, where: str) -> int:
 
 def parse_state(node, fam, where: str) -> PureState:
     f = _Fields(node, where)
-    kind = f("kind")
+    kind = f("kind", _one_of(("phi_d", "basis", "amplitudes")))
     d = fam.din
     if kind == "phi_d":
         return PureState(max_entangled(d), SystemShape((d, d)))
@@ -89,13 +91,11 @@ def parse_state(node, fam, where: str) -> PureState:
             k = _index(idx[i], dim, f"{where}.indices[{i}]")
             vec = np.kron(vec, basis_vector(dim, k))
         return PureState(vec, SystemShape(dims))
-    if kind == "amplitudes":
-        values = f("values", _vector_from)
-        dims = f("dims", _list_of(_int_from))
-        _check_dims(f"{where}.dims", *dims)
-        with _at(where):
-            return PureState(values, SystemShape(tuple(dims)))
-    raise SpecError(f"{where}.kind", f"unknown state kind {kind!r}")
+    values = f("values", _vector_from)
+    dims = f("dims", _list_of(_int_from))
+    _check_dims(f"{where}.dims", *dims)
+    with _at(where):
+        return PureState(values, SystemShape(tuple(dims)))
 
 
 def _named_states(inputs: _Fields, fam) -> dict[str, PureState]:
@@ -134,18 +134,21 @@ def _check_count(where: str, n: int, low: int, d: int) -> None:
 
 
 def _group(doc, fam):
-    """The document's group: [U, V] pairs, U on the family input and V on its
-    output."""
-    node = doc("group")
-    if not isinstance(node, (list, tuple)) or not node:
-        raise SpecError("group", "expected a nonempty list of [U, V] pairs")
-    group = []
-    for i, pair in enumerate(node):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise SpecError(f"group[{i}]", "expected an [U, V] pair")
-        dims = (fam.din, fam.dout)
-        group.append(tuple(_square(d)(pair[j], f"group[{i}][{j}]") for j, d in enumerate(dims)))
-    return group
+    """The document's [U, V] pairs, U on the family input and V on its output."""
+
+    def read_pair(node, where: str) -> tuple:
+        pair = _items(node, where)
+        if len(pair) != 2:
+            raise SpecError(where, "expected an [U, V] pair")
+        return _square(fam.din)(pair[0], f"{where}[0]"), _square(fam.dout)(pair[1], f"{where}[1]")
+
+    return doc("group", _list_of(read_pair))
+
+
+def _seed(args, use: str) -> int:
+    if args.seed is None:
+        raise SpecError("flags", f"--seed is required for {use}")
+    return args.seed
 
 
 def _single_block(ana: _Fields, fam) -> optimal_inputs.IrrepBlocks:
@@ -265,14 +268,14 @@ def _cmd_compare(doc, ana, inputs, fam, args):
 
 
 def _cmd_certify(doc, ana, inputs, fam, args):
-    protocol = ana("protocol")
+    protocol = ana("protocol", _one_of(("measurement", "group-correction", "unital-qubit")))
     states = _named_states(inputs, fam)
 
     if protocol == "measurement":
         name = ana("input", _str_from)
         psi = _named(states, name, "analysis.input")
-        if psi.shape.factor_dims[0] != fam.din:
-            raise ConstraintViolation(f"inputs.{name}: first factor is not the family input")
+        with _at(f"inputs.{name}"):
+            optimal_inputs._reduced_input(psi, fam.din)
         # the input fits the family: only the family can be rejected
         with _at("family"):
             verdict = optimal_inputs.measurement_input_certify(fam, psi)
@@ -287,7 +290,7 @@ def _cmd_certify(doc, ana, inputs, fam, args):
         with _at("group"):
             sims = optimal_inputs.group_correction_simulator(fam, group, blocks)
         simulated = {label: sim(target.density()) for label, sim in sims.items()}
-    elif protocol == "unital-qubit":
+    else:
         with _at("analysis.p"):
             p = optimal_inputs._probability_pair(ana("p", _real_pair))
         with _at("analysis.v"):
@@ -299,8 +302,6 @@ def _cmd_certify(doc, ana, inputs, fam, args):
         with _at("analysis.v"):
             target = optimal_inputs.phi_pv(p, v)
         direct = _state_outputs(fam, target, "analysis.v")
-    else:
-        raise SpecError("analysis.protocol", f"unknown protocol {protocol!r}")
     residuals = {lab: max_abs(simulated[lab] - out) for lab, out in zip(fam.labels(), direct)}
     return {"protocol": protocol, **_certificate(residuals)}, {}
 
@@ -381,7 +382,7 @@ def _cmd_sweep(doc, ana, inputs, fam, args):
 
 
 def _cmd_ang(doc, ana, inputs, fam, args):
-    query = ana("query")
+    query = ana("query", _one_of(("nonempty", "solve", "sample", "parallel")))
     x = doc("x", _real_list)
     payload: dict = {"query": query, "x": x}
     tables = {}
@@ -394,32 +395,28 @@ def _cmd_ang(doc, ana, inputs, fam, args):
         payload["solutions"] = sols
         payload["residuals"] = geometry.closure_residual(x, sols)
     elif query == "sample":
-        if args.seed is None:
-            raise SpecError("flags", "--seed is required for sampling queries")
+        seed = _seed(args, "sampling queries")
         n = ana("n", _int_from, 50)
         _check_count("analysis.n", n, 1, len(x))
         with _at("x"):
-            samples = geometry.ang_sample(x, n, args.seed)
+            samples = geometry.ang_sample(x, n, seed)
         residuals = geometry.closure_residual(x, samples)
         tables["ang-samples.csv"] = _samples_csv(samples, residuals)
         payload["n"] = n
         payload["max_residual"] = residuals.max()
         payload["csv"] = "ang-samples.csv"
-    elif query == "parallel":
+    else:
         xp = doc("x_prime", _real_list)
         n = ana("n", _int_from, 50)
         _check_count("analysis.n", n, 1, len(x))
-        if len(x) >= 4 and args.seed is None:
-            raise SpecError("flags", "--seed is required for sampling queries")
+        seed = _seed(args, "sampling queries") if len(x) >= 4 else args.seed
         # a length mismatch is x_prime's fault; anything else is x's
         with _at("x" if len(xp) == len(x) else "x_prime"):
-            shadow = geometry.ang_parallel_property(x, xp, n=n, seed=args.seed)
+            shadow = geometry.ang_parallel_property(x, xp, n=n, seed=seed)
         payload["x_prime"] = xp
         payload["subset_holds"] = shadow.subset_holds
         if shadow.violating_sample is not None:
             payload["violating_sample"] = shadow.violating_sample
-    else:
-        raise SpecError("analysis.query", f"unknown query {query!r}")
     return payload, tables
 
 
@@ -427,9 +424,7 @@ def _parse_strategy(node, fam, states, where: str, args) -> repetition.Strategy:
     """A strategy node; its layout and size are checked by repetition's one
     rule for each before any state or interleaver of its size is built."""
     f = _Fields(node, where)
-    mode = f("mode")
-    if mode not in repetition.STRATEGY_MODES:
-        raise SpecError(f"{where}.mode", f"unknown mode {mode!r}")
+    mode = f("mode", _one_of(repetition.STRATEGY_MODES))
     n = f("n", _int_from)
     st = _named(states, f("input", _str_from), f"{where}.input")
     if n < 1:
@@ -440,7 +435,7 @@ def _parse_strategy(node, fam, states, where: str, args) -> repetition.Strategy:
         repetition.strategy_guard(mode, n, refs, fam.dout)
     interleavers = ()
     if mode == "sequential" and n > 1:
-        spec = f("interleavers")
+        spec = f("interleavers", _one_of(("identity-rewire", "fresh-swap", "random-unitary")))
         if spec == "identity-rewire":
             interleavers = repetition.identity_rewire_interleavers(fam.din, refs[0], n)
         elif spec == "fresh-swap":
@@ -448,18 +443,15 @@ def _parse_strategy(node, fam, states, where: str, args) -> repetition.Strategy:
             _check_dims(f"{where}.ref_dim", fam.din, d_ref)
             with _at(f"{where}.n"):
                 interleavers = repetition.fresh_swap_interleavers(fam.din, d_ref, n)
-        elif spec == "random-unitary":
-            if args.seed is None:
-                raise SpecError("flags", "--seed is required for random interleavers")
-            _check_count(f"{where}.n", n, 1, fam.din * refs[0])
-            interleavers = repetition.random_unitary_interleavers(fam.din, refs[0], n, args.seed)
         else:
-            raise SpecError(f"{where}.interleavers", f"unknown preset {spec!r}")
+            seed = _seed(args, "random interleavers")
+            _check_count(f"{where}.n", n, 1, fam.din * refs[0])
+            interleavers = repetition.random_unitary_interleavers(fam.din, refs[0], n, seed)
     return repetition.Strategy(mode=mode, n=n, input=st, interleavers=tuple(interleavers))
 
 
 def _cmd_repeat(doc, ana, inputs, fam, args):
-    analysis = ana("analysis")
+    analysis = ana("analysis", _one_of(("adaptive", "sequential-certificate", "output")))
     states = _named_states(inputs, fam)
 
     if analysis == "adaptive":
@@ -504,10 +496,8 @@ def _cmd_repeat(doc, ana, inputs, fam, args):
         with _at("group"):
             residuals = repetition.identical_matches_sequential(fam, group, blocks, strat)
             payload = _certificate(residuals)
-    elif analysis == "output":
-        member = ana("member", _str_from)
-        if member not in fam.labels():
-            raise SpecError("analysis.member", f"unknown member {member!r}")
+    else:
+        member = ana("member", _one_of(fam.labels()))
         strat = _parse_strategy(ana("strategy"), fam, states, "analysis.strategy", args)
         # the mode, n and layout are checked: only the interleavers' chain can be rejected
         with _at("analysis.strategy.input"):
@@ -519,8 +509,6 @@ def _cmd_repeat(doc, ana, inputs, fam, args):
             "min_eig": float(lam.min()),
             "max_eig": float(lam.max()),
         }
-    else:
-        raise SpecError("analysis.analysis", f"unknown analysis {analysis!r}")
     return {"analysis": analysis, **payload}, {}
 
 

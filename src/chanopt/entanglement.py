@@ -21,8 +21,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .channels import ChannelFamily, ConstraintViolation, gp_weights_from_channel
-from .comparison import _joint_spectrum, default_grid, sweep_norms
+from .channels import MEASUREMENT_TOL, ChannelFamily, ConstraintViolation, gp_weights_from_channel
+from .comparison import SWEEP_TOL, _joint_spectrum, default_grid, sweep_norms
 from .numerics import as_matrix, dagger, hermitian_eig, max_abs
 
 # Positions of the qubit Weyl weights theta.
@@ -32,10 +32,6 @@ I, Z, X, XZ = range(4)
 LINE_TOL = 1e-9
 # Absolute tolerance of each product-balance equation.
 BALANCE_TOL = 1e-10
-# Overlap and annihilation tolerance of the measurement-family checks.
-MEAS_TOL = 1e-8
-# Smallest margin reported as a witness against every product input.
-WITNESS_TOL = 1e-9
 
 
 def bloch_contraction(theta) -> tuple[float, float, float]:
@@ -135,7 +131,7 @@ def separable_suffices(fam: ChannelFamily) -> SeparableVerdict:
     certifying axis. On failure the witness records a member pair, a sweep
     point s, and the margin by which the entangled curve beats every product
     input there. The witness is None when no single pair and s give a
-    margin above WITNESS_TOL: an advantage that shows only across several s
+    margin above SWEEP_TOL: an advantage that shows only across several s
     (one axis ties below s = 1, another above) has no pointwise witness.
     """
     thetas = family_gp_params(fam)
@@ -178,7 +174,7 @@ def separable_suffices(fam: ChannelFamily) -> SeparableVerdict:
         cand = SeparableWitness(pair=(labels[i], labels[j]), s=float(s[k]), gap=float(adv[k]))
         if best is None or cand.gap > best.gap:
             best = cand
-    return SeparableVerdict(suffices=False, witness=best if best.gap > WITNESS_TOL else None)
+    return SeparableVerdict(suffices=False, witness=best if best.gap > SWEEP_TOL else None)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +263,7 @@ def meas_separable_check(fam: ChannelFamily, psi_in) -> MeasSeparableResult:
             v = dagger(as_matrix(u)) @ psi
             overlaps = np.abs(vecs.conj().T @ v)
             j = int(np.argmax(overlaps))
-            if abs(overlaps[j] - 1.0) > MEAS_TOL:
+            if abs(overlaps[j] - 1.0) > MEASUREMENT_TOL:
                 return MeasSeparableResult(
                     False,
                     {"structure": "rotated", "reason": "rotated input leaves the eigenbasis", "failed_at": i},
@@ -304,9 +300,9 @@ def meas_separable_check(fam: ChannelFamily, psi_in) -> MeasSeparableResult:
     proj = np.outer(psi, psi.conj())
     outcomes = []
     for i in range(len(mp)):
-        if float(np.linalg.norm(mp[i] @ psi)) <= MEAS_TOL:
+        if float(np.linalg.norm(mp[i] @ psi)) <= MEASUREMENT_TOL:
             outcomes.append("annihilates")
-        elif max_abs(mp[i] - np.trace(mp[i]) * proj) <= MEAS_TOL:
+        elif max_abs(mp[i] - np.trace(mp[i]) * proj) <= MEASUREMENT_TOL:
             outcomes.append("proportional")
         else:
             outcomes.append("neither")

@@ -70,9 +70,13 @@ def ang_solve_triangle(x) -> np.ndarray:
     w1 = np.exp(1j * np.arccos(np.clip(c, -1.0, 1.0)))
     w2 = -(y[0] * w1 + y[2]) / y[1]
     w2 /= abs(w2)
-    sol = _restore_order(np.array([[w1, w2]]), order)[0]
-    # sorted rows; one when the solution is its own conjugate
-    return np.unique([sol, sol.conj()], axis=0)
+    sol = _restore_order(np.array([[w1, w2]]), order)
+    # np.unique of sol and its conjugate without its import of numpy.ma: one
+    # row if sol is real, else first the row below the axis where they part
+    off = sol[0].imag[sol[0].imag != 0]
+    if not len(off):
+        return sol
+    return np.concatenate([sol.conj(), sol] if off[0] > 0 else [sol, sol.conj()])
 
 
 def _chain_intervals(y, r_next, k):

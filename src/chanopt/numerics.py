@@ -103,11 +103,20 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
-    return np.abs(m - m.conj().T).max() <= tol
+    return np.abs(m - m.conj().T).max() <= HERMITICITY_TOL
+
+
+# Largest entry of U U^dag - 1 of a square matrix that counts as unitary.
+UNITARY_TOL = 1e-9
+
+
+def is_unitary(m: np.ndarray) -> bool:
+    m = as_matrix(m)
+    return m.shape[0] == m.shape[1] and max_abs(m @ dagger(m) - np.eye(len(m))) <= UNITARY_TOL
 
 
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

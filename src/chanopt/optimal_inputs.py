@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
+    MEASUREMENT_TOL,
     ChannelFamily,
     KrausChannel,
     apply_at_factor,
@@ -32,6 +33,7 @@ from .numerics import (
     dagger,
     hermitian_eig,
     is_density,
+    is_unitary,
     max_abs,
     max_entangled,
 )
@@ -180,7 +182,7 @@ def _probability_pair(p) -> tuple[float, float]:
 
 def _qubit_unitary(v) -> np.ndarray:
     v = as_matrix(v)
-    if v.shape != (2, 2) or max_abs(v @ dagger(v) - np.eye(2)) > 1e-9:
+    if v.shape != (2, 2) or not is_unitary(v):
         raise ValueError("V must be a 2x2 unitary")
     return v
 
@@ -262,7 +264,7 @@ def pair_unitary_optimal_input(u_plus, u_minus) -> PairOptimum:
     if u_minus.shape != (d, d):
         raise ValueError("unitaries must share one dimension")
     for name, u in (("U_plus", u_plus), ("U_minus", u_minus)):
-        if max_abs(u @ dagger(u) - np.eye(d)) > 1e-9:
+        if not is_unitary(u):
             raise ValueError(f"{name} is not unitary")
 
     w = dagger(u_plus) @ u_minus
@@ -323,11 +325,6 @@ def _reduced_input(psi: PureState, din: int) -> np.ndarray:
     if len(psi.shape.factor_dims) == 1:
         return psi.density()
     return psi.reduced(0)
-
-
-# Slack of the equalities behind each measurement-family route: vanishing
-# cross terms, unit traces and the input marginal.
-MEASUREMENT_TOL = 1e-8
 
 
 def measurement_input_certify(fam: ChannelFamily, psi: PureState) -> ComparisonVerdict:

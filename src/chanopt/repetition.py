@@ -222,15 +222,7 @@ def _output_factors(member: KrausChannel, strat: Strategy) -> list[np.ndarray]:
         return [omega] * strat.n
 
     if strat.mode == "sequential":
-        rho = strat.input.density()
-        for i in range(strat.n):
-            rho = apply_extended(member, rho, strat.input.shape)
-            if i < strat.n - 1:
-                y = strat.interleavers[i]
-                if y.din != member.dout * refs[0] or y.dout != member.din * refs[0]:
-                    raise ValueError(f"interleaver {i} dimensions do not chain")
-                rho = y.apply(rho)
-        return [rho]
+        return [_run_chain(lambda rho: apply_extended(member, rho, strat.input.shape), strat)]
 
     def group_output(v: np.ndarray, group: tuple[int, ...]) -> np.ndarray:
         if len(group) == 1:
@@ -252,6 +244,18 @@ def _output_factors(member: KrausChannel, strat: Strategy) -> list[np.ndarray]:
         first = i + 1
     factors.append(group_output(rest, refs[first:]))
     return factors
+
+
+def _run_chain(use, strat: Strategy) -> np.ndarray:
+    """use, interleaver, use, ..., use on the input density of a sequential
+    strategy; each interleaver maps use's output back onto the input."""
+    rho = strat.input.density()
+    for i, y in enumerate(strat.interleavers):
+        rho = use(rho)
+        if y.din != len(rho) or y.dout != strat.input.shape.dim:
+            raise ValueError(f"interleaver {i} dimensions do not chain")
+        rho = y.apply(rho)
+    return use(rho)
 
 
 def repeated_output(member: KrausChannel, strat: Strategy) -> np.ndarray:
@@ -335,17 +339,10 @@ def identical_matches_sequential(
         raise ValueError("certificate expects a sequential strategy")
     strategy_layout(strat_seq.mode, strat_seq.n, strat_seq.input, fam.din)
     sims = group_correction_simulator(fam, group, blocks)
-
-    residuals: dict[str, float] = {}
-    for label, ch in fam.members:
-        direct = repeated_output(ch, strat_seq)
-        rho = strat_seq.input.density()
-        for i in range(strat_seq.n):
-            rho = sims[label](rho)
-            if i < strat_seq.n - 1:
-                rho = strat_seq.interleavers[i].apply(rho)
-        residuals[label] = max_abs(direct - rho)
-    return residuals
+    return {
+        label: max_abs(repeated_output(ch, strat_seq) - _run_chain(sims[label], strat_seq))
+        for label, ch in fam.members
+    }
 
 
 def _menu_step(psi: PureState, d: int, n_block: int) -> int:

@@ -229,9 +229,11 @@ def test_certify_measurement_basis_input(tmp_path):
     assert out["method"] == "sweep-sufficient-commuting"
 
 
-def test_certify_unknown_protocol(tmp_path):
-    doc = dict(GP_DOC, analysis={"protocol": "nope"})
+def test_certify_unknown_protocol(tmp_path, capsys):
+    # named before the malformed input
+    doc = dict(GP_DOC, analysis={"protocol": "nope"}, inputs={"a": 5})
     assert run(tmp_path, doc, "certify") == 2
+    assert capsys.readouterr().err.startswith("spec error at analysis.protocol: unknown protocol 'nope'")
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +510,10 @@ def test_ang_parallel_needs_seed_when_sampling(tmp_path, capsys):
     assert run(tmp_path, doc, "ang") == 0
 
 
-def test_ang_unknown_query(tmp_path):
-    assert run(tmp_path, ang_doc("nope", [1.0, 1.0, 1.0]), "ang") == 2
+def test_ang_unknown_query(tmp_path, capsys):
+    # named before the malformed lengths
+    assert run(tmp_path, ang_doc("nope", "x"), "ang") == 2
+    assert capsys.readouterr().err.startswith("spec error at analysis.query: unknown query 'nope'")
 
 
 # ---------------------------------------------------------------------------
@@ -796,9 +800,11 @@ def test_repeat_output_reports_are_byte_identical(tmp_path):
     assert reports("second", "2") == first
 
 
-def test_repeat_unknown_analysis(tmp_path):
-    doc = dict(GP_DOC, analysis={"analysis": "nope"})
+def test_repeat_unknown_analysis(tmp_path, capsys):
+    # named before the malformed input
+    doc = dict(GP_DOC, analysis={"analysis": "nope"}, inputs={"a": 5})
     assert run(tmp_path, doc, "repeat") == 2
+    assert capsys.readouterr().err.startswith("spec error at analysis.analysis: unknown analysis 'nope'")
 
 
 # ---------------------------------------------------------------------------
@@ -880,6 +886,7 @@ MALFORMED = {
     "d-fraction": ("validate", family_doc(**dict(ONE_GP, d=2.7)), (), 2, "family.d"),
     "d-bool": ("validate", family_doc(**dict(ONE_GP, d=True)), (), 2, "family.d"),
     "d-negative": ("validate", family_doc(kind="cdep", d=-1, thetas=[0.1]), (), 3, "family.d"),
+    "gp-d-one": ("validate", family_doc(kind="gp", d=1, thetas=[[1.0]]), (), 3, "family.d"),
     "d-above-guard-gp": ("validate", family_doc(**dict(GP3, d=65)), (), 3, "family.d"),
     "d-above-guard-cdep": ("validate", family_doc(kind="cdep", d=200, thetas=[0.0]), (), 3, "family.d"),
     "gp-d3-with-xis": ("validate", family_doc(kind="gp", d=3, xis=[[0.1, 0.2, 0.3]]), (), 2, "family.thetas"),
@@ -1405,6 +1412,47 @@ def test_one_layout_rule_one_verdict(tmp_path, capsys, case):
     if mode == "sequential":
         errors.append(str(exc.value))
     assert len(set(errors)) == 1, errors
+
+
+# every kind at its smallest dimension: d = 1, or 1x1 matrices where the
+# kind takes matrices (damp and qubit-phase are qubit families), one label
+# per member
+SMALLEST = {
+    "gp": {"kind": "gp", "d": 1, "thetas": [[1.0]], "labels": ["m0"]},
+    "damp": dict(DAMP, labels=["m0", "m1"]),
+    "diag": {"kind": "diag", "d": 1, "thetas": [[]], "labels": ["m0"]},
+    "cdep": {"kind": "cdep", "d": 1, "thetas": [0.1], "labels": ["m0"]},
+    "ou": {"kind": "ou", "unitaries": [[[1]]], "weights": [[1.0]], "labels": ["m0"]},
+    "qubit-phase": {"kind": "qubit-phase", "thetas": [[0.1, 0.2]], "labels": ["m0"]},
+    "measurement-plain": {"kind": "measurement", "povms": [[[[1]]]], "labels": ["m0"]},
+    "measurement-rotated": {
+        "kind": "measurement", "unitaries": [[[1]]], "m_plus": [[1]], "m_minus": [[1]], "labels": ["m0", "m1"],
+    },
+    "unitary": {"kind": "unitary", "unitaries": [[[1]]], "labels": ["m0"]},
+    "custom": {"kind": "custom", "kraus": [[[[1]]]], "labels": ["m0"]},
+}
+# every command that takes a family, under each of its analyses
+SMALLEST_ANALYSES = [
+    ("validate", {}),
+    ("compare", {"inputs": ["e", "b"]}),
+    ("certify", {"protocol": "measurement", "input": "b"}),
+    ("certify", {"protocol": "group-correction", "blocks": [1], "target": "b"}),
+    ("certify", {"protocol": "unital-qubit", "p": [1.0, 0.0], "v": mat_json(np.eye(2))}),
+    ("ent-advantage", {}),
+    ("sweep", {}),
+    ("repeat", {"analysis": "adaptive", "blocks": [1], "menus": [["b"]]}),
+    ("repeat", {"analysis": "output", "member": "m0", "strategy": {"mode": "identical", "n": 2, "input": "e"}}),
+    ("repeat", {"analysis": "sequential-certificate", "blocks": [1],
+                "strategy": {"mode": "sequential", "n": 2, "input": "e", "interleavers": "identity-rewire"}}),
+]
+
+
+@pytest.mark.parametrize("kind", sorted(SMALLEST))
+def test_every_kind_at_its_smallest_dimension_exits_cleanly(tmp_path, kind):
+    # main raises on a bug, so a traceback fails here too
+    for command, analysis in SMALLEST_ANALYSES:
+        doc = with_analysis(SMALLEST[kind], analysis, EB_INPUTS, group=[[[[1]], [[1]]]])
+        assert run(tmp_path, doc, command, "--seed", "7") in (0, 2, 3), (command, analysis)
 
 
 @pytest.mark.parametrize("d", [1, 3, 4, 5, 64])

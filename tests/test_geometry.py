@@ -116,6 +116,23 @@ def test_triangle_random_instances(rng):
         assert (closure_residual(x, sols) < 1e-9).all()
 
 
+def test_triangle_rows_are_np_unique_of_the_conjugate_pair(rng):
+    # seeded, near-flat and degenerate triangles (slack 0 to 1e-8 either
+    # side of the 1e-12 flatness bound), lengths in every order
+    cases = [rng.uniform(0.0, 2.0, size=3) for _ in range(200)]
+    for a, b in rng.uniform(0.1, 2.0, size=(50, 2)):
+        for slack in (0.0, 1e-13, 1e-11, 1e-8):
+            cases += [rng.permutation([a + b - slack, a, b]), rng.permutation([abs(a - b) + slack, a, b])]
+    rows = 0
+    for x in cases:
+        sols = ang_solve_triangle(x)
+        if len(sols):
+            want = np.unique(np.concatenate([sols[:1], sols[:1].conj()]), axis=0)
+            assert sols.shape == want.shape and sols.tobytes() == want.tobytes(), x
+            rows += len(sols)
+    assert rows > len(cases)
+
+
 def test_triangle_unsorted_input():
     x = [1.0, 2.0, 1.5]
     assert (closure_residual(x, ang_solve_triangle(x)) < 1e-12).all()

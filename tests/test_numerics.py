@@ -13,6 +13,7 @@ from chanopt.numerics import (
     hermitian_eig,
     is_density,
     is_hermitian,
+    is_unitary,
     max_abs,
     max_entangled,
     partial_trace,
@@ -53,6 +54,14 @@ def test_projector_and_hermitian_checks():
     assert is_hermitian(p)
     assert max_abs(p @ p - p) < 1e-12
     assert not is_hermitian(np.array([[0, 1], [0, 0]]))
+
+
+def test_is_unitary_is_square_within_the_tolerance():
+    u = np.array([[0, 1j], [1, 0]])
+    assert is_unitary(u) and is_unitary(u * (1 + 4e-10))
+    assert not is_unitary(u * (1 + 1e-9))
+    # orthonormal rows are not enough: U U^dag = 1 for this 1x2 matrix
+    assert not is_unitary(np.array([[0.6, 0.8]]))
 
 
 def test_dim_guard_bounds_uses_whatever_the_base():

@@ -103,9 +103,8 @@ def test_each_command_runs_only_its_modules(tmp_path, cmd):
     *_, masked, ran = _fresh(code, cmd, "--spec", spec, "--seed", "7", "--out", str(tmp_path))
     assert (tmp_path / f"{cmd}-report.json").is_file()
     assert set(ran.split()) == {"cli", "channels", "numerics", "presets"} | extra
-    # np.unique imports numpy.ma on recent numpy; only ang's 2-d call keeps it
-    if cmd != "ang":
-        assert masked == "False"
+    # np.unique imports numpy.ma on recent numpy; no command calls it
+    assert masked == "False"
 
 
 def test_missing_name_is_an_attribute_error():
