@@ -134,11 +134,6 @@ class ChoiMatrix:
         t = m.reshape(self.dout, self.din, self.dout, self.din)
         return np.trace(t, axis1=1, axis2=3)
 
-    def trace_out_output(self) -> np.ndarray:
-        """tr_out W; equals I_din for a trace preserving map."""
-        t = self.matrix.reshape(self.dout, self.din, self.dout, self.din)
-        return np.trace(t, axis1=0, axis2=2)
-
     def to_kraus(self) -> KrausChannel:
         """Kraus form from the eigendecomposition of the Choi matrix.
 
@@ -158,41 +153,17 @@ class ChoiMatrix:
 
 
 @dataclass
-class Povm:
-    """Positive operator valued measure: PSD elements summing to the identity."""
-
-    elements: list[np.ndarray]
-
-    def __post_init__(self):
-        self.elements = [as_matrix(e) for e in self.elements]
-        d = self.elements[0].shape[0]
-        for e in self.elements:
-            if e.shape != (d, d):
-                raise ValueError("POVM elements must share a square dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.elements[0].shape[0]
-
-    def validate(self) -> None:
-        total = sum(self.elements)
-        if max_abs(total - np.eye(self.dim)) > DEFAULT_TOL:
-            raise ConstraintViolation("POVM completeness: elements do not sum to I")
-        for i, e in enumerate(self.elements):
-            w, _ = hermitian_eig(e)
-            if w.min() < -DEFAULT_TOL:
-                raise ConstraintViolation(f"POVM element {i} is not PSD")
-
-
-@dataclass
 class ChannelFamily:
     """Ordered, labeled channels sharing input and output spaces, as
     make_family builds and checks them.
 
-    ``params`` carries kind-specific structure: the Weyl weights theta of a
-    generalized Pauli family, the rotation data of a rotated measurement
-    family, and so on. Consumers that need structure (the entanglement
-    module, the measurement certifiers) read it from here.
+    ``params`` holds only the structure some analysis reads:
+
+    - ``gp``: ``thetas``, each member's Weyl weights in weyl_ops order;
+    - ``measurement``: ``structure`` ("plain" or "rotated") and ``povms``,
+      each member's list of POVM elements; the rotated form adds its
+      ``unitaries`` and base elements ``m_plus`` and ``m_minus``;
+    - every other kind: nothing.
     """
 
     members: list[tuple[str, KrausChannel]]
@@ -504,19 +475,29 @@ def _qubit_phase_channel(t1: float, t2: float) -> KrausChannel:
     return KrausChannel([e1, e2], din=2, dout=2)
 
 
-def measurement_channel(povm: Povm) -> KrausChannel:
-    """Channel that measures a POVM and outputs the outcome label.
+def measurement_channel(elements) -> KrausChannel:
+    """Channel that measures the POVM with these elements and outputs the
+    outcome label.
 
-    Output dimension is the number of outcomes; Kraus operators are
-    sqrt(lam) |i><phi| over the eigenpairs of each element, so the output is
-    diagonal in the outcome basis: L(rho) = sum_i tr(rho M_i) |i><i|.
+    Three checks come first: the elements must share one square dimension
+    (ValueError), sum to the identity and each be PSD, both within
+    DEFAULT_TOL (ConstraintViolation). Output dimension is the number of
+    outcomes; Kraus operators are sqrt(lam) |i><phi| over the eigenpairs of
+    each element, so the output is diagonal in the outcome basis:
+    L(rho) = sum_i tr(rho M_i) |i><i|.
     """
-    povm.validate()
-    d = povm.dim
-    m = len(povm.elements)
+    elements = [as_matrix(e) for e in elements]
+    d = elements[0].shape[0]
+    if any(e.shape != (d, d) for e in elements):
+        raise ValueError("POVM elements must share a square dimension")
+    if max_abs(sum(elements) - np.eye(d)) > DEFAULT_TOL:
+        raise ConstraintViolation("POVM completeness: elements do not sum to I")
+    m = len(elements)
     ops = []
-    for i, elem in enumerate(povm.elements):
+    for i, elem in enumerate(elements):
         w, v = hermitian_eig(elem)
+        if w.min() < -DEFAULT_TOL:
+            raise ConstraintViolation(f"POVM element {i} is not PSD")
         for lam, col in zip(w, v.T):
             if lam > 1e-12:
                 out = np.zeros((m, d), dtype=complex)
@@ -525,7 +506,7 @@ def measurement_channel(povm: Povm) -> KrausChannel:
     return KrausChannel(ops, din=d, dout=m)
 
 
-def rotated_povm(base_plus, base_minus, unitaries) -> tuple[list, list, float]:
+def rotated_povm(base_plus, base_minus, unitaries) -> tuple[list, list]:
     """Build the rotated measurement pair M_pm(i) = (1/c) U_i M_pm U_i^dag.
 
     Requires sum_i U_i A U_i^dag = c tr(A) 1 for all A, which fixes
@@ -545,7 +526,16 @@ def rotated_povm(base_plus, base_minus, unitaries) -> tuple[list, list, float]:
     mm = as_matrix(base_minus)
     plus = [u @ mp @ dagger(u) / c for u in us]
     minus = [u @ mm @ dagger(u) / c for u in us]
-    return plus, minus, c
+    return plus, minus
+
+
+def binary_povms(fam: ChannelFamily) -> tuple[list, list]:
+    """The two members' POVM element lists of a two-member measurement
+    family; any other family is a ValueError."""
+    povms = fam.params.get("povms", ()) if fam.kind == "measurement" else ()
+    if len(fam.members) != 2 or len(povms) != 2:
+        raise ValueError("expected a two-member measurement family")
+    return povms[0], povms[1]
 
 
 # ---------------------------------------------------------------------------
@@ -756,19 +746,19 @@ def _damp(f: _Fields):
     if not 0.0 <= p <= 1.0:
         raise ConstraintViolation(f"{f.where}.p: damp needs p in [0,1], got {p}")
     xis = f("xis", _list_of(_real_from))
-    return _numbered("damp", f, "xis", xis, lambda xi: _damp_channel(p, xi)), {"p": p, "xis": xis}
+    return _numbered("damp", f, "xis", xis, lambda xi: _damp_channel(p, xi)), {}
 
 
 def _diag(f: _Fields):
     d = f("d", _qudit_dim)
     thetas = f("thetas", _list_of(_vector_from))
-    return _numbered("diag", f, "thetas", thetas, lambda t: _diag_channel(d, t)), {"thetas": thetas}
+    return _numbered("diag", f, "thetas", thetas, lambda t: _diag_channel(d, t)), {}
 
 
 def _cdep(f: _Fields):
     d = f("d", _qudit_dim)
     thetas = f("thetas", _list_of(_real_from))
-    return _numbered("cdep", f, "thetas", thetas, lambda t: _cdep_channel(d, t)), {"thetas": thetas}
+    return _numbered("cdep", f, "thetas", thetas, lambda t: _cdep_channel(d, t)), {}
 
 
 def _ou(f: _Fields):
@@ -779,14 +769,12 @@ def _ou(f: _Fields):
                 f"{f.where}.unitaries: ou elements {i},{j} are not orthogonal, tr(U_i U_j^dag) != 0"
             )
     weights = f("weights", _list_of(_real_list))
-    members = _numbered("ou", f, "weights", weights, lambda w: _ou_channel(unitaries, w))
-    return members, {"unitaries": unitaries}
+    return _numbered("ou", f, "weights", weights, lambda w: _ou_channel(unitaries, w)), {}
 
 
 def _qubit_phase(f: _Fields):
     thetas = f("thetas", _list_of(_real_pair))
-    members = _numbered("phase", f, "thetas", thetas, lambda t: _qubit_phase_channel(*t))
-    return members, {"thetas": thetas}
+    return _numbered("phase", f, "thetas", thetas, lambda t: _qubit_phase_channel(*t)), {}
 
 
 def _measurement(f: _Fields):
@@ -802,7 +790,7 @@ def _measurement(f: _Fields):
             raise SpecError(
                 f"{f.where}.structure", "a plain family takes no unitaries; the rotated form does"
             )
-        povms = _each(f"{f.where}.povms", f("povms", _list_of(_list_of(_matrix_from))), Povm)
+        povms = f("povms", _list_of(_list_of(_matrix_from)))
         members = _numbered("meas", f, "povms", povms, measurement_channel)
         return members, {"structure": structure, "povms": povms}
     unitaries = f("unitaries", _unitaries)
@@ -810,8 +798,7 @@ def _measurement(f: _Fields):
     m_plus = f("m_plus", square)
     m_minus = f("m_minus", square)
     with _at(f"{f.where}.unitaries"):
-        plus, minus, c = rotated_povm(m_plus, m_minus, unitaries)
-    povms = [Povm(plus), Povm(minus)]
+        povms = rotated_povm(m_plus, m_minus, unitaries)
     members = []
     for label, povm in zip(("plus", "minus"), povms):
         path = f"{f.where}.m_{label}"
@@ -819,11 +806,10 @@ def _measurement(f: _Fields):
             members.append((label, path, measurement_channel(povm)))
     stored = {
         "structure": "rotated",
+        "povms": povms,
         "unitaries": unitaries,
         "m_plus": m_plus,
         "m_minus": m_minus,
-        "c": c,
-        "povms": povms,
     }
     return members, stored
 

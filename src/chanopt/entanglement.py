@@ -21,7 +21,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .channels import MEASUREMENT_TOL, ChannelFamily, ConstraintViolation, gp_weights_from_channel
+from .channels import (
+    MEASUREMENT_TOL,
+    ChannelFamily,
+    ConstraintViolation,
+    binary_povms,
+    gp_weights_from_channel,
+)
 from .comparison import SWEEP_TOL, _joint_spectrum, default_grid, sweep_norms
 from .numerics import as_matrix, dagger, hermitian_eig, max_abs
 
@@ -229,7 +235,7 @@ def product_candidates(fam: ChannelFamily) -> list[np.ndarray]:
     if fam.params.get("structure") == "rotated":
         u0 = as_matrix(fam.params["unitaries"][0])
         return list((u0 @ _rotated_eigenbasis(fam)).T)
-    return [hermitian_eig(m)[1][:, -1] for m in fam.params["povms"][0].elements]
+    return [hermitian_eig(m)[1][:, -1] for m in fam.params["povms"][0]]
 
 
 def meas_separable_check(fam: ChannelFamily, psi_in) -> MeasSeparableResult:
@@ -241,8 +247,7 @@ def meas_separable_check(fam: ChannelFamily, psi_in) -> MeasSeparableResult:
     landing map must be a surjection hitting each eigenvector the same
     number of times.
     """
-    if fam.kind != "measurement":
-        raise ValueError("family is not of measurement kind")
+    mp, mm = binary_povms(fam)
     psi = np.asarray(psi_in, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise ValueError("psi_in must be unit norm")
@@ -282,10 +287,6 @@ def meas_separable_check(fam: ChannelFamily, psi_in) -> MeasSeparableResult:
             detail["reason"] = "landing map is not an equal-multiplicity surjection"
         return MeasSeparableResult(ok, detail)
 
-    povms = fam.params.get("povms")
-    if not povms or len(povms) != 2:
-        raise ValueError("family carries no usable POVM structure")
-    mp, mm = povms[0].elements, povms[1].elements
     if len(mp) != len(mm):
         raise ValueError("members must share the outcome count")
     for i in range(len(mp)):

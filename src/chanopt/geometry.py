@@ -24,8 +24,12 @@ def closure_residual(x, omegas):
 
 
 def _sorted_desc(x):
+    """x in descending order, scaled by the power of two that puts its
+    largest entry into [0.5, 1), and that order. Closures do not depend on
+    the scale, and the scaling is exact, so lengths of any size close
+    without overflow and normal-range lengths keep every bit."""
     order = np.argsort(-x, kind="stable")
-    return x[order], order
+    return np.ldexp(x[order], -np.frexp(x[order[0]])[1]), order
 
 
 def _restore_order(om_sorted, order) -> np.ndarray:
@@ -46,7 +50,7 @@ def ang_nonempty(x) -> bool:
         raise ValueError("need at least three lengths")
     if (x < 0).any():
         raise ValueError("entries must be nonnegative")
-    y = np.sort(x)[::-1]
+    y, _ = _sorted_desc(x)
     return bool(y[0] <= y[1:].sum())
 
 
@@ -61,10 +65,9 @@ def ang_solve_triangle(x) -> np.ndarray:
         raise ValueError("entries must be nonnegative")
     y, order = _sorted_desc(x)
     slack = y[1] + y[2] - y[0]
-    scale = max(y[0], 1.0)
-    if slack < -1e-12 * scale:
+    if slack < -1e-12 * y[0]:
         return np.empty((0, 2), dtype=complex)
-    if slack <= 1e-12 * scale:
+    if slack <= 1e-12 * y[0]:
         return _restore_order(np.array([[-1.0, 1.0]]), order)
     c = (y[1] ** 2 - y[0] ** 2 - y[2] ** 2) / (2 * y[0] * y[2])
     w1 = np.exp(1j * np.arccos(np.clip(c, -1.0, 1.0)))
@@ -131,7 +134,7 @@ def ang_sample(x, n: int, seed) -> np.ndarray:
         om[1] = -(y[0] * om[0] + z) / y[1]
         om[1] /= abs(om[1])
     out = _restore_order(om_sorted, order)
-    if (closure_residual(x, out) > 1e-9).any():
+    if (closure_residual(x, out) > 1e-9 * x.max()).any():
         raise RuntimeError("sample failed the closure check")
     return out
 

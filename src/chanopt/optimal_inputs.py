@@ -21,6 +21,7 @@ from .channels import (
     KrausChannel,
     apply_at_factor,
     apply_extended,
+    binary_povms,
     covariance,
     is_unital,
 )
@@ -68,12 +69,9 @@ class IrrepBlocks:
 
 
 def covariant_optimal_state(blocks: IrrepBlocks) -> PureState:
-    """Normalized direct sum of block-wise maximally entangled states.
-
-    Block weights sqrt(d_mu / d) flatten the marginal to 1/d; since the
-    direct sum only populates matched diagonal pairs, it is the maximally
-    entangled state of the full space.
-    """
+    """The maximally entangled state on the blocks' total dimension d, the
+    input the measure-and-correct protocol certifies; that protocol takes one
+    block spanning all d dimensions (IrrepBlocks.check_single)."""
     d = blocks.total_dim
     return PureState(max_entangled(d), SystemShape((d, d)))
 
@@ -346,14 +344,7 @@ def measurement_input_certify(fam: ChannelFamily, psi: PureState) -> ComparisonV
        that entry also maximizes |2a_k - 1| (checked, not assumed: the
        per-entry curves are ordered by |2a_k - 1|, not by a_k).
     """
-    if fam.kind != "measurement":
-        raise ValueError("family is not of measurement kind")
-    if len(fam.members) != 2:
-        raise ValueError("certification needs exactly two members")
-    povms = fam.params.get("povms")
-    if not povms or len(povms) != 2:
-        raise ValueError("family carries no POVM structure")
-    mp, mm = povms[0].elements, povms[1].elements
+    mp, mm = binary_povms(fam)
     din = fam.din
     rho = _reduced_input(psi, din)
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelFamily, KrausChannel, apply_at_factor, apply_extended
+from .channels import ChannelFamily, KrausChannel, apply_at_factor, apply_extended, binary_povms
 from .comparison import (
     _binary_risk,
     _check_pair,
@@ -426,10 +426,7 @@ def adaptive_vs_identical(
     per branch. Each (block, menu entry) output pair is built and checked
     once and shared by every branch.
     """
-    if fam.kind != "measurement":
-        raise ValueError("adaptation analysis expects a measurement family")
-    if len(fam.members) != 2:
-        raise ValueError("binary family required")
+    binary_povms(fam)
     _check_prior(prior)
     d = fam.din
     (_, ch_p), (_, ch_m) = fam.members

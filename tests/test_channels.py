@@ -6,9 +6,9 @@ from chanopt.channels import (
     ChoiMatrix,
     ConstraintViolation,
     KrausChannel,
-    Povm,
     apply_at_factor,
     apply_extended,
+    binary_povms,
     choi_of,
     covariance,
     gen_pauli,
@@ -21,7 +21,10 @@ from chanopt.channels import (
     validate_cptp,
     weyl_ops,
 )
-from chanopt.numerics import SystemShape, dagger, max_abs, max_entangled
+from chanopt.entanglement import meas_separable_check
+from chanopt.numerics import PureState, SystemShape, dagger, max_abs, max_entangled, partial_trace
+from chanopt.optimal_inputs import measurement_input_certify
+from chanopt.repetition import AdaptivePlan, adaptive_vs_identical
 from conftest import bell_weights_oracle, haar_unitary, random_density, random_pure
 
 
@@ -76,8 +79,8 @@ def test_choi_apply_and_kraus_round_trip(rng):
 
 def test_choi_trace_out_output_is_identity_for_tp():
     ch = make_family("gp", {"d": 3, "thetas": [[0.5, 0.1, 0.1, 0.05, 0.05, 0.05, 0.05, 0.05, 0.05]]}).members[0][1]
-    w = choi_of(ch)
-    assert max_abs(w.trace_out_output() - np.eye(3)) < 1e-9
+    w = choi_of(ch).matrix
+    assert max_abs(partial_trace(w, SystemShape((3, 3)), keep=1) - np.eye(3)) < 1e-9
 
 
 def test_apply_extended_matches_kron(rng):
@@ -295,8 +298,7 @@ def test_qubit_phase_family():
 
 def test_measurement_channel_block_diagonal(rng):
     m = np.diag([0.8, 0.2])
-    povm = Povm([m, np.eye(2) - m])
-    ch = measurement_channel(povm)
+    ch = measurement_channel([m, np.eye(2) - m])
     rho = random_density(rng, 2)
     out = ch.apply(rho)
     assert max_abs(out - np.diag(np.diag(out))) < 1e-12
@@ -304,10 +306,12 @@ def test_measurement_channel_block_diagonal(rng):
 
 
 def test_povm_validation():
-    with pytest.raises(ConstraintViolation):
-        Povm([np.diag([0.5, 0.5])]).validate()
-    with pytest.raises(ConstraintViolation):
-        Povm([np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])]).validate()
+    with pytest.raises(ValueError, match="share a square dimension"):
+        measurement_channel([np.eye(2), np.eye(3)])
+    with pytest.raises(ConstraintViolation, match="completeness"):
+        measurement_channel([np.diag([0.5, 0.5])])
+    with pytest.raises(ConstraintViolation, match="element 1 is not PSD"):
+        measurement_channel([np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])])
 
 
 def test_rotated_povm_twirl_constant():
@@ -316,8 +320,7 @@ def test_rotated_povm_twirl_constant():
     e2 = np.array([2.0, -1.0]) / np.sqrt(5)
     mp = 0.7 * np.outer(e1, e1) + 0.3 * np.outer(e2, e2)
     mm = 0.2 * np.outer(e1, e1) + 0.8 * np.outer(e2, e2)
-    plus, minus, c = rotated_povm(mp, mm, us)
-    assert abs(c - len(us) / 2) < 1e-12
+    plus, minus = rotated_povm(mp, mm, us)
     assert len(plus) == len(minus) == len(us)
     assert max_abs(sum(plus) - np.eye(2)) < 1e-9
     assert max_abs(sum(minus) - np.eye(2)) < 1e-9
@@ -356,6 +359,55 @@ def test_make_family_measurement_kinds():
     )
     assert fam2.labels() == ["p", "q"]
     assert fam2.params["structure"] == "plain"
+
+
+_M = np.diag([0.8, 0.2])
+_ROTATED = {"unitaries": weyl_ops(2), "m_plus": np.diag([0.7, 0.3]), "m_minus": np.diag([0.3, 0.7])}
+
+# each kind's smallest document and the params its family keeps: only what
+# some analysis reads
+STORED = {
+    "gp": ("gp", {"d": 2, "xis": [[0.1, 0.2, 0.3]]}, {"thetas"}),
+    "damp": ("damp", {"p": 0.5, "xis": [0.3]}, set()),
+    "diag": ("diag", {"d": 2, "thetas": [[2.0**-0.5]]}, set()),
+    "cdep": ("cdep", {"d": 2, "thetas": [0.1]}, set()),
+    "ou": ("ou", {"unitaries": weyl_ops(2), "weights": [[0.25] * 4]}, set()),
+    "qubit-phase": ("qubit-phase", {"thetas": [[0.3, 0.1]]}, set()),
+    "measurement-plain": ("measurement", {"povms": [[_M, np.eye(2) - _M]]}, {"structure", "povms"}),
+    "measurement-rotated": (
+        "measurement", _ROTATED, {"structure", "povms", "unitaries", "m_plus", "m_minus"}
+    ),
+    "unitary": ("unitary", {"unitaries": [np.eye(2)]}, set()),
+    "custom": ("custom", {"kraus": [[np.eye(2)]]}, set()),
+}
+
+
+@pytest.mark.parametrize("form", sorted(STORED))
+def test_make_family_stores_only_what_analyses_read(form):
+    kind, params, keys = STORED[form]
+    assert set(make_family(kind, params).params) == keys
+
+
+def test_binary_povms_is_the_one_measurement_guard():
+    pair = make_family("measurement", {"povms": [[_M, np.eye(2) - _M], [np.eye(2) - _M, _M]]})
+    assert [len(p) for p in binary_povms(pair)] == [2, 2]
+    rotated = make_family("measurement", _ROTATED)
+    assert [len(p) for p in binary_povms(rotated)] == [4, 4]
+    phi = PureState(max_entangled(2), SystemShape((2, 2)))
+    plan = AdaptivePlan((1,), ((phi,),))
+    analyses = [
+        lambda fam: measurement_input_certify(fam, phi),
+        lambda fam: meas_separable_check(fam, np.array([1.0, 0.0])),
+        lambda fam: adaptive_vs_identical(fam, 0.5, plan),
+    ]
+    gp = make_family("gp", {"d": 2, "xis": [[0.1, 0.2, 0.3]]})
+    three = make_family("measurement", {"povms": [[_M, np.eye(2) - _M]] * 3})
+    for fam in (gp, three):
+        with pytest.raises(ValueError, match="^expected a two-member measurement family$"):
+            binary_povms(fam)
+        for analysis in analyses:
+            with pytest.raises(ValueError, match="^expected a two-member measurement family$"):
+                analysis(fam)
 
 
 def test_make_family_unitary_and_custom(rng):

@@ -1318,6 +1318,15 @@ MISMATCHED = {
         ),
         "family",
     ),
+    "certify-measurement-three-members": (
+        "certify",
+        with_analysis({"kind": "measurement", "povms": [[mat_json(np.eye(2))]] * 3},
+                      {"protocol": "measurement", "input": "a"}, AB_INPUTS),
+        "family",
+    ),
+    "ent-advantage-three-members": (
+        "ent-advantage", family_doc(kind="measurement", povms=[[mat_json(np.eye(2))]] * 3), "family",
+    ),
     "adaptive-menu-state-three-factors": (
         "repeat",
         with_analysis(

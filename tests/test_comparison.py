@@ -19,7 +19,15 @@ from chanopt.comparison import (
     gap_curve,
     sweep_norms,
 )
-from chanopt.numerics import DENSITY_TOL, SystemShape, is_density, max_abs, max_entangled, trace_norm
+from chanopt.numerics import (
+    DENSITY_TOL,
+    SystemShape,
+    is_density,
+    max_abs,
+    max_entangled,
+    partial_trace,
+    trace_norm,
+)
 from conftest import haar_unitary, hermitian_sweep_oracle, random_density, random_pure
 
 
@@ -847,7 +855,7 @@ def test_feasible_choi_certificate_properties(rng):
     assert res2.feasible
     w = res2.choi.matrix
     assert np.linalg.eigvalsh(w).min() >= -1e-8
-    assert max_abs(res2.choi.trace_out_output() - np.eye(2)) <= 1e-6
+    assert max_abs(partial_trace(w, SystemShape((2, 2)), keep=1) - np.eye(2)) <= 1e-6
     # the certificate actually maps sources to targets
     assert max_abs(res2.choi.apply(np.outer(c, c)) - np.outer(a, a)) < 1e-6
 
@@ -987,7 +995,8 @@ def test_feasibility_resolves_within_time_bound(rng, case):
         if res.feasible:
             w = res.choi
             assert np.linalg.eigvalsh(w.matrix).min() >= -1e-8
-            assert max_abs(w.trace_out_output() - np.eye(src[0].shape[0])) <= 1e-7
+            tr_out = partial_trace(w.matrix, SystemShape((w.dout, w.din)), keep=1)
+            assert max_abs(tr_out - np.eye(src[0].shape[0])) <= 1e-7
             for rho, sigma in zip(src, tgt):
                 assert max_abs(w.apply(rho) - sigma) <= 1e-7
         else:

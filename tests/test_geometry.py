@@ -59,6 +59,9 @@ def test_nonempty_polygon_rule():
     assert not ang_nonempty([3.0, 1.0, 1.0])
     assert ang_nonempty([1.0, 1.0, 1.0, 2.5])
     assert not ang_nonempty([1.0, 1.0, 1.0, 5.0])
+    # the sum of the rest overflows at this scale
+    assert ang_nonempty([1e308] * 3)
+    assert not ang_nonempty([1e308, 1e307, 1e307])
     with pytest.raises(ValueError):
         ang_nonempty([1.0, 1.0])
     with pytest.raises(ValueError):
@@ -138,6 +141,24 @@ def test_triangle_unsorted_input():
     assert (closure_residual(x, ang_solve_triangle(x)) < 1e-12).all()
 
 
+@pytest.mark.parametrize("x", [[1e300] * 3, [1e-13] * 3, [3e-13, 4e-13, 5e-13]])
+def test_triangle_closes_at_any_scale(x):
+    # the closures of the same triangle at unit scale: a conjugate pair, not
+    # one flat closure, and no overflow near the float maximum
+    sols = ang_solve_triangle(x)
+    assert sols.shape == (2, 2)
+    assert np.abs(sols - ang_solve_triangle(np.divide(x, max(x)))).max() <= 1e-12
+    assert (closure_residual(x, sols) <= 1e-12 * max(x)).all()
+
+
+def test_power_of_two_scale_keeps_every_bit(rng):
+    for _ in range(50):
+        x = rng.uniform(0.1, 2.0, size=3)
+        assert ang_solve_triangle(x * 2.0**40).tobytes() == ang_solve_triangle(x).tobytes()
+    x = rng.uniform(0.5, 1.5, size=5)
+    assert ang_sample(x * 2.0**-30, 5, seed=1).tobytes() == ang_sample(x, 5, seed=1).tobytes()
+
+
 def test_triangle_rejections():
     with pytest.raises(ValueError):
         ang_solve_triangle([1.0, 1.0, 1.0, 1.0])
@@ -169,6 +190,12 @@ def test_sample_symmetric_diversity():
 def test_sample_five_lengths():
     x = [1.3, 1.0, 0.7, 0.5, 0.4]
     assert (closure_residual(x, ang_sample(x, 10, seed=5)) <= 1e-9).all()
+
+
+@pytest.mark.parametrize("x", [[1e300] * 4, [1e8] * 4])
+def test_sample_closes_at_any_scale(x):
+    samples = ang_sample(x, 10, seed=7)
+    assert (closure_residual(x, samples) <= 1e-9 * max(x)).all()
 
 
 def test_sample_rejections():

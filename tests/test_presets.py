@@ -51,7 +51,6 @@ def test_document_rebuilds_same_family(name):
 def test_damp_counterexample_members():
     fam = preset_family("damp-counterexample")
     assert fam.labels() == ["xi-half", "xi-zero"]
-    assert fam.params["p"] == 1.0
     doc = preset_document("damp-counterexample")
     assert doc["analysis"]["extra_s"] == [0.5]
 
@@ -93,6 +92,5 @@ def test_eb_povm_no_product_input_matches():
 def test_eb_weyl_no_product_input_matches():
     fam = preset_family("eb-needs-ent-weyl")
     assert fam.params["structure"] == "rotated"
-    assert fam.params["c"] == 2.0
     for r in fibonacci_sphere(30):
         assert not meas_separable_check(fam, bloch_state(r)).matches_phi
