@@ -199,6 +199,19 @@ def choi_of(ch: KrausChannel) -> ChoiMatrix:
     return ChoiMatrix(w, din=ch.din, dout=ch.dout)
 
 
+def use_layout(shape: SystemShape, din: int, uses: int = 1) -> tuple[int, ...]:
+    """Reference dimensions of the uses channel factors (dimension din) of an
+    input of this shape: all bare, each a reference of dimension 1, or each
+    followed by its reference; ValueError otherwise. The one rule by which
+    every command, strategy and menu reads an input."""
+    dims = shape.factor_dims
+    if dims == (din,) * uses:
+        return (1,) * uses
+    if len(dims) != 2 * uses or dims[::2] != (din,) * uses:
+        raise ValueError(f"input needs {uses} channel factor(s) of dimension {din}, bare or each with a reference")
+    return dims[1::2]
+
+
 def apply_extended(ch: KrausChannel, rho, shape: SystemShape) -> np.ndarray:
     """Apply the channel to the first tensor factor of rho.
 

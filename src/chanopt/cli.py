@@ -41,6 +41,7 @@ from .channels import (
     apply_extended,
     covariance,
     make_family,
+    use_layout,
     validate_cptp,
 )
 from .numerics import (
@@ -110,15 +111,10 @@ def _named(states: dict, name: str, where: str):
 
 
 def _state_outputs(fam, st: PureState, where: str) -> list[np.ndarray]:
-    dims = st.shape.factor_dims
+    with _at(where):
+        use_layout(st.shape, fam.din)
     rho = st.density()
-    if len(dims) == 1:
-        if dims[0] != fam.din:
-            raise SpecError(where, "bare input does not match the family input")
-        return [ch.apply(rho) for _, ch in fam.members]
-    if len(dims) == 2 and dims[0] == fam.din:
-        return [apply_extended(ch, rho, st.shape) for _, ch in fam.members]
-    raise SpecError(where, "input must be bare or (channel x reference)")
+    return [apply_extended(ch, rho, st.shape) for _, ch in fam.members]
 
 
 def _check_count(where: str, n: int, low: int, d: int) -> None:
@@ -275,7 +271,7 @@ def _cmd_certify(doc, ana, inputs, fam, args):
         name = ana("input", _str_from)
         psi = _named(states, name, "analysis.input")
         with _at(f"inputs.{name}"):
-            optimal_inputs._reduced_input(psi, fam.din)
+            use_layout(psi.shape, fam.din)
         # the input fits the family: only the family can be rejected
         with _at("family"):
             verdict = optimal_inputs.measurement_input_certify(fam, psi)
@@ -475,7 +471,7 @@ def _cmd_repeat(doc, ana, inputs, fam, args):
         for i, (size, menu) in enumerate(zip(plan.block_sizes, plan.menus)):
             with _at(f"analysis.menus[{i}]"):
                 for psi in menu:
-                    repetition._menu_step(psi, fam.din, size)
+                    use_layout(psi.shape, fam.din, size)
         # prior, blocks and menus are checked: only the family can be rejected
         with _at("family"):
             risks = repetition.adaptive_vs_identical(fam, prior, plan)

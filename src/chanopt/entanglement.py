@@ -29,7 +29,7 @@ from .channels import (
     gp_weights_from_channel,
 )
 from .comparison import SWEEP_TOL, _joint_spectrum, default_grid, sweep_norms
-from .numerics import as_matrix, dagger, hermitian_eig, max_abs
+from .numerics import NORM_TOL, as_matrix, dagger, hermitian_eig, max_abs
 
 # Positions of the qubit Weyl weights theta.
 I, Z, X, XZ = range(4)
@@ -249,7 +249,7 @@ def meas_separable_check(fam: ChannelFamily, psi_in) -> MeasSeparableResult:
     """
     mp, mm = binary_povms(fam)
     psi = np.asarray(psi_in, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
+    if abs(np.linalg.norm(psi) - 1.0) > NORM_TOL:
         raise ValueError("psi_in must be unit norm")
     d = fam.din
     if psi.shape[0] != d:
@@ -295,7 +295,7 @@ def meas_separable_check(fam: ChannelFamily, psi_in) -> MeasSeparableResult:
         if (w > 1e-9 * top).sum() != 1:
             raise ValueError("orthogonal-complement structure needs unit-rank outcomes")
         comp = (np.trace(mp[i]) * np.eye(d) - mp[i]) / max(d - 1, 1)
-        if max_abs(mm[i] - comp) > 1e-9:
+        if max_abs(mm[i] - comp) > MEASUREMENT_TOL:
             raise ValueError("second member is not the orthogonal complement family")
 
     proj = np.outer(psi, psi.conj())

@@ -16,11 +16,14 @@ import numpy as np
 
 def closure_residual(x, omegas):
     """|x_1 w_1 + ... + x_{d-1} w_{d-1} + x_d| of one closure, or of each row
-    of a stack of them. hypot(re, im) rounds like abs() of one complex
-    number; np.abs of a complex array can differ from it in the last bit."""
-    x = np.asarray(x, dtype=float)
-    z = (x[:-1] * np.asarray(omegas)).sum(-1) + x[-1]
-    return np.hypot(z.real, z.imag)
+    of a stack of them, summed at x scaled as _sorted_desc scales it, so
+    that no partial sum overflows, and scaled back: both are exact. hypot(re,
+    im) rounds like abs() of one complex number; np.abs of a complex array
+    can differ from it in the last bit."""
+    e = np.frexp(np.abs(x).max())[1]
+    y = np.ldexp(np.asarray(x, dtype=float), -e)
+    z = (y[:-1] * np.asarray(omegas)).sum(-1) + y[-1]
+    return np.ldexp(np.hypot(z.real, z.imag), e)
 
 
 def _sorted_desc(x):

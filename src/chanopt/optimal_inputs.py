@@ -24,6 +24,7 @@ from .channels import (
     binary_povms,
     covariance,
     is_unital,
+    use_layout,
 )
 from .comparison import SWEEP_TOL, ComparisonVerdict, _joint_spectrum, _sweep
 from .numerics import (
@@ -317,14 +318,6 @@ def _sqrtm_psd(m) -> np.ndarray:
     return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
 
 
-def _reduced_input(psi: PureState, din: int) -> np.ndarray:
-    if psi.shape.factor_dims[0] != din:
-        raise ValueError("input state's first factor must live on H_in")
-    if len(psi.shape.factor_dims) == 1:
-        return psi.density()
-    return psi.reduced(0)
-
-
 def measurement_input_certify(fam: ChannelFamily, psi: PureState) -> ComparisonVerdict:
     """Certify psi as universally optimal for a two-member measurement family.
 
@@ -346,7 +339,8 @@ def measurement_input_certify(fam: ChannelFamily, psi: PureState) -> ComparisonV
     """
     mp, mm = binary_povms(fam)
     din = fam.din
-    rho = _reduced_input(psi, din)
+    use_layout(psi.shape, din)
+    rho = psi.reduced(0)
 
     if len(mp) == len(mm):
         sq = _sqrtm_psd(rho)

@@ -8,7 +8,8 @@ optimum identically reproduces any sequential strategy's final state; for
 binary measurement families, classically adaptive block inputs never beat
 identical repetition.
 
-Channel uses are applied factor by factor with channels.apply_at_factor, so
+Each use is a (channel x reference) pair of the input (channels.use_layout;
+a bare use has a reference of dimension 1), applied by apply_at_factor, so
 no operator on the joint space is ever formed; each measure-and-correct step
 of the sequential certificate is one correction channel, shared by every
 member and every step, applied the same way. An identical strategy never
@@ -35,7 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelFamily, KrausChannel, apply_at_factor, apply_extended, binary_povms
+from .channels import (
+    ChannelFamily,
+    KrausChannel,
+    apply_at_factor,
+    apply_extended,
+    binary_povms,
+    use_layout,
+)
 from .comparison import (
     _binary_risk,
     _check_pair,
@@ -135,18 +143,9 @@ class AdaptivePlan:
 
 
 def strategy_layout(mode: str, n: int, psi: PureState, din: int) -> tuple[int, ...]:
-    """The reference dimension of each (channel x reference) factor pair an
-    n-use strategy in this mode reads psi as: the one pair that identical
-    repetition copies and a sequential strategy runs, or n pairs, one per
-    parallel use. ValueError when psi's factors are not that layout: the one
-    layout rule of every strategy, in the library and the CLI alike."""
-    pairs = n if mode == "parallel" else 1
-    dims = psi.shape.factor_dims
-    if len(dims) != 2 * pairs or any(dims[2 * i] != din for i in range(pairs)):
-        raise ValueError(
-            f"{mode} input needs {pairs} (channel x reference) factor pair(s), channel dimension {din}"
-        )
-    return dims[1::2]
+    """Reference dimensions of psi's uses (use_layout) in an n-use strategy
+    of this mode: n for parallel repetition, else the one use it repeats."""
+    return use_layout(psi.shape, din, n if mode == "parallel" else 1)
 
 
 def strategy_guard(mode: str, n: int, refs: tuple[int, ...], dout: int) -> None:
@@ -345,26 +344,16 @@ def identical_matches_sequential(
     }
 
 
-def _menu_step(psi: PureState, d: int, n_block: int) -> int:
-    """Stride between a menu state's n_block channel factors (dimension d):
-    1 when they are all its factors, 2 when each has a reference after it."""
-    dims = psi.shape.factor_dims
-    if len(dims) == n_block and all(dim == d for dim in dims):
-        return 1
-    if len(dims) == 2 * n_block and all(dims[2 * i] == d for i in range(n_block)):
-        return 2
-    raise ValueError("menu state needs one channel factor (optionally with a reference) per use")
-
-
 def _block_outputs(ch: KrausChannel, psi: PureState, d: int, n_block: int):
-    """ch applied to each of psi's n_block channel factors (dimension d):
-    all of its factors, or every other one when each use has a reference."""
-    step = _menu_step(psi, d, n_block)
+    """ch applied to each of psi's n_block channel factors (dimension d), at
+    factor 2i of its (channel x reference) pairs (use_layout); a bare use's
+    reference of dimension 1 leaves each application's arithmetic as it is."""
+    refs = use_layout(psi.shape, d, n_block)
     rho = psi.density()
-    cur = list(psi.shape.factor_dims)
+    cur = [x for dr in refs for x in (d, dr)]
     for i in range(n_block):
-        rho = apply_at_factor(ch, rho, cur, step * i)
-        cur[step * i] = ch.dout
+        rho = apply_at_factor(ch, rho, cur, 2 * i)
+        cur[2 * i] = ch.dout
     return rho
 
 

@@ -18,6 +18,7 @@ from chanopt.channels import (
     make_family,
     measurement_channel,
     rotated_povm,
+    use_layout,
     validate_cptp,
     weyl_ops,
 )
@@ -93,6 +94,33 @@ def test_apply_extended_matches_kron(rng):
     )
     assert max_abs(got - want) < 1e-12
     assert abs(np.trace(got) - 1) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "dims,uses,refs",
+    [
+        ((2,), 1, (1,)),
+        ((2, 3), 1, (3,)),
+        ((2, 1), 1, (1,)),
+        ((2, 2), 2, (1, 1)),
+        ((2, 2), 1, (2,)),
+        ((2, 3, 2, 1, 2, 4), 3, (3, 1, 4)),
+    ],
+    ids=["bare", "paired", "trivial-reference", "two-bare", "phi", "three-pairs"],
+)
+def test_use_layout_reads_bare_and_paired_uses(dims, uses, refs):
+    assert use_layout(SystemShape(dims), 2, uses) == refs
+
+
+@pytest.mark.parametrize(
+    "dims,uses",
+    [((3,), 1), ((3, 2), 1), ((2, 2, 2), 1), ((2, 2, 2), 2), ((2, 3), 2), ((2, 2, 3, 2), 2), ((2, 1, 1), 1), ((2, 2), 3)],
+    ids=["bare-wrong", "paired-wrong", "three-bare", "bare-and-pair", "bare-wrong-second", "second-pair-wrong",
+         "split-reference", "too-few"],
+)
+def test_use_layout_rejects_every_other_layout(dims, uses):
+    with pytest.raises(ValueError, match=f"input needs {uses} channel factor"):
+        use_layout(SystemShape(dims), 2, uses)
 
 
 def _kernel_channel(name, rng) -> KrausChannel:

@@ -17,14 +17,14 @@ from hypothesis import strategies as st
 
 import chanopt
 from chanopt import repetition
-from chanopt.channels import ConstraintViolation, apply_extended, make_family, weyl_ops
+from chanopt.channels import ConstraintViolation, apply_extended, make_family, use_layout, weyl_ops
 from chanopt.cli import _COMMANDS, _check_count, _jsonable, _samples_csv, _sweep_csv, main
 from chanopt.comparison import gap_curve
 from chanopt.entanglement import product_candidates
 from chanopt.geometry import ang_sample, ang_solve_triangle, closure_residual
 from chanopt.numerics import DIM_GUARD, SystemShape, max_abs, max_entangled
-from chanopt.optimal_inputs import IrrepBlocks, PureState
-from chanopt.repetition import Strategy, repeated_output
+from chanopt.optimal_inputs import IrrepBlocks, PureState, measurement_input_certify
+from chanopt.repetition import AdaptivePlan, Strategy, repeated_output
 
 SQRT_HALF = float(np.sqrt(0.5))
 
@@ -470,6 +470,15 @@ def test_samples_csv_shape():
     w1 = complex(float(cells[1]), float(cells[2]))
     assert w1 == samples[0, 0]
     assert float(cells[-1]) <= 1e-9
+
+
+def test_ang_sample_at_the_float_maximum(tmp_path):
+    # closure sums at 1e308 would overflow unscaled: the report is valid,
+    # finite JSON
+    assert run(tmp_path, ang_doc("sample", [1e308] * 4), "ang", "--seed", "7") == 0
+    text = (tmp_path / "ang-report.json").read_text()
+    out = json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in the report"))
+    assert 0 <= out["max_residual"] <= 1e-9 * 1e308
 
 
 @pytest.mark.parametrize("d", [4, 5, 6, 7, 8])
@@ -1131,18 +1140,18 @@ MALFORMED = {
     "input-bare-dim": (
         "compare",
         with_analysis(DAMP, {"inputs": ["e", "a"]}, {"a": {"kind": "amplitudes", "values": [1, 0, 0], "dims": [3]}, "e": {"kind": "phi_d"}}),
-        (), 2, "inputs.a",
+        (), 3, "inputs.a",
     ),
     "input-three-factors": (
         "sweep",
         with_analysis(DAMP, {"inputs": ["e", "a"]}, {"a": {"kind": "amplitudes", "values": [1, 0, 0, 0], "dims": [2, 2, 1]}, "e": {"kind": "phi_d"}}),
-        (), 2, "inputs.a",
+        (), 3, "inputs.a",
     ),
     "certify-target-dim": (
         "certify",
         with_analysis(ONE_GP, {"protocol": "group-correction", "blocks": [2], "target": "a"},
                       {"a": {"kind": "amplitudes", "values": [1, 0, 0, 0], "dims": [1, 4]}}, group=weyl_group_json()),
-        (), 2, "inputs.a",
+        (), 3, "inputs.a",
     ),
     "ang-n-string": ("ang", ang_doc("sample", [1.0, 0.8, 0.6, 0.9], analysis={"n": "5"}), ("--seed", "7"), 2, "analysis.n"),
     "ang-n-huge": ("ang", ang_doc("sample", [1.0, 0.8, 0.6, 0.9], analysis={"n": 10**12}), ("--seed", "7"), 3, "analysis.n"),
@@ -1337,20 +1346,20 @@ MISMATCHED = {
     ),
     "output-identical-bare-input": (
         "repeat",
-        with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": {"mode": "identical", "n": 2, "input": "b"}},
-                      EB_INPUTS),
+        with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": {"mode": "identical", "n": 2, "input": "t"}},
+                      dict(EB_INPUTS, t={"kind": "amplitudes", "values": [1, 0, 0], "dims": [3]})),
         "analysis.strategy.input",
     ),
     "output-parallel-phi": (
         "repeat",
-        with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": {"mode": "parallel", "n": 2, "input": "e"}},
+        with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": {"mode": "parallel", "n": 3, "input": "e"}},
                       EB_INPUTS),
         "analysis.strategy.input",
     ),
     "output-sequential-bare-input": (
         "repeat",
-        with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": dict(OUTPUT_STRATEGY, input="b", interleavers="identity-rewire")},
-                      EB_INPUTS),
+        with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": dict(OUTPUT_STRATEGY, input="t", interleavers="identity-rewire")},
+                      dict(EB_INPUTS, t={"kind": "amplitudes", "values": [1] + [0] * 7, "dims": [2, 2, 2]})),
         "analysis.strategy.input",
     ),
     "adaptive-not-measurement": (
@@ -1374,53 +1383,109 @@ def test_mismatch_names_field(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith(f"validation error: {path}: ")
 
 
-# (mode, n, input factor dims) that do not fit the mode's layout: one
-# (channel x reference) pair for identical and sequential, n for parallel
+# (mode, n, input factor dims) that fit no layout of the mode's uses, n for
+# parallel and one otherwise: that many qubit channel factors, all bare or
+# each followed by its reference
 BAD_LAYOUTS = {
-    "identical-bare": ("identical", 2, [2]),
+    "identical-bare": ("identical", 2, [3]),
     "identical-wrong-channel": ("identical", 2, [3, 2]),
     "identical-two-pairs": ("identical", 2, [2, 2, 2, 2]),
+    "identical-split-reference": ("identical", 2, [2, 1, 1]),
     "parallel-bare": ("parallel", 2, [2]),
     "parallel-wrong-channel": ("parallel", 2, [3, 2, 2, 2]),
     "parallel-three-pairs": ("parallel", 2, [2, 2, 2, 2, 2, 2]),
     "parallel-mixed-channels": ("parallel", 2, [2, 2, 3, 2]),
-    "sequential-bare": ("sequential", 2, [2]),
+    "parallel-bare-and-pair": ("parallel", 2, [2, 2, 2]),
+    "parallel-bare-wrong-channel": ("parallel", 2, [2, 3]),
+    "sequential-bare": ("sequential", 2, [2, 2, 2]),
     "sequential-wrong-channel": ("sequential", 2, [3, 2]),
     "sequential-two-pairs": ("sequential", 2, [2, 2, 2, 2]),
 }
 
 
+def layout_sites(mode, n, inputs):
+    """(command, document, field path) of every input site that reads the
+    input x as this strategy's uses: the strategy, an adaptive menu of as
+    many uses and, for one use, compare, sweep and both certify inputs."""
+    gp2 = dict(ONE_GP, xis=[[0.1, 0.2, 0.3], [0.25, 0.05, 0.15]])
+    uses = n if mode == "parallel" else 1
+    strategy = {"mode": mode, "n": n, "input": "x", "interleavers": "identity-rewire"}
+    sites = [
+        ("repeat", with_analysis(gp2, {"analysis": "output", "member": "gp0", "strategy": strategy}, inputs),
+         "analysis.strategy.input"),
+        ("repeat", with_analysis(ROTATED, {"analysis": "adaptive", "blocks": [uses], "menus": [["x"]]}, inputs),
+         "analysis.menus[0]"),
+    ]
+    if mode == "sequential":
+        sites.append(("repeat", with_analysis(gp2, {"analysis": "sequential-certificate", "blocks": [2], "strategy": strategy},
+                                              inputs, group=weyl_group_json()), "analysis.strategy.input"))
+    if uses == 1:
+        sites += [
+            ("compare", with_analysis(gp2, {"inputs": ["x", "e"]}, inputs), "inputs.x"),
+            ("sweep", with_analysis(gp2, {"inputs": ["x"]}, inputs), "inputs.x"),
+            ("certify", with_analysis(ROTATED, {"protocol": "measurement", "input": "x"}, inputs), "inputs.x"),
+            ("certify", with_analysis(gp2, {"protocol": "group-correction", "blocks": [2], "target": "x"}, inputs,
+                                      group=weyl_group_json()), "inputs.x"),
+        ]
+    return gp2, sites
+
+
 @pytest.mark.parametrize("case", sorted(BAD_LAYOUTS))
 def test_one_layout_rule_one_verdict(tmp_path, capsys, case):
-    """The library and every repeat analysis reject a strategy input that
-    does not fit its mode with the same error, named at the input."""
+    """Every input site, in the CLI and the library alike, rejects an input
+    that does not fit its uses with use_layout's one error, named at the
+    input: exit 3."""
     mode, n, dims = BAD_LAYOUTS[case]
     values = np.eye(int(np.prod(dims)))[0]
-    strategy = {"mode": mode, "n": n, "input": "x", "interleavers": "identity-rewire"}
-    inputs = {"x": {"kind": "amplitudes", "values": values.tolist(), "dims": dims}}
-    gp2 = dict(ONE_GP, xis=[[0.1, 0.2, 0.3], [0.25, 0.05, 0.15]])
-    docs = [with_analysis(gp2, {"analysis": "output", "member": "gp0", "strategy": strategy}, inputs)]
-    if mode == "sequential":
-        docs.append(with_analysis(gp2, {"analysis": "sequential-certificate", "blocks": [2], "strategy": strategy},
-                                  inputs, group=weyl_group_json()))
+    inputs = {"x": {"kind": "amplitudes", "values": values.tolist(), "dims": dims}, "e": {"kind": "phi_d"}}
+    gp2, sites = layout_sites(mode, n, inputs)
     errors = []
-    for doc in docs:
-        assert run(tmp_path, doc, "repeat") == 3
+    for command, doc, path in sites:
+        assert run(tmp_path, doc, command) == 3, (command, path)
         err = capsys.readouterr().err
-        assert err.startswith("validation error: analysis.strategy.input: ")
+        assert err.startswith(f"validation error: {path}: "), err
         errors.append(err.strip().split(": ", 2)[2])
 
+    uses = n if mode == "parallel" else 1
+    psi = PureState(values, SystemShape(tuple(dims)))
     fam = make_family("gp", gp2)
     interleavers = repetition.identity_rewire_interleavers(2, 2, n) if mode == "sequential" else ()
-    strat = Strategy(mode, n, PureState(values, SystemShape(tuple(dims))), interleavers)
-    with pytest.raises(ValueError) as exc:
-        repeated_output(fam.members[0][1], strat)
-    errors.append(str(exc.value))
-    with pytest.raises(ValueError) as exc:
-        repetition.identical_matches_sequential(fam, [(u, u) for u in weyl_ops(2)], IrrepBlocks((2,)), strat)
+    strat = Strategy(mode, n, psi, interleavers)
+    calls = [
+        lambda: use_layout(psi.shape, 2, uses),
+        lambda: repeated_output(fam.members[0][1], strat),
+        lambda: repetition.adaptive_vs_identical(make_family("measurement", ROTATED), 0.5, AdaptivePlan((uses,), ((psi,),))),
+    ]
     if mode == "sequential":
+        calls.append(lambda: repetition.identical_matches_sequential(fam, [(u, u) for u in weyl_ops(2)], IrrepBlocks((2,)), strat))
+    if uses == 1:
+        calls.append(lambda: measurement_input_certify(make_family("measurement", ROTATED), psi))
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
         errors.append(str(exc.value))
     assert len(set(errors)) == 1, errors
+
+
+def test_bare_strategy_inputs_match_their_trivial_reference_twins(tmp_path):
+    # a bare use is a use with a reference of dimension 1: each strategy on
+    # bare factors writes the report of the same amplitudes read as
+    # (channel x 1) pairs, byte for byte
+    plus = [SQRT_HALF, SQRT_HALF]
+    cases = [
+        ({"mode": "identical", "n": 3}, plus, [2]),
+        ({"mode": "sequential", "n": 3, "interleavers": "identity-rewire"}, plus, [2]),
+        ({"mode": "sequential", "n": 2, "interleavers": "random-unitary"}, plus, [2]),
+        ({"mode": "parallel", "n": 2}, [0.6, 0.0, 0.0, 0.8], [2, 2]),
+    ]
+    for strategy, values, dims in cases:
+        reports = []
+        for shape in (dims, [x for d in dims for x in (d, 1)]):
+            inputs = {"x": {"kind": "amplitudes", "values": values, "dims": shape}}
+            doc = with_analysis(ONE_GP, {"analysis": "output", "member": "gp0", "strategy": dict(strategy, input="x")}, inputs)
+            assert run(tmp_path, doc, "repeat", "--seed", "7") == 0, (strategy, shape)
+            reports.append((tmp_path / "repeat-report.json").read_bytes())
+        assert reports[0] == reports[1], strategy
 
 
 # every kind at its smallest dimension: d = 1, or 1x1 matrices where the
@@ -1486,15 +1551,20 @@ def test_a_bug_is_not_reported_as_a_validation_error(tmp_path, monkeypatch):
         run(tmp_path, GP_DOC, "validate")
 
 
-def test_certify_measurement_input_with_many_trivial_factors(tmp_path):
-    # 14 tensor factors, 13 of them trivial, get the bare input's verdict
+def test_certify_measurement_input_with_many_trivial_factors(tmp_path, capsys):
+    # one trivial reference factor gets the bare input's verdict; 13 of them
+    # are no layout of one use, as in compare
     reports = []
-    for dims in ([2], [2] + [1] * 13):
+    for dims in ([2], [2, 1]):
         inputs = {"a": {"kind": "amplitudes", "values": [1, 0], "dims": dims}}
         doc = with_analysis(ROTATED, {"protocol": "measurement", "input": "a"}, inputs)
         assert run(tmp_path, doc, "certify") == 0
         reports.append(report(tmp_path, "certify-report.json"))
     assert reports[0] == reports[1]
+    inputs = {"a": {"kind": "amplitudes", "values": [1, 0], "dims": [2] + [1] * 13}}
+    doc = with_analysis(ROTATED, {"protocol": "measurement", "input": "a"}, inputs)
+    assert run(tmp_path, doc, "certify") == 3
+    assert capsys.readouterr().err.startswith("validation error: inputs.a: input needs 1 channel factor(s)")
 
 
 # ---------------------------------------------------------------------------

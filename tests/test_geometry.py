@@ -159,6 +159,20 @@ def test_power_of_two_scale_keeps_every_bit(rng):
     assert ang_sample(x * 2.0**-30, 5, seed=1).tobytes() == ang_sample(x, 5, seed=1).tobytes()
 
 
+def test_closure_residual_scales_exactly():
+    # the sum runs at x scaled by a power of two and the residual is scaled
+    # back, both exact: at 2^1023 the partial sum x_1 w_1 + x_2 w_2 = -2^1024
+    # of the folded square would overflow, and every scale gives the
+    # unit-scale residual's bits
+    x = np.ones(4)
+    folded = np.array([[-1.0, -1.0, 1.0]], dtype=complex)
+    samples = np.concatenate([folded, ang_sample(x, 10, seed=3)])
+    for k in (1023, 40, -30):
+        scaled = closure_residual(np.ldexp(x, k), samples)
+        assert np.isfinite(scaled).all()
+        assert scaled.tobytes() == np.ldexp(closure_residual(x, samples), k).tobytes()
+
+
 def test_triangle_rejections():
     with pytest.raises(ValueError):
         ang_solve_triangle([1.0, 1.0, 1.0, 1.0])
@@ -192,7 +206,7 @@ def test_sample_five_lengths():
     assert (closure_residual(x, ang_sample(x, 10, seed=5)) <= 1e-9).all()
 
 
-@pytest.mark.parametrize("x", [[1e300] * 4, [1e8] * 4])
+@pytest.mark.parametrize("x", [[1e300] * 4, [1e8] * 4, [1e308] * 4])
 def test_sample_closes_at_any_scale(x):
     samples = ang_sample(x, 10, seed=7)
     assert (closure_residual(x, samples) <= 1e-9 * max(x)).all()

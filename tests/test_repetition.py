@@ -421,8 +421,9 @@ def test_repeated_output_layout_rejections():
     four = PureState(np.kron(PHI2, PHI2), SystemShape((2, 2, 2, 2)))
     with pytest.raises(ValueError):
         repeated_output(ch, Strategy("identical", 2, four))
+    # a 2 x 2 state is two bare parallel uses, and no layout of three
     with pytest.raises(ValueError):
-        repeated_output(ch, Strategy("parallel", 2, bell_input()))
+        repeated_output(ch, Strategy("parallel", 3, bell_input()))
     bad = Strategy(
         "sequential", 2, bell_input(), identity_rewire_interleavers(3, 2, 2)
     )
