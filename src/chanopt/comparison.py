@@ -19,8 +19,10 @@ closed form within SWEEP_TOL / 10 (_sweep_operands). Any other pair's curve
 is |tr a - s tr b| wherever a - s b is proven semidefinite within
 SWEEP_TOL / 10, and a stacked eigendecomposition covers the indefinite
 middle of the grid (_hermitian_sweeps). _sweep runs each step once for a
-whole batch of pairs: one commutator gate, one semidefinite guess and one
-eigvalsh (in slabs) over every pair's certifying points and middle, per dimension.
+whole batch of pairs, per dimension: one commutator gate, one joint eigh
+for the commuting pairs (_joint_spectra), and for the others one
+semidefinite guess and one eigvalsh (in slabs) over every pair's certifying
+points and middle.
 """
 from __future__ import annotations
 
@@ -236,36 +238,38 @@ def _commuting(a, b) -> np.ndarray:
 
 def _joint_spectrum(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
     """(V, p, q, r) for a Hermitian pair that commutes within COMMUTE_TOL,
-    None for any other pair.
-
-    _joint_basis does the work once the commutator gate has passed.
+    None for any other pair: one commutator gate, then _joint_spectra on a
+    stack of one, so the pair gets the bits it gets in any _sweep batch.
     """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    return _joint_basis(a, b) if _commuting(a, b) else None
+    a, b = as_matrix(a)[None], as_matrix(b)[None]
+    return _joint_spectra(a, b)[0] if _commuting(a, b)[0] else None
 
 
-def _joint_basis(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(V, p, q, r) of a commuting Hermitian pair.
+def _joint_spectra(a, b) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
+    """(V, p, q, r) of each commuting Hermitian pair of the stacks a and b.
 
-    Diagonalizes b, then rediagonalizes a inside each (near-)degenerate
-    eigenspace of b, eigenvalues within 1e-8 of its scale. V holds the joint
-    basis vectors as columns, p and q the eigenvalues of a and of b paired
-    by column, and r = max |V^dag m V - diag(lambda_m)| over both members m:
-    how far V is from diagonalizing them, which each caller bounds before it
-    trusts (p, q).
+    One stacked eigh diagonalizes every b, and p_i = Re c^dag a c for each of
+    its eigenvector columns c is one stacked product. Only inside a
+    (near-)degenerate eigenspace of b, eigenvalues within 1e-8 of its scale,
+    is a rediagonalized, pair by pair, for its columns and their p. V holds
+    the joint basis vectors as columns, p and q the eigenvalues of a and of
+    b paired by column, and r = max |V^dag m V - diag(lambda_m)| over both
+    members m (one stacked product each): how far V is from diagonalizing
+    them, which each caller bounds before it trusts (p, q).
     """
-    q, v = hermitian_eig(b)
-    scale = max(float(np.abs(q).max()), 1.0)
-    ps, cols = [], []
-    for c in np.split(v, np.flatnonzero(np.diff(q) > 1e-8 * scale) + 1, axis=1):
-        mu, w = hermitian_eig(dagger(c) @ a @ c)
-        ps.append(mu)
-        cols.append(c @ w)
-    v, p = np.hstack(cols), np.concatenate(ps)
-    vh = dagger(v)
-    r = max(max_abs(vh @ m @ v - np.diag(lam)) for m, lam in ((a, p), (b, q)))
-    return v, p, q, r
+    q, v = np.linalg.eigh(_herm(b))
+    vc = v.swapaxes(1, 2)[..., None]  # each eigenvector as a d x 1 column
+    p = (vc.conj().swapaxes(2, 3) @ a[:, None] @ vc)[..., 0, 0].real
+    split = np.diff(q, axis=1) > 1e-8 * np.maximum(np.abs(q).max(axis=1, keepdims=True), 1.0)
+    for j in np.flatnonzero(~split.all(axis=1)):
+        for cols in np.split(np.arange(q.shape[1]), np.flatnonzero(split[j]) + 1):
+            if len(cols) > 1:
+                c = v[j][:, cols]
+                p[j, cols], w = hermitian_eig(dagger(c) @ a[j] @ c)
+                v[j][:, cols] = c @ w
+    vh, eye = v.conj().swapaxes(1, 2), np.eye(q.shape[1])
+    r = np.max([np.abs(vh @ m @ v - lam[..., None] * eye).max(axis=(1, 2)) for m, lam in ((a, p), (b, q))], axis=0)
+    return [(vj, pj, qj, float(rj)) for vj, pj, qj, rj in zip(v, p, q, r)]
 
 
 def _breakpoints(spectrum) -> np.ndarray:
@@ -312,14 +316,17 @@ def _sweep(groups, grid) -> list[tuple[list, list, np.ndarray, list]]:
     joint spectra of its pairs (None where a pair does not commute), their
     kinks, the grid merged with all of them, and each pair's norms there.
 
-    The commutator gate is one stacked product per dimension, and every pair
-    _sweep_operands leaves as matrices goes through one _hermitian_sweeps.
+    Per dimension, the commutator gate is one stacked product and the pairs
+    it passes get their joint spectra from one _joint_spectra (one stacked
+    eigh); every pair _sweep_operands leaves as matrices goes through one
+    _hermitian_sweeps (one semidefinite guess and one eigvalsh).
     """
     pairs = [pair for group in groups for pair in group]
     spectra = [None] * len(pairs)
     for idx, a, b in _by_dimension(pairs):
-        for j in np.flatnonzero(_commuting(a, b)):
-            spectra[idx[j]] = _joint_basis(a[j], b[j])
+        gate = np.flatnonzero(_commuting(a, b))
+        for j, spectrum in zip(gate, _joint_spectra(a[gate], b[gate])):
+            spectra[idx[j]] = spectrum
     out, dense, start = [], [], 0
     for group in groups:
         group_spectra = spectra[start : start + len(group)]

@@ -102,6 +102,54 @@ def test_joint_eigenbasis_diagonalizes_both(rng):
     assert max_abs(b @ vecs - vecs * q) < 1e-12
 
 
+def commuting_pairs(rng):
+    """((a, b), (weights of a, weights of b)) of commuting pairs at d = 1..5
+    with a simple b spectrum, with zero eigenvalues and with a degenerate b
+    whose eigenspace a splits; the last is Bell-diagonal, b with two equal
+    weights."""
+    cases = []
+    for d in range(1, 6):
+        u = haar_unitary(rng, d)
+        weights = [rng.dirichlet(np.ones(d), size=2)]
+        if d > 1:
+            zeros = rng.dirichlet(np.ones(d), size=2)
+            zeros[0, 0] = zeros[1, -1] = 0.0
+            even = rng.dirichlet(np.ones(d), size=2)
+            even[1, :2] = even[1, :2].mean()
+            weights += [zeros / zeros.sum(axis=1, keepdims=True), even]
+        cases += [(tuple(u @ np.diag(w) @ u.conj().T for w in pw), pw) for pw in weights]
+    bell = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]).T / np.sqrt(2)
+    pw = np.array([[0.4, 0.1, 0.3, 0.2], [0.3, 0.3, 0.25, 0.15]])
+    cases.append((tuple(bell @ np.diag(w) @ bell.T for w in pw), pw))
+    return cases
+
+
+def test_joint_spectrum_does_not_depend_on_its_batch(rng):
+    """A commuting pair gets from _joint_spectrum alone the bits of its entry
+    in one _sweep batch that mixes d = 1..5, simple and degenerate b spectra,
+    zero eigenvalues and noncommuting pairs. Against a dense reference V is
+    unitary and leaves both members diagonal within the r it returns, and
+    (p, q) are the weights the pair was built from."""
+    cases = commuting_pairs(rng)
+    noncommuting = [(random_density(rng, d), random_density(rng, d)) for d in (2, 4)]
+    pairs = [pair for pair, _ in cases] + noncommuting
+    order = rng.permutation(len(pairs))
+    ((spectra, _, _, _),) = comparison._sweep([[pairs[k] for k in order]], default_grid())
+    batch = dict(zip(order.tolist(), spectra))
+    for k, (a, b) in enumerate(noncommuting, start=len(cases)):
+        assert batch[k] is None and _joint_spectrum(a, b) is None
+    for k, ((a, b), weights) in enumerate(cases):
+        alone = _joint_spectrum(a, b)
+        assert all(np.array_equal(x, y) for x, y in zip(alone, batch[k]))
+        v, p, q, r = alone
+        assert r < 1e-12
+        assert max_abs(np.einsum("ki,kj->ij", v.conj(), v) - np.eye(len(p))) < 1e-12
+        for m, lam in ((a, p), (b, q)):
+            assert max_abs(np.einsum("ki,kl,lj->ij", v.conj(), m, v) - np.diag(lam)) <= r + 1e-15
+        got = sorted(zip(q.round(12), p.round(12)))
+        assert got == sorted(zip(weights[1].round(12), weights[0].round(12)))
+
+
 def test_curve_convex_and_lipschitz(rng):
     a, b = random_density(rng, 2), random_density(rng, 2)
     grid = np.linspace(0, 4, 80)
@@ -575,6 +623,26 @@ def test_generic_pair_stacks_only_the_indefinite_middle(rng, monkeypatch):
     assert set(grids[0]) == {0.0, psd.max(), nsd.min(), *indefinite}
     # the three certifying points lead the stack, then every stacked s once
     assert len(grids[0]) == 6 + len(indefinite) < len(s)
+
+
+def test_commuting_pairs_stack_one_eigh_per_dimension(rng, monkeypatch):
+    """A dominance_check of two 5-member commuting families, candidates at
+    d = 4 and challengers at d = 3, diagonalizes its 20 commuting pairs with
+    one stacked eigh per dimension, not one eigh per pair and eigenspace."""
+    cand, chal = (
+        [u @ np.diag(w) @ u.conj().T for w in rng.dirichlet(np.ones(d), size=5)]
+        for u, d in ((haar_unitary(rng, 4), 4), (haar_unitary(rng, 3), 3))
+    )
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def spy(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    dominance_check(cand, chal, certify=False)
+    assert shapes == [(10, 4, 4), (10, 3, 3)]
 
 
 def test_boundary_on_the_grid_keeps_the_closed_form(rng, monkeypatch):
