@@ -5,12 +5,15 @@ pair of states. For each pair of members, weak domination of one curve by
 another over all s >= 0 is necessary for the "always at least as
 informative" ordering of the two output pairs; it is also sufficient when
 the dominating pair commutes, and in general a channel mapping one pair onto
-the other (cptp_feasible) certifies the ordering directly. dominance_check
-sweeps every member pair once, every pair of a comparison in one batch: a
-pair the challenger beats anywhere refutes "dominates", one the candidate
-beats refutes "dominated", and only the direction the sweep leaves open is
-certified, pair by pair. With three or more members a positive verdict is
-pairwise evidence, not one channel for the whole family.
+the other certifies the ordering directly. For pure sources a channel exists
+iff |<psi0|psi1>| <= F(sigma0, sigma1) (Uhlmann), which decides every pair
+whose two sides differ by more than CPTP_STOP_TOL (_overlap_rule); only the
+pairs within that margin, or with a mixed source, go to cptp_feasible.
+dominance_check sweeps every member pair once, every pair of a comparison
+in one batch: a pair the challenger beats anywhere refutes "dominates", one
+the candidate beats refutes "dominated", and only the direction the sweep
+leaves open is certified, pair by pair. With three or more members a
+positive verdict is pairwise evidence, not one channel for the whole family.
 
 A commuting pair's curve is sum_i |p_i - s q_i| over its joint eigenvalues
 (_joint_spectrum, the package's one joint-eigenbasis routine); it is read
@@ -649,29 +652,55 @@ def _validate_family(name: str, fam) -> list[np.ndarray]:
     return mats
 
 
-# Largest Choi dimension d_in d_out dominance_check sends to cptp_feasible.
+# Largest Choi dimension d_in d_out dominance_check sends to cptp_feasible;
+# a pair the overlap rule decides needs no solver call and no size check.
 CERTIFY_MAX_CHOI = 16
+
+
+def _overlap_rule(pairs) -> list[bool | None]:
+    """Uhlmann's rule on (source pair, target pair) items of one source and
+    one target dimension, in one stacked pass: pure sources map onto two
+    states iff |<psi0|psi1>| <= F = ||sqrt(sigma0) sqrt(sigma1)||_1, a sum of
+    singular values (exact to round-off, where square roots of eigenvalues
+    near 0 are not). True or False where the two differ by more than
+    CPTP_STOP_TOL, else None, as for a source whose eigenvalues below the
+    top one have absolute sum, or top one distance to 1, above
+    CPTP_STOP_TOL, or a target whose trace is that far from 1."""
+    src, tgt = (_herm(np.array(side)) for side in zip(*pairs))
+    w, v = np.linalg.eigh(src)
+    pure = (np.abs(w[..., :-1]).sum(-1) <= CPTP_STOP_TOL) & (np.abs(w[..., -1] - 1.0) <= CPTP_STOP_TOL)
+    pure = pure.all(-1) & (np.abs(np.trace(tgt, axis1=-2, axis2=-1) - 1.0) <= CPTP_STOP_TOL).all(-1)
+    overlap = np.abs(np.einsum("ki,ki->k", v[:, 0, :, -1].conj(), v[:, 1, :, -1]))
+    lam, u = np.linalg.eigh(tgt)
+    g = u * np.sqrt(np.clip(lam, 0.0, None))[..., None, :]  # sigma = g g^dag
+    fid = np.linalg.svd(g[:, 0].conj().swapaxes(1, 2) @ g[:, 1], compute_uv=False).sum(-1)
+    decided = (pure & (np.abs(overlap - fid) > CPTP_STOP_TOL)).tolist()
+    return [bool(o < f) if ok else None for ok, o, f in zip(decided, overlap.tolist(), fid.tolist())]
 
 
 def _certified(pairs, certify: bool) -> str:
     """The weakest method showing each source pair at least as informative
     as its target, over (source, target, source commutes) triples:
-    sweep-sufficient-commuting for a commuting source, else
-    randomization-certificate when certify is set and cptp_feasible finds a
-    channel (Choi dimension at most CERTIFY_MAX_CHOI), else sweep-necessary,
-    returned at the first such pair without trying the rest."""
-    method = "sweep-sufficient-commuting"
-    for src, tgt, commuting in pairs:
-        if commuting:
-            continue
-        if not (
-            certify
-            and src[0].shape[0] * tgt[0].shape[0] <= CERTIFY_MAX_CHOI
-            and cptp_feasible(list(src), list(tgt)).feasible
-        ):
+    sweep-sufficient-commuting when every source commutes, else, with
+    certify set, randomization-certificate when a channel maps each other
+    pair onto its target, else sweep-necessary. _overlap_rule decides the
+    pure sources, all in one pass; a pair it leaves open goes to
+    cptp_feasible up to a Choi dimension of CERTIFY_MAX_CHOI. Pairs are
+    taken in order, and the first without a channel ends the search."""
+    open_pairs = [(src, tgt) for src, tgt, commuting in pairs if not commuting]
+    if not open_pairs:
+        return "sweep-sufficient-commuting"
+    if not certify:
+        return "sweep-necessary"
+    for (src, tgt), channel in zip(open_pairs, _overlap_rule(open_pairs)):
+        if channel is None:
+            channel = (
+                src[0].shape[0] * tgt[0].shape[0] <= CERTIFY_MAX_CHOI
+                and cptp_feasible(list(src), list(tgt)).feasible
+            )
+        if not channel:
             return "sweep-necessary"
-        method = "randomization-certificate"
-    return method
+    return "randomization-certificate"
 
 
 def dominance_check(
@@ -702,7 +731,7 @@ def dominance_check(
     - neither: equivalent when every pair is a settled tie.
 
     Anything else is inconclusive. Settled ties are checked before any
-    cptp_feasible call, and certification stops at the first pair that
+    certification, and certification stops at the first pair that
     fails, so a verdict never claims more than its routes prove. With three
     or more members a positive verdict is pairwise evidence only.
     """

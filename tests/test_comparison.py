@@ -19,6 +19,7 @@ from chanopt.comparison import (
     gap_curve,
     sweep_norms,
 )
+from chanopt.optimal_inputs import pair_unitary_optimal_input
 from chanopt.numerics import (
     DENSITY_TOL,
     SystemShape,
@@ -436,15 +437,17 @@ def test_certification_runs_only_where_the_sweep_leaves_a_direction_open(rng, mo
     assert calls == []
 
     # pure qubit states and their images under a random channel: each pair
-    # is noncommuting on the certified side, both ways
-    cand = [np.outer(x, x.conj()) for x in (random_pure(rng, 2) for _ in range(3))]
+    # is noncommuting on the certified side, both ways; pure sources are
+    # decided by the overlap rule, their 10 % depolarized twins by the solver
+    pure = [np.outer(x, x.conj()) for x in (random_pure(rng, 2) for _ in range(3))]
     ks = random_kraus(rng, 2, 2, 2)
-    chal = [sum(k @ m @ k.conj().T for k in ks) for m in cand]
-    for fams, relation in (((cand, chal), "dominates"), ((chal, cand), "dominated")):
-        del calls[:]
-        v = dominance_check(*fams)
-        assert (v.relation, v.method) == (relation, "randomization-certificate")
-        assert calls == [2, 2, 2]
+    for cand, solved in ((pure, []), ([0.9 * m + 0.05 * np.eye(2) for m in pure], [2, 2, 2])):
+        chal = [sum(k @ m @ k.conj().T for k in ks) for m in cand]
+        for fams, relation in (((cand, chal), "dominates"), ((chal, cand), "dominated")):
+            del calls[:]
+            v = dominance_check(*fams)
+            assert (v.relation, v.method) == (relation, "randomization-certificate")
+            assert calls == solved
 
 
 def test_commuting_verdicts_hold_off_the_grid(rng):
@@ -1122,6 +1125,96 @@ def test_projected_start_that_is_a_channel_takes_no_step():
     assert res.status == "feasible" and res.iterations == 0 and res.witness is None
     assert res.residual <= CPTP_STOP_TOL
     assert choi_maps(res.choi.matrix, src, tgt, tol=CPTP_STOP_TOL)
+
+
+# ---------------------------------------------------------------------------
+# Uhlmann's overlap rule
+
+
+def pure_sources(rng, d):
+    return [np.outer(x, x.conj()) for x in (random_pure(rng, d) for _ in range(2))]
+
+
+def test_overlap_rule_never_contradicts_the_solver():
+    """24 seeded pure source pairs at each of 2->2, 2->3, 3->2, 3->3 and
+    2->4: against their images under random 1-3 Kraus channels, those
+    images mixed 3 % with a random pure state, and random mixed pairs. A
+    pair the rule decides is never one the solver proves the other way."""
+    rng = np.random.default_rng(3131)
+    decided = {True: 0, False: 0}
+    for din, dout in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 4)):
+        instances = []
+        for k in range(24):
+            src = pure_sources(rng, din)
+            ks = random_kraus(rng, din, dout, 1 + k // 3 % 3)
+            tgt = [sum(q @ m @ q.conj().T for q in ks) for m in src]
+            if k % 3 == 1:
+                tgt = [0.97 * m + 0.03 * x for m, x in zip(tgt, pure_sources(rng, dout))]
+            elif k % 3 == 2:
+                tgt = [random_density(rng, dout) for _ in src]
+            instances.append((src, tgt))
+        for (src, tgt), channel in zip(instances, comparison._overlap_rule(instances)):
+            if channel is not None:
+                assert cptp_feasible(src, tgt).status != ("infeasible" if channel else "feasible")
+                decided[channel] += 1
+    assert min(decided.values()) >= 10
+
+
+def test_overlap_rule_boundary_cases(rng):
+    """Isometry images (overlap = fidelity) and identical pure pairs fall
+    through; orthogonal sources map onto anything; a rank-2 source, a source
+    with second eigenvalue 1e-8 (top one 1 - 1e-8 or 1) and a target of
+    trace 1 + 1e-8 are outside the rule, while their pure and normalized
+    twins are decided."""
+    rule = comparison._overlap_rule
+    for din, dout in ((2, 2), (2, 3), (3, 3), (2, 4)):
+        src = pure_sources(rng, din)
+        iso = random_kraus(rng, din, dout, 1)[0]
+        assert rule([(src, [iso @ m @ iso.conj().T for m in src])]) == [None]
+    for d in (2, 3):
+        src = pure_sources(rng, d)
+        assert rule([(src, [m.copy() for m in src])]) == [None]
+        orthogonal = pure_pair(rng, d, 0.0)
+        for tgt in (pure_sources(rng, 2), [random_density(rng, 3) for _ in range(2)]):
+            assert rule([(orthogonal, tgt)]) == [True]
+
+    src, tgt = pure_pair(rng, 2, 0.5), [random_density(rng, 2) for _ in range(2)]
+    kernel = np.eye(2) - src[0]
+    off = [
+        ([random_density(rng, 2), src[1]], tgt),
+        ([(1 - 1e-8) * src[0] + 1e-8 * kernel, src[1]], tgt),
+        ([src[0] + 1e-8 * kernel, src[1]], tgt),
+        (src, [(1 + 1e-8) * tgt[0], tgt[1]]),
+    ]
+    assert rule(off) == [None] * 4
+    assert None not in rule([(src, tgt), (pure_pair(rng, 2, 0.9), tgt)])
+
+
+def test_pure_pairs_past_the_choi_cap_are_decided_by_the_overlap_rule(rng, monkeypatch):
+    """Qutrit unitaries I and diag(1, e^0.3i, e^0.5i): their optimal input
+    (min overlap 0.969) against three seeded inputs with a qutrit reference
+    is a Choi dimension of 81 > CERTIFY_MAX_CHOI, certified both ways with
+    no solver call. A pure pair within CPTP_STOP_TOL of the boundary, which
+    the sweep still separates, stays inconclusive past the cap."""
+    calls = []
+    monkeypatch.setattr(comparison, "cptp_feasible", lambda *a: calls.append(a))
+    us = [np.eye(3), np.diag(np.exp([0.0, 0.3j, 0.5j]))]
+    best = pair_unitary_optimal_input(*us)
+    assert abs(best.min_overlap - 0.969) < 1e-3
+
+    def outputs(psi):
+        return [np.outer(x, x.conj()) for x in (np.kron(u, np.eye(3)) @ psi for u in us)]
+
+    for _ in range(3):
+        psi = random_pure(rng, 9)
+        v = dominance_check(outputs(best.state.amplitudes), outputs(psi))
+        assert (v.relation, v.method) == ("dominates", "randomization-certificate")
+        v = dominance_check(outputs(psi), outputs(best.state.amplitudes))
+        assert (v.relation, v.method) == ("dominated", "randomization-certificate")
+
+    near = dominance_check(pure_pair(rng, 9, 0.97), pure_pair(rng, 9, 0.97 + 5e-10))
+    assert (near.relation, near.method) == ("inconclusive", "sweep-necessary")
+    assert calls == []
 
 
 def test_default_grid_shape():
