@@ -10,9 +10,9 @@ iff |<psi0|psi1>| <= F(sigma0, sigma1) (Uhlmann), which decides every pair
 whose two sides differ by more than CPTP_STOP_TOL (_overlap_rule); only the
 pairs within that margin, or with a mixed source, go to cptp_feasible.
 dominance_check sweeps every member pair once, every pair of a comparison
-in one batch: a pair the challenger beats anywhere refutes "dominates", one
-the candidate beats refutes "dominated", and only the direction the sweep
-leaves open is certified, pair by pair. With three or more members a
+in one batch: the challenger beating a pair anywhere refutes "dominates",
+the candidate beating one refutes "dominated", and the side that beats wins
+only when each pair it beats is certified. With three or more members a
 positive verdict is pairwise evidence, not one channel for the whole family.
 
 A commuting pair's curve is sum_i |p_i - s q_i| over its joint eigenvalues
@@ -721,19 +721,18 @@ def dominance_check(
     when the challenger beats somewhere. Then:
 
     - both sides beat somewhere: incomparable;
-    - only the challenger: dominated when every other pair is a settled tie,
-      its method the weakest over the pairs the challenger beats (commuting
-      challenger pair, or a channel from challenger to candidate);
-    - only the candidate: dominates when every other pair is a settled tie
-      and every pair the candidate beats is certified (commuting candidate
-      pair, or a channel from candidate to challenger), its method the
-      weakest over all pairs;
-    - neither: equivalent when every pair is a settled tie.
+    - otherwise, when every other pair is a settled tie and each pair the
+      beating side beats is certified (its own pair commutes, or a channel
+      maps it onto the other's): dominates if the candidate beats,
+      dominated if the challenger does, equivalent if neither. The method
+      is the weakest over those pairs and the ties; the claim holds at
+      every s >= 0, by a commuting pair or a channel per pair.
 
-    Anything else is inconclusive. Settled ties are checked before any
-    certification, and certification stops at the first pair that
-    fails, so a verdict never claims more than its routes prove. With three
-    or more members a positive verdict is pairwise evidence only.
+    Anything else is inconclusive: it claims nothing, though its witness,
+    when present, is a real point where the challenger beats. Settled ties
+    are checked first, and certification stops at the first pair that
+    fails, so no verdict claims more than its routes prove. With three or
+    more members a positive verdict is pairwise evidence only.
     """
     cand = _validate_family("candidate_outputs", candidate_outputs)
     chal = _validate_family("challenger_outputs", challenger_outputs)
@@ -774,10 +773,9 @@ def dominance_check(
         return verdict("incomparable")
     if None in ties:
         return verdict("inconclusive")
-    if losses:
-        return verdict("dominated", _certified(losses, certify))
-    method = _certified(wins, certify)
+    method = _certified(losses or wins, certify)
     if method == "sweep-necessary":
         return verdict("inconclusive")
     strength = ("sweep-necessary", "randomization-certificate", "sweep-sufficient-commuting")
-    return verdict("dominates" if wins else "equivalent", min([method, *ties], key=strength.index))
+    relation = "dominated" if losses else "dominates" if wins else "equivalent"
+    return verdict(relation, min([method, *ties], key=strength.index))

@@ -45,6 +45,7 @@ from .channels import (
     use_layout,
 )
 from .comparison import (
+    SWEEP_TOL,
     _binary_risk,
     _check_pair,
     _check_prior,
@@ -387,18 +388,18 @@ def _identical_risk(omega_p: np.ndarray, omega_m: np.ndarray, n: int, prior: flo
     """Bayes risk of n identical copies of the pair (omega_p, omega_m).
 
     A commuting pair has joint eigenvalues p, q, and the n copies have the
-    n-fold products of them, so the risk needs len(p)^n numbers instead of
-    dense len(p)^n x len(p)^n Kronecker powers. The eigenvalue route is taken
-    only when the joint eigenbasis V leaves V^dag omega V diagonal to within
-    1e-8 for both members (the residual _joint_spectrum returns): a pair
-    that commutes within COMMUTE_TOL can still have near-degenerate
-    eigenvectors that the other member couples. Any other pair takes the
-    dense route. Either way the pair is checked once, before it is powered:
-    the n-fold power of a density matrix is one.
+    n-fold products of them: D^n numbers (D = len(p)) instead of dense
+    D^n x D^n Kronecker powers. With the joint basis V and its residual r
+    (_joint_spectrum), omega = V (diag(lambda) + E) V^dag with ||E||_1 <=
+    D^2 r, so the n-fold powers move by at most n D^2 r (1 + D^2 r)^(n-1)
+    in trace norm and the risk by half that; the eigenvalue route is taken
+    only when n D^2 r <= SWEEP_TOL / 10, as _sweep_operands bounds norms.
+    Any other pair takes the dense route. Either way the pair is checked
+    once, before it is powered: the n-fold power of a density matrix is one.
     """
     _check_pair(omega_p, omega_m)
     spectrum = _joint_spectrum(omega_p, omega_m)
-    if spectrum is not None and spectrum[3] <= 1e-8:
+    if spectrum is not None and n * len(spectrum[1]) ** 2 * spectrum[3] <= SWEEP_TOL / 10:
         return _binary_risk(*[_kron_power(lam, n) for lam in spectrum[1:3]], prior)
     return _binary_risk(*[_kron_power(omega, n) for omega in (omega_p, omega_m)], prior)
 

@@ -64,6 +64,23 @@ def bloch_state(r) -> np.ndarray:
     return np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
 
 
+def random_kraus(rng, din, dout, rank):
+    """Kraus operators of a random channel: blocks of a random isometry
+    (rank is raised to the smallest that admits one)."""
+    rank = max(rank, -(-din // dout))
+    g = rng.normal(size=(rank * dout, din)) + 1j * rng.normal(size=(rank * dout, din))
+    q, _ = np.linalg.qr(g)
+    return [q[k * dout : (k + 1) * dout] for k in range(rank)]
+
+
+def bloch(r) -> np.ndarray:
+    """Qubit density matrix with Bloch vector r (|r| <= 1)."""
+    sx = np.array([[0, 1], [1, 0]])
+    sy = np.array([[0, -1j], [1j, 0]])
+    sz = np.diag([1.0, -1.0])
+    return 0.5 * (np.eye(2) + r[0] * sx + r[1] * sy + r[2] * sz)
+
+
 def haar_unitary(rng, d: int) -> np.ndarray:
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(g)

@@ -29,7 +29,14 @@ from chanopt.numerics import (
     partial_trace,
     trace_norm,
 )
-from conftest import haar_unitary, hermitian_sweep_oracle, random_density, random_pure
+from conftest import (
+    bloch,
+    haar_unitary,
+    hermitian_sweep_oracle,
+    random_density,
+    random_kraus,
+    random_pure,
+)
 
 
 def phi_outputs(fam):
@@ -40,13 +47,6 @@ def phi_outputs(fam):
 
 def commutes(a, b) -> bool:
     return max_abs(a @ b - b @ a) <= COMMUTE_TOL
-
-
-def bloch(r):
-    sx = np.array([[0, 1], [1, 0]])
-    sy = np.array([[0, -1j], [1j, 0]])
-    sz = np.diag([1.0, -1.0])
-    return 0.5 * (np.eye(2) + r[0] * sx + r[1] * sy + r[2] * sz)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +281,28 @@ def test_post_processed_family_is_dominated_with_certificate():
     assert v.witness_s is not None and v.gap > 1e-3
 
 
+def test_challenger_win_without_a_certificate_is_inconclusive_both_ways():
+    """Draw 1795, rounded to 6 digits, of seeded qubit pairs:
+    np.random.default_rng(11); per draw, two candidate Bloch vectors, each
+    of length U(0.3, 0.99) drawn first, then a direction from
+    normal(size=3); then each challenger vector is r U(0.97, 1.03) +
+    N(0, 0.01)^3, rescaled to length 0.999 if it reaches 1. The challenger
+    beats on the grid, yet the candidate beats it at s = 0.73751, between
+    the grid points 0.73168 and 0.78428; no pair is certified either way,
+    so neither order makes a claim, with certify on or off. The witness is
+    still the challenger's largest margin on the grid."""
+    cand = [bloch([0.028088, 0.26954, 0.271766]), bloch([-0.299104, 0.472341, 0.428864])]
+    chal = [bloch([0.013708, 0.246295, 0.266742]), bloch([-0.295564, 0.483449, 0.436863])]
+    for certify in (True, False):
+        v = dominance_check(cand, chal, certify=certify)
+        assert (v.relation, v.method) == ("inconclusive", "sweep-necessary")
+        assert abs(v.witness_s - 2.22194686094) < 1e-9 and abs(v.gap - 0.0310428216502) < 1e-12
+        back = dominance_check(chal, cand, certify=certify)
+        assert (back.relation, back.method, back.witness_s) == ("inconclusive", "sweep-necessary", None)
+    prior = 1.0 / (1.0 + 0.7375087366725299)
+    assert bayes_binary_risk(*chal, prior) - bayes_binary_risk(*cand, prior) > 6e-4
+
+
 def test_multi_member_aggregation():
     fam = make_family(
         "gp", {"d": 2, "xis": [[0.0, 0.0, 0.1], [0.0, 0.0, 0.3], [0.0, 0.0, 0.45]]}
@@ -318,8 +340,9 @@ def reference_pair_verdict(cand, chal, tol=1e-9):
         if cand_comm:
             return "dominates", None, None, "sweep-sufficient-commuting"
         return "inconclusive", None, None, "sweep-necessary"
-    method = "sweep-sufficient-commuting" if chal_comm else "sweep-necessary"
-    return "dominated", s_all[k], -diff[k], method
+    if chal_comm:
+        return "dominated", s_all[k], -diff[k], "sweep-sufficient-commuting"
+    return "inconclusive", s_all[k], -diff[k], "sweep-necessary"
 
 
 def commuting_qubit_pair(rng):
@@ -371,8 +394,9 @@ def reference_family_verdict(cand, chal, tol=1e-9):
     if not all(commutes(*c) and commutes(*h) for c, h in ties):
         return "inconclusive", witness, gap, "sweep-necessary"
     if any(beaten):
-        exact = all(commutes(*h) for (_, h), l in zip(pairs, beaten) if l)
-        return "dominated", witness, gap, "sweep-sufficient-commuting" if exact else "sweep-necessary"
+        if all(commutes(*h) for (_, h), l in zip(pairs, beaten) if l):
+            return "dominated", witness, gap, "sweep-sufficient-commuting"
+        return "inconclusive", witness, gap, "sweep-necessary"
     if all(commutes(*c) for (c, _), b in zip(pairs, beats) if b):
         return "dominates" if any(beats) else "equivalent", None, None, "sweep-sufficient-commuting"
     return "inconclusive", None, None, "sweep-necessary"
@@ -943,15 +967,6 @@ def pure_pair(rng, d, overlap):
     b /= np.linalg.norm(b)
     c = overlap * a + np.sqrt(1.0 - overlap**2) * b
     return [np.outer(a, a.conj()), np.outer(c, c.conj())]
-
-
-def random_kraus(rng, din, dout, rank):
-    """Kraus operators of a random channel: blocks of a random isometry
-    (rank is raised to the smallest that admits one)."""
-    rank = max(rank, -(-din // dout))
-    g = rng.normal(size=(rank * dout, din)) + 1j * rng.normal(size=(rank * dout, din))
-    q, _ = np.linalg.qr(g)
-    return [q[k * dout : (k + 1) * dout] for k in range(rank)]
 
 
 def witness_separates(witness, sources, targets):

@@ -688,6 +688,31 @@ def test_identical_risk_route_follows_joint_diagonalization(monkeypatch):
     assert calls[-1] == (16, 16)  # the pair commutes, the joint basis does not
 
 
+def test_identical_risk_takes_eigenvalues_only_within_their_bound(monkeypatch):
+    """a couples its first two eigenvectors at 1e-10, which b's split of
+    1e-7 keeps apart, so the joint basis has a residual r = 1e-10: at n = 6
+    the eigenvalue route's bound n D^2 r = 5.4e-9 exceeds SWEEP_TOL / 10 and
+    the risk is the dense reference's. Uncoupled, the pair (r = 0) takes its
+    joint eigenvalues."""
+    shapes = []
+    real = repetition._binary_risk
+
+    def spy(x, y, prior):
+        shapes.append(x.shape)
+        return real(x, y, prior)
+
+    monkeypatch.setattr(repetition, "_binary_risk", spy)
+    a = np.diag([0.5, 0.3, 0.2])
+    b = np.diag([0.3, 0.3 + 1e-7, 0.4 - 1e-7])
+    repetition._identical_risk(a, b, 6, 0.45)
+    assert shapes.pop() == (729,)
+    a[0, 1] = a[1, 0] = 1e-10
+    risk = repetition._identical_risk(a, b, 6, 0.45)
+    assert shapes.pop() == (729, 729)
+    want = bayes_binary_risk(reduce(np.kron, [a] * 6), reduce(np.kron, [b] * 6), 0.45)
+    assert abs(risk - want) < 1e-12
+
+
 @pytest.mark.parametrize("make", [noncommuting_measurement, near_degenerate_measurement])
 def test_identical_risk_checks_the_single_use_pair_not_its_powers(monkeypatch, make):
     # the n-fold powers of a checked pair are states: checking them again
