@@ -25,7 +25,9 @@ middle of the grid (_hermitian_sweeps). _sweep runs each step once for a
 whole batch of pairs, per dimension: one commutator gate, one joint eigh
 for the commuting pairs (_joint_spectra), and for the others one
 semidefinite guess and one eigvalsh (in slabs) over every pair's certifying
-points and middle.
+points and middle. A verdict computes the middle in two such rounds and
+leaves out the points that the curves' convexity shows cannot change it
+(_convex_bounds); a curve computes every point.
 """
 from __future__ import annotations
 
@@ -159,11 +161,84 @@ def _semidefinite_ends(a, b) -> tuple[np.ndarray, np.ndarray]:
     return ends[:, 0], ends[:, 1]
 
 
-def _hermitian_sweeps(pairs, grids) -> list[np.ndarray]:
+# Stride of a verdict sweep's first round: every _FIRST_STRIDE-th point of
+# each pair's indefinite middle, and its last point, is stacked before the
+# convexity bounds pick the rest. Over both rounds, a bundle of the
+# sweep-verdicts comparisons (unital, gp, damp; seeds 1-5) stacked 758, 625,
+# 565, 535, 535 and 570 matrices at strides 3, 4, 5, 6, 8 and 10, and 2049
+# with every point computed.
+_FIRST_STRIDE = 6
+
+
+def _norm_error(d, fro_a, fro_b) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta) with alpha + beta s the stated bound on |computed -
+    exact| of ||a - s b||_1 for d x d pairs (a, b) of Frobenius norms fro_a
+    and fro_b: SWEEP_TOL / 10, the certificate of a closed-form value, plus
+    d (2 d + 3) eps S, S = fro_a + s fro_b, the round-off of an eigvalsh sum
+    to first order.
+    Forming the Hermitian part of a - s b moves it by at most 3 eps S in
+    Frobenius norm, eigvalsh moves each eigenvalue by at most d eps S more
+    (LAPACK's backward error with the customary factor d), and summing d
+    absolute values adds (d - 1) eps of their sum, which is at most sqrt(d)
+    S. The closed forms sum_i |p_i - s q_i| and |tr a - s tr b| round less.
+    """
+    c = d * (2 * d + 3) * np.finfo(float).eps
+    return SWEEP_TOL / 10 + c * fro_a, c * fro_b
+
+
+def _convex_bounds(s, f, alpha, beta, floor) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) per row: bounds on what computing ||a - s_j b||_1 would give
+    at each point f leaves out (NaN), and f itself where it is computed.
+
+    Rows hold ascending grids (and padding past their ends, whose bounds are
+    not read), and floor = |tr a - s tr b|. The curve is convex in s, so
+    with the nearest computed points l1 < l2 left of s_j and r1 < r2 right
+    of it:
+
+    - above: the chord from (s_l2, f_l2) to (s_r1, f_r1);
+    - below: the secant through l1 and l2 extended right to s_j, the secant
+      through r1 and r2 extended left, and floor (the trace norm of X is at
+      least |tr X|).
+
+    A computed f_i is within e_i = alpha + beta s_i of the exact norm
+    (_norm_error, one row each), so the chord with weights w, 1 - w moves
+    by at most w e_l2 + (1 - w) e_r1 = e_j, the left secant, extended by
+    t = (s_j - s_l2) / (s_l2 - s_l1), by (1 + t) e_l2 + t e_l1, the right
+    one alike, and the floor by e_j; each bound is widened by that, and by
+    e_j more, as it bounds a computed value. A missing neighbour leaves its
+    bound out (inf above, -inf below). Both bounds hold for the exact norm
+    before that last widening, so lo < hi wherever f is NaN.
+    """
+    m = f.shape[1]
+    s, f, floor = s.reshape(-1), f.reshape(-1), floor.reshape(-1)
+    e = np.repeat(alpha, m) + np.repeat(beta, m) * s
+    gap = np.isnan(f)
+    known, out = np.flatnonzero(~gap), np.flatnonzero(gap)
+    # flat indices of the computed neighbours l2, r1 (the near pair) and l1,
+    # r2 (the far pair) of each point left out, -1 where its row has none
+    at = np.searchsorted(known, out) + 2
+    near = np.concatenate([[-1, -1], known, [-1, -1]])[at + np.array([[-1], [0], [-2], [1]])]
+    near[near // m != out // m] = -1
+    ok = near >= 0
+    s_n, f_n, e_n = s[near], f[near], e[near]
+    q, e_q = s[out], e[out]
+    lo, hi = f.copy(), f.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        chord = f_n[0] + (f_n[1] - f_n[0]) * (q - s_n[0]) / (s_n[1] - s_n[0])
+        hi[out] = np.where(ok[0] & ok[1], chord + 2 * e_q, np.inf)
+        # the secants through l1, l2 and through r2, r1, extended by t
+        t = (q - s_n[:2]) / (s_n[:2] - s_n[2:])
+        line = f_n[:2] + (f_n[:2] - f_n[2:]) * t - (1 + t) * e_n[:2] - t * e_n[2:]
+        line = np.where(ok[2:], line, -np.inf).max(axis=0)
+    lo[out] = np.maximum(floor[out] - e_q, line) - e_q
+    return lo.reshape(-1, m), hi.reshape(-1, m)
+
+
+def _hermitian_sweeps(pairs, grids, wanted=None) -> list[np.ndarray]:
     """||a - s_k b||_1 of each Hermitian pair (a, b) at the s_k of its grid:
     |tr a - s_k tr b| at the s_k > 0 outside the indefinite middle that
-    _semidefinite_ends guesses, one stacked eigvalsh at the rest of every
-    pair of a dimension.
+    _semidefinite_ends guesses, stacked eigvalsh at the rest of every pair
+    of a dimension.
 
     The stack also holds each guessed pair's s = 0 and the last point of
     each closed side: s_k, the largest s on the PSD side, and s_m, the
@@ -181,12 +256,28 @@ def _hermitian_sweeps(pairs, grids) -> list[np.ndarray]:
 
     The closed form is taken only when both bounds are at most
     SWEEP_TOL / 10, the rule _sweep_operands applies to commuting pairs;
-    a pair that fails it has its whole grid stacked in a second eigvalsh,
-    and a pair whose guess closes nothing has its whole grid in the first.
-    A stacked s_k gets the same bits in any stack, so the values depend
-    neither on where the split falls nor on the other pairs of the batch.
+    a pair that fails it has its whole grid stacked in one more eigvalsh,
+    and the middle of a pair whose guess closes nothing is its whole grid.
+
+    With wanted None every point is computed: one eigvalsh per dimension
+    over the certifying points and every middle. Otherwise (ascending
+    grids) the middle goes in two rounds. The first stacks the certifying
+    points, whose values are the curve's at s = 0, s_k and s_m, and every
+    _FIRST_STRIDE-th other middle point of each pair plus its last. Then
+    wanted gets, per pair, the (lo, hi) of _convex_bounds: equal to the norm
+    where it is computed, and where it is not, bounds on what computing it
+    would give. As s -> ||a - s b||_1 is convex (a norm of an affine map),
+    it lies below the chord between the computed neighbours of a point and
+    above the secants through two computed points on either side, extended
+    to it, and above |tr a - s tr b|; each bound is widened by _norm_error
+    of every computed value it uses, and of the point itself. wanted
+    returns, per pair, the points to compute, and a second eigvalsh per
+    dimension stacks those not yet computed; every other point is NaN. A
+    stacked point gets the same bits in any stack, so the values depend
+    neither on the split, nor on the rounds, nor on the other pairs of the
+    batch.
     """
-    norms = [None] * len(pairs)
+    norms, rounds = [None] * len(pairs), []
     for idx, a, b in _by_dimension(pairs):
         d = a.shape[1]
         # every grid in one zero-padded row; s = 0 closes nothing
@@ -202,8 +293,16 @@ def _hermitian_sweeps(pairs, grids) -> list[np.ndarray]:
         s_m = np.where(nsd, s, np.inf).min(axis=1, keepdims=True, initial=np.inf)
         closed = (psd & (s < s_k)) | (nsd & (s > s_m))
         middle = valid & ~closed
-        g = np.flatnonzero(closed.any(axis=1))
-        pair, s_stack = np.nonzero(middle)[0], s[middle]
+        guessed = closed.any(axis=1)
+        g = np.flatnonzero(guessed)
+        first, at_ends = middle, []
+        if wanted is not None:
+            # the grid points that the certifying rows compute: s = 0, s_k, s_m
+            at_ends = [valid & guessed[:, None] & (s == x) for x in (0.0, s_k, s_m)]
+            rank = np.cumsum(middle, axis=1) - 1
+            first = middle & ((rank % _FIRST_STRIDE == 0) | (rank == rank[:, -1:]))
+            first &= ~(at_ends[0] | at_ends[1] | at_ends[2])
+        pair, s_stack = np.nonzero(first)[0], s[first]
         if len(g):
             # each guessed pair's certifying points lead the stack; with no s
             # on the NSD side, a stands in for a - s_m b and is not read
@@ -212,8 +311,10 @@ def _hermitian_sweeps(pairs, grids) -> list[np.ndarray]:
             pair = np.concatenate([np.repeat(g, 3), pair])
             s_stack = np.concatenate([ends.reshape(-1), s_stack])
         lam = _stacked_eigvalsh(a, b, pair, s_stack)
-        out = np.empty(s.shape)
-        out[middle] = np.abs(lam[3 * len(g) :]).sum(axis=1)
+        out = np.full(s.shape, np.nan)
+        out[first] = np.abs(lam[3 * len(g) :]).sum(axis=1)
+        tr_a, tr_b = (np.trace(m, axis1=1, axis2=2).real[:, None] for m in (a, b))
+        floor = np.abs(tr_a - s * tr_b)
         if len(g):
             e = lam[: 3 * len(g)].reshape(-1, 3, d)
             delta_a = np.maximum(-e[:, 0, 0], 0.0)
@@ -222,13 +323,33 @@ def _hermitian_sweeps(pairs, grids) -> list[np.ndarray]:
                 2 * d * np.maximum(delta_a, -e[:, 1, 0]),
                 2 * d * (s[g].max(axis=1) / s_m[g, 0]) * (np.maximum(e[:, 2, -1], 0.0) + delta_a),
             )
-            tr_a, tr_b = (np.trace(m, axis1=1, axis2=2).real[:, None] for m in (a, b))
-            out[closed] = np.abs(tr_a - s * tr_b)[closed]
+            out[closed] = floor[closed]
+            sums = np.zeros((len(s), 3))
+            sums[g] = np.abs(e).sum(axis=2)
+            for c, mask in enumerate(at_ends):
+                rows, cols = np.nonzero(mask)
+                out[rows, cols] = sums[rows, c]
             fail = g[err > SWEEP_TOL / 10]
             if len(fail):
                 whole = np.zeros_like(valid)
                 whole[fail] = valid[fail]
                 out[whole] = np.abs(_stacked_eigvalsh(a, b, np.nonzero(whole)[0], s[whole])).sum(axis=1)
+        rounds.append((idx, a, b, s, valid, out, lengths, floor))
+    if wanted is not None:
+        bounds = [None] * len(pairs)
+        for idx, a, b, s, _, out, lengths, floor in rounds:
+            fro = (np.linalg.norm(m, axis=(1, 2)) for m in (a, b))
+            lo, hi = _convex_bounds(s, out, *_norm_error(a.shape[1], *fro), floor)
+            for i, row_lo, row_hi, k in zip(idx, lo, hi, lengths):
+                bounds[i] = row_lo[:k], row_hi[:k]
+        masks = wanted(bounds)
+        for idx, a, b, s, valid, out, lengths, _ in rounds:
+            more = np.zeros_like(valid)
+            more[valid] = np.concatenate([masks[i] for i in idx])
+            more &= np.isnan(out)
+            if more.any():
+                out[more] = np.abs(_stacked_eigvalsh(a, b, np.nonzero(more)[0], s[more])).sum(axis=1)
+    for idx, _, _, _, _, out, lengths, _ in rounds:
         for i, row, k in zip(idx, out, lengths):
             norms[i] = row[:k]
     return norms
@@ -314,7 +435,7 @@ def _sweep_grid(grid) -> np.ndarray:
     return s
 
 
-def _sweep(groups, grid) -> list[tuple[list, list, np.ndarray, list]]:
+def _sweep(groups, grid, undecided=None) -> list[tuple[list, list, np.ndarray, list]]:
     """Every pair of every group of pairs swept in one batch. Per group: the
     joint spectra of its pairs (None where a pair does not commute), their
     kinks, the grid merged with all of them, and each pair's norms there.
@@ -322,7 +443,12 @@ def _sweep(groups, grid) -> list[tuple[list, list, np.ndarray, list]]:
     Per dimension, the commutator gate is one stacked product and the pairs
     it passes get their joint spectra from one _joint_spectra (one stacked
     eigh); every pair _sweep_operands leaves as matrices goes through one
-    _hermitian_sweeps (one semidefinite guess and one eigvalsh).
+    _hermitian_sweeps (one semidefinite guess and one eigvalsh per round).
+    With undecided None every norm is computed. Otherwise
+    undecided(grids, bounds) gets each group's merged grid and, per group
+    and pair, the (lo, hi) of _hermitian_sweeps' first round (a closed-form
+    pair's norms as both), and returns, per group, the points of its grid
+    whose norms the caller needs; the others may be NaN.
     """
     pairs = [pair for group in groups for pair in group]
     spectra = [None] * len(pairs)
@@ -331,7 +457,7 @@ def _sweep(groups, grid) -> list[tuple[list, list, np.ndarray, list]]:
         for j, spectrum in zip(gate, _joint_spectra(a[gate], b[gate])):
             spectra[idx[j]] = spectrum
     out, dense, start = [], [], 0
-    for group in groups:
+    for g, group in enumerate(groups):
         group_spectra = spectra[start : start + len(group)]
         start += len(group)
         kinks = list(map(_breakpoints, group_spectra))
@@ -342,12 +468,21 @@ def _sweep(groups, grid) -> list[tuple[list, list, np.ndarray, list]]:
             if np.ndim(a) == 1:
                 norms.append(sweep_norms(a, b, s))
             else:  # filled in below, from one batch
-                dense.append((norms, len(norms), (a, b), s))
+                dense.append((g, len(norms), (a, b), s))
                 norms.append(None)
         out.append((group_spectra, kinks, s, norms))
-    batch = _hermitian_sweeps([x[2] for x in dense], [x[3] for x in dense])
-    for (norms, k, _, _), row in zip(dense, batch):
-        norms[k] = row
+
+    def wanted(bounds):
+        group_bounds = [[(x, x) for x in norms] for *_, norms in out]
+        for (g, k, _, _), pair_bounds in zip(dense, bounds):
+            group_bounds[g][k] = pair_bounds
+        masks = undecided([x[2] for x in out], group_bounds)
+        return [masks[g] for g, *_ in dense]
+
+    rule = None if undecided is None else wanted
+    batch = _hermitian_sweeps([x[2] for x in dense], [x[3] for x in dense], rule)
+    for (g, k, _, _), row in zip(dense, batch):
+        out[g][3][k] = row
     return out
 
 
@@ -713,12 +848,14 @@ def dominance_check(
 
     Every pair is swept once, all of them in one _sweep batch, each on the
     grid and both its pairs' kinks; with diff the candidate curve minus the
-    challenger's, the candidate beats where diff > SWEEP_TOL and the
-    challenger where diff < -SWEEP_TOL. A pair where neither beats is a
-    settled tie when it is identical (entries within 1e-12) or both of its
-    pairs commute. The witness (witness_s, gap) is the challenger's largest
-    margin over all pairs (first pair, then first s, on ties), reported only
-    when the challenger beats somewhere. Then:
+    challenger's, the candidate beats where diff > m and the challenger
+    where diff < -m, with m = SWEEP_TOL or the two norms' _norm_error where
+    that is larger (at large s, where a difference of SWEEP_TOL can be
+    round-off). A pair where neither beats is a settled tie when it is
+    identical (entries within 1e-12) or both of its pairs commute. The
+    witness (witness_s, gap) is the challenger's largest margin -diff over
+    the points where it beats and over all pairs (first pair, then first s,
+    on ties), reported only when the challenger beats somewhere. Then:
 
     - both sides beat somewhere: incomparable;
     - otherwise, when every other pair is a settled tie and each pair the
@@ -733,28 +870,75 @@ def dominance_check(
     are checked first, and certification stops at the first pair that
     fails, so no verdict claims more than its routes prove. With three or
     more members a positive verdict is pairwise evidence only.
+
+    The sweep computes only the norms that these three facts (the candidate
+    beats, the challenger beats, the witness) can turn on. After its first
+    round, each point of a pair has bounds lo <= diff <= hi on the diff
+    that computing it would give (lo = hi = diff where both norms are
+    computed, else from _convex_bounds, with lo < hi), and a point is
+    computed in the second round iff
+
+    - no computed point has diff > m yet, and hi > m there; or
+    - -lo > m there, and -lo >= B, with B the largest -diff > m at a
+      computed point (-inf if none).
+
+    A point left out has diff <= hi <= m, or a computed point beats already,
+    so "the candidate beats" is what it is with every point computed; the
+    same holds for the challenger, as -diff <= -lo <= m or B is finite.
+    And -diff <= -lo < B, the margin of a computed point, wherever the
+    challenger could beat at a point left out, so the largest margin, and
+    each point that ties it, is computed: witness_s and gap are those of
+    the whole grid, bit for bit, as a computed norm has the same bits
+    however many points are computed.
     """
     cand = _validate_family("candidate_outputs", candidate_outputs)
     chal = _validate_family("challenger_outputs", challenger_outputs)
     if len(cand) != len(chal):
         raise ValueError("families must have matching member counts")
     grid = _sweep_grid(grid)
+    combos = list(combinations(range(len(cand)), 2))
+    pairs = [((cand[i], cand[j]), (chal[i], chal[j])) for i, j in combos]
+    # alpha + beta s: the _norm_error of each candidate pair plus its
+    # challenger pair's
+    first, second = np.array(combos).T
+    alpha = beta = 0.0
+    for fam in (cand, chal):
+        fro = np.linalg.norm(np.array(fam), axis=(1, 2))
+        a_fam, b_fam = _norm_error(len(fam[0]), fro[first], fro[second])
+        alpha, beta = alpha + a_fam, beta + b_fam
+
+    def win_margin(k, s):
+        return np.maximum(SWEEP_TOL, alpha[k] + beta[k] * s)
+
+    def undecided(grids, bounds):
+        # every group's points in one row, group k's from starts[k] on
+        sizes = [len(s) for s in grids]
+        k, starts = np.repeat(np.arange(len(grids)), sizes), np.cumsum([0, *sizes[:-1]])
+        lo_c, hi_c, lo_h, hi_h = (np.concatenate([b[p][x] for b in bounds]) for p in (0, 1) for x in (0, 1))
+        m = win_margin(k, np.concatenate(grids))
+        lo, hi = lo_c - hi_h, hi_c - lo_h
+        known = (lo_c == hi_c) & (lo_h == hi_h)
+        beats = np.logical_or.reduceat(known & (lo > m), starts)[k]
+        best = np.maximum.reduceat(np.where(known & (-lo > m), -lo, -np.inf), starts)[k]
+        return np.split(((hi > m) & ~beats) | ((-lo > m) & (-lo >= best)), starts[1:])
 
     # (source, target, source commutes) of the pairs each side beats; the
     # method of each tie pair, None unless it is settled
     wins, losses, ties = [], [], []
     witness_s = gap = None
-    pairs = [((cand[i], cand[j]), (chal[i], chal[j])) for i, j in combinations(range(len(cand)), 2)]
-    for (pc, ph), ((spec_c, spec_h), _, s, (norms_c, norms_h)) in zip(pairs, _sweep(pairs, grid)):
-        diff = norms_c - norms_h
-        beats, beaten = bool((diff > SWEEP_TOL).any()), bool((diff < -SWEEP_TOL).any())
+    swept = _sweep(pairs, grid, undecided)
+    for k, ((pc, ph), ((spec_c, spec_h), _, s, (norms_c, norms_h))) in enumerate(zip(pairs, swept)):
+        # NaN where the sweep left a point out, which no comparison counts
+        diff, m = norms_c - norms_h, win_margin(k, s)
+        beats, beaten = bool((diff > m).any()), bool((diff < -m).any())
         if beats:
             wins.append((pc, ph, spec_c is not None))
         if beaten:
             losses.append((ph, pc, spec_h is not None))
-            k = int(np.argmax(-diff))
-            if gap is None or -diff[k] > gap:
-                witness_s, gap = float(s[k]), float(-diff[k])
+            margin = np.where(-diff > m, -diff, -np.inf)
+            j = int(np.argmax(margin))
+            if gap is None or margin[j] > gap:
+                witness_s, gap = float(s[j]), float(margin[j])
         if not (beats or beaten):
             identical = pc[0].shape == ph[0].shape and all(
                 max_abs(x - y) <= 1e-12 for x, y in zip(pc, ph)
