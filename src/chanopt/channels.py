@@ -492,12 +492,12 @@ def measurement_channel(elements) -> KrausChannel:
     """Channel that measures the POVM with these elements and outputs the
     outcome label.
 
-    Three checks come first: the elements must share one square dimension
-    (ValueError), sum to the identity and each be PSD, both within
-    DEFAULT_TOL (ConstraintViolation). Output dimension is the number of
-    outcomes; Kraus operators are sqrt(lam) |i><phi| over the eigenpairs of
-    each element, so the output is diagonal in the outcome basis:
-    L(rho) = sum_i tr(rho M_i) |i><i|.
+    Four checks come first: the elements must share one square dimension
+    (ValueError), sum to the identity and each be Hermitian and PSD, all
+    within DEFAULT_TOL (ConstraintViolation). Output dimension is the
+    number of outcomes; Kraus operators are sqrt(lam) |i><phi| over the
+    eigenpairs of each element, so the output is diagonal in the outcome
+    basis: L(rho) = sum_i tr(rho M_i) |i><i|.
     """
     elements = [as_matrix(e) for e in elements]
     d = elements[0].shape[0]
@@ -508,6 +508,8 @@ def measurement_channel(elements) -> KrausChannel:
     m = len(elements)
     ops = []
     for i, elem in enumerate(elements):
+        if max_abs(elem - dagger(elem)) > DEFAULT_TOL:
+            raise ConstraintViolation(f"POVM element {i} is not Hermitian")
         w, v = hermitian_eig(elem)
         if w.min() < -DEFAULT_TOL:
             raise ConstraintViolation(f"POVM element {i} is not PSD")

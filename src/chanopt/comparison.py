@@ -24,10 +24,12 @@ SWEEP_TOL / 10, and a stacked eigendecomposition covers the indefinite
 middle of the grid (_hermitian_sweeps). _sweep runs each step once for a
 whole batch of pairs, per dimension: one commutator gate, one joint eigh
 for the commuting pairs (_joint_spectra), and for the others one
-semidefinite guess and one eigvalsh (in slabs) over every pair's certifying
-points and middle. A verdict computes the middle in two such rounds and
-leaves out the points that the curves' convexity shows cannot change it
-(_convex_bounds); a curve computes every point.
+semidefinite guess and two rounds of stacked eigvalsh (in slabs): the
+certifying points and a stride of each middle, then the points the caller
+wants. A curve wants every point; a verdict leaves out the points that the
+curves' convexity shows cannot change it (_convex_bounds). Every
+comparison of two sweep curves, the rotated measurement certificate's
+included, is a dominance_check.
 """
 from __future__ import annotations
 
@@ -84,21 +86,13 @@ class SweepCurve:
     breakpoints: np.ndarray
 
 
-def sweep_norms(a, b, s) -> np.ndarray:
-    """||a - s_k b||_1 for every s_k.
-
-    a and b are either the paired joint eigenvalues (p, q) of a commuting
-    pair, which take the closed form sum_i |p_i - s_k q_i|, or a pair of
-    Hermitian matrices, which take _hermitian_sweeps as a batch of one: the
-    closed form |tr a - s_k tr b| where a - s_k b is semidefinite, each such
-    value proven within SWEEP_TOL / 10 of the norm, and one stacked eigvalsh
-    at the other s_k.
-    """
+def sweep_norms(p, q, s) -> np.ndarray:
+    """sum_i |p_i - s_k q_i| for every s_k: ||a - s_k b||_1 of a commuting
+    pair from its paired joint eigenvalues (p, q). Any other Hermitian pair
+    takes _hermitian_sweeps."""
     s = np.asarray(s, dtype=float).reshape(-1)
-    if np.ndim(a) == 1:
-        p, q = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        return np.abs(p - s[:, None] * q).sum(axis=1)
-    return _hermitian_sweeps([(as_matrix(a), as_matrix(b))], [s])[0]
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    return np.abs(p - s[:, None] * q).sum(axis=1)
 
 
 def _by_dimension(pairs):
@@ -161,12 +155,12 @@ def _semidefinite_ends(a, b) -> tuple[np.ndarray, np.ndarray]:
     return ends[:, 0], ends[:, 1]
 
 
-# Stride of a verdict sweep's first round: every _FIRST_STRIDE-th point of
-# each pair's indefinite middle, and its last point, is stacked before the
-# convexity bounds pick the rest. Over both rounds, a bundle of the
-# sweep-verdicts comparisons (unital, gp, damp; seeds 1-5) stacked 758, 625,
-# 565, 535, 535 and 570 matrices at strides 3, 4, 5, 6, 8 and 10, and 2049
-# with every point computed.
+# Stride of a sweep's first round: every _FIRST_STRIDE-th point of each
+# pair's indefinite middle, and its last point, is stacked before a
+# verdict's convexity bounds pick the rest (a curve takes all). Over both
+# rounds, a bundle of the sweep-verdicts comparisons (unital, gp, damp;
+# seeds 1-5) stacked 758, 625, 565, 535, 535 and 570 matrices at strides 3,
+# 4, 5, 6, 8 and 10, and 2049 with every point computed.
 _FIRST_STRIDE = 6
 
 
@@ -235,12 +229,12 @@ def _convex_bounds(s, f, alpha, beta, floor) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _hermitian_sweeps(pairs, grids, wanted=None) -> list[np.ndarray]:
-    """||a - s_k b||_1 of each Hermitian pair (a, b) at the s_k of its grid:
-    |tr a - s_k tr b| at the s_k > 0 outside the indefinite middle that
-    _semidefinite_ends guesses, stacked eigvalsh at the rest of every pair
-    of a dimension.
+    """||a - s_k b||_1 of each Hermitian pair (a, b) at the s_k of its
+    ascending grid: |tr a - s_k tr b| at the s_k > 0 outside the indefinite
+    middle that _semidefinite_ends guesses, stacked eigvalsh at the rest of
+    every pair of a dimension, in two rounds.
 
-    The stack also holds each guessed pair's s = 0 and the last point of
+    The first round stacks each guessed pair's s = 0 and the last point of
     each closed side: s_k, the largest s on the PSD side, and s_m, the
     smallest on the NSD side. With the computed violations delta_a = max(0,
     -lambda_min(a)), delta_k = max(0, -lambda_min(a - s_k b)) and delta_m =
@@ -255,29 +249,26 @@ def _hermitian_sweeps(pairs, grids, wanted=None) -> list[np.ndarray]:
       2 d (max s / s_m)(delta_m + delta_a) on [s_m, max s].
 
     The closed form is taken only when both bounds are at most
-    SWEEP_TOL / 10, the rule _sweep_operands applies to commuting pairs;
-    a pair that fails it has its whole grid stacked in one more eigvalsh,
-    and the middle of a pair whose guess closes nothing is its whole grid.
+    SWEEP_TOL / 10, the rule _sweep_operands applies to commuting pairs; a
+    pair that fails it keeps its closed sides NaN, like its middle, and the
+    middle of a pair whose guess closes nothing is its whole grid. The same
+    stack holds every _FIRST_STRIDE-th other middle point of each pair,
+    plus its last.
 
-    With wanted None every point is computed: one eigvalsh per dimension
-    over the certifying points and every middle. Otherwise (ascending
-    grids) the middle goes in two rounds. The first stacks the certifying
-    points, whose values are the curve's at s = 0, s_k and s_m, and every
-    _FIRST_STRIDE-th other middle point of each pair plus its last. Then
-    wanted gets, per pair, the (lo, hi) of _convex_bounds: equal to the norm
-    where it is computed, and where it is not, bounds on what computing it
-    would give. As s -> ||a - s b||_1 is convex (a norm of an affine map),
-    it lies below the chord between the computed neighbours of a point and
-    above the secants through two computed points on either side, extended
-    to it, and above |tr a - s tr b|; each bound is widened by _norm_error
-    of every computed value it uses, and of the point itself. wanted
-    returns, per pair, the points to compute, and a second eigvalsh per
-    dimension stacks those not yet computed; every other point is NaN. A
-    stacked point gets the same bits in any stack, so the values depend
-    neither on the split, nor on the rounds, nor on the other pairs of the
-    batch.
+    The second round stacks every point still NaN that the caller wants:
+    all of them when wanted is None. Otherwise wanted gets, per pair, the
+    (lo, hi) of _convex_bounds: equal to the norm where it is computed, and
+    where it is not, bounds on what computing it would give. As s ->
+    ||a - s b||_1 is convex (a norm of an affine map), it lies below the
+    chord between the computed neighbours of a point and above the secants
+    through two computed points on either side, extended to it, and above
+    |tr a - s tr b|; each bound is widened by _norm_error of every computed
+    value it uses, and of the point itself. wanted returns, per pair, the
+    points to compute; every other point is NaN. A stacked point gets the
+    same bits in any stack, so the values depend neither on the split, nor
+    on the rounds, nor on the other pairs of the batch.
     """
-    norms, rounds = [None] * len(pairs), []
+    rounds = []
     for idx, a, b in _by_dimension(pairs):
         d = a.shape[1]
         # every grid in one zero-padded row; s = 0 closes nothing
@@ -293,48 +284,36 @@ def _hermitian_sweeps(pairs, grids, wanted=None) -> list[np.ndarray]:
         s_m = np.where(nsd, s, np.inf).min(axis=1, keepdims=True, initial=np.inf)
         closed = (psd & (s < s_k)) | (nsd & (s > s_m))
         middle = valid & ~closed
-        guessed = closed.any(axis=1)
-        g = np.flatnonzero(guessed)
-        first, at_ends = middle, []
-        if wanted is not None:
-            # the grid points that the certifying rows compute: s = 0, s_k, s_m
-            at_ends = [valid & guessed[:, None] & (s == x) for x in (0.0, s_k, s_m)]
-            rank = np.cumsum(middle, axis=1) - 1
-            first = middle & ((rank % _FIRST_STRIDE == 0) | (rank == rank[:, -1:]))
-            first &= ~(at_ends[0] | at_ends[1] | at_ends[2])
-        pair, s_stack = np.nonzero(first)[0], s[first]
-        if len(g):
-            # each guessed pair's certifying points lead the stack; with no s
-            # on the NSD side, a stands in for a - s_m b and is not read
-            ends = np.zeros((len(g), 3))
-            ends[:, 1:] = np.hstack([s_k, np.where(np.isinf(s_m), 0.0, s_m)])[g]
-            pair = np.concatenate([np.repeat(g, 3), pair])
-            s_stack = np.concatenate([ends.reshape(-1), s_stack])
-        lam = _stacked_eigvalsh(a, b, pair, s_stack)
+        g = np.flatnonzero(closed.any(axis=1))
+        # the grid points that the certifying rows compute: s = 0, s_k, s_m
+        at_ends = [valid[g] & (s[g] == x) for x in (0.0, s_k[g], s_m[g])]
+        rank = np.cumsum(middle, axis=1) - 1
+        first = middle & ((rank % _FIRST_STRIDE == 0) | (rank == rank[:, -1:]))
+        first[g] &= ~(at_ends[0] | at_ends[1] | at_ends[2])
+        # each guessed pair's certifying points lead the stack; with no s on
+        # the NSD side, a stands in for a - s_m b and is not read
+        ends = np.hstack([np.zeros_like(s_k), s_k, np.where(np.isinf(s_m), 0.0, s_m)])[g]
+        pair = np.concatenate([np.repeat(g, 3), np.nonzero(first)[0]])
+        lam = _stacked_eigvalsh(a, b, pair, np.concatenate([ends.reshape(-1), s[first]]))
         out = np.full(s.shape, np.nan)
         out[first] = np.abs(lam[3 * len(g) :]).sum(axis=1)
+        e = lam[: 3 * len(g)].reshape(-1, 3, d)
+        for c, mask in enumerate(at_ends):
+            rows, cols = np.nonzero(mask)
+            out[g[rows], cols] = np.abs(e[rows, c]).sum(axis=1)
+        delta_a = np.maximum(-e[:, 0, 0], 0.0)
+        # the NSD bound is 0 where there is no NSD side (s_m = inf)
+        err = np.maximum(
+            2 * d * np.maximum(delta_a, -e[:, 1, 0]),
+            2 * d * (s[g].max(axis=1, initial=0.0) / s_m[g, 0]) * (np.maximum(e[:, 2, -1], 0.0) + delta_a),
+        )
         tr_a, tr_b = (np.trace(m, axis1=1, axis2=2).real[:, None] for m in (a, b))
         floor = np.abs(tr_a - s * tr_b)
-        if len(g):
-            e = lam[: 3 * len(g)].reshape(-1, 3, d)
-            delta_a = np.maximum(-e[:, 0, 0], 0.0)
-            # the NSD bound is 0 where there is no NSD side (s_m = inf)
-            err = np.maximum(
-                2 * d * np.maximum(delta_a, -e[:, 1, 0]),
-                2 * d * (s[g].max(axis=1) / s_m[g, 0]) * (np.maximum(e[:, 2, -1], 0.0) + delta_a),
-            )
-            out[closed] = floor[closed]
-            sums = np.zeros((len(s), 3))
-            sums[g] = np.abs(e).sum(axis=2)
-            for c, mask in enumerate(at_ends):
-                rows, cols = np.nonzero(mask)
-                out[rows, cols] = sums[rows, c]
-            fail = g[err > SWEEP_TOL / 10]
-            if len(fail):
-                whole = np.zeros_like(valid)
-                whole[fail] = valid[fail]
-                out[whole] = np.abs(_stacked_eigvalsh(a, b, np.nonzero(whole)[0], s[whole])).sum(axis=1)
+        # a failed certificate leaves its closed sides to the second round
+        closed[g[err > SWEEP_TOL / 10]] = False
+        out[closed] = floor[closed]
         rounds.append((idx, a, b, s, valid, out, lengths, floor))
+    masks = None
     if wanted is not None:
         bounds = [None] * len(pairs)
         for idx, a, b, s, _, out, lengths, floor in rounds:
@@ -343,13 +322,13 @@ def _hermitian_sweeps(pairs, grids, wanted=None) -> list[np.ndarray]:
             for i, row_lo, row_hi, k in zip(idx, lo, hi, lengths):
                 bounds[i] = row_lo[:k], row_hi[:k]
         masks = wanted(bounds)
-        for idx, a, b, s, valid, out, lengths, _ in rounds:
-            more = np.zeros_like(valid)
-            more[valid] = np.concatenate([masks[i] for i in idx])
-            more &= np.isnan(out)
-            if more.any():
-                out[more] = np.abs(_stacked_eigvalsh(a, b, np.nonzero(more)[0], s[more])).sum(axis=1)
-    for idx, _, _, _, _, out, lengths, _ in rounds:
+    norms = [None] * len(pairs)
+    for idx, a, b, s, valid, out, lengths, _ in rounds:
+        more = valid & np.isnan(out)
+        if masks is not None:
+            more[valid] &= np.concatenate([masks[i] for i in idx])
+        if more.any():
+            out[more] = np.abs(_stacked_eigvalsh(a, b, np.nonzero(more)[0], s[more])).sum(axis=1)
         for i, row, k in zip(idx, out, lengths):
             norms[i] = row[:k]
     return norms
@@ -397,12 +376,19 @@ def _joint_spectra(a, b) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, float
 
 
 def _breakpoints(spectrum) -> np.ndarray:
-    """Kinks of a commuting pair's curve (ratios of joint eigenvalues); a
-    noncommuting pair (spectrum None) gets none."""
+    """Kinks of a commuting pair's curve (ratios p_i / q_i of joint
+    eigenvalues); a noncommuting pair (spectrum None) gets none.
+
+    A q_i counts as zero only at round-off of the pair's scale, d (2 d + 3)
+    eps max(1, max |q|) (the beta of _norm_error at fro_b = that scale), so
+    a q_i of 1e-13 keeps its kink at s = 1e13 p_i. A q_i below that,
+    about 3e-15 for qubits, is no kink: no floating-point route tells it
+    from zero.
+    """
     if spectrum is None:
         return np.array([])
     _, p, q, _ = spectrum
-    mask = q > 1e-12
+    mask = q > _norm_error(len(q), 0.0, max(1.0, np.abs(q).max()))[1]
     bp = sorted_unique(p[mask] / q[mask])
     return bp[bp >= 0]
 
@@ -634,8 +620,9 @@ def cptp_feasible(sources, targets) -> FeasibilityResult:
       verdict, not a proof.
 
     feasible is True exactly for "feasible"; iterations counts the
-    interior-point steps taken (0: the projected start was a channel), and
-    residual is the violation of choi, the last iterate.
+    interior-point steps completed (0 for a projected start that was a
+    channel, and for round-off that stops the first step), and residual is
+    the violation of choi, the last iterate.
     """
     sources = [as_matrix(m) for m in sources]
     targets = [as_matrix(m) for m in targets]
@@ -847,7 +834,10 @@ def dominance_check(
     """Compare two output families over every member pair.
 
     Every pair is swept once, all of them in one _sweep batch, each on the
-    grid and both its pairs' kinks; with diff the candidate curve minus the
+    grid and both its pairs' kinks (_breakpoints: each ratio p_i / q_i with
+    q_i above round-off of its pair's scale; a q_i below that, about 3e-15
+    for qubits, counts as 0, as no floating-point route tells the two
+    apart); with diff the candidate curve minus the
     challenger's, the candidate beats where diff > m and the challenger
     where diff < -m, with m = SWEEP_TOL or the two norms' _norm_error where
     that is larger (at large s, where a difference of SWEEP_TOL can be

@@ -26,13 +26,14 @@ from .channels import (
     is_unital,
     use_layout,
 )
-from .comparison import SWEEP_TOL, ComparisonVerdict, _joint_spectrum, _sweep
+from .comparison import ComparisonVerdict, _joint_spectrum, dominance_check
 from .numerics import (
     NORM_TOL,
     PureState,
     SystemShape,
     as_matrix,
     dagger,
+    density_mask,
     hermitian_eig,
     is_density,
     is_unitary,
@@ -328,9 +329,12 @@ def measurement_input_certify(fam: ChannelFamily, psi: PureState) -> ComparisonV
        ceiling of every sweep curve.
     b. Rotated commuting pair: unit-trace commuting base elements conjugated
        by a rotation set that averages to c tr(.) 1; the entangled input's
-       curve then meets the universal bound tr|M+ - s M-| at every s. Both
-       pairs must commute and their curves agree within SWEEP_TOL at s = 0
-       and both pairs' kinks, which is agreement at every s.
+       curve then meets the universal bound tr|M+ - s M-| at every s. The
+       input must be maximally mixed on the input factor, both pairs must
+       be pairs of states, and dominance_check must find them equivalent:
+       both commute, and no s of the default grid or of either pair's kinks
+       tells their curves apart beyond its round-off-aware margin, which is
+       agreement at every s.
     c. Complementary diagonal pair: members measure {M, 1-M} with outcomes
        swapped and M = diag(a); the basis state at a's largest entry yields
        the extremal classical curve max(|s-1|, |2a_k - 1|(s+1)), provided
@@ -353,15 +357,12 @@ def measurement_input_certify(fam: ChannelFamily, psi: PureState) -> ComparisonV
 
     if fam.params.get("structure") == "rotated":
         base = (fam.params["m_plus"], fam.params["m_minus"])
-        if (
-            all(abs(np.trace(m) - 1.0) <= MEASUREMENT_TOL for m in base)
-            and max_abs(rho - np.eye(din) / din) <= MEASUREMENT_TOL
-        ):
+        if max_abs(rho - np.eye(din) / din) <= MEASUREMENT_TOL:
             outs = tuple(apply_extended(ch, psi.density(), psi.shape) for _, ch in fam.members)
-            # both curves are linear between kinks, with slope 1 past the last (unit
-            # traces): agreement at s = 0 and every kink of either is agreement at every s
-            ((spectra, _, _, (norms, bound)),) = _sweep([[outs, base]], np.zeros(1))
-            if None not in spectra and np.all(np.abs(norms - bound) <= SWEEP_TOL):
+            # dominance_check compares states; a base element that passes the
+            # POVM checks of its rotated elements need not be one
+            states = all(density_mask(np.array(x)).all() for x in (outs, base))
+            if states and dominance_check(outs, base, certify=False).relation == "equivalent":
                 return ComparisonVerdict("dominates", method="sweep-sufficient-commuting")
         return ComparisonVerdict("inconclusive", method="sweep-necessary")
 

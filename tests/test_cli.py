@@ -953,6 +953,17 @@ MALFORMED = {
     "povm-shape": (
         "validate", family_doc(kind="measurement", povms=[[mat_json(np.eye(2)), mat_json(np.eye(3))]]), (), 3, "family.povms[0]",
     ),
+    # each element has a PSD Hermitian part, diag(0.5, 0.5), and would measure it
+    "povm-not-hermitian": (
+        "validate",
+        family_doc(kind="measurement", povms=[[mat_json([[0.5, 0.2], [-0.2, 0.5]]), mat_json([[0.5, -0.2], [0.2, 0.5]])]]),
+        (), 3, "family.povms[0]",
+    ),
+    "povm-rotated-not-hermitian": (
+        "validate",
+        family_doc(**dict(ROTATED, m_plus=mat_json([[0.5, 0.2], [-0.2, 0.5]]), m_minus=mat_json([[0.5, -0.2], [0.2, 0.5]]))),
+        (), 3, "family.m_plus",
+    ),
     "kraus-shape": (
         "validate", family_doc(kind="custom", kraus=[[mat_json(np.eye(2)), mat_json(np.ones((3, 2)))]]), (), 3, "family.kraus[0]",
     ),

@@ -85,11 +85,16 @@ def test_curve_recomputation_invariant(rng):
         assert abs(nv - trace_norm(a - s * b)) < 1e-10
 
 
+def hermitian_sweep(a, b, s) -> np.ndarray:
+    """||a - s_k b||_1 of one Hermitian pair, by the batched sweep."""
+    return comparison._hermitian_sweeps([(a, b)], [np.asarray(s, dtype=float)])[0]
+
+
 def test_sweep_norms_match_trace_norm(rng):
     s = np.array([0.0, 0.3, 1.0, 7.5])
     a, b = random_density(rng, 3), random_density(rng, 3)
     want = [trace_norm(a - t * b) for t in s]
-    assert max_abs(sweep_norms(a, b, s) - want) < 1e-12
+    assert max_abs(hermitian_sweep(a, b, s) - want) < 1e-12
 
 
 def test_joint_eigenbasis_diagonalizes_both(rng):
@@ -597,7 +602,7 @@ def stacked_grids(monkeypatch) -> list[np.ndarray]:
 
 def assert_matches_trace_norm(a, b, s):
     want = np.array([trace_norm(a - t * b) for t in s])
-    assert np.all(np.abs(sweep_norms(a, b, s) - want) <= 1e-12 * (1.0 + s))
+    assert np.all(np.abs(hermitian_sweep(a, b, s) - want) <= 1e-12 * (1.0 + s))
 
 
 def weyl_pair(rng, thetas):
@@ -636,9 +641,10 @@ def test_sweep_norms_match_trace_norm_on_every_route(rng):
 
 
 def test_generic_pair_stacks_only_the_indefinite_middle(rng, monkeypatch):
-    """A full-rank 4 x 4 pair sends to the stacked eigvalsh only s = 0, the
-    grid points where a - s b is indefinite and the last grid point on each
-    semidefinite side; every other point takes |tr a - s tr b|."""
+    """A full-rank 4 x 4 pair sends to the stacked eigvalsh, over its two
+    rounds, only s = 0, the grid points where a - s b is indefinite and the
+    last grid point on each semidefinite side, each once; every other point
+    takes |tr a - s tr b|."""
     a, b = random_density(rng, 4), random_density(rng, 4)
     s = default_grid()
     lam = np.linalg.eigvalsh(a[None] - s[:, None, None] * b[None])
@@ -646,10 +652,10 @@ def test_generic_pair_stacks_only_the_indefinite_middle(rng, monkeypatch):
     indefinite = s[(lam[:, 0] < 0) & (lam[:, -1] > 0)]
     grids = stacked_grids(monkeypatch)
     assert_matches_trace_norm(a, b, s)
-    assert len(grids) == 1
-    assert set(grids[0]) == {0.0, psd.max(), nsd.min(), *indefinite}
-    # the three certifying points lead the stack, then every stacked s once
-    assert len(grids[0]) == 6 + len(indefinite) < len(s)
+    assert len(grids) == 2
+    assert set(np.concatenate(grids)) == {0.0, psd.max(), nsd.min(), *indefinite}
+    # the three certifying points lead the first stack; no point is stacked twice
+    assert sum(map(len, grids)) == 3 + len(indefinite) < len(s)
 
 
 def test_commuting_pairs_stack_one_eigh_per_dimension(rng, monkeypatch):
@@ -680,8 +686,8 @@ def test_boundary_on_the_grid_keeps_the_closed_form(rng, monkeypatch):
     for _ in range(10):
         thetas = rng.dirichlet(np.ones(4), size=2)
         s = np.unique(np.concatenate([default_grid(), thetas[0] / thetas[1]]))
-        sweep_norms(*weyl_pair(rng, thetas), s)
-        assert len(grids) == 1 and len(grids.pop()) < len(s)
+        hermitian_sweep(*weyl_pair(rng, thetas), s)
+        assert len(grids) == 2 and len(grids.pop()) + len(grids.pop()) < len(s)
 
 
 def member_below_zero(rng, d):
@@ -695,13 +701,13 @@ def member_below_zero(rng, d):
 def test_member_below_zero_is_refused_the_closed_form(rng, monkeypatch):
     """A member with an eigenvalue at -DENSITY_TOL / 2 still passes
     is_density, but a - s b need not be semidefinite where the guess says:
-    the certificate fails and the whole grid is stacked."""
+    the certificate fails and the two rounds stack the whole grid."""
     a = member_below_zero(rng, 3)
     b = random_density(rng, 3)
     assert is_density(a)
     grids = stacked_grids(monkeypatch)
     c = gap_curve(a, b)
-    assert np.array_equal(grids[-1], c.s_values)
+    assert len(grids) == 2 and np.array_equal(np.unique(np.concatenate(grids)), c.s_values)
     want = np.array([trace_norm(a - t * b) for t in c.s_values])
     assert np.all(np.abs(c.norms - want) <= 1e-12 * (1.0 + c.s_values))
     assert_matches_trace_norm(b, a, c.s_values)
@@ -712,8 +718,9 @@ def test_batch_matches_the_per_pair_sweep_bit_for_bit(rng, monkeypatch):
     exactly the norms of the per-pair sweep it replaced: d = 2..5 at every
     pair of ranks, identical, disjoint, zero and t = 1 pairs, Weyl pairs
     with a pencil boundary on the grid, grids of several lengths (one of
-    them empty), and a member below zero, whose failed certificate stacks
-    its whole grid in the one extra eigvalsh of its dimension."""
+    them empty), and a member below zero, whose failed certificate leaves
+    its closed sides to the second round, so that the two rounds stack its
+    whole grid."""
     grid = default_grid()
     pairs, grids = [], []
 
@@ -737,21 +744,23 @@ def test_batch_matches_the_per_pair_sweep_bit_for_bit(rng, monkeypatch):
         add(*weyl_pair(rng, thetas), np.unique(np.concatenate([grid, thetas[0] / thetas[1]])))
     below = member_below_zero(rng, 3)
     add(below, random_density(rng, 3))
+    # the row of the pair below zero in the stacks of the 3 x 3 pairs
+    k_below = [len(a) for a, _ in pairs].count(3) - 1
     add(random_density(rng, 3), random_density(rng, 3), grid[:0])
     calls = []
     kernel = comparison._stacked_eigvalsh
 
     def spy(a, b, pair, s):
-        calls.append((len(a[0]), np.array(s[pair == pair[-1]])))
+        calls.append((len(a[0]), np.array(s[pair == k_below])))
         return kernel(a, b, pair, s)
 
     monkeypatch.setattr(comparison, "_stacked_eigvalsh", spy)
     norms = comparison._hermitian_sweeps(pairs, grids)
     for (a, b), s, got in zip(pairs, grids, norms):
         assert np.array_equal(got, hermitian_sweep_oracle(a, b, s))
-    # one stacked eigvalsh per dimension, and one more for the pair below zero
-    assert [d for d, _ in calls] == [2, 3, 3, 4, 5]
-    assert np.array_equal(calls[2][1], grid)
+    # two stacked eigvalsh per dimension, one per round
+    assert [d for d, _ in calls] == [2, 3, 4, 5] * 2
+    assert np.array_equal(np.unique(np.concatenate([calls[1][1], calls[5][1]])), grid)
 
 
 def sweep_verdict_families(rng, kind):
@@ -790,8 +799,9 @@ def test_noncommuting_family_stacks_a_third_of_the_full_sweep(rng, monkeypatch):
     """A 5-member comparison of noncommuting unital families sends its 20
     member pairs through one stacked guess and two stacked eigvalsh (the
     second only at the points the first round's bounds leave open), and
-    stacks at most 35% of the matrices that sweeping every grid point does:
-    the certifying points and the whole indefinite middle of each pair."""
+    stacks at most 35% of the matrices that sweeping every grid point does,
+    as a sweep curve does: the certifying points and the whole indefinite
+    middle of each pair."""
     cand, chal = sweep_verdict_families(rng, "unital")
     sweeps, guesses = [], []
     kernel, guess = comparison._stacked_eigvalsh, comparison._semidefinite_ends
@@ -809,8 +819,9 @@ def test_noncommuting_family_stacks_a_third_of_the_full_sweep(rng, monkeypatch):
     full = 0
     for fam in (cand, chal):
         for i, j in combinations(range(5), 2):
-            sweep_norms(fam[i], fam[j], default_grid())
-            full += sweeps.pop()[1]
+            hermitian_sweep(fam[i], fam[j], default_grid())
+            full += sum(n for _, n in sweeps)
+            del sweeps[:]
     del guesses[:]
     v = dominance_check(cand, chal, certify=False)
     assert v.relation != "dominated"
@@ -828,7 +839,7 @@ def test_convex_bounds_hold_at_every_point_left_out(rng):
         for ra, rb in ((1, 1), (1, d), (d, 1), (d, d), (2, d - 1)):
             a, b = random_density(rng, d, ra), random_density(rng, d, rb)
             for s, stride in ((grids[0], 3), (grids[1], 10)):
-                full = sweep_norms(a, b, s)[None]
+                full = hermitian_sweep(a, b, s)[None]
                 f = np.where(np.arange(len(s)) % stride == 0, full, np.nan)
                 fro = [np.linalg.norm(m)[None] for m in (a, b)]
                 floor = np.abs(np.trace(a).real - s * np.trace(b).real)[None]
@@ -872,6 +883,20 @@ def test_round_off_at_large_s_is_no_witness():
             cand, chal = ([random_density(rng, d) for _ in range(2)] for _ in range(2))
             v = dominance_check(cand, chal, grid=[s], certify=False)
             assert v.witness_s is None, (s, seed, v)
+
+
+def test_joint_eigenvalue_above_round_off_keeps_its_kink():
+    """A joint eigenvalue q of 1e-13 or 1e-14 is no round-off at qubit
+    scale: below its kink s = 0.3 / q the challenger's curve is higher by
+    only 2 q s, and beyond it by 0.6. Dropping every q <= 1e-12 read both
+    orders as equivalent, ties settled up to the last grid point."""
+    plus = np.diag([0.7, 0.3])
+    for q in (1e-13, 1e-14):
+        cand, chal = [plus, np.diag([1 - q, q])], [plus, np.diag([1.0, 0.0])]
+        v = dominance_check(cand, chal)
+        assert (v.relation, v.method) == ("dominated", "sweep-sufficient-commuting")
+        assert v.witness_s == pytest.approx(0.3 / q) and abs(v.gap - 0.6) < 0.01
+        assert dominance_check(chal, cand).relation == "dominates"
 
 
 def test_stacked_sweep_memory_is_bounded(rng):
@@ -1115,6 +1140,49 @@ def test_feasibility_never_certifies_a_feasible_instance(rng):
         assert res.witness is None
         if res.feasible:
             assert res.residual <= 1e-7
+
+
+def interior_point_pair(rng):
+    """A mixed 2 -> 2 pair and its image under a random channel on which
+    the projected start is no channel, so the solver takes interior-point
+    steps (at least 2) to certify it."""
+    while True:
+        src = [random_density(rng, 2) for _ in range(2)]
+        ks = random_kraus(rng, 2, 2, 2)
+        tgt = [sum(k @ m @ k.conj().T for k in ks) for m in src]
+        if cptp_feasible(src, tgt).iterations >= 2:
+            return src, tgt
+
+
+def test_step_cap_leaves_a_feasible_pair_unresolved(rng, monkeypatch):
+    """With CPTP_MAX_ITERS = 1 a pair that needs two steps ends unresolved
+    after one, with no channel and no witness, and the verdict that the
+    channel certified becomes inconclusive."""
+    src, tgt = interior_point_pair(rng)
+    assert dominance_check(src, tgt).relation == "dominates"
+    monkeypatch.setattr(comparison, "CPTP_MAX_ITERS", 1)
+    res = cptp_feasible(src, tgt)
+    assert (res.status, res.iterations, res.feasible, res.witness) == ("unresolved", 1, False, None)
+    assert dominance_check(src, tgt).relation == "inconclusive"
+
+
+@pytest.mark.parametrize("fail_at", [1, 2])
+def test_failed_cholesky_leaves_the_pair_unresolved(rng, monkeypatch, fail_at):
+    """A Cholesky factor that fails at step fail_at (round-off pushing an
+    iterate off the cone) ends the search unresolved, after fail_at - 1
+    completed steps: 0 when the first step fails."""
+    src, tgt = interior_point_pair(rng)
+    calls, cholesky = [], np.linalg.cholesky
+
+    def spy(m):
+        calls.append(m)
+        if len(calls) == fail_at:
+            raise np.linalg.LinAlgError("not positive definite")
+        return cholesky(m)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    res = cptp_feasible(src, tgt)
+    assert (res.status, res.iterations, res.feasible, res.witness) == ("unresolved", fail_at - 1, False, None)
 
 
 def test_near_miss_pair_is_never_feasible(rng):

@@ -403,6 +403,44 @@ def test_certify_rotated_mixed_base_pair(m_plus, m_minus):
     assert (v.relation, v.method) == ("dominates", "sweep-sufficient-commuting")
 
 
+def test_certify_rotated_pair_with_a_kink_at_large_s():
+    """With m_minus = diag(1 - 1e-11, 1e-11) the base pair has a kink at
+    s = 3e10, where the two curves meet to 1.1e-5, about 3 ulps of a norm of
+    3e10: round-off, not a point where they part. A bare SWEEP_TOL test
+    there reported inconclusive."""
+    fam = make_family(
+        "measurement",
+        {
+            "m_plus": np.diag([0.7, 0.3]),
+            "m_minus": np.diag([1 - 1e-11, 1e-11]),
+            "unitaries": weyl_ops(2),
+            "structure": "rotated",
+        },
+    )
+    psi = PureState(max_entangled(2), SystemShape((2, 2)))
+    v = measurement_input_certify(fam, psi)
+    assert (v.relation, v.method) == ("dominates", "sweep-sufficient-commuting")
+
+
+def test_certify_rotated_pair_that_is_no_pair_of_states():
+    """The Weyl rotations taken six times average to 12 tr(.) 1, so a base
+    element 1.1e-8 from Hermitian leaves every rotated element within the
+    POVM check's 1e-9 but is no density matrix: the rotated route answers
+    inconclusive instead of raising from dominance_check."""
+    fam = make_family(
+        "measurement",
+        {
+            "m_plus": np.diag([0.7, 0.3]) + np.array([[0.0, 1.1e-8], [0.0, 0.0]]),
+            "m_minus": np.diag([0.3, 0.7]),
+            "unitaries": weyl_ops(2) * 6,
+            "structure": "rotated",
+        },
+    )
+    psi = PureState(max_entangled(2), SystemShape((2, 2)))
+    v = measurement_input_certify(fam, psi)
+    assert (v.relation, v.method) == ("inconclusive", "sweep-necessary")
+
+
 def complementary_family(a):
     d = len(a)
     m = np.diag(np.asarray(a, dtype=float))
