@@ -496,8 +496,9 @@ def measurement_channel(elements) -> KrausChannel:
     (ValueError), sum to the identity and each be Hermitian and PSD, all
     within DEFAULT_TOL (ConstraintViolation). Output dimension is the
     number of outcomes; Kraus operators are sqrt(lam) |i><phi| over the
-    eigenpairs of each element, so the output is diagonal in the outcome
-    basis: L(rho) = sum_i tr(rho M_i) |i><i|.
+    eigenpairs of each element with lam > 0 (however small: the member
+    measures the elements it was given), so the output is diagonal in the
+    outcome basis: L(rho) = sum_i tr(rho M_i) |i><i|.
     """
     elements = [as_matrix(e) for e in elements]
     d = elements[0].shape[0]
@@ -514,7 +515,7 @@ def measurement_channel(elements) -> KrausChannel:
         if w.min() < -DEFAULT_TOL:
             raise ConstraintViolation(f"POVM element {i} is not PSD")
         for lam, col in zip(w, v.T):
-            if lam > 1e-12:
+            if lam > 0:
                 out = np.zeros((m, d), dtype=complex)
                 out[i, :] = np.sqrt(lam) * col.conj()
                 ops.append(out)

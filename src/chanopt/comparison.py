@@ -594,35 +594,104 @@ def _shape_constants(di: int, do: int) -> tuple[np.ndarray, ...]:
     return out
 
 
+def _round_off_zero(lam) -> np.ndarray:
+    """Which of the eigenvalues lam of a Hermitian r x r matrix count as
+    zero: |lambda| <= eps r max |lambda|, the cut lstsq(rcond=None) and
+    matrix_rank make on singular values. An eigensolver moves every
+    eigenvalue by up to about r eps times the largest, so none below the
+    cut is told from an exact zero."""
+    mag = np.abs(lam)
+    return mag <= np.finfo(float).eps * mag.shape[-1] * mag.max(axis=-1, keepdims=True)
+
+
+def _support(m) -> tuple[np.ndarray | None, float]:
+    """(Q, lambda) for a sum m of states: orthonormal columns Q spanning
+    the eigenvectors of m whose eigenvalues _round_off_zero keeps, and the
+    least kept eigenvalue. Q is the identity when every eigenvalue is kept,
+    and None when none is, or a kept one is negative (m is no sum of
+    states, so no support to compress to)."""
+    lam, v = np.linalg.eigh(_herm(m))
+    keep = ~_round_off_zero(lam)
+    if not keep.any() or lam[keep][0] <= 0:
+        return None, 0.0
+    if keep.all():
+        return np.eye(len(m)), float(lam[0])
+    return v[:, keep], float(lam[keep][0])
+
+
+def _errors(w, src, tgt) -> float:
+    """The largest constraint error of a Choi matrix w: its images of the
+    sources against the targets, and its partial trace against 1. The
+    violation of w is max(_errors(w), _below_zero(w)); each test computes
+    first the part that its candidates usually fail on."""
+    di, do = src.shape[1], tgt.shape[1]
+    w4 = w.reshape(do, di, do, di)
+    image = np.einsum("aibj,kij->kab", w4, src) - tgt
+    trace = np.einsum("aiaj->ij", w4) - np.eye(di)
+    return max(float(np.abs(image).max()), float(np.abs(trace).max()))
+
+
+def _below_zero(w) -> float:
+    return -float(np.linalg.eigvalsh(_herm(w))[0])
+
+
+def _farkas_z(ys, trace_dual, src) -> np.ndarray:
+    """Z = sum_k ys[k] (x) src[k]^T + 1 (x) trace_dual of a FarkasWitness."""
+    do, di = ys[0].shape[0], src.shape[1]
+    z = np.einsum("kab,kji->aibj", ys, src) + np.einsum("ab,ij->aibj", np.eye(do), trace_dual)
+    return z.reshape(do * di, do * di)
+
+
+def _margin_holds(lam, value, duals, di) -> bool:
+    """The witness margin test on Z with ascending eigenvalues lam and the
+    value of its duals (the witness of _interior_point derives it)."""
+    n = len(lam)
+    z_norm = max(abs(float(lam[0])), abs(float(lam[-1])))
+    l1 = sum(float(np.abs(m).sum()) for m in duals)
+    margin = CPTP_TOL * (abs(float(lam[0])) * (di + n) + n * z_norm + l1)
+    return value < di * float(lam[0]) - margin
+
+
 def cptp_feasible(sources, targets) -> FeasibilityResult:
     """Search for a channel W with W(sources[k]) = targets[k] for all k.
 
-    The Choi matrix is written W = V - mu 1 with V >= 0; trace preservation
-    fixes mu = (tr V - d_in) / (d_in d_out), which leaves the standard-form
-    semidefinite program min tr V subject to A'(V) = b', V >= 0 (A' the
-    constraints on the traceless parts). A channel exists iff its optimum is
-    at most d_in, and both it and its dual max b'.y s.t. 1 - A'*(y) >= 0 are
-    strictly feasible. Dependent constraint rows are dropped once by an SVD;
-    an inconsistent system is refuted by its least-squares residual (a
-    linear Farkas certificate). The projection of V = 1 onto A'(V) = b' is
-    tried as a channel first; failing that, one infeasible-start primal-dual
-    interior-point method (HKM direction, Mehrotra predictor-corrector) from
-    V = 1 closes the gap from both sides. The status is one of:
+    A channel exists iff one maps the sources, restricted to the support S
+    of sum_k sources[k], onto the targets restricted to the support T of
+    sum_k targets[k] (facial reduction): a channel sends every state on S
+    into T, and a channel from S to T extends to the whole space. So when
+    S or T is smaller than its space (_support, with the round-off cut of
+    _round_off_zero), _interior_point solves the compressed problem
+    Q_S^dag sources[k] Q_S -> Q_T^dag targets[k] Q_T first, at Choi
+    dimension r_s r_t, and its result is lifted back:
+
+    - a channel J_c to J = (Q_T (x) conj Q_S) J_c (Q_T (x) conj Q_S)^dag +
+      tau (x) (1 - conj P_S), tau = P_T / r_t, which sends the part of an
+      input outside S to tau;
+    - a witness (Y_c, F_c) with lambda_c = lambda_min(Z_c) to Y_k = Q_T
+      Y_c,k Q_T^dag + t (1 - P_T), t = max(0, (lambda_c -
+      lambda_min(F_c)) / lambda_min(sum_k sources[k] on S)), and F =
+      conj Q_S F_c Q_S^T + lambda_c (1 - conj P_S), which keeps
+      lambda_min(Z) = lambda_c and adds lambda_c (d_in - r_s) to both
+      sides of the separation.
+
+    A lifted channel is kept only if its violation at full size is within
+    CPTP_STOP_TOL, and a lifted witness only if it passes the full-size
+    margin test; anything else, an unresolved compressed solve included,
+    is solved again at full size. No status rests on an unchecked lift.
+    The status is one of:
 
     - "feasible": choi is a verified Choi matrix, its constraint violation
       and most negative eigenvalue both within CPTP_STOP_TOL.
     - "infeasible": witness is a FarkasWitness that no channel meets the
-      constraints, nor any Hermitian W within CPTP_TOL of them. It is the
-      negated dual point, taken once b'.y > d_in, and returned only after
-      that margin check.
+      constraints, nor any Hermitian W within CPTP_TOL of them.
     - "unresolved": neither was found within CPTP_MAX_ITERS iterations, or
       before round-off pushed an iterate off the cone; this is a numerical
       verdict, not a proof.
 
     feasible is True exactly for "feasible"; iterations counts the
-    interior-point steps completed (0 for a projected start that was a
-    channel, and for round-off that stops the first step), and residual is
-    the violation of choi, the last iterate.
+    interior-point steps of every solve the call made (the compressed one,
+    and the full one when the lift failed its check), and residual is the
+    full-size violation of choi, the last iterate.
     """
     sources = [as_matrix(m) for m in sources]
     targets = [as_matrix(m) for m in targets]
@@ -636,9 +705,69 @@ def cptp_feasible(sources, targets) -> FeasibilityResult:
     for m in targets:
         if m.shape != (do, do):
             raise ValueError("targets must share one dimension")
-
-    n = do * di
     src, tgt = np.array(sources), np.array(targets)
+    (qs, lam_s), (qt, _) = _support(src.sum(axis=0)), _support(tgt.sum(axis=0))
+    if qs is None or qt is None or qs.shape[1] * qt.shape[1] == di * do:
+        return _interior_point(src, tgt)
+    src_c = qs.conj().T @ src @ qs
+    small = _interior_point(src_c, qt.conj().T @ tgt @ qt)
+    if (lifted := _lifted(small, qs, qt, lam_s, src_c, src, tgt)) is not None:
+        return lifted
+    full = _interior_point(src, tgt)
+    full.iterations += small.iterations
+    return full
+
+
+def _lifted(small, qs, qt, lam_s, src_c, src, tgt) -> FeasibilityResult | None:
+    """The result of a compressed solve lifted to full size, as
+    cptp_feasible describes, or None when it is unresolved or its lift
+    fails the full-size check."""
+    di, do = src.shape[1], tgt.shape[1]
+    rs, rt = qs.shape[1], qt.shape[1]
+    # P_S conjugated, as the input factor of a Choi matrix holds transposes
+    p_s, p_t = (qs @ qs.conj().T).conj(), qt @ qt.conj().T
+    q = (qt[:, None, :, None] * qs.conj()[None, :, None, :]).reshape(do * di, rt * rs)
+    tau = np.einsum("ab,ij->aibj", p_t / rt, np.eye(di) - p_s).reshape(do * di, do * di)
+    w = q @ small.choi.matrix @ q.conj().T + tau
+    if small.status == "feasible":
+        err = _errors(w, src, tgt)
+        if err <= CPTP_STOP_TOL and (res := max(err, _below_zero(w))) <= CPTP_STOP_TOL:
+            return FeasibilityResult(True, ChoiMatrix(w, din=di, dout=do), res, "feasible", small.iterations)
+    elif small.status == "infeasible":
+        ys_c, f_c = np.array(small.witness.image_duals), small.witness.trace_dual
+        lam_c = float(np.linalg.eigvalsh(_farkas_z(ys_c, f_c, src_c))[0])
+        t = max(0.0, (lam_c - float(np.linalg.eigvalsh(f_c)[0])) / lam_s)
+        ys = _herm(qt @ ys_c @ qt.conj().T + t * (np.eye(do) - p_t))
+        f = _herm(qs.conj() @ f_c @ qs.T + lam_c * (np.eye(di) - p_s))
+        lam = np.linalg.eigvalsh(_farkas_z(ys, f, src))
+        value = float(np.einsum("kab,kba->", ys, tgt).real) + float(np.trace(f).real)
+        if _margin_holds(lam, value, (*ys, f), di):
+            res = max(_errors(w, src, tgt), _below_zero(w))
+            wit = FarkasWitness(list(ys), f)
+            return FeasibilityResult(False, ChoiMatrix(w, din=di, dout=do), res, "infeasible", small.iterations, wit)
+    return None
+
+
+def _interior_point(src, tgt) -> FeasibilityResult:
+    """cptp_feasible on stacked sources and targets at their own size.
+
+    The Choi matrix is written W = V - mu 1 with V >= 0; trace preservation
+    fixes mu = (tr V - d_in) / (d_in d_out), which leaves the standard-form
+    semidefinite program min tr V subject to A'(V) = b', V >= 0 (A' the
+    constraints on the traceless parts). A channel exists iff its optimum is
+    at most d_in, and both it and its dual max b'.y s.t. 1 - A'*(y) >= 0 are
+    strictly feasible. Dependent constraint rows are dropped once by an SVD;
+    an inconsistent system is refuted by its least-squares residual (a
+    linear Farkas certificate). The projection of V = 1 onto A'(V) = b' is
+    tried as a channel first; failing that, one infeasible-start primal-dual
+    interior-point method (HKM direction, Mehrotra predictor-corrector) from
+    V = 1 closes the gap from both sides. A witness is the negated dual
+    point, taken once b'.y > d_in, and returned only after the margin
+    check. iterations counts the steps completed: 0 for a projected start
+    that was a channel, and for round-off that stops the first step.
+    """
+    di, do = src.shape[1], tgt.shape[1]
+    n = do * di
     e_out, e_in, trace_block, trace_b = _shape_constants(di, do)
     # constraint p is tr(A_p W) = b_p: the image constraints E (x) rho^T with
     # tr(E sigma), then the partial-trace constraints 1 (x) F with tr F
@@ -662,17 +791,6 @@ def cptp_feasible(sources, targets) -> FeasibilityResult:
     def adj(y):
         return (y @ ops).reshape(n, n)
 
-    # the violation of w is max(errors(w), below_zero(w)); each test below
-    # computes first the part that its candidates usually fail on
-    def errors(w):
-        w4 = w.reshape(do, di, do, di)
-        image = np.einsum("aibj,kij->kab", w4, src) - tgt
-        trace = np.einsum("aiaj->ij", w4) - np.eye(di)
-        return max(float(np.abs(image).max()), float(np.abs(trace).max()))
-
-    def below_zero(w):
-        return -float(np.linalg.eigvalsh(_herm(w))[0])
-
     def witness(y):
         """The FarkasWitness -y on the original constraints, or None.
 
@@ -683,25 +801,21 @@ def cptp_feasible(sources, targets) -> FeasibilityResult:
         [d_in (1 - t), d_in (1 + t) + n t], so
         tr(Z W) >= d_in lam - t (|lam| (d_in + n) + n |Z|) with
         lam = lambda_min(Z). A witness is returned only when value lies
-        below that bound by t l1 (a margin >= 0, so the duals are built
-        only below d_in lam), so it excludes every such W and every channel.
+        below that bound by t l1 (_margin_holds; a margin >= 0, so the
+        duals are built only below d_in lam), so it excludes every such W
+        and every channel.
         """
         lam = np.linalg.eigvalsh(-np.tensordot(y, a, 1))
         value = -float(b @ y)
         if value >= di * float(lam[0]):
             return None
-        k = len(sources) * do * do
-        ys = list(np.tensordot(-y[:k].reshape(len(sources), -1), e_out, 1))
+        k = len(src) * do * do
+        ys = list(np.tensordot(-y[:k].reshape(len(src), -1), e_out, 1))
         trace_dual = np.tensordot(-y[k:], e_in, 1)
-        z_norm = max(abs(float(lam[0])), abs(float(lam[-1])))
-        l1 = sum(float(np.abs(m).sum()) for m in (*ys, trace_dual))
-        margin = CPTP_TOL * (abs(float(lam[0])) * (di + n) + n * z_norm + l1)
-        if value >= di * float(lam[0]) - margin:
-            return None
-        return FarkasWitness(ys, trace_dual)
+        return FarkasWitness(ys, trace_dual) if _margin_holds(lam, value, (*ys, trace_dual), di) else None
 
     def result(w, status, it, wit=None, res=None):
-        res = max(errors(w), below_zero(w)) if res is None else res
+        res = max(_errors(w, src, tgt), _below_zero(w)) if res is None else res
         return FeasibilityResult(status == "feasible", ChoiMatrix(w, din=di, dout=do), res, status, it, wit)
 
     eye = np.eye(n, dtype=complex)
@@ -709,11 +823,17 @@ def cptp_feasible(sources, targets) -> FeasibilityResult:
     # the part of b' outside the range of A' refutes an inconsistent system
     if (wit := witness(b_red - u[:, :r] @ (u[:, :r].T @ b_red))) is not None:
         return result(w, "infeasible", 0, wit)
-    # the point of A'(V) = b' nearest to 1, as the rows of ops are orthonormal
-    xp = eye + adj(rhs - op(eye))
-    wp = xp - (float(np.trace(xp).real) - di) / n * eye
-    if (neg := below_zero(wp)) <= CPTP_STOP_TOL and (res := max(errors(wp), neg)) <= CPTP_STOP_TOL:
-        return result(wp, "feasible", 0, res=res)
+    # the point of A'(V) = b' nearest to 1, as the rows of ops are orthonormal,
+    # unless a target is singular: a channel onto it has a singular Choi
+    # matrix, which that point seldom is (it settled none of 976 seeded
+    # solves with a singular target, 25 of 344 without; orthogonal sources,
+    # whose constraints fix the diagonal blocks, would be settled by it, and
+    # take steps instead)
+    if not _round_off_zero(np.linalg.eigvalsh(_herm(tgt))).any():
+        xp = eye + adj(rhs - op(eye))
+        wp = xp - (float(np.trace(xp).real) - di) / n * eye
+        if (neg := _below_zero(wp)) <= CPTP_STOP_TOL and (res := max(_errors(wp, src, tgt), neg)) <= CPTP_STOP_TOL:
+            return result(wp, "feasible", 0, res=res)
 
     # the dual slack S = 1 - A'*(y) is kept exact, so the dual stays feasible
     x, s, y = eye, eye, np.zeros(r)
@@ -728,11 +848,15 @@ def cptp_feasible(sources, targets) -> FeasibilityResult:
         g = x @ ops.reshape(r, n, n) @ s_inv
         schur = (ops @ g.transpose(0, 2, 1).reshape(r, n * n).T).real
         comp = float(np.trace(x @ s).real) / n
+        # one eigendecomposition of the Schur matrix serves both Newton
+        # solves; it nears singular at the optimum, so the eigenvalues that
+        # _round_off_zero cuts are left out, as lstsq would
+        lam, vec = np.linalg.eigh(_herm(schur))
+        inv_lam = np.divide(1.0, lam, out=np.zeros_like(lam), where=~_round_off_zero(lam))
 
         def direction(rc):
-            # A(dX) = rp, A*(dy) + dS = 0, X dS + dX S = rc, dX symmetrized
-            # (HKM); lstsq, as the Schur matrix nears singular at the optimum
-            dy = np.linalg.lstsq(schur, rp - op(rc @ s_inv), rcond=None)[0]
+            # A(dX) = rp, A*(dy) + dS = 0, X dS + dX S = rc, dX symmetrized (HKM)
+            dy = vec @ (inv_lam * (vec.T @ (rp - op(rc @ s_inv))))
             ds = -adj(dy)
             return _herm((rc - x @ ds) @ s_inv), dy, ds
 
@@ -751,7 +875,7 @@ def cptp_feasible(sources, targets) -> FeasibilityResult:
         s = _herm(eye - adj(y))
 
         w = x - (float(np.trace(x).real) - di) / n * eye
-        if (err := errors(w)) <= CPTP_STOP_TOL and (res := max(err, below_zero(w))) <= CPTP_STOP_TOL:
+        if (err := _errors(w, src, tgt)) <= CPTP_STOP_TOL and (res := max(err, _below_zero(w))) <= CPTP_STOP_TOL:
             return result(w, "feasible", it, res=res)
         if rhs @ y > di and (wit := witness(lift @ y)) is not None:
             return result(w, "infeasible", it, wit)

@@ -22,6 +22,7 @@ from chanopt.channels import (
     validate_cptp,
     weyl_ops,
 )
+from chanopt.comparison import gap_curve
 from chanopt.entanglement import meas_separable_check
 from chanopt.numerics import PureState, SystemShape, dagger, max_abs, max_entangled, partial_trace
 from chanopt.optimal_inputs import measurement_input_certify
@@ -387,6 +388,28 @@ def test_make_family_measurement_kinds():
     )
     assert fam2.labels() == ["p", "q"]
     assert fam2.params["structure"] == "plain"
+
+
+
+def test_rotated_members_measure_their_stated_povms():
+    """m_minus = diag(1 - 1e-13, 1e-13): each rotated minus element has an
+    eigenvalue of 5e-14, which a Kraus cut at 1e-12 once dropped, so the
+    minus member measured another POVM than params["povms"] (off by 5e-14)
+    and the curve of its Bell outputs left the stated elements' by 0.3 at
+    s = 3e12. Every positive eigenvalue is kept now."""
+    fam = make_family(
+        "measurement",
+        {"unitaries": weyl_ops(2), "m_plus": np.diag([0.7, 0.3]), "m_minus": np.diag([1 - 1e-13, 1e-13])},
+    )
+    for (_, ch), povm in zip(fam.members, fam.params["povms"]):
+        measured = [sum(dagger(k)[:, [i]] @ k[[i], :] for k in ch.kraus_ops) for i in range(len(povm))]
+        assert max(max_abs(m - e) for m, e in zip(measured, povm)) <= 1e-15
+    phi = np.outer(max_entangled(2), max_entangled(2))
+    built = [apply_extended(ch, phi, SystemShape((2, 2))) for _, ch in fam.members]
+    # outcome i with the reference left in M_i^T / 2
+    stated = [sum(np.kron(np.diag(np.eye(4)[i]), e.T / 2) for i, e in enumerate(p)) for p in fam.params["povms"]]
+    curves = [gap_curve(*pair, grid=[3e12]) for pair in (built, stated)]
+    assert abs(curves[0].norms[-1] - curves[1].norms[-1]) <= 1e-2
 
 
 _M = np.diag([0.8, 0.2])

@@ -1273,8 +1273,9 @@ def choi_maps(w, sources, targets, tol=1e-7) -> bool:
 def newton_instances():
     """40 seeded pure pairs at each of 2->2, 2->3 and 3->2 with overlaps
     0.3 -> 0.7 (feasible), the kind of instance the interior-point method
-    resolves in 8-10 steps and a less accurate Newton solve (an SVD
-    pseudo-inverse in place of lstsq) left unresolved."""
+    resolves in 8-10 steps and a less accurate Newton solve (a pseudo-inverse
+    matrix of the Schur matrix, multiplied into each right-hand side) left
+    unresolved."""
     rng = np.random.default_rng(2525)
     return [
         (pure_pair(rng, din, 0.3), pure_pair(rng, dout, 0.7))
@@ -1307,6 +1308,159 @@ def test_projected_start_that_is_a_channel_takes_no_step():
     assert res.status == "feasible" and res.iterations == 0 and res.witness is None
     assert res.residual <= CPTP_STOP_TOL
     assert choi_maps(res.choi.matrix, src, tgt, tol=CPTP_STOP_TOL)
+
+
+def solves(monkeypatch):
+    """A log of (source dimension, target dimension, status) per
+    _interior_point call that cptp_feasible makes."""
+    calls, solve = [], comparison._interior_point
+
+    def spy(src, tgt):
+        res = solve(src, tgt)
+        calls.append((src.shape[1], tgt.shape[1], res.status))
+        return res
+
+    monkeypatch.setattr(comparison, "_interior_point", spy)
+    return calls
+
+
+def image_of(ks, src):
+    return [sum(k @ m @ k.conj().T for k in ks) for m in src]
+
+
+def compressible_instances(rng):
+    """Seeded instances whose sources or targets leave part of their space
+    out: pure pairs at 2->3 and 3->2 both ways, and per draw a qutrit pair
+    on one plane with its image under a 2-Kraus qutrit channel, a pure
+    qubit pair under a qubit-to-ququart isometry, and a qutrit pair on one
+    plane against random qubit states."""
+    out = []
+    for din, dout in ((2, 3), (3, 2)):
+        for _ in range(4):
+            out += [(pure_pair(rng, din, 0.3), pure_pair(rng, dout, 0.7))]
+            out += [(pure_pair(rng, din, 0.7), pure_pair(rng, dout, 0.3))]
+    for _ in range(4):
+        plane = random_kraus(rng, 2, 3, 1)[0]
+        src = [plane @ random_density(rng, 2) @ plane.conj().T for _ in range(2)]
+        out += [(src, image_of(random_kraus(rng, 3, 3, 2), src))]
+        iso = random_kraus(rng, 2, 4, 1)[0]
+        src = pure_sources(rng, 2)
+        out += [(src, [iso @ m @ iso.conj().T for m in src])]
+        plane = random_kraus(rng, 2, 3, 1)[0]
+        out += [([plane @ random_density(rng, 2) @ plane.conj().T for _ in range(2)], [random_density(rng, 2) for _ in range(2)])]
+    return out
+
+
+def test_compressed_solve_agrees_with_the_full_one(rng, monkeypatch):
+    """Every instance is solved on its supports first, at a smaller Choi
+    dimension, and ends in the status _interior_point reaches on the full
+    problem; a channel is checked at full size within CPTP_STOP_TOL and a
+    witness separates at full size."""
+    instances = compressible_instances(rng)
+    full = [comparison._interior_point(np.array(src), np.array(tgt)).status for src, tgt in instances]
+    calls = solves(monkeypatch)
+    statuses = set()
+    for (src, tgt), want in zip(instances, full):
+        calls.clear()
+        res = cptp_feasible(src, tgt)
+        din, dout = src[0].shape[0], tgt[0].shape[0]
+        assert len(calls) == 1 and calls[0][0] * calls[0][1] < din * dout
+        assert res.status == want
+        assert (res.choi.din, res.choi.dout) == (din, dout)
+        if res.feasible:
+            assert res.residual <= CPTP_STOP_TOL
+            assert choi_maps(res.choi.matrix, src, tgt, tol=CPTP_STOP_TOL)
+        else:
+            assert res.status == "infeasible" and witness_separates(res.witness, src, tgt)
+        statuses.add(res.status)
+    assert statuses == {"feasible", "infeasible"}
+
+
+def test_compressed_solve_to_one_dimension():
+    """Equal pure sources compress to a 1 -> 2 problem: feasible onto equal
+    targets, and refuted, with a witness lifted to full size, onto two
+    different ones; two qutrit sources onto one pure qubit state is 2 -> 1."""
+    zero, one = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    res = cptp_feasible([zero, zero], [np.eye(2) / 2] * 2)
+    assert (res.status, res.iterations) == ("feasible", 0)
+    assert choi_maps(res.choi.matrix, [zero, zero], [np.eye(2) / 2] * 2, tol=CPTP_STOP_TOL)
+    res = cptp_feasible([zero, zero], [zero, one])
+    assert res.status == "infeasible" and witness_separates(res.witness, [zero, zero], [zero, one])
+    src = [np.diag([1.0, 0.0, 0.0]), np.full((3, 3), 1 / 3)]
+    res = cptp_feasible(src, [zero, zero])
+    assert (res.status, res.iterations) == ("feasible", 0)
+    assert choi_maps(res.choi.matrix, src, [zero, zero], tol=CPTP_STOP_TOL)
+
+
+def test_a_lift_that_fails_its_check_is_solved_again_at_full_size(monkeypatch):
+    """Targets along (1, +-1e-8): their sum has an eigenvalue of 2e-16, under
+    the round-off cut, so each target is compressed onto |0>, dropping an
+    off-diagonal entry of 1e-8. The compressed channel from |0>, |1> is
+    found, but its lift misses the targets by 1e-8 > CPTP_STOP_TOL, so the
+    full problem is solved and its channel returned."""
+    calls = solves(monkeypatch)
+    a, b = np.array([1.0, 1e-8]), np.array([1.0, -1e-8])
+    tgt = [np.outer(v, v) / (v @ v) for v in (a, b)]
+    src = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    res = cptp_feasible(src, tgt)
+    assert calls == [(2, 1, "feasible"), (2, 2, "feasible")]
+    assert res.status == "feasible" and res.iterations >= 1
+    assert choi_maps(res.choi.matrix, src, tgt, tol=CPTP_STOP_TOL)
+
+
+def garbling_3_to_4(rng, k):
+    """Qutrit sources of ranks 3, 3 and 2 under a random 3-Kraus channel."""
+    src = [random_density(rng, 3, r) for r in (3, 3, 2)]
+    return src, image_of(random_kraus(rng, 3, 4, 3), src)
+
+
+def qutrit_garbling(rng, k):
+    """Two qutrit sources of ranks cycling with k under a 2-Kraus channel."""
+    src = [random_density(rng, 3, 1 + k % 3), random_density(rng, 3, 1 + (k + 1) % 3)]
+    return src, image_of(random_kraus(rng, 3, 3, 2), src)
+
+
+def pure_2_to_4(rng, k):
+    """A pure qubit pair against its image under a random 1-3 Kraus channel
+    into a ququart, that image mixed 3 % with random pure states, or random
+    mixed states, by k."""
+    src = pure_sources(rng, 2)
+    tgt = image_of(random_kraus(rng, 2, 4, 1 + k // 3 % 3), src)
+    if k % 3 == 1:
+        tgt = [0.97 * m + 0.03 * x for m, x in zip(tgt, pure_sources(rng, 4))]
+    elif k % 3 == 2:
+        tgt = [random_density(rng, 4) for _ in src]
+    return src, tgt
+
+
+# seeded instances of the solver failures recorded for earlier versions:
+# (seed, draw, builder, status before the Schur matrix was factored once per
+# step and the supports compressed, status now). A garbling has a channel,
+# so it is never infeasible; the unresolved ones reach the step cap (3 -> 4
+# with violation 3.2e-9, qutrit with 1.5e-9) or a failed Cholesky factor
+# (the two-qubit pair, Bell outputs against a random input's); the 2 -> 4
+# pair, once stopped by a failed Cholesky factor at violation 5.6e-7, is
+# now feasible in 11 steps
+SOLVER_FAILURES = {
+    "garbling-3-to-4": (3505, 56, garbling_3_to_4, "unresolved", "unresolved"),
+    "qutrit-garbling": (3506, 34, qutrit_garbling, "unresolved", "unresolved"),
+    "pure-2-to-4": (3504, 22, pure_2_to_4, "unresolved", "feasible"),
+    "two-qubit-pair": (3502, 5, lambda rng, k: conjugated_weyl_pair(rng)[0], "unresolved", "unresolved"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVER_FAILURES))
+def test_seeded_solver_failures_are_pinned(case):
+    seed, draw, build, _, now = SOLVER_FAILURES[case]
+    rng = np.random.default_rng(seed)
+    for k in range(draw + 1):
+        src, tgt = build(rng, k)
+    res = cptp_feasible(src, tgt)
+    assert res.status == now
+    if res.feasible:
+        assert choi_maps(res.choi.matrix, src, tgt, tol=CPTP_STOP_TOL)
+    else:
+        assert res.witness is None
 
 
 # ---------------------------------------------------------------------------
