@@ -678,7 +678,9 @@ def cptp_feasible(sources, targets) -> FeasibilityResult:
     CPTP_STOP_TOL, and a lifted witness only if it passes the full-size
     margin test; anything else, an unresolved compressed solve included,
     is solved again at full size. No status rests on an unchecked lift.
-    The status is one of:
+    Each solve projects 1 onto the linear constraints, tries that point as
+    a channel, and otherwise takes interior-point steps from it, shifted to
+    be positive definite (_interior_point). The status is one of:
 
     - "feasible": choi is a verified Choi matrix, its constraint violation
       and most negative eigenvalue both within CPTP_STOP_TOL.
@@ -758,13 +760,18 @@ def _interior_point(src, tgt) -> FeasibilityResult:
     at most d_in, and both it and its dual max b'.y s.t. 1 - A'*(y) >= 0 are
     strictly feasible. Dependent constraint rows are dropped once by an SVD;
     an inconsistent system is refuted by its least-squares residual (a
-    linear Farkas certificate). The projection of V = 1 onto A'(V) = b' is
-    tried as a channel first; failing that, one infeasible-start primal-dual
-    interior-point method (HKM direction, Mehrotra predictor-corrector) from
-    V = 1 closes the gap from both sides. A witness is the negated dual
-    point, taken once b'.y > d_in, and returned only after the margin
-    check. iterations counts the steps completed: 0 for a projected start
-    that was a channel, and for round-off that stops the first step.
+    linear Farkas certificate). The projection P of 1 onto A'(V) = b' is
+    tried as a channel first, unless a target is singular. The rows of A'
+    are traceless, so V_0 = P + (d_in / n - lambda_min(P)) 1 meets the
+    constraints too and has lambda_min(V_0) = d_in / n, the eigenvalue of
+    the completely depolarizing channel's Choi matrix. From V_0, y = 0 and
+    S = 1, strictly feasible on both sides, a primal-dual interior-point
+    method (HKM direction, Mehrotra predictor-corrector) closes the duality
+    gap; the constraints then hold to round-off at every iterate, so each
+    step tests lambda_min(W) before the constraint errors. A witness is the
+    negated dual point, taken once b'.y > d_in, and returned only after the
+    margin check. iterations counts the steps completed: 0 for a projected
+    start that was a channel, and for round-off that stops the first step.
     """
     di, do = src.shape[1], tgt.shape[1]
     n = do * di
@@ -779,17 +786,13 @@ def _interior_point(src, tgt) -> FeasibilityResult:
     u, sv, vt = np.linalg.svd(np.hstack([a_flat.real, a_flat.imag]), full_matrices=False)
     r = int(np.sum(sv > 1e-10 * sv[0]))
     # the r independent rows are orthonormal; a dual y on them is lift @ y on
-    # the original constraints
+    # the original constraints. A'(m) = Re(ops_t @ m.ravel()), as the rows of
+    # ops_t are the transposed rows of ops; A'*(y) = y @ ops.
     lift = u[:, :r] / sv[:r]
     ops = vt[:r, : n * n] + 1j * vt[:r, n * n :]
+    ops_m = ops.reshape(r, n, n)
+    ops_t = ops_m.transpose(0, 2, 1).reshape(r, n * n)
     rhs = lift.T @ b_red
-
-    def op(m):
-        """Re tr(A_p m) for every independent row p."""
-        return (ops @ m.T.reshape(-1)).real
-
-    def adj(y):
-        return (y @ ops).reshape(n, n)
 
     def witness(y):
         """The FarkasWitness -y on the original constraints, or None.
@@ -819,24 +822,30 @@ def _interior_point(src, tgt) -> FeasibilityResult:
         return FeasibilityResult(status == "feasible", ChoiMatrix(w, din=di, dout=do), res, status, it, wit)
 
     eye = np.eye(n, dtype=complex)
-    w = di / n * eye  # the completely depolarizing channel, which x = 1 gives
+    w = di / n * eye  # the completely depolarizing channel
     # the part of b' outside the range of A' refutes an inconsistent system
     if (wit := witness(b_red - u[:, :r] @ (u[:, :r].T @ b_red))) is not None:
         return result(w, "infeasible", 0, wit)
-    # the point of A'(V) = b' nearest to 1, as the rows of ops are orthonormal,
-    # unless a target is singular: a channel onto it has a singular Choi
-    # matrix, which that point seldom is (it settled none of 976 seeded
-    # solves with a singular target, 25 of 344 without; orthogonal sources,
-    # whose constraints fix the diagonal blocks, would be settled by it, and
-    # take steps instead)
-    if not _round_off_zero(np.linalg.eigvalsh(_herm(tgt))).any():
-        xp = eye + adj(rhs - op(eye))
-        wp = xp - (float(np.trace(xp).real) - di) / n * eye
-        if (neg := _below_zero(wp)) <= CPTP_STOP_TOL and (res := max(_errors(wp, src, tgt), neg)) <= CPTP_STOP_TOL:
-            return result(wp, "feasible", 0, res=res)
+    # the point P of A'(V) = b' nearest to 1, as the rows of ops are
+    # orthonormal, and its channel W_P = P - mu 1, which is tried unless a
+    # target is singular: a channel onto it has a singular Choi matrix,
+    # which that point seldom is (it settled none of 976 seeded solves with
+    # a singular target, 25 of 344 without; orthogonal sources, whose
+    # constraints fix the diagonal blocks, would be settled by it, and take
+    # steps instead)
+    xp = eye + ((rhs - (ops_t @ eye.reshape(-1)).real) @ ops).reshape(n, n)
+    wp = xp - (float(np.trace(xp).real) - di) / n * eye
+    if (
+        (neg := _below_zero(wp)) <= CPTP_STOP_TOL
+        and not _round_off_zero(np.linalg.eigvalsh(_herm(tgt))).any()
+        and (res := max(_errors(wp, src, tgt), neg)) <= CPTP_STOP_TOL
+    ):
+        return result(wp, "feasible", 0, res=res)
 
-    # the dual slack S = 1 - A'*(y) is kept exact, so the dual stays feasible
-    x, s, y = eye, eye, np.zeros(r)
+    # the steps start at V_0 = W_P + (d_in / n + neg) 1, which is P shifted
+    # by (d_in / n - lambda_min(P)) 1; the dual slack S = 1 - A'*(y) is kept
+    # exact, so the dual stays feasible
+    x, s, y = _herm(wp) + (di / n + neg) * eye, eye, np.zeros(r)
     for it in range(1, CPTP_MAX_ITERS + 1):
         try:  # the inverse Cholesky factors of x and s, stacked
             lxs = np.linalg.inv(np.linalg.cholesky(np.array([x, s])))
@@ -844,38 +853,37 @@ def _interior_point(src, tgt) -> FeasibilityResult:
             return result(w, "unresolved", it - 1)
         lxs_h = lxs.conj().swapaxes(1, 2)
         s_inv = lxs_h[1] @ lxs[1]
-        rp = rhs - op(x)
-        g = x @ ops.reshape(r, n, n) @ s_inv
-        schur = (ops @ g.transpose(0, 2, 1).reshape(r, n * n).T).real
-        comp = float(np.trace(x @ s).real) / n
+        xs = x @ s
+        comp = float(np.trace(xs).real) / n
         # one eigendecomposition of the Schur matrix serves both Newton
         # solves; it nears singular at the optimum, so the eigenvalues that
         # _round_off_zero cuts are left out, as lstsq would
+        schur = (ops_t @ (x @ ops_m @ s_inv).reshape(r, n * n).T).real
         lam, vec = np.linalg.eigh(_herm(schur))
         inv_lam = np.divide(1.0, lam, out=np.zeros_like(lam), where=~_round_off_zero(lam))
-
-        def direction(rc):
-            # A(dX) = rp, A*(dy) + dS = 0, X dS + dX S = rc, dX symmetrized (HKM)
-            dy = vec @ (inv_lam * (vec.T @ (rp - op(rc @ s_inv))))
-            ds = -adj(dy)
-            return _herm((rc - x @ ds) @ s_inv), dy, ds
-
-        def steps(dx, ds, frac):
-            # min(1, frac t) for x and for s, t the largest step keeping each PSD
-            lam = np.linalg.eigvalsh(_herm(lxs @ np.array([dx, ds]) @ lxs_h))[:, 0]
-            return [min(1.0, frac * (-1.0 / v)) if v < 0 else 1.0 for v in lam.tolist()]
-
-        dx, dy, ds = direction(-x @ s)
-        tp, td = steps(dx, ds, 1.0)
-        comp_aff = float(np.trace((x + tp * dx) @ (s + td * ds)).real) / n
-        sigma = min(1.0, comp_aff / comp) ** 3
-        dx, dy, ds = direction(sigma * comp * eye - x @ s - dx @ ds)
-        tp, td = steps(dx, ds, 0.98)
+        rp = rhs - (ops_t @ x.reshape(-1)).real
+        # predictor, then corrector: A(dX) = rp, A*(dy) + dS = 0,
+        # X dS + dX S = rc, dX symmetrized (HKM); each step is min(1, frac t)
+        # for x and for s, t the largest step keeping each PSD
+        rc, frac = -xs, 1.0
+        for corrector in (False, True):
+            dy = vec @ (inv_lam * (vec.T @ (rp - (ops_t @ (rc @ s_inv).reshape(-1)).real)))
+            ds = -(dy @ ops).reshape(n, n)
+            dx = _herm((rc - x @ ds) @ s_inv)
+            low = np.linalg.eigvalsh(lxs @ np.array([dx, ds]) @ lxs_h)[:, 0]
+            tp, td = (min(1.0, frac * (-1.0 / v)) if v < 0 else 1.0 for v in low.tolist())
+            if not corrector:
+                comp_aff = float(np.trace((x + tp * dx) @ (s + td * ds)).real) / n
+                sigma = min(1.0, comp_aff / comp) ** 3
+                rc, frac = sigma * comp * eye - xs - dx @ ds, 0.98
         x, y = x + tp * dx, y + td * dy
-        s = _herm(eye - adj(y))
+        s = eye - (y @ ops).reshape(n, n)
 
+        # W is Hermitian, as x is
         w = x - (float(np.trace(x).real) - di) / n * eye
-        if (err := _errors(w, src, tgt)) <= CPTP_STOP_TOL and (res := max(err, _below_zero(w))) <= CPTP_STOP_TOL:
+        if (neg := -float(np.linalg.eigvalsh(w)[0])) <= CPTP_STOP_TOL and (
+            res := max(_errors(w, src, tgt), neg)
+        ) <= CPTP_STOP_TOL:
             return result(w, "feasible", it, res=res)
         if rhs @ y > di and (wit := witness(lift @ y)) is not None:
             return result(w, "infeasible", it, wit)

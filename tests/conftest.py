@@ -13,9 +13,13 @@ from chanopt.comparison import SWEEP_TOL
 from chanopt.presets import preset_document
 
 
+# the rng fixture's seed, which tests/corpus.py also draws some sets from
+FIXTURE_SEED = 20240815
+
+
 @pytest.fixture
 def rng():
-    return np.random.default_rng(20240815)
+    return np.random.default_rng(FIXTURE_SEED)
 
 
 def factor_permutation(dims, perm) -> np.ndarray:

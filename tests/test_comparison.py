@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from chanopt import comparison
-from chanopt.channels import KrausChannel, apply_extended, make_family, weyl_ops
+from chanopt.channels import apply_extended, make_family, weyl_ops
 from chanopt.comparison import (
     COMMUTE_TOL,
     CPTP_STOP_TOL,
@@ -36,6 +36,17 @@ from conftest import (
     random_density,
     random_kraus,
     random_pure,
+)
+from corpus import (
+    FAILURE_DRAWS,
+    compressible_instances,
+    conjugated_weyl_pair,
+    image_of,
+    near_miss_qutrit_to_qubit,
+    newton_instances,
+    pure_pair,
+    pure_sources,
+    qutrit_identity,
 )
 
 
@@ -1084,15 +1095,6 @@ def test_feasible_dimension_mismatch(rng):
         cptp_feasible([random_density(rng, 2)], [random_density(rng, 2), random_density(rng, 2)])
 
 
-def pure_pair(rng, d, overlap):
-    """Two projectors onto random pure states with |<a|c>| = overlap."""
-    a, b = random_pure(rng, d), random_pure(rng, d)
-    b = b - np.vdot(a, b) * a
-    b /= np.linalg.norm(b)
-    c = overlap * a + np.sqrt(1.0 - overlap**2) * b
-    return [np.outer(a, a.conj()), np.outer(c, c.conj())]
-
-
 def witness_separates(witness, sources, targets):
     """Farkas check from the sources and targets alone: every channel meeting
     the constraints has tr(Z W) = value, yet W >= 0 with tr W = d_in forces
@@ -1196,37 +1198,6 @@ def test_near_miss_pair_is_never_feasible(rng):
         assert res.witness is None
 
 
-def conjugated_weyl_pair(rng):
-    """Two qubit Weyl mixtures, each followed by its own unitary: phi_d
-    against a random (2,2) input, a Choi dimension of 16 (the pair-verdict
-    cap)."""
-    chans = []
-    for _ in range(2):
-        u, weights = haar_unitary(rng, 2), rng.dirichlet(np.ones(4))
-        chans.append(KrausChannel.from_ops([np.sqrt(p) * u @ w for p, w in zip(weights, weyl_ops(2))]))
-    shape = SystemShape((2, 2))
-    phi, psi = max_entangled(2), random_pure(rng, 4)
-    src, tgt = ([apply_extended(ch, np.outer(v, v.conj()), shape) for ch in chans] for v in (phi, psi))
-    return [(src, tgt)]
-
-
-def qutrit_identity(rng):
-    """The identity map on one pure and one full-rank qutrit state."""
-    fam = [random_density(rng, 3, 1), random_density(rng, 3)]
-    return [(fam, [m.copy() for m in fam])]
-
-
-def near_miss_qutrit_to_qubit(rng):
-    """60 pure pairs, 3 -> 2, whose source overlap exceeds the target's by
-    1e-3 to 1e-1: no channel exists, by a small margin."""
-    instances = []
-    for _ in range(60):
-        target = rng.uniform(0.05, 0.85)
-        source = target + 10 ** rng.uniform(-3, -1)
-        instances.append((pure_pair(rng, 3, source), pure_pair(rng, 2, target)))
-    return instances
-
-
 # instances that once took seconds to minutes or ended unresolved, the
 # statuses each must end in, and the seconds all of them may take together
 SLOW_INSTANCES = {
@@ -1270,20 +1241,6 @@ def choi_maps(w, sources, targets, tol=1e-7) -> bool:
     )
 
 
-def newton_instances():
-    """40 seeded pure pairs at each of 2->2, 2->3 and 3->2 with overlaps
-    0.3 -> 0.7 (feasible), the kind of instance the interior-point method
-    resolves in 8-10 steps and a less accurate Newton solve (a pseudo-inverse
-    matrix of the Schur matrix, multiplied into each right-hand side) left
-    unresolved."""
-    rng = np.random.default_rng(2525)
-    return [
-        (pure_pair(rng, din, 0.3), pure_pair(rng, dout, 0.7))
-        for din, dout in ((2, 2), (2, 3), (3, 2))
-        for _ in range(40)
-    ]
-
-
 def test_newton_solve_resolves_every_seeded_pure_pair():
     for src, tgt in newton_instances():
         res = cptp_feasible(src, tgt)
@@ -1310,6 +1267,37 @@ def test_projected_start_that_is_a_channel_takes_no_step():
     assert choi_maps(res.choi.matrix, src, tgt, tol=CPTP_STOP_TOL)
 
 
+@pytest.mark.parametrize("din,dout", [(2, 2), (2, 3), (3, 2), (3, 4)])
+def test_steps_start_on_the_constraints(rng, monkeypatch, din, dout):
+    """Full-rank sources against their image under a random 2-Kraus
+    channel, which nothing compresses, drawn until the projected start is
+    no channel: the first iterate V_0 that the steps factor meets the
+    constraints to round-off once shifted to trace d_in, and
+    lambda_min(V_0) = d_in / n, the eigenvalue of the completely
+    depolarizing channel's Choi matrix."""
+    starts, cholesky = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda m: starts.append(m[0].copy()) or cholesky(m))
+    while not starts:
+        src = [random_density(rng, din) for _ in range(2)]
+        tgt = image_of(random_kraus(rng, din, dout, 2), src)
+        assert cptp_feasible(src, tgt).status == "feasible"
+    n = din * dout
+    v0 = starts[0]
+    assert abs(np.linalg.eigvalsh(v0)[0] - din / n) <= 1e-12
+    w0 = (v0 - (np.trace(v0).real - din) / n * np.eye(n)).reshape(dout, din, dout, din)
+    assert max_abs(np.einsum("aiaj->ij", w0) - np.eye(din)) <= 1e-12
+    for rho, sigma in zip(src, tgt):
+        assert max_abs(np.einsum("aibj,ij->ab", w0, rho) - sigma) <= 1e-12
+
+
+def test_feasible_start_saves_steps_on_the_newton_instances():
+    """From V_0 each seeded feasible pure pair takes 7 steps where the
+    start V = 1 took 8 (1079 steps in all with the mirrors, 959 now)."""
+    pairs = newton_instances()
+    steps = sum(cptp_feasible(src, tgt).iterations + cptp_feasible(tgt, src).iterations for src, tgt in pairs)
+    assert steps <= 1000
+
+
 def solves(monkeypatch):
     """A log of (source dimension, target dimension, status) per
     _interior_point call that cptp_feasible makes."""
@@ -1322,33 +1310,6 @@ def solves(monkeypatch):
 
     monkeypatch.setattr(comparison, "_interior_point", spy)
     return calls
-
-
-def image_of(ks, src):
-    return [sum(k @ m @ k.conj().T for k in ks) for m in src]
-
-
-def compressible_instances(rng):
-    """Seeded instances whose sources or targets leave part of their space
-    out: pure pairs at 2->3 and 3->2 both ways, and per draw a qutrit pair
-    on one plane with its image under a 2-Kraus qutrit channel, a pure
-    qubit pair under a qubit-to-ququart isometry, and a qutrit pair on one
-    plane against random qubit states."""
-    out = []
-    for din, dout in ((2, 3), (3, 2)):
-        for _ in range(4):
-            out += [(pure_pair(rng, din, 0.3), pure_pair(rng, dout, 0.7))]
-            out += [(pure_pair(rng, din, 0.7), pure_pair(rng, dout, 0.3))]
-    for _ in range(4):
-        plane = random_kraus(rng, 2, 3, 1)[0]
-        src = [plane @ random_density(rng, 2) @ plane.conj().T for _ in range(2)]
-        out += [(src, image_of(random_kraus(rng, 3, 3, 2), src))]
-        iso = random_kraus(rng, 2, 4, 1)[0]
-        src = pure_sources(rng, 2)
-        out += [(src, [iso @ m @ iso.conj().T for m in src])]
-        plane = random_kraus(rng, 2, 3, 1)[0]
-        out += [([plane @ random_density(rng, 2) @ plane.conj().T for _ in range(2)], [random_density(rng, 2) for _ in range(2)])]
-    return out
 
 
 def test_compressed_solve_agrees_with_the_full_one(rng, monkeypatch):
@@ -1408,44 +1369,23 @@ def test_a_lift_that_fails_its_check_is_solved_again_at_full_size(monkeypatch):
     assert choi_maps(res.choi.matrix, src, tgt, tol=CPTP_STOP_TOL)
 
 
-def garbling_3_to_4(rng, k):
-    """Qutrit sources of ranks 3, 3 and 2 under a random 3-Kraus channel."""
-    src = [random_density(rng, 3, r) for r in (3, 3, 2)]
-    return src, image_of(random_kraus(rng, 3, 4, 3), src)
-
-
-def qutrit_garbling(rng, k):
-    """Two qutrit sources of ranks cycling with k under a 2-Kraus channel."""
-    src = [random_density(rng, 3, 1 + k % 3), random_density(rng, 3, 1 + (k + 1) % 3)]
-    return src, image_of(random_kraus(rng, 3, 3, 2), src)
-
-
-def pure_2_to_4(rng, k):
-    """A pure qubit pair against its image under a random 1-3 Kraus channel
-    into a ququart, that image mixed 3 % with random pure states, or random
-    mixed states, by k."""
-    src = pure_sources(rng, 2)
-    tgt = image_of(random_kraus(rng, 2, 4, 1 + k // 3 % 3), src)
-    if k % 3 == 1:
-        tgt = [0.97 * m + 0.03 * x for m, x in zip(tgt, pure_sources(rng, 4))]
-    elif k % 3 == 2:
-        tgt = [random_density(rng, 4) for _ in src]
-    return src, tgt
-
-
-# seeded instances of the solver failures recorded for earlier versions:
-# (seed, draw, builder, status before the Schur matrix was factored once per
-# step and the supports compressed, status now). A garbling has a channel,
-# so it is never infeasible; the unresolved ones reach the step cap (3 -> 4
-# with violation 3.2e-9, qutrit with 1.5e-9) or a failed Cholesky factor
-# (the two-qubit pair, Bell outputs against a random input's); the 2 -> 4
-# pair, once stopped by a failed Cholesky factor at violation 5.6e-7, is
-# now feasible in 11 steps
+# seeded instances of the solver failures recorded for earlier versions
+# (tests/corpus.py draws them): (seed, draw, builder, status before the
+# Schur matrix was factored once per step and the supports compressed,
+# status now). A garbling has a channel, so it is never infeasible. The
+# two-qubit pair (Bell outputs against a random input's) still stops on a
+# failed Cholesky factor; the 2 -> 4 pair, once stopped by one at violation
+# 5.6e-7, is feasible in 7 steps. The 3 -> 4 garbling (violation 3.2e-9)
+# and the qutrit garbling (1.5e-9) reached the step cap from the start
+# V = 1; from the feasible start they are feasible in 3 and 2 steps.
 SOLVER_FAILURES = {
-    "garbling-3-to-4": (3505, 56, garbling_3_to_4, "unresolved", "unresolved"),
-    "qutrit-garbling": (3506, 34, qutrit_garbling, "unresolved", "unresolved"),
-    "pure-2-to-4": (3504, 22, pure_2_to_4, "unresolved", "feasible"),
-    "two-qubit-pair": (3502, 5, lambda rng, k: conjugated_weyl_pair(rng)[0], "unresolved", "unresolved"),
+    name: (*FAILURE_DRAWS[name], before, now)
+    for name, before, now in (
+        ("garbling-3-to-4", "unresolved", "feasible"),
+        ("qutrit-garbling", "unresolved", "feasible"),
+        ("pure-2-to-4", "unresolved", "feasible"),
+        ("two-qubit-pair", "unresolved", "unresolved"),
+    )
 }
 
 
@@ -1465,10 +1405,6 @@ def test_seeded_solver_failures_are_pinned(case):
 
 # ---------------------------------------------------------------------------
 # Uhlmann's overlap rule
-
-
-def pure_sources(rng, d):
-    return [np.outer(x, x.conj()) for x in (random_pure(rng, d) for _ in range(2))]
 
 
 def test_overlap_rule_never_contradicts_the_solver():
