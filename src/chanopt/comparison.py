@@ -601,22 +601,37 @@ def _round_off_zero(lam) -> np.ndarray:
     eigenvalue by up to about r eps times the largest, so none below the
     cut is told from an exact zero."""
     mag = np.abs(lam)
-    return mag <= np.finfo(float).eps * mag.shape[-1] * mag.max(axis=-1, keepdims=True)
+    return mag <= np.finfo(float).eps * mag.shape[-1] * mag.max(axis=-1, keepdims=True, initial=0.0)
 
 
-def _support(m) -> tuple[np.ndarray | None, float]:
-    """(Q, lambda) for a sum m of states: orthonormal columns Q spanning
-    the eigenvectors of m whose eigenvalues _round_off_zero keeps, and the
-    least kept eigenvalue. Q is the identity when every eigenvalue is kept,
-    and None when none is, or a kept one is negative (m is no sum of
-    states, so no support to compress to)."""
+def _support(m) -> np.ndarray | None:
+    """Orthonormal columns spanning the eigenvectors of a sum m of states
+    whose eigenvalues _round_off_zero keeps: the identity when every
+    eigenvalue is kept, and None when none is, or a kept one is negative
+    (m is no sum of states, so no support to compress to)."""
     lam, v = np.linalg.eigh(_herm(m))
     keep = ~_round_off_zero(lam)
     if not keep.any() or lam[keep][0] <= 0:
-        return None, 0.0
-    if keep.all():
-        return np.eye(len(m)), float(lam[0])
-    return v[:, keep], float(lam[keep][0])
+        return None
+    return np.eye(len(m)) if keep.all() else v[:, keep]
+
+
+def _face(src, tgt) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Pi, mu, U): the projectors Pi_k onto the kernels of the targets
+    (their eigenvalues that _round_off_zero cuts), and the ascending
+    eigenvalues mu and eigenvectors U of M = sum_k Pi_k (x) src_k^T. The
+    columns of U where _round_off_zero cuts mu span the face of every
+    channel. mu = 0 and U = 1 when no target is singular, or when M has a
+    negative eigenvalue (a source that is no state, so no face)."""
+    lam, vec = np.linalg.eigh(_herm(tgt))
+    zero = _round_off_zero(lam)
+    pis = (vec * zero[:, None, :]) @ vec.conj().swapaxes(1, 2)
+    n = tgt.shape[1] * src.shape[1]
+    if zero.any():
+        mu, u = np.linalg.eigh(_farkas_z(pis, np.zeros(src.shape[1:]), src))
+        if mu[0] > 0 or _round_off_zero(mu)[0]:
+            return pis, mu, u
+    return pis, np.zeros(n), np.eye(n)
 
 
 def _errors(w, src, tgt) -> float:
@@ -655,32 +670,43 @@ def _margin_holds(lam, value, duals, di) -> bool:
 def cptp_feasible(sources, targets) -> FeasibilityResult:
     """Search for a channel W with W(sources[k]) = targets[k] for all k.
 
-    A channel exists iff one maps the sources, restricted to the support S
-    of sum_k sources[k], onto the targets restricted to the support T of
-    sum_k targets[k] (facial reduction): a channel sends every state on S
-    into T, and a channel from S to T extends to the whole space. So when
-    S or T is smaller than its space (_support, with the round-off cut of
-    _round_off_zero), _interior_point solves the compressed problem
-    Q_S^dag sources[k] Q_S -> Q_T^dag targets[k] Q_T first, at Choi
-    dimension r_s r_t, and its result is lifted back:
+    Two exact reductions come first (facial reduction):
 
-    - a channel J_c to J = (Q_T (x) conj Q_S) J_c (Q_T (x) conj Q_S)^dag +
-      tau (x) (1 - conj P_S), tau = P_T / r_t, which sends the part of an
-      input outside S to tau;
-    - a witness (Y_c, F_c) with lambda_c = lambda_min(Z_c) to Y_k = Q_T
-      Y_c,k Q_T^dag + t (1 - P_T), t = max(0, (lambda_c -
-      lambda_min(F_c)) / lambda_min(sum_k sources[k] on S)), and F =
+    - the support S of sum_k sources[k] (_support, with the round-off cut
+      of _round_off_zero): a channel from S extends to the whole space, so
+      the sources are compressed to Q_S^dag sources[k] Q_S;
+    - the face of the targets' kernels (_face): with Pi_k the projector
+      onto the kernel of targets[k], every channel has tr((Pi_k (x)
+      rho_k^T) W) = tr(Pi_k sigma_k) = 0, so W >= 0 vanishes on the range
+      of M = sum_k Pi_k (x) rho_k^T and is Q W_r Q^dag, Q spanning the
+      kernel of M. This also confines the outputs to the support of
+      sum_k targets[k].
+
+    When either reduces the Choi dimension, _interior_point solves the
+    compressed problem on the face, at dimension r = dim ker M, and its
+    result is lifted back:
+
+    - a channel J_c to J = (1 (x) conj Q_S) J_c (1 (x) conj Q_S)^dag +
+      1 / d_out (x) (1 - conj P_S), which sends the part of an input
+      outside S to the maximally mixed state;
+    - a witness (Y_c, F_c), which separates only on the face, to Y_k =
+      Y_c,k + t Pi_k: the added term lies in the span of the constraints,
+      has value sum_k t tr(Pi_k sigma_k) = 0, and with t large enough
+      (_kernel_weight) lifts lambda_min(Z) on the range of M to about its
+      value on the face. An empty face (r = 0) has the witness Y_k = Pi_k,
+      F_c = 0. With lambda_c = lambda_min(Z_c) the trace dual becomes F =
       conj Q_S F_c Q_S^T + lambda_c (1 - conj P_S), which keeps
       lambda_min(Z) = lambda_c and adds lambda_c (d_in - r_s) to both
       sides of the separation.
 
     A lifted channel is kept only if its violation at full size is within
     CPTP_STOP_TOL, and a lifted witness only if it passes the full-size
-    margin test; anything else, an unresolved compressed solve included,
-    is solved again at full size. No status rests on an unchecked lift.
-    Each solve projects 1 onto the linear constraints, tries that point as
-    a channel, and otherwise takes interior-point steps from it, shifted to
-    be positive definite (_interior_point). The status is one of:
+    margin test; anything else, an unresolved reduced solve included, is
+    solved again at full size on the whole cone. No status rests on an
+    unchecked lift. Each solve projects 1 onto the linear constraints,
+    tries that point as a channel, and otherwise takes interior-point
+    steps from it, shifted to be positive definite (_interior_point). The
+    status is one of:
 
     - "feasible": choi is a verified Choi matrix, its constraint violation
       and most negative eigenvalue both within CPTP_STOP_TOL.
@@ -691,7 +717,7 @@ def cptp_feasible(sources, targets) -> FeasibilityResult:
       verdict, not a proof.
 
     feasible is True exactly for "feasible"; iterations counts the
-    interior-point steps of every solve the call made (the compressed one,
+    interior-point steps of every solve the call made (the reduced one,
     and the full one when the lift failed its check), and residual is the
     full-size violation of choi, the last iterate.
     """
@@ -708,77 +734,113 @@ def cptp_feasible(sources, targets) -> FeasibilityResult:
         if m.shape != (do, do):
             raise ValueError("targets must share one dimension")
     src, tgt = np.array(sources), np.array(targets)
-    (qs, lam_s), (qt, _) = _support(src.sum(axis=0)), _support(tgt.sum(axis=0))
-    if qs is None or qt is None or qs.shape[1] * qt.shape[1] == di * do:
-        return _interior_point(src, tgt)
+    if (qs := _support(src.sum(axis=0))) is None:
+        return _interior_point(src, tgt, np.eye(di * do))
     src_c = qs.conj().T @ src @ qs
-    small = _interior_point(src_c, qt.conj().T @ tgt @ qt)
-    if (lifted := _lifted(small, qs, qt, lam_s, src_c, src, tgt)) is not None:
+    pis, mu, u = _face(src_c, tgt)
+    face = u[:, _round_off_zero(mu)]
+    if face.shape[1] == di * do:
+        return _interior_point(src, tgt, face)
+    small = _interior_point(src_c, tgt, face) if face.size else None
+    if (lifted := _lifted(small, qs, pis, mu, u, src_c, src, tgt)) is not None:
         return lifted
-    full = _interior_point(src, tgt)
-    full.iterations += small.iterations
+    full = _interior_point(src, tgt, np.eye(di * do))
+    full.iterations += small.iterations if small else 0
     return full
 
 
-def _lifted(small, qs, qt, lam_s, src_c, src, tgt) -> FeasibilityResult | None:
-    """The result of a compressed solve lifted to full size, as
-    cptp_feasible describes, or None when it is unresolved or its lift
-    fails the full-size check."""
+def _lifted(small, qs, pis, mu, u, src_c, src, tgt) -> FeasibilityResult | None:
+    """The result of a reduced solve lifted to full size, as cptp_feasible
+    describes, or None when it is unresolved or its lift fails the
+    full-size check; small is None when the face is {0}."""
     di, do = src.shape[1], tgt.shape[1]
-    rs, rt = qs.shape[1], qt.shape[1]
-    # P_S conjugated, as the input factor of a Choi matrix holds transposes
-    p_s, p_t = (qs @ qs.conj().T).conj(), qt @ qt.conj().T
-    q = (qt[:, None, :, None] * qs.conj()[None, :, None, :]).reshape(do * di, rt * rs)
-    tau = np.einsum("ab,ij->aibj", p_t / rt, np.eye(di) - p_s).reshape(do * di, do * di)
-    w = q @ small.choi.matrix @ q.conj().T + tau
-    if small.status == "feasible":
-        err = _errors(w, src, tgt)
-        if err <= CPTP_STOP_TOL and (res := max(err, _below_zero(w))) <= CPTP_STOP_TOL:
-            return FeasibilityResult(True, ChoiMatrix(w, din=di, dout=do), res, "feasible", small.iterations)
-    elif small.status == "infeasible":
-        ys_c, f_c = np.array(small.witness.image_duals), small.witness.trace_dual
-        lam_c = float(np.linalg.eigvalsh(_farkas_z(ys_c, f_c, src_c))[0])
-        t = max(0.0, (lam_c - float(np.linalg.eigvalsh(f_c)[0])) / lam_s)
-        ys = _herm(qt @ ys_c @ qt.conj().T + t * (np.eye(do) - p_t))
-        f = _herm(qs.conj() @ f_c @ qs.T + lam_c * (np.eye(di) - p_s))
-        lam = np.linalg.eigvalsh(_farkas_z(ys, f, src))
-        value = float(np.einsum("kab,kba->", ys, tgt).real) + float(np.trace(f).real)
-        if _margin_holds(lam, value, (*ys, f), di):
-            res = max(_errors(w, src, tgt), _below_zero(w))
-            wit = FarkasWitness(list(ys), f)
-            return FeasibilityResult(False, ChoiMatrix(w, din=di, dout=do), res, "infeasible", small.iterations, wit)
-    return None
+    # 1 - P_S conjugated, as the input factor of a Choi matrix holds transposes
+    off_s = np.eye(di) - (qs @ qs.conj().T).conj()
+    if small is None:
+        w, steps, ys, f_c = np.eye(di * do) / do, 0, pis, np.zeros((qs.shape[1],) * 2)
+    elif small.status == "unresolved":
+        return None
+    else:
+        q = (np.eye(do)[:, None, :, None] * qs.conj()[None, :, None, :]).reshape(do * di, -1)
+        tau = np.einsum("ab,ij->aibj", np.eye(do) / do, off_s).reshape(do * di, do * di)
+        w, steps = q @ small.choi.matrix @ q.conj().T + tau, small.iterations
+        if small.status == "feasible":
+            err = _errors(w, src, tgt)
+            if err <= CPTP_STOP_TOL and (res := max(err, _below_zero(w))) <= CPTP_STOP_TOL:
+                return FeasibilityResult(True, ChoiMatrix(w, din=di, dout=do), res, "feasible", steps)
+            return None
+        ys, f_c = np.array(small.witness.image_duals), small.witness.trace_dual
+        ys = _herm(ys + _kernel_weight(_farkas_z(ys, f_c, src_c), mu, u, pis, di, do * di) * pis)
+    lam_c = float(np.linalg.eigvalsh(_farkas_z(ys, f_c, src_c))[0])
+    f = _herm(qs.conj() @ f_c @ qs.T + lam_c * off_s)
+    lam = np.linalg.eigvalsh(_farkas_z(ys, f, src))
+    value = float(np.einsum("kab,kba->", ys, tgt).real) + float(np.trace(f).real)
+    if not _margin_holds(lam, value, (*ys, f), di):
+        return None
+    res, wit = max(_errors(w, src, tgt), _below_zero(w)), FarkasWitness(list(ys), f)
+    return FeasibilityResult(False, ChoiMatrix(w, din=di, dout=do), res, "infeasible", steps, wit)
 
 
-def _interior_point(src, tgt) -> FeasibilityResult:
-    """cptp_feasible on stacked sources and targets at their own size.
+def _kernel_weight(z, mu, u, pis, di, n) -> float:
+    """The weight t of M in the lift Z + t M of a witness Z that separates
+    on the face, M = sum_k Pi_k (x) src_k^T with eigenvalues mu and
+    eigenvectors U (_face); 0 when the face is the whole space.
 
-    The Choi matrix is written W = V - mu 1 with V >= 0; trace preservation
-    fixes mu = (tr V - d_in) / (d_in d_out), which leaves the standard-form
-    semidefinite program min tr V subject to A'(V) = b', V >= 0 (A' the
-    constraints on the traceless parts). A channel exists iff its optimum is
-    at most d_in, and both it and its dual max b'.y s.t. 1 - A'*(y) >= 0 are
-    strictly feasible. Dependent constraint rows are dropped once by an SVD;
-    an inconsistent system is refuted by its least-squares residual (a
-    linear Farkas certificate). The projection P of 1 onto A'(V) = b' is
-    tried as a channel first, unless a target is singular. The rows of A'
-    are traceless, so V_0 = P + (d_in / n - lambda_min(P)) 1 meets the
-    constraints too and has lambda_min(V_0) = d_in / n, the eigenvalue of
-    the completely depolarizing channel's Choi matrix. From V_0, y = 0 and
-    S = 1, strictly feasible on both sides, a primal-dual interior-point
-    method (HKM direction, Mehrotra predictor-corrector) closes the duality
-    gap; the constraints then hold to round-off at every iterate, so each
-    step tests lambda_min(W) before the constraint errors. A witness is the
-    negated dual point, taken once b'.y > d_in, and returned only after the
-    margin check. iterations counts the steps completed: 0 for a projected
-    start that was a channel, and for round-off that stops the first step.
+    On U, Z has the blocks Z_f on the face, B beside it and Z_m on the range
+    of M, where M is at least m = lambda_min(M on its range). By the Schur
+    complement, Z + t M >= (lambda_min(Z_f) - delta) 1 once t m >=
+    lambda_min(Z_f) - delta - lambda_min(Z_m) + |B|^2 / delta, |B| the
+    spectral norm. The margin test grows by about CPTP_TOL t K, K = n
+    max(mu) + sum_k |Pi_k|_1, and the separation shrinks by d_in delta;
+    delta = |B| sqrt(CPTP_TOL K / (d_in m)) makes the two losses equal at
+    their least sum."""
+    r = int(_round_off_zero(mu).sum())
+    if r == len(mu):
+        return 0.0
+    z = u.conj().T @ z @ u
+    m = float(mu[r])
+    scale = np.sqrt(CPTP_TOL * (n * float(mu[-1]) + float(np.abs(pis).sum())) / (di * m))
+    b = float(np.linalg.norm(z[:r, r:], 2))
+    lam_f, lam_m = (float(np.linalg.eigvalsh(block)[0]) for block in (z[:r, :r], z[r:, r:]))
+    return max(0.0, (lam_f - lam_m + b / scale - b * scale) / m)
+
+
+def _interior_point(src, tgt, face) -> FeasibilityResult:
+    """cptp_feasible on stacked sources and targets at their own size, on
+    the face W = Q W_r Q^dag of the orthonormal columns Q = face (the
+    identity for the whole cone), r = face.shape[1].
+
+    The face's constraints are tr(Q^dag A_p Q W_r) = b_p. W_r is written
+    V - mu 1_r with V >= 0; trace preservation fixes mu = (tr V - d_in) /
+    r, which leaves the standard-form semidefinite program min tr V
+    subject to A'(V) = b', V >= 0 (A' the constraints on their parts
+    traceless relative to 1_r). A channel on the face exists iff its
+    optimum is at most d_in, and both it and its dual max b'.y s.t. 1 -
+    A'*(y) >= 0 are strictly feasible. Dependent constraint rows are
+    dropped once by an SVD; an inconsistent system is refuted by its
+    least-squares residual (a linear Farkas certificate). The projection P
+    of 1 onto A'(V) = b' is tried as a channel first. The rows of A' are
+    traceless, so V_0 = P + (d_in / r - lambda_min(P)) 1 meets the
+    constraints too and has lambda_min(V_0) = d_in / r, the eigenvalue of
+    the maximally mixed Choi matrix on the face (on the whole cone, of the
+    completely depolarizing channel). From V_0, y = 0 and S = 1, strictly
+    feasible on both sides, a primal-dual interior-point method (HKM
+    direction, Mehrotra predictor-corrector) closes the duality gap; the
+    constraints then hold to round-off at every iterate, so each step
+    tests lambda_min(W) before the constraint errors, which are those of
+    Q W_r Q^dag. A witness is the negated dual point, taken once b'.y >
+    d_in, and returned only after the margin check on the face; it
+    separates at full size when the face is the whole cone. iterations
+    counts the steps completed: 0 for a projected start that was a
+    channel, and for round-off that stops the first step.
     """
     di, do = src.shape[1], tgt.shape[1]
-    n = do * di
+    n = face.shape[1]
     e_out, e_in, trace_block, trace_b = _shape_constants(di, do)
     # constraint p is tr(A_p W) = b_p: the image constraints E (x) rho^T with
     # tr(E sigma), then the partial-trace constraints 1 (x) F with tr F
-    a = np.concatenate([np.einsum("pab,kji->kpaibj", e_out, src).reshape(-1, n, n), trace_block])
+    a = np.concatenate([np.einsum("pab,kji->kpaibj", e_out, src).reshape(-1, do * di, do * di), trace_block])
+    a = face.conj().T @ a @ face
     b = np.concatenate([np.einsum("pab,kba->kp", e_out, tgt).real.reshape(-1), trace_b])
     tr_a = np.trace(a, axis1=1, axis2=2).real
     a_flat = (a - (tr_a / n)[:, None, None] * np.eye(n)).reshape(len(b), -1)
@@ -818,28 +880,22 @@ def _interior_point(src, tgt) -> FeasibilityResult:
         return FarkasWitness(ys, trace_dual) if _margin_holds(lam, value, (*ys, trace_dual), di) else None
 
     def result(w, status, it, wit=None, res=None):
+        w = face @ w @ face.conj().T
         res = max(_errors(w, src, tgt), _below_zero(w)) if res is None else res
         return FeasibilityResult(status == "feasible", ChoiMatrix(w, din=di, dout=do), res, status, it, wit)
 
     eye = np.eye(n, dtype=complex)
-    w = di / n * eye  # the completely depolarizing channel
+    w = di / n * eye  # the maximally mixed Choi matrix on the face
     # the part of b' outside the range of A' refutes an inconsistent system
     if (wit := witness(b_red - u[:, :r] @ (u[:, :r].T @ b_red))) is not None:
         return result(w, "infeasible", 0, wit)
     # the point P of A'(V) = b' nearest to 1, as the rows of ops are
-    # orthonormal, and its channel W_P = P - mu 1, which is tried unless a
-    # target is singular: a channel onto it has a singular Choi matrix,
-    # which that point seldom is (it settled none of 976 seeded solves with
-    # a singular target, 25 of 344 without; orthogonal sources, whose
-    # constraints fix the diagonal blocks, would be settled by it, and take
-    # steps instead)
+    # orthonormal, and its channel W_P = P - mu 1, tried first
     xp = eye + ((rhs - (ops_t @ eye.reshape(-1)).real) @ ops).reshape(n, n)
     wp = xp - (float(np.trace(xp).real) - di) / n * eye
-    if (
-        (neg := _below_zero(wp)) <= CPTP_STOP_TOL
-        and not _round_off_zero(np.linalg.eigvalsh(_herm(tgt))).any()
-        and (res := max(_errors(wp, src, tgt), neg)) <= CPTP_STOP_TOL
-    ):
+    if (neg := _below_zero(wp)) <= CPTP_STOP_TOL and (
+        res := max(_errors(face @ wp @ face.conj().T, src, tgt), neg)
+    ) <= CPTP_STOP_TOL:
         return result(wp, "feasible", 0, res=res)
 
     # the steps start at V_0 = W_P + (d_in / n + neg) 1, which is P shifted
@@ -882,7 +938,7 @@ def _interior_point(src, tgt) -> FeasibilityResult:
         # W is Hermitian, as x is
         w = x - (float(np.trace(x).real) - di) / n * eye
         if (neg := -float(np.linalg.eigvalsh(w)[0])) <= CPTP_STOP_TOL and (
-            res := max(_errors(w, src, tgt), neg)
+            res := max(_errors(face @ w @ face.conj().T, src, tgt), neg)
         ) <= CPTP_STOP_TOL:
             return result(w, "feasible", it, res=res)
         if rhs @ y > di and (wit := witness(lift @ y)) is not None:

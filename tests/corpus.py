@@ -62,10 +62,12 @@ def near_miss_qutrit_to_qubit(rng):
 
 def newton_instances():
     """40 seeded pure pairs at each of 2->2, 2->3 and 3->2 with overlaps
-    0.3 -> 0.7 (feasible), the kind of instance the interior-point method
-    resolves in 7 steps (8 from the start V = 1) and a less accurate Newton
-    solve (a pseudo-inverse matrix of the Schur matrix, multiplied into each
-    right-hand side) left unresolved."""
+    0.3 -> 0.7 (feasible), the kind of instance the unreduced
+    interior-point method resolves in 6-7 steps (8-10 from the start V = 1)
+    and a less accurate Newton solve (a pseudo-inverse matrix of the Schur
+    matrix, multiplied into each right-hand side) left unresolved.
+    cptp_feasible settles each at the projected start on the face of its
+    targets' kernels, in 0 steps."""
     rng = np.random.default_rng(2525)
     return [
         (pure_pair(rng, din, 0.3), pure_pair(rng, dout, 0.7))
@@ -107,6 +109,26 @@ def mixed_garblings():
         src = [random_density(rng, 2) for _ in range(2 + k % 2)]
         instances.append((src, image_of(random_kraus(rng, 2, 2, 1 + k // 2 % 3), src)))
     return instances
+
+
+def singular_targets():
+    """Seeded instances with rank-deficient targets, each with its mirror:
+    per draw at 2->3, 2->4 and 3->4, two full-rank mixed sources against
+    their image under a random channel of Kraus rank 1-2 (a channel
+    exists) and against that channel's images of two random pure states
+    (targets of rank 1-2 on different supports); then pure pairs at 3->3
+    with random overlaps."""
+    rng = np.random.default_rng(3700)
+    instances = []
+    for din, dout in ((2, 3), (2, 4), (3, 4)):
+        for k in range(4):
+            src = [random_density(rng, din) for _ in range(2)]
+            ks = random_kraus(rng, din, dout, 1 + k % 2)
+            instances += [(src, image_of(ks, src)), (src, image_of(ks, pure_sources(rng, din)))]
+    for _ in range(8):
+        source, target = rng.uniform(0.05, 0.95, 2)
+        instances.append((pure_pair(rng, 3, source), pure_pair(rng, 3, target)))
+    return both_ways(instances)
 
 
 def garbling_3_to_4(rng, k):
@@ -169,5 +191,6 @@ SOLVER_CORPUS = {
     "pure-2-to-4": lambda: draws(pure_2_to_4, 3504, 24),
     "garbling-3-to-4": lambda: draws(garbling_3_to_4, 3505, 20),
     "qutrit-garbling": lambda: draws(qutrit_garbling, 3506, 40),
+    "singular-targets": singular_targets,
     "failures": lambda: [draws(build, seed, draw + 1)[-1] for seed, draw, build in FAILURE_DRAWS.values()],
 }

@@ -30,6 +30,7 @@ from chanopt.numerics import (
     trace_norm,
 )
 from conftest import (
+    FIXTURE_SEED,
     bloch,
     haar_unitary,
     hermitian_sweep_oracle,
@@ -1241,18 +1242,35 @@ def choi_maps(w, sources, targets, tol=1e-7) -> bool:
     )
 
 
+def unreduced(src, tgt):
+    """_interior_point on the whole cone at full size: no support
+    compression and no face."""
+    return comparison._interior_point(np.array(src), np.array(tgt), np.eye(len(src[0]) * len(tgt[0])))
+
+
 def test_newton_solve_resolves_every_seeded_pure_pair():
+    """The unreduced solve steps to each channel; cptp_feasible settles the
+    same pairs with a channel checked at full size."""
     for src, tgt in newton_instances():
-        res = cptp_feasible(src, tgt)
+        res = unreduced(src, tgt)
         assert res.status == "feasible" and 1 <= res.iterations <= 12
         assert res.residual <= CPTP_STOP_TOL
         assert choi_maps(res.choi.matrix, src, tgt)
+        res = cptp_feasible(src, tgt)
+        assert (res.status, res.iterations) == ("feasible", 0) and res.residual <= CPTP_STOP_TOL
+        assert choi_maps(res.choi.matrix, src, tgt, tol=CPTP_STOP_TOL)
 
 
-def test_newton_solve_refutes_every_mirrored_pure_pair():
+def test_newton_solve_refutes_every_mirrored_pure_pair(monkeypatch):
+    """Each mirror is refuted on its targets' face by one solve of at most
+    one step, and the witness lifted from the face separates at full
+    size."""
+    calls = solves(monkeypatch)
     for src, tgt in newton_instances():
+        calls.clear()
         res = cptp_feasible(tgt, src)
-        assert res.status == "infeasible"
+        assert res.status == "infeasible" and res.iterations <= 1
+        assert len(calls) == 1 and calls[0][2] < len(src[0]) * len(tgt[0])
         assert witness_separates(res.witness, tgt, src)
 
 
@@ -1291,21 +1309,22 @@ def test_steps_start_on_the_constraints(rng, monkeypatch, din, dout):
 
 
 def test_feasible_start_saves_steps_on_the_newton_instances():
-    """From V_0 each seeded feasible pure pair takes 7 steps where the
-    start V = 1 took 8 (1079 steps in all with the mirrors, 959 now)."""
+    """From V_0 the unreduced solve takes 6-7 steps on each seeded feasible
+    pure pair, where the start V = 1 took 8-10 (919 steps in all with the
+    mirrors, 1199 from V = 1)."""
     pairs = newton_instances()
-    steps = sum(cptp_feasible(src, tgt).iterations + cptp_feasible(tgt, src).iterations for src, tgt in pairs)
+    steps = sum(unreduced(src, tgt).iterations + unreduced(tgt, src).iterations for src, tgt in pairs)
     assert steps <= 1000
 
 
 def solves(monkeypatch):
-    """A log of (source dimension, target dimension, status) per
-    _interior_point call that cptp_feasible makes."""
+    """A log of (source dimension, target dimension, face dimension,
+    status) per _interior_point call that cptp_feasible makes."""
     calls, solve = [], comparison._interior_point
 
-    def spy(src, tgt):
-        res = solve(src, tgt)
-        calls.append((src.shape[1], tgt.shape[1], res.status))
+    def spy(src, tgt, face):
+        res = solve(src, tgt, face)
+        calls.append((src.shape[1], tgt.shape[1], face.shape[1], res.status))
         return res
 
     monkeypatch.setattr(comparison, "_interior_point", spy)
@@ -1313,19 +1332,19 @@ def solves(monkeypatch):
 
 
 def test_compressed_solve_agrees_with_the_full_one(rng, monkeypatch):
-    """Every instance is solved on its supports first, at a smaller Choi
-    dimension, and ends in the status _interior_point reaches on the full
-    problem; a channel is checked at full size within CPTP_STOP_TOL and a
-    witness separates at full size."""
+    """Every instance is solved on its sources' support and its targets'
+    face first, at a smaller dimension, and ends in the status the
+    unreduced solve reaches; a channel is checked at full size within
+    CPTP_STOP_TOL and a witness separates at full size."""
     instances = compressible_instances(rng)
-    full = [comparison._interior_point(np.array(src), np.array(tgt)).status for src, tgt in instances]
+    full = [unreduced(src, tgt).status for src, tgt in instances]
     calls = solves(monkeypatch)
     statuses = set()
     for (src, tgt), want in zip(instances, full):
         calls.clear()
         res = cptp_feasible(src, tgt)
         din, dout = src[0].shape[0], tgt[0].shape[0]
-        assert len(calls) == 1 and calls[0][0] * calls[0][1] < din * dout
+        assert len(calls) == 1 and calls[0][2] < din * dout
         assert res.status == want
         assert (res.choi.din, res.choi.dout) == (din, dout)
         if res.feasible:
@@ -1353,20 +1372,62 @@ def test_compressed_solve_to_one_dimension():
     assert choi_maps(res.choi.matrix, src, [zero, zero], tol=CPTP_STOP_TOL)
 
 
-def test_a_lift_that_fails_its_check_is_solved_again_at_full_size(monkeypatch):
+def test_targets_along_nearly_one_vector_are_solved_on_their_face(monkeypatch):
     """Targets along (1, +-1e-8): their sum has an eigenvalue of 2e-16, under
-    the round-off cut, so each target is compressed onto |0>, dropping an
-    off-diagonal entry of 1e-8. The compressed channel from |0>, |1> is
-    found, but its lift misses the targets by 1e-8 > CPTP_STOP_TOL, so the
-    full problem is solved and its channel returned."""
+    the round-off cut, yet each target's own kernel keeps its 1e-8 entries.
+    On the face of those kernels the channel from |0>, |1> is the projected
+    start, and it maps the sources at full size."""
     calls = solves(monkeypatch)
     a, b = np.array([1.0, 1e-8]), np.array([1.0, -1e-8])
     tgt = [np.outer(v, v) / (v @ v) for v in (a, b)]
     src = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     res = cptp_feasible(src, tgt)
-    assert calls == [(2, 1, "feasible"), (2, 2, "feasible")]
-    assert res.status == "feasible" and res.iterations >= 1
+    assert calls == [(2, 2, 2, "feasible")]
+    assert (res.status, res.iterations) == ("feasible", 0)
     assert choi_maps(res.choi.matrix, src, tgt, tol=CPTP_STOP_TOL)
+
+
+def test_a_lift_that_fails_its_check_is_solved_again_at_full_size(monkeypatch):
+    """diag(1 - 1e-14, 1e-14) onto diag(1 - 1e-16, 1e-16), whose kernel the
+    round-off cut takes as |1>, and |1> onto diag(0.99, 0.01): the face
+    gives |1> no image on |1>, which the second target needs, though M
+    weighs that direction by only 1e-14. The face is refuted with a
+    witness that no multiple of M lifts within the margin, so the
+    unreduced problem is solved and its channel returned, with the steps
+    of both solves counted."""
+    calls = solves(monkeypatch)
+    src = [np.diag([1.0 - 1e-14, 1e-14]), np.diag([0.0, 1.0])]
+    tgt = [np.diag([1.0 - 1e-16, 1e-16]), np.diag([0.99, 0.01])]
+    res = cptp_feasible(src, tgt)
+    assert calls == [(2, 2, 2, "infeasible"), (2, 2, 4, "feasible")]
+    assert res.status == "feasible" and res.residual <= CPTP_STOP_TOL
+    assert res.iterations == unreduced(src, tgt).iterations
+    assert choi_maps(res.choi.matrix, src, tgt, tol=CPTP_STOP_TOL)
+
+
+def test_a_witness_that_fails_its_lift_is_solved_again_unreduced(monkeypatch):
+    """A near-miss 3 -> 2 pure pair (seeded draw 22) is refuted on its face
+    in 2 steps, but the lifted witness misses the full-size margin, so the
+    unreduced problem is solved (4 steps) and its witness returned."""
+    calls = solves(monkeypatch)
+    src, tgt = near_miss_qutrit_to_qubit(np.random.default_rng(FIXTURE_SEED))[22]
+    res = cptp_feasible(src, tgt)
+    assert [call[2:] for call in calls] == [(2, "infeasible"), (6, "infeasible")]
+    assert res.status == "infeasible" and witness_separates(res.witness, src, tgt)
+    assert res.iterations == 6 == 2 + unreduced(src, tgt).iterations
+
+
+def test_targets_with_an_empty_face_are_refuted_without_a_solve(rng, monkeypatch):
+    """Full-rank qubit sources onto two different pure qutrit states: the
+    kernels of the targets leave no face, so no channel exists, and the
+    witness Y_k = Pi_k (the kernel projectors), F = 0 separates at full
+    size with no interior-point call."""
+    calls = solves(monkeypatch)
+    src = [random_density(rng, 2) for _ in range(2)]
+    tgt = pure_sources(rng, 3)
+    res = cptp_feasible(src, tgt)
+    assert calls == [] and (res.status, res.iterations) == ("infeasible", 0)
+    assert witness_separates(res.witness, src, tgt)
 
 
 # seeded instances of the solver failures recorded for earlier versions
@@ -1375,9 +1436,10 @@ def test_a_lift_that_fails_its_check_is_solved_again_at_full_size(monkeypatch):
 # status now). A garbling has a channel, so it is never infeasible. The
 # two-qubit pair (Bell outputs against a random input's) still stops on a
 # failed Cholesky factor; the 2 -> 4 pair, once stopped by one at violation
-# 5.6e-7, is feasible in 7 steps. The 3 -> 4 garbling (violation 3.2e-9)
-# and the qutrit garbling (1.5e-9) reached the step cap from the start
-# V = 1; from the feasible start they are feasible in 3 and 2 steps.
+# 5.6e-7, is feasible in 1 step on its targets' face. The 3 -> 4 garbling
+# (violation 3.2e-9) and the qutrit garbling (1.5e-9) reached the step cap
+# from the start V = 1; from the feasible start they are feasible in 3 and
+# 2 steps.
 SOLVER_FAILURES = {
     name: (*FAILURE_DRAWS[name], before, now)
     for name, before, now in (

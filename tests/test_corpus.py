@@ -25,6 +25,9 @@ STATUSES = {
     # garbling-3-to-4, qutrit-garbling, pure-2-to-4, two-qubit-pair; the
     # first two reached the step cap from V = 1 ("uufu" then)
     "failures": "fffu",
+    # recorded before cptp_feasible solved on the face its singular targets
+    # allow
+    "singular-targets": "fifififififififififififiifiifiiiffifffifffiiffiiffifffiififfifff",
 }
 
 
